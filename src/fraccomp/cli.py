@@ -51,7 +51,6 @@ _DEFAULTS = {
     "initial": "0",
     "source": "",
     "semilinear": "none",
-    "tol": "",
     "output_dir": ".",
     "seed": "0",
 }
@@ -514,7 +513,6 @@ def build_parser():
     vf.add_argument("--config", default=None)
     vf.add_argument("--set", action="append", metavar="KEY=VALUE")
     vf.add_argument("--seed", type=int, default=None)
-    vf.add_argument("--tol", type=float, default=None, help="reserved; suites carry their own tolerances")
     vf.add_argument("--out", default=None)
     vf.set_defaults(func=cmd_verify)
 

@@ -7,7 +7,9 @@ This makes the stiffness matrix exactly symmetric, so the eigenproblem is a
 weighted symmetric tridiagonal one, second order in h including the boundary.
 
 Drift terms b(x,t) d/dx and zeroth-order terms never enter the eigenproblem;
-they are kept as separate matrices and routed through the solvers' splitting.
+they are sampled as vectors and routed through the solvers' splitting.  The
+full operator exists only as bands: tridiagonal flux plus the offsets +-2 of
+the one-sided derivative rows, so every implicit solve is pentadiagonal.
 """
 
 from __future__ import annotations
@@ -141,29 +143,16 @@ class EllipticSpec:
         return _as_xtfun(self.b0)
 
 
-def _derivative_matrix(grid):
-    """d/dx, centred inside, one-sided second order at the endpoints."""
-    m = grid.n_nodes
-    h = grid.h
-    G = np.zeros((m, m))
-    for i in range(1, m - 1):
-        G[i, i - 1] = -0.5 / h
-        G[i, i + 1] = 0.5 / h
-    G[0, 0], G[0, 1], G[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
-    G[-1, -1], G[-1, -2], G[-1, -3] = 1.5 / h, -2.0 / h, 0.5 / h
-    return G
-
-
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Flux-form discretisation split into a symmetric part and drift."""
+    """Flux-form discretisation: the symmetric part as flux bands, drift and
+    zeroth-order terms sampled from the spec at the time they are needed."""
 
     grid: Grid1D
     spec: EllipticSpec
     flux_diag: np.ndarray = field(repr=False)      # T0 main diagonal (no c0 yet)
     flux_off: np.ndarray = field(repr=False)       # T0 off diagonal
     volumes: np.ndarray = field(repr=False)
-    deriv: np.ndarray = field(repr=False)          # d/dx matrix
 
     def apply_sym(self, v):
         """Pointwise A0 v = (-(a v')' + c0 v) with the Robin closure."""
@@ -172,6 +161,16 @@ class DiscreteOperator:
         out[:-1] += self.flux_off * v[1:]
         out[1:] += self.flux_off * v[:-1]
         return out / self.volumes + self.spec.c0 * v
+
+    def derivative(self, v):
+        """d/dx v, centred inside, one-sided second order at the endpoints."""
+        v = np.asarray(v, dtype=float)
+        d = np.empty_like(v)
+        np.subtract(v[2:], v[:-2], out=d[1:-1])
+        d[0] = 4.0 * v[1] - 3.0 * v[0] - v[2]
+        d[-1] = 3.0 * v[-1] - 4.0 * v[-2] + v[-3]
+        d *= 0.5 / self.grid.h
+        return d
 
     def q_parts(self, t):
         """Vectors (b, c0 + c) sampled at time t for the splitting
@@ -183,37 +182,61 @@ class DiscreteOperator:
         c = cf(x, t) if cf is not None else np.zeros_like(x)
         return b, self.spec.c0 + c
 
-    def apply_q(self, v, t):
-        b, czero = self.q_parts(t)
+    def apply_q(self, v, parts):
+        """Q v with parts = q_parts(t), so a time step samples them once."""
+        b, czero = parts
         out = czero * v
         if b is not None:
-            out = out + b * (self.deriv @ v)
+            out = out + b * self.derivative(v)
         return out
 
-    def apply_full(self, v, t=0.0):
-        """A v = A0 v - Q v = -(a v')' - b v' - c v (c0 cancels)."""
-        return self.apply_sym(v) - self.apply_q(v, t)
+    def apply_full(self, v, t=0.0, reaction=None):
+        """A v = A0 v - Q v = -(a v')' - b v' - c v (c0 cancels); a reaction
+        vector r gives the stationary form -(a v')' - b v' + r v, as in bands."""
+        b, czero = self.q_parts(t)
+        if reaction is not None:
+            czero = self.spec.c0 - reaction
+        return self.apply_sym(v) - self.apply_q(v, (b, czero))
+
+    def bands(self, t=0.0, shift=0.0, reaction=None):
+        """LAPACK (2, 2) band array, shape (5, m), of shift I + A(t): row r
+        holds the diagonal at offset 2 - r.  A reaction vector r replaces the
+        zeroth-order part c0 - c, giving the stationary form -(a u')' - b u' + r u."""
+        h = self.grid.h
+        ab = np.zeros((5, self.grid.n_nodes))
+        ab[1, 1:] = self.flux_off / self.volumes[:-1]
+        ab[3, :-1] = self.flux_off / self.volumes[1:]
+        b, czero = self.q_parts(t)
+        if reaction is None:
+            ab[2] = self.flux_diag / self.volumes + self.spec.c0 - czero
+        else:
+            ab[2] = self.flux_diag / self.volumes + reaction
+        if b is not None:
+            # minus b times the stencil of derivative(), one band at a time
+            ab[1, 2:] -= b[1:-1] * (0.5 / h)
+            ab[3, :-2] += b[1:-1] * (0.5 / h)
+            ab[2, 0] += b[0] * (1.5 / h)
+            ab[1, 1] -= b[0] * (2.0 / h)
+            ab[0, 2] += b[0] * (0.5 / h)
+            ab[2, -1] -= b[-1] * (1.5 / h)
+            ab[3, -2] += b[-1] * (2.0 / h)
+            ab[4, -3] -= b[-1] * (0.5 / h)
+        ab[2] += shift
+        return ab
 
     def full_matrix(self, t=0.0):
-        """Dense matrix of A at time t (for implicit stepping)."""
-        m = self.grid.n_nodes
-        M = np.zeros((m, m))
-        idx = np.arange(m)
-        M[idx, idx] = self.flux_diag / self.volumes + self.spec.c0
-        M[idx[:-1], idx[:-1] + 1] += self.flux_off / self.volumes[:-1]
-        M[idx[1:], idx[1:] - 1] += self.flux_off / self.volumes[1:]
-        b, czero = self.q_parts(t)
-        M[idx, idx] -= czero
-        if b is not None:
-            M -= b[:, None] * self.deriv
-        return M
+        """Dense matrix of A at time t, expanded from bands(t); an inspection
+        view, the solvers work on the bands."""
+        ab = self.bands(t)
+        m = ab.shape[1]
+        return sum(np.diag(ab[2 - k, max(k, 0) : m + min(k, 0)], k) for k in range(-2, 3))
 
     def robin_residual(self, v):
         """Conormal-plus-sigma boundary residuals (left, right) of a field,
         with one-sided second-order derivatives."""
         x = self.grid.nodes
         af = self.spec.a_fun()
-        dv = self.deriv @ np.asarray(v, dtype=float)
+        dv = self.derivative(v)
         lo = -float(af(x[:1])[0]) * dv[0] + self.spec.sigma_lo * v[0]
         hi = float(af(x[-1:])[0]) * dv[-1] + self.spec.sigma_hi * v[-1]
         return lo, hi
@@ -239,7 +262,6 @@ def assemble(spec: EllipticSpec, grid: Grid1D, t: float = 0.0) -> DiscreteOperat
         flux_diag=diag,
         flux_off=off,
         volumes=grid.volumes,
-        deriv=_derivative_matrix(grid),
     )
 
 
@@ -309,29 +331,13 @@ def _reaction_vector(spec, grid, t):
         vec = b0f(grid.nodes, t)
         if np.min(vec) <= 0.0:
             raise ValueError("b0 must be positive")
-        return vec, True
-    return np.full(grid.n_nodes, spec.c0), False
+        return vec
+    return np.full(grid.n_nodes, spec.c0)
 
 
-def _stationary_matrix(op, t, reaction):
-    m = op.grid.n_nodes
-    M = np.zeros((m, m))
-    idx = np.arange(m)
-    M[idx, idx] = op.flux_diag / op.volumes + reaction
-    M[idx[:-1], idx[:-1] + 1] += op.flux_off / op.volumes[:-1]
-    M[idx[1:], idx[1:] - 1] += op.flux_off / op.volumes[1:]
-    bf = op.spec.b_fun()
-    if bf is not None:
-        M -= bf(op.grid.nodes, t)[:, None] * op.deriv
-    return M
-
-
-def banded_solve(M, rhs):
-    """Solve with the pentadiagonal structure all operators here have."""
-    m = M.shape[0]
-    ab = np.zeros((5, m))
-    for r, offset in zip(range(5), range(2, -3, -1)):
-        ab[r, max(0, offset) : m + min(0, offset)] = np.diagonal(M, offset)
+def banded_solve(ab, rhs):
+    """Solve with a (5, m) band array of DiscreteOperator.bands: every operator
+    here is pentadiagonal, so this is an O(m) LAPACK gbsv."""
     return solve_banded((2, 2), ab, rhs)
 
 
@@ -339,17 +345,17 @@ def solve_stationary(spec: EllipticSpec, grid: Grid1D, rhs, boundary_rhs=(0.0, 0
     """Solve A1 psi = rhs (or A0 psi = rhs when b0 is absent) with possibly
     inhomogeneous Robin data a psi' nu + sigma psi = g at the endpoints."""
     op = assemble(spec, grid, t)
-    reaction, _ = _reaction_vector(spec, grid, t)
-    M = _stationary_matrix(op, t, reaction)
+    reaction = _reaction_vector(spec, grid, t)
+    ab = op.bands(t, reaction=reaction)
     f = np.asarray(rhs.values if isinstance(rhs, SpaceField) else rhs, dtype=float).copy()
     g_lo, g_hi = boundary_rhs
     f[0] += g_lo / op.volumes[0]
     f[-1] += g_hi / op.volumes[-1]
     try:
-        sol = banded_solve(M, f)
+        sol = banded_solve(ab, f)
     except np.linalg.LinAlgError as exc:
         raise SingularOperatorError("stationary operator is singular") from exc
-    res = np.max(np.abs(M @ sol - f))
+    res = np.max(np.abs(op.apply_full(sol, t, reaction) - f))
     scale = np.max(np.abs(f)) + np.max(np.abs(sol)) + 1e-30
     if not np.all(np.isfinite(sol)) or res > 1e-10 * scale:
         raise SingularOperatorError(
@@ -358,25 +364,13 @@ def solve_stationary(spec: EllipticSpec, grid: Grid1D, rhs, boundary_rhs=(0.0, 0
     return SpaceField(grid, sol)
 
 
-def _flux_apply(op, v):
-    """T0 v (flux part including sigma), not volume-scaled."""
-    out = op.flux_diag * v
-    out[:-1] += op.flux_off * v[1:]
-    out[1:] += op.flux_off * v[:-1]
-    return out
-
-
 def coercivity_form(op: DiscreteOperator, v, t: float = 0.0) -> float:
     """Discrete (A1 v, v)_h including the boundary sigma terms.
 
     Compare against kappa1 (||v||_h^2 + ||v'||_h^2); see h1_norm_sq."""
     vv = np.asarray(v.values if isinstance(v, SpaceField) else v, dtype=float)
-    reaction, _ = _reaction_vector(op.spec, op.grid, t)
-    quad = float(vv @ _flux_apply(op, vv)) + float(np.sum(op.volumes * reaction * vv * vv))
-    bf = op.spec.b_fun()
-    if bf is not None:
-        quad -= float(np.sum(op.volumes * bf(op.grid.nodes, t) * (op.deriv @ vv) * vv))
-    return quad
+    reaction = _reaction_vector(op.spec, op.grid, t)
+    return float(np.sum(op.volumes * vv * op.apply_full(vv, t, reaction)))
 
 
 def h1_norm_sq(grid: Grid1D, v) -> tuple:

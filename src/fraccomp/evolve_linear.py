@@ -21,6 +21,7 @@ Both keep the entire memory: there is no semigroup restart in fractional time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -175,18 +176,15 @@ def duhamel_step(state, F_samples, eig: EigenDecomposition, alpha, t_k, t_k1, t_
 def _q_samples(op: DiscreteOperator, tgrid):
     """Midpoint samples of the splitting coefficients for every step."""
     mids = 0.5 * (tgrid.nodes[:-1] + tgrid.nodes[1:])
-    coeffs = []
-    for tm in mids:
-        b, czero = op.q_parts(tm)
-        coeffs.append((b, czero))
-    return mids, coeffs
+    return mids, [op.q_parts(tm) for tm in mids]
 
 
-def _apply_q_sampled(op, b, czero, u):
-    out = czero * u
-    if b is not None:
-        out = out + b * (op.deriv @ u)
-    return out
+def _non_finite(what, m, grid, values):
+    """SolverError for a time step whose data are not finite, naming the
+    time node and the first space node at fault."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    where = f" (first at x = {grid.nodes[bad[0]]:.6g})" if bad.size else ""
+    return SolverError(f"non-finite {what} at time node {m}{where}", node=m)
 
 
 def spectral_march(
@@ -237,7 +235,6 @@ def spectral_march(
         if m > 1:
             base = base + (masses[:, : m - 1] * g_hist[: m - 1].T).sum(axis=1)
         w_last = masses[:, m - 1]
-        b_k, cz_k = qc[m - 1]
         f_k = f_mid[m - 1]
 
         def step_forcing(u_rep):
@@ -245,7 +242,7 @@ def spectral_march(
             if f_k is not None:
                 g = g + f_k
             if q_active:
-                g = g + _apply_q_sampled(op, b_k, cz_k, u_rep)
+                g = g + op.apply_q(u_rep, qc[m - 1])
             if nonlinearity is not None:
                 g = g + nonlinearity(u_rep, mids[m - 1])
             return g
@@ -254,6 +251,8 @@ def spectral_march(
         if not needs_iteration:
             g_coef = eig.project(f_k) if f_k is not None else np.zeros_like(base)
             u_new = eig.synthesize(base + w_last * g_coef)
+            if not np.all(np.isfinite(u_new)):
+                raise _non_finite("source or initial value", m, p.grid, a if f_k is None else a + f_k)
             counts[m - 1] = 0
         else:
             u_new = u[m - 1].copy()  # warm start
@@ -264,6 +263,8 @@ def spectral_march(
                 g_coef = eig.project(step_forcing(u_rep))
                 u_next = eig.synthesize(base + w_last * g_coef)
                 residual = float(np.max(np.abs(u_next - u_new)))
+                if not math.isfinite(residual):
+                    raise _non_finite("step forcing", m, p.grid, step_forcing(u_rep))
                 u_new = u_next
                 if residual <= picard_tol:
                     converged = True
@@ -310,7 +311,6 @@ def solve_linear_l1(p: ProblemSpec) -> Field:
     u = np.empty((N + 1, n_nodes))
     u[0] = a
     du = np.empty((N, n_nodes))
-    eye = np.eye(n_nodes)
     for m in range(1, N + 1):
         w = caputo_l1_weights(t[: m + 1], p.alpha)
         rhs = w[-1] * u[m - 1]
@@ -319,9 +319,12 @@ def solve_linear_l1(p: ProblemSpec) -> Field:
         f = p.source_at(t[m], node_index=m)
         if f is not None:
             rhs = rhs + f
-        M = w[-1] * eye + op.full_matrix(t[m])
+        ab = op.bands(t[m], shift=w[-1])
+        if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(rhs))):
+            ones_row = op.apply_full(np.ones(n_nodes), t[m])  # row sums locate the bad node
+            raise _non_finite("operator or right-hand side", m, p.grid, ones_row + rhs)
         try:
-            u[m] = banded_solve(M, rhs)
+            u[m] = banded_solve(ab, rhs)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"implicit step {m} is singular", node=m) from exc
         if not np.all(np.isfinite(u[m])):

@@ -114,7 +114,7 @@ def solve_semilinear(
 
     def nonlinearity(u, t):
         if f.depends_on_gradient:
-            return f(x, u, op.deriv @ u)
+            return f(x, u, op.derivative(u))
         return f(x, u)
 
     box = f.box_m
@@ -162,12 +162,12 @@ def solve_semilinear_stationary(
     if cf is not None and np.max(cf(grid.nodes, 0.0)) > 0.0:
         raise ValueError("stationary theory needs c <= 0")
     op = assemble(spec, grid)
-    A = op.full_matrix(0.0)
+    A = op.bands(0.0)
     x = grid.nodes
     u = np.zeros(grid.n_nodes)
 
     def residual(v):
-        return A @ v - f(x, v)
+        return op.apply_full(v) - f(x, v)
 
     r = residual(u)
     scale = max(1.0, float(np.max(np.abs(f(x, u)))))
@@ -177,7 +177,7 @@ def solve_semilinear_stationary(
             break
         J = A.copy()
         if f.deriv_u is not None:
-            J[np.arange(x.size), np.arange(x.size)] -= f.deriv_u(x, u) * np.ones_like(u)
+            J[2] -= f.deriv_u(x, u) * np.ones_like(u)
         try:
             step = banded_solve(J, -r)
         except np.linalg.LinAlgError as exc:

@@ -43,7 +43,7 @@ def _from_report(rep):
     return CheckResult(rep.property_name, rep.holds, rep.worst_violation, rep.tolerance_used)
 
 
-def suite_ml(rng, tol_scale=1.0):
+def suite_ml(rng):
     rows = []
     xs = np.linspace(-30.0, 5.0, 141)
     worst = max(
@@ -92,7 +92,7 @@ def suite_ml(rng, tol_scale=1.0):
     return rows
 
 
-def suite_fracops(rng, tol_scale=1.0):
+def suite_fracops(rng):
     rows = []
     alpha = 0.5
     errs = []
@@ -130,7 +130,7 @@ def suite_fracops(rng, tol_scale=1.0):
     return rows
 
 
-def suite_positivity(rng, tol_scale=1.0):
+def suite_positivity(rng):
     rows = []
     worst = 0.0
     for _ in range(50):
@@ -151,7 +151,7 @@ def suite_positivity(rng, tol_scale=1.0):
     return rows
 
 
-def suite_ordering(rng, tol_scale=1.0):
+def suite_ordering(rng):
     rows = []
     worst = 0.0
     for _ in range(10):
@@ -198,7 +198,7 @@ def suite_ordering(rng, tol_scale=1.0):
     return rows
 
 
-def suite_barriers(rng, tol_scale=1.0):
+def suite_barriers(rng):
     rows = []
     alpha = 0.5
     p = ProblemSpec(alpha, EllipticSpec(a=1.0, c0=0.0), Grid1D(0.0, 1.0, 32),
@@ -217,7 +217,7 @@ def suite_barriers(rng, tol_scale=1.0):
     return rows
 
 
-def suite_monotone(rng, tol_scale=1.0):
+def suite_monotone(rng):
     rows = []
     alpha = 0.5
     p = ProblemSpec(alpha,
@@ -255,7 +255,7 @@ def suite_monotone(rng, tol_scale=1.0):
     return rows
 
 
-def suite_decay(rng, tol_scale=1.0):
+def suite_decay(rng):
     rows = []
     alpha = 0.5
     grid = Grid1D(0.0, 1.0, 20)
@@ -298,13 +298,13 @@ SUITES = {
 }
 
 
-def run_suite(name, seed=0, tol_scale=1.0):
+def run_suite(name, seed=0):
     rng = np.random.default_rng(seed)
     if name == "all":
         rows = []
         for key in SUITES:
-            rows.extend(SUITES[key](np.random.default_rng(seed), tol_scale))
+            rows.extend(SUITES[key](np.random.default_rng(seed)))
         return rows
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](rng, tol_scale)
+    return SUITES[name](rng)

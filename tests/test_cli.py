@@ -119,6 +119,17 @@ class TestSolve:
         man = read_manifest(tmp_path)
         assert "solver failure" in man["verdict"]
 
+    @pytest.mark.parametrize("method", ["spectral", "l1"])
+    def test_non_finite_coefficient_exit_3(self, tmp_path, capsys, method):
+        # c = 1/(x - 0.5) is infinite on the grid node x = 0.5
+        code = run_cli(["solve", "--set", "c=1/(x-0.5)", "--set", "n_space=33",
+                        "--method", method, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "non-finite" in err and "x = 0.5" in err
+        assert "Traceback" not in err
+        assert "non-finite" in read_manifest(tmp_path)["verdict"]
+
     def test_unknown_key_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frobnicate = 1\n")
