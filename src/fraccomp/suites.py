@@ -1,27 +1,29 @@
-"""Named verification suites behind the command-line runner.
+"""The deterministic experiments and the named verification suites behind the
+command-line runner.
 
-Each suite returns a list of CheckResult rows; a suite passes when every row
-does.  These are working-resolution versions of the package's acceptance
-properties, sized to run in seconds.
+An experiment is one problem of the paper's comparison results: a builder,
+a check returning CheckResult rows, and the columns `reproduce` writes.  Each
+suite returns CheckResult rows and passes when every row does; suites run the
+experiments and seeded random specs at working resolution, in seconds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erfcx, gamma
 
 from . import compare, special_ml
 from .elliptic import EllipticSpec, Grid1D, assemble, eigendecompose, principal_eigenpair
 from .evolve_linear import Field, ProblemSpec, solve_linear_l1, solve_linear_spectral
-from .evolve_semilinear import builtin_enzyme, scalar_fractional_ode, solve_semilinear
+from .evolve_semilinear import SemilinearTerm, builtin_enzyme, scalar_fractional_ode, solve_semilinear
 from .fracops import TimeGrid, TimeSeries, caputo_l1, extremum_check, rl_integral
 from .randomspec import random_linear_problem, random_nonneg_profile
 
-__all__ = ["CheckResult", "SUITES", "run_suite"]
+__all__ = ["CheckResult", "EXPERIMENTS", "Experiment", "Outcome", "SUITES", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -41,6 +43,166 @@ def _row(name, worst, tol):
 
 def _from_report(rep):
     return CheckResult(rep.property_name, rep.holds, rep.worst_violation, rep.tolerance_used)
+
+
+class Outcome(NamedTuple):
+    rows: list  # CheckResult rows; the experiment holds when every row does
+    columns: list  # arrays under Experiment.columns, the first is the x axis
+    extra: dict  # scalar details for the manifest
+
+
+@dataclass(frozen=True)
+class Experiment:
+    build: Callable  # (alpha, n, N) -> (ProblemSpec, SemilinearTerm or None)
+    check: Callable  # (problem, term) -> Outcome
+    resolution: tuple = None  # (n, N) of `reproduce`; None for a verify-only experiment
+    columns: tuple = ()
+    title: str = ""
+    logy: bool = False
+
+    def run(self, alpha, n, N):
+        return self.check(*self.build(alpha, n, N))
+
+
+def _neumann_problem(alpha, n, N, T, initial, c0=0.0, c=None, source=None):
+    """Unit-diffusion Neumann problem on (0, 1), graded with r = 2/alpha."""
+    return ProblemSpec(alpha, EllipticSpec(a=1.0, c0=c0, c=c), Grid1D(0.0, 1.0, n),
+                       TimeGrid.graded(T, N, 2.0 / alpha), initial, source=source)
+
+
+def _check_ex1(p, _):
+    u = solve_linear_spectral(p)
+    bound = compare.example1_lower_bound(p.alpha, 0.0, 1.0, p.tgrid).values
+    lo = np.min(u.values, axis=1)
+    slack = float(np.min(lo - bound))
+    return Outcome([_row("positivity/power-source-lower-bound", -slack, 1e-3)],
+                   [p.tgrid.nodes, lo, bound], {"min_slack": slack})
+
+
+EX1 = Experiment(
+    lambda alpha, n, N: (_neumann_problem(alpha, n, N, 1.0, 0.0,
+                                          source=lambda x, t: np.ones_like(x)), None),
+    _check_ex1, (48, 256), ("t", "min_x_u", "lower_bound"), "power-source lower bound")
+
+
+def _check_e3(p, f):
+    band = compare.barrier_bounds_e3(p, f)
+    u = band.solution.values
+    lower = np.min(u, axis=1)
+    upper = np.max(u - p.initial_values()[None, :], axis=1)
+    cap = band.rho * p.tgrid.nodes ** p.alpha
+    slack = min(float(np.min(cap - upper)), float(np.min(lower)))
+    return Outcome([_from_report(band.report)], [p.tgrid.nodes, lower, upper, cap],
+                   {"rho": band.rho, "min_slack": slack})
+
+
+E3 = Experiment(
+    lambda alpha, n, N: (_neumann_problem(alpha, n, N, 1.0, lambda x: 1 + np.cos(math.pi * x)),
+                         builtin_enzyme()),
+    _check_e3, (48, 192), ("t", "min_x_u", "max_x_u_minus_a", "rho_t_alpha"),
+    "saturating-sink band")
+
+
+def _check_e4(p, f):
+    band = compare.barrier_bounds_e4(p, f, epsilon=0.1, delta1=1.0)
+    tn = p.tgrid.nodes
+    dev = np.max(band.solution.values - 1.0, axis=1)
+    return Outcome([_from_report(band.report)],
+                   [tn, dev, tn ** (p.alpha - 0.1), -band.lower_coeff * tn ** p.alpha],
+                   {"T1": band.T1, "T2": band.T2, "lower_coeff": band.lower_coeff})
+
+
+E4 = Experiment(
+    lambda alpha, n, N: (_neumann_problem(alpha, n, N, 0.5, 1.0), SemilinearTerm(
+        eval=lambda x, u: u, deriv_u=lambda x, u: np.ones_like(u), bound_M=10.0)),
+    _check_e4, (32, 192), ("t", "max_x_u_minus_a", "upper_band", "lower_band"),
+    "increasing-term bands")
+
+
+def _check_monotone_linear(p, _):
+    seq = compare.linear_monotone_sequence(p, b0_const=0.6, n_max=8)
+    tol = compare.default_tolerance(p.grid, p.tgrid, p.alpha, 2.0)
+    neg = max(-float(np.min(it.values)) for it in seq)
+    direct = solve_linear_l1(p)
+    errs = [float(np.max(np.abs(it.values - direct.values))) for it in seq]
+    ratios = [errs[j + 1] / errs[j] for j in range(2, len(errs) - 1) if errs[j] > 1e-13]
+    rows = [_row("monotone/linear-iterates-nonnegative", neg, tol),
+            _row("monotone/linear-geometric-ratio", max(ratios) if ratios else 0.0, 0.9)]
+    return Outcome(rows, [np.arange(1, len(seq) + 1, dtype=float), np.array(errs)],
+                   {"worst_negativity": neg, "final_error": errs[-1]})
+
+
+MONOTONE_LINEAR = Experiment(
+    lambda alpha, n, N: (_neumann_problem(alpha, n, N, 0.75, lambda x: 1 + np.cos(math.pi * x),
+                                          c0=1.0, c=lambda x, t: -0.3 + 0.2 * np.sin(3 * x)), None),
+    _check_monotone_linear, (24, 128), ("sweep", "sup_error"), "linearisation sweeps",
+    logy=True)
+
+
+def _check_sandwich(p, f):
+    nt = p.tgrid.nodes.size
+    barriers = compare.BarrierPair(
+        lower=Field(p.grid, p.tgrid, np.zeros((nt, p.grid.n_nodes))),
+        upper=Field(p.grid, p.tgrid, np.ones((nt, p.grid.n_nodes))),
+    )
+    res = compare.monotone_iteration(p, f, barriers, M=1.0, k_max=25)
+    chain_worst = 0.0
+    for seq, sgn in ((res.from_lower, 1.0), (res.from_upper, -1.0)):
+        for a, b in zip(seq, seq[1:]):
+            chain_worst = max(chain_worst, -float(np.min(sgn * (b.values - a.values))))
+    y = scalar_fractional_ode(p.tgrid, p.alpha, 1.0, lambda v: -v / (1 + abs(v)),
+                              rhs_du=lambda v: -1.0 / (1 + abs(v)) ** 2)
+    rows = [_from_report(res.sandwich),
+            _row("monotone/chain-monotonicity", chain_worst, res.sandwich.tolerance_used),
+            _row("monotone/scalar-oracle-agreement",
+                 float(np.max(np.abs(res.solution.values[:, 5] - y))), 5e-3)]
+    return Outcome(rows, [], {})
+
+
+SANDWICH = Experiment(
+    lambda alpha, n, N: (_neumann_problem(alpha, n, N, 1.0, 1.0), builtin_enzyme()), _check_sandwich)
+
+
+def _check_decay(p, f):
+    alpha, grid, tn = p.alpha, p.grid, p.tgrid.nodes
+    eig = eigendecompose(assemble(p.elliptic, grid))
+    single = solve_linear_spectral(replace(p, initial=0.7 * eig.modes[:, 0]), eig)
+    rep1 = compare.asymptotic_decay_check(single, np.zeros(grid.n_nodes), eig, alpha)
+    u = solve_semilinear(p, f, eig)
+    rep = compare.asymptotic_decay_check(u, np.zeros(grid.n_nodes), eig, alpha)
+    lam1, phi1 = principal_eigenpair(eig)
+    tail = tn >= 0.75 * tn[-1]
+    third = (tn >= 0.5 * tn[-1]) & (tn < 0.75 * tn[-1])
+    dev = np.abs(u.values)
+
+    def sup_ratio(mask):
+        env = tn[mask, None] ** -alpha * phi1[None, :]
+        return float(np.max(dev[mask] / env))
+
+    rows = [_row("decay/single-mode-constant-ratio", abs(rep1.fitted_C - 0.7), 1e-8),
+            _row("decay/saturating-sink-fit-stability",
+                 abs(rep.fitted_C_tail - rep.fitted_C) / max(rep.fitted_C, 1e-300), 0.10),
+            _row("decay/t^-alpha-envelope", sup_ratio(tail), 1.1 * sup_ratio(third))]
+    envelope = rep.fitted_C * special_ml.relaxation_batch(alpha, lam1 * tn ** alpha)
+    return Outcome(rows, [tn, np.max(dev, axis=1), envelope],
+                   {"fitted_C": rep.fitted_C, "fitted_C_tail": rep.fitted_C_tail})
+
+
+DECAY = Experiment(
+    lambda alpha, n, N: (_neumann_problem(alpha, n, N, 400.0,
+                                          lambda x: 0.5 + 0.3 * np.cos(math.pi * x),
+                                          c0=1.0, c=-1.0), builtin_enzyme()),
+    _check_decay, (24, 256), ("t", "max_x_dev", "ground_mode_envelope"),
+    "long-time decay against the ground mode", logy=True)
+
+# the experiments `reproduce` runs, by artefact name
+EXPERIMENTS = {
+    "ex1": EX1,
+    "e3": E3,
+    "e4": E4,
+    "prop32": DECAY,
+    "monotone_linear": MONOTONE_LINEAR,
+}
 
 
 def suite_ml(rng):
@@ -140,15 +302,7 @@ def suite_positivity(rng):
         rep = compare.check_positivity(u, alpha=alpha)
         worst = max(worst, rep.worst_violation - rep.tolerance_used)
     rows.append(_row("positivity/50-random-specs", worst, 0.0))
-    alpha = 0.5
-    p = ProblemSpec(alpha, EllipticSpec(a=1.0, c0=0.0), Grid1D(0.0, 1.0, 24),
-                    TimeGrid.graded(1.0, 96, 4.0), 0.0,
-                    source=lambda x, t: np.ones_like(x))
-    u = solve_linear_spectral(p)
-    bound = compare.example1_lower_bound(alpha, 0.0, 1.0, p.tgrid)
-    slack = float(np.min(np.min(u.values, axis=1) - bound.values))
-    rows.append(_row("positivity/power-source-lower-bound", -slack, 1e-3))
-    return rows
+    return rows + EX1.run(0.5, 24, 96).rows
 
 
 def suite_ordering(rng):
@@ -199,92 +353,19 @@ def suite_ordering(rng):
 
 
 def suite_barriers(rng):
-    rows = []
-    alpha = 0.5
-    p = ProblemSpec(alpha, EllipticSpec(a=1.0, c0=0.0), Grid1D(0.0, 1.0, 32),
-                    TimeGrid.graded(1.0, 96, 4.0), lambda x: 1 + np.cos(math.pi * x))
-    band = compare.barrier_bounds_e3(p)
-    rows.append(_from_report(band.report))
-    from .evolve_semilinear import SemilinearTerm
-
-    f_lin = SemilinearTerm(eval=lambda x, u: u, deriv_u=lambda x, u: np.ones_like(u), bound_M=10.0)
-    p4 = ProblemSpec(alpha, EllipticSpec(a=1.0, c0=0.0), Grid1D(0.0, 1.0, 24),
-                     TimeGrid.graded(0.5, 96, 4.0), 1.0)
-    band4 = compare.barrier_bounds_e4(p4, f_lin, epsilon=0.1, delta1=1.0)
-    rows.append(_from_report(band4.report))
+    p, f = E3.build(0.5, 32, 96)
+    rows = E3.check(p, f).rows + E4.run(0.5, 24, 96).rows
     zeros = Field(p.grid, p.tgrid, np.zeros((p.tgrid.nodes.size, p.grid.n_nodes)))
-    rows.append(_from_report(compare.verify_barrier(zeros, "lower", p, f=builtin_enzyme())))
+    rows.append(_from_report(compare.verify_barrier(zeros, "lower", p, f=f)))
     return rows
 
 
 def suite_monotone(rng):
-    rows = []
-    alpha = 0.5
-    p = ProblemSpec(alpha,
-                    EllipticSpec(a=1.0, c0=1.0, c=lambda x, t: -0.3 + 0.2 * np.sin(3 * x)),
-                    Grid1D(0.0, 1.0, 20), TimeGrid.graded(0.75, 96, 4.0),
-                    lambda x: 1 + np.cos(math.pi * x))
-    seq = compare.linear_monotone_sequence(p, b0_const=0.6, n_max=8)
-    tol = compare.default_tolerance(p.grid, p.tgrid, alpha, 2.0)
-    worst_neg = max(-float(np.min(it.values)) for it in seq)
-    rows.append(_row("monotone/linear-iterates-nonnegative", worst_neg, tol))
-    direct = solve_linear_l1(p)
-    errs = [float(np.max(np.abs(it.values - direct.values))) for it in seq]
-    ratios = [errs[j + 1] / errs[j] for j in range(2, len(errs) - 1) if errs[j] > 1e-13]
-    rows.append(_row("monotone/linear-geometric-ratio", max(ratios) if ratios else 0.0, 0.9))
-
-    pe = ProblemSpec(alpha, EllipticSpec(a=1.0, c0=0.0), Grid1D(0.0, 1.0, 12),
-                     TimeGrid.graded(1.0, 64, 4.0), 1.0)
-    nt = pe.tgrid.nodes.size
-    barriers = compare.BarrierPair(
-        lower=Field(pe.grid, pe.tgrid, np.zeros((nt, pe.grid.n_nodes))),
-        upper=Field(pe.grid, pe.tgrid, np.ones((nt, pe.grid.n_nodes))),
-    )
-    res = compare.monotone_iteration(pe, builtin_enzyme(), barriers, M=1.0, k_max=25)
-    rows.append(_from_report(res.sandwich))
-    tol = res.sandwich.tolerance_used
-    chain_worst = 0.0
-    for seq2, sgn in ((res.from_lower, 1.0), (res.from_upper, -1.0)):
-        for a, b in zip(seq2, seq2[1:]):
-            chain_worst = max(chain_worst, -float(np.min(sgn * (b.values - a.values))))
-    rows.append(_row("monotone/chain-monotonicity", chain_worst, tol))
-    y = scalar_fractional_ode(pe.tgrid, alpha, 1.0, lambda v: -v / (1 + abs(v)),
-                              rhs_du=lambda v: -1.0 / (1 + abs(v)) ** 2)
-    rows.append(_row("monotone/scalar-oracle-agreement",
-                     float(np.max(np.abs(res.solution.values[:, 5] - y))), 5e-3))
-    return rows
+    return MONOTONE_LINEAR.run(0.5, 20, 96).rows + SANDWICH.run(0.5, 12, 64).rows
 
 
 def suite_decay(rng):
-    rows = []
-    alpha = 0.5
-    grid = Grid1D(0.0, 1.0, 20)
-    tg = TimeGrid.graded(400.0, 256, 4.0)
-    spec = EllipticSpec(a=1.0, c0=1.0, c=-1.0)
-    eig = eigendecompose(assemble(spec, grid))
-    phi1 = eig.modes[:, 0]
-    p = ProblemSpec(alpha, spec, grid, tg, 0.7 * phi1)
-    u = solve_linear_spectral(p, eig)
-    rep = compare.asymptotic_decay_check(u, np.zeros(grid.n_nodes), eig, alpha)
-    rows.append(_row("decay/single-mode-constant-ratio",
-                     abs(rep.fitted_C - 0.7), 1e-8))
-    pe = ProblemSpec(alpha, spec, grid, tg, lambda x: 0.5 + 0.3 * np.cos(math.pi * x))
-    ue = solve_semilinear(pe, builtin_enzyme(), eig)
-    rep2 = compare.asymptotic_decay_check(ue, np.zeros(grid.n_nodes), eig, alpha)
-    rows.append(_row("decay/saturating-sink-fit-stability",
-                     abs(rep2.fitted_C_tail - rep2.fitted_C) / max(rep2.fitted_C, 1e-300), 0.10))
-    lam1, phi1p = principal_eigenpair(eig)
-    tn = tg.nodes
-    tail = tn >= 0.75 * tn[-1]
-    third = (tn >= 0.5 * tn[-1]) & (tn < 0.75 * tn[-1])
-    dev = np.abs(ue.values)
-
-    def sup_ratio(mask):
-        env = tn[mask, None] ** -alpha * phi1p[None, :]
-        return float(np.max(dev[mask] / env))
-
-    rows.append(_row("decay/t^-alpha-envelope", sup_ratio(tail), 1.1 * sup_ratio(third)))
-    return rows
+    return DECAY.run(0.5, 20, 256).rows
 
 
 SUITES = {
@@ -299,12 +380,9 @@ SUITES = {
 
 
 def run_suite(name, seed=0):
-    rng = np.random.default_rng(seed)
-    if name == "all":
-        rows = []
-        for key in SUITES:
-            rows.extend(SUITES[key](np.random.default_rng(seed)))
-        return rows
-    if name not in SUITES:
+    """Rows of one suite, or of every suite for 'all', each from a fresh
+    generator seeded with seed."""
+    if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](rng)
+    names = SUITES if name == "all" else [name]
+    return [row for key in names for row in SUITES[key](np.random.default_rng(seed))]

@@ -21,15 +21,11 @@ from fraccomp.elliptic import (
     eigendecompose,
     principal_eigenpair,
 )
-from fraccomp.evolve_linear import Field, ProblemSpec, solve_linear_l1, solve_linear_spectral
-from fraccomp.evolve_semilinear import (
-    SemilinearTerm,
-    builtin_enzyme,
-    scalar_fractional_ode,
-    solve_semilinear,
-)
+from fraccomp.evolve_linear import Field, solve_linear_l1, solve_linear_spectral
+from fraccomp.evolve_semilinear import builtin_enzyme, scalar_fractional_ode, solve_semilinear
 from fraccomp.fracops import TimeGrid, TimeSeries, caputo_l1, extremum_check, rl_integral
 from fraccomp.randomspec import random_linear_problem, random_nonneg_profile
+from fraccomp.suites import DECAY, E3, E4, EX1, MONOTONE_LINEAR, SANDWICH
 
 
 def report(num, name, ok, detail=""):
@@ -258,14 +254,10 @@ class TestCriterion6Positivity:
 
 class TestCriterion7ExplicitLowerBound:
     def test_unit_source_bound(self):
-        alpha = 0.5
-        p = ProblemSpec(alpha, EllipticSpec(a=1.0, c0=0.0), Grid1D(0.0, 1.0, 48),
-                        TimeGrid.graded(1.0, 256, 2.0 / alpha), 0.0,
-                        source=lambda x, t: np.ones_like(x))
-        u = solve_linear_spectral(p)
-        bound = compare.example1_lower_bound(alpha, 0.0, 1.0, p.tgrid)
-        assert bound.values[-1] == pytest.approx(1.128379, abs=1e-6)
-        slack = float(np.min(np.min(u.values, axis=1) - bound.values))
+        out = EX1.run(0.5, 48, 256)
+        _, _, bound = out.columns
+        assert bound[-1] == pytest.approx(1.128379, abs=1e-6)
+        slack = out.extra["min_slack"]
         report(7, "unit source solution above 1.128379 t^0.5", slack >= -1e-3,
                f"min slack {slack:.2e} >= -1e-3")
 
@@ -306,10 +298,7 @@ class TestCriterion8CoefficientComparison:
 class TestCriterion9LinearMonotoneSequence:
     def test_nonnegative_geometric(self):
         alpha = 0.5
-        p = ProblemSpec(alpha,
-                        EllipticSpec(a=1.0, c0=1.0, c=lambda x, t: -0.3 + 0.2 * np.sin(3 * x)),
-                        Grid1D(0.0, 1.0, 24), TimeGrid.graded(0.75, 128, 2.0 / alpha),
-                        lambda x: 1 + np.cos(math.pi * x))
+        p, _ = MONOTONE_LINEAR.build(alpha, 24, 128)
         seq = compare.linear_monotone_sequence(p, b0_const=0.6, n_max=9)
         tol = compare.default_tolerance(p.grid, p.tgrid, alpha, 2.0)
         neg = max(-float(np.min(it.values)) for it in seq)
@@ -324,9 +313,8 @@ class TestCriterion9LinearMonotoneSequence:
 class TestCriterion10SemilinearReduction:
     def test_scalar_oracle_agreement(self):
         alpha = 0.5
-        p = ProblemSpec(alpha, EllipticSpec(a=1.0, c0=0.0), Grid1D(0.0, 1.0, 16),
-                        TimeGrid.graded(1.0, 1024, 2.0 / alpha), 1.0)
-        u = solve_semilinear(p, builtin_enzyme(), tol=1e-12)
+        p, f = SANDWICH.build(alpha, 16, 1024)  # flat data a = 1 with the saturating sink
+        u = solve_semilinear(p, f, tol=1e-12)
         y = scalar_fractional_ode(p.tgrid, alpha, 1.0,
                                   lambda v: -v / (1 + abs(v)),
                                   rhs_du=lambda v: -1.0 / (1 + abs(v)) ** 2)
@@ -357,15 +345,13 @@ class TestCriterion10SemilinearReduction:
 
 class TestCriterion11Sandwich:
     def test_monotone_chains_and_sandwich(self):
-        alpha = 0.5
-        p = ProblemSpec(alpha, EllipticSpec(a=1.0, c0=0.0), Grid1D(0.0, 1.0, 16),
-                        TimeGrid.graded(1.0, 96, 2.0 / alpha), 1.0)
+        p, f = SANDWICH.build(0.5, 16, 96)
         nt = p.tgrid.nodes.size
         barriers = compare.BarrierPair(
             lower=Field(p.grid, p.tgrid, np.zeros((nt, p.grid.n_nodes))),
             upper=Field(p.grid, p.tgrid, np.ones((nt, p.grid.n_nodes))),
         )
-        res = compare.monotone_iteration(p, builtin_enzyme(), barriers, M=1.0, k_max=30)
+        res = compare.monotone_iteration(p, f, barriers, M=1.0, k_max=30)
         tol = res.sandwich.tolerance_used
         chain_worst = 0.0
         for seq, sgn in ((res.from_lower, 1.0), (res.from_upper, -1.0)):
@@ -377,60 +363,49 @@ class TestCriterion11Sandwich:
 
     def test_saturating_sink_band(self):
         # the band the explicit barriers prove: 0 <= u and u <= a + rho t^alpha
-        alpha = 0.5
-        p = ProblemSpec(alpha, EllipticSpec(a=1.0, c0=0.0), Grid1D(0.0, 1.0, 48),
-                        TimeGrid.graded(1.0, 192, 2.0 / alpha),
-                        lambda x: 1 + np.cos(math.pi * x))
-        band = compare.barrier_bounds_e3(p)
-        ok = band.report.holds and band.rho == pytest.approx(math.pi ** 2 / gamma(1.5), rel=5e-3)
+        out = E3.run(0.5, 48, 192)
+        (row,) = out.rows
+        rho = out.extra["rho"]
+        ok = row.holds and rho == pytest.approx(math.pi ** 2 / gamma(1.5), rel=5e-3)
         report(11, "explicit band 0 <= u <= a + rho t^alpha", ok,
-               f"rho {band.rho:.4f} (pi^2/Gamma(1.5) = {math.pi ** 2 / gamma(1.5):.4f}), "
-               f"worst {band.report.worst_violation:.1e}")
+               f"rho {rho:.4f} (pi^2/Gamma(1.5) = {math.pi ** 2 / gamma(1.5):.4f}), "
+               f"worst {row.worst:.1e}")
 
     def test_increasing_term_windows(self):
-        alpha = 0.5
-        f = SemilinearTerm(eval=lambda x, u: u, deriv_u=lambda x, u: np.ones_like(u),
-                           bound_M=10.0)
-        p = ProblemSpec(alpha, EllipticSpec(a=1.0, c0=0.0), Grid1D(0.0, 1.0, 24),
-                        TimeGrid.graded(0.5, 192, 2.0 / alpha), 1.0)
-        band = compare.barrier_bounds_e4(p, f, epsilon=0.1, delta1=1.0)
-        report(11, "increasing-term bounds on windows (0,T1), (0,T2)", band.report.holds,
-               f"T1 {band.T1:.3g}, T2 {band.T2:.3g}, lower coeff {band.lower_coeff:.3f}, "
-               f"worst {band.report.worst_violation:.1e}")
+        out = E4.run(0.5, 24, 192)
+        (row,) = out.rows
+        report(11, "increasing-term bounds on windows (0,T1), (0,T2)", row.holds,
+               f"T1 {out.extra['T1']:.3g}, T2 {out.extra['T2']:.3g}, "
+               f"lower coeff {out.extra['lower_coeff']:.3f}, worst {row.worst:.1e}")
 
 
 @pytest.fixture(scope="module")
 def decay_setup():
-    alpha = 0.5
-    grid = Grid1D(0.0, 1.0, 24)
-    tg = TimeGrid.graded(400.0, 512, 2.0 / alpha)  # lambda_1 T^alpha = 20
-    spec = EllipticSpec(a=1.0, c0=1.0, c=-1.0)
-    eig = eigendecompose(assemble(spec, grid))
-    return alpha, grid, tg, spec, eig
+    p, f = DECAY.build(0.5, 24, 512)  # lambda_1 T^alpha = 20
+    eig = eigendecompose(assemble(p.elliptic, p.grid))
+    return p, f, eig
 
 
 class TestCriterion12AsymptoticDecay:
     def test_single_mode_exact(self, decay_setup):
-        alpha, grid, tg, spec, eig = decay_setup
-        phi1 = eig.modes[:, 0]
-        p = ProblemSpec(alpha, spec, grid, tg, 0.7 * phi1)
-        u = solve_linear_spectral(p, eig)
+        p, _, eig = decay_setup
+        alpha, grid = p.alpha, p.grid
+        u = solve_linear_spectral(replace(p, initial=0.7 * eig.modes[:, 0]), eig)
         rep = compare.asymptotic_decay_check(u, np.zeros(grid.n_nodes), eig, alpha)
         err = abs(rep.fitted_C - 0.7) + abs(rep.fitted_C_tail - 0.7)
         report(12, "single-mode decay ratio constant", rep.holds and err <= 1e-8,
                f"fitted C deviation {err:.2e} <= 1e-8")
 
     def test_saturating_sink_stability(self, decay_setup):
-        alpha, grid, tg, spec, eig = decay_setup
-        p = ProblemSpec(alpha, spec, grid, tg, lambda x: 0.5 + 0.3 * np.cos(math.pi * x))
-        u = solve_semilinear(p, builtin_enzyme(), eig)
+        p, f, eig = decay_setup
+        alpha, grid, tn = p.alpha, p.grid, p.tgrid.nodes
+        u = solve_semilinear(p, f, eig)
         rep = compare.asymptotic_decay_check(u, np.zeros(grid.n_nodes), eig, alpha)
         drift = abs(rep.fitted_C_tail - rep.fitted_C) / rep.fitted_C
         report(12, "sink-term fitted constant stable across window halves",
                rep.holds and drift <= 0.10, f"relative drift {drift:.3f} <= 0.10")
 
         lam1, phi1 = principal_eigenpair(eig)
-        tn = tg.nodes
         tail = tn >= 0.75 * tn[-1]
         third = (tn >= 0.5 * tn[-1]) & (tn < 0.75 * tn[-1])
         dev = np.abs(u.values)

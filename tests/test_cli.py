@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraccomp.cli import main
 
@@ -14,9 +19,13 @@ def run_cli(args):
     return main(list(args))
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def read_manifest(out):
     with open(os.path.join(out, "manifest.json")) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 CONFIG = """
@@ -119,16 +128,46 @@ class TestSolve:
         man = read_manifest(tmp_path)
         assert "solver failure" in man["verdict"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("method", ["spectral", "l1"])
-    def test_non_finite_coefficient_exit_3(self, tmp_path, capsys, method):
-        # c = 1/(x - 0.5) is infinite on the grid node x = 0.5
+    def test_non_finite_coefficient_exit_2(self, tmp_path, capsys, method):
+        # c = 1/(x - 0.5) is infinite on the grid node x = 0.5: rejected when
+        # the problem is built, the same way for both routes
         code = run_cli(["solve", "--set", "c=1/(x-0.5)", "--set", "n_space=33",
                         "--method", method, "--out", str(tmp_path)])
         err = capsys.readouterr().err
-        assert code == 3
-        assert "non-finite" in err and "x = 0.5" in err
+        assert code == 2
+        assert "config key 'c' is not finite at x = 0.5," in err
         assert "Traceback" not in err
-        assert "non-finite" in read_manifest(tmp_path)["verdict"]
+        assert "config error" in read_manifest(tmp_path)["verdict"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("overrides, message", [
+        (["n_space=2"], "grid (domain, n_space, T, n_time, grading_r): need at least 3 interior nodes"),
+        (["domain=1,0"], "grid (domain, n_space, T, n_time, grading_r): need x_lo < x_hi"),
+        (["T=nan"], "config key 'T': 'nan' is not a finite float"),
+        (["n_time=1"], "grid (domain, n_space, T, n_time, grading_r): need at least 3 nodes"),
+        (["c0=inf"], "config key 'c0'"),
+        (["a=-1"], "ellipticity violated"),
+        (["a=1+1/(x-0.5)^2", "n_space=33"], "config key 'a' is not finite at x = 0.5"),
+        (["initial=1/x"], "config key 'initial' is not finite at x = 0"),
+        (["source=1/(t-0.5)", "time_grading=uniform", "n_time=4"],
+         "config key 'source' is not finite at x = 0, t = 0.5"),
+    ], ids=["n_space", "domain", "T", "n_time", "c0", "a<=0", "a", "initial", "source"])
+    def test_bad_config_rejected_at_build(self, tmp_path, capsys, overrides, message):
+        argv = ["solve", "--out", str(tmp_path)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert "config error" in read_manifest(tmp_path)["verdict"]
+
+    def test_fields_checked_on_the_grid_only(self, tmp_path):
+        # singular at x = 0.1 and t = 0, neither of which the solvers sample
+        # on domain (2, 3); t^-0.5 is a typical weakly singular source
+        assert run_cli(["solve", "--set", "domain=2,3", "--set", "c=-1/(x-0.1)",
+                        "--set", "source=t^-0.5", "--out", str(tmp_path)]) == 0
 
     def test_unknown_key_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -156,6 +195,43 @@ class TestSolve:
         for t in (ts[0], ts[len(ts) // 2], ts[-1]):
             u_vals = data[np.isclose(data[:, 1], t), 2]
             assert np.allclose(u_vals, ml_relaxation(0.5, 1.0, t), atol=1e-8)
+
+
+_SOLVE_VALUES = {
+    "alpha": ["0.5", "0.3", "0", "1", "1.5", "nan", "abc"],
+    "domain": ["0,1", "2,3", "1,0", "0,0", "0,inf", "nan,1", "0", "0,1,2"],
+    "n_space": ["3", "8", "16", "2", "0", "-4", "2.5"],
+    "n_time": ["2", "8", "32", "1", "0", "-1", "1e3"],
+    "T": ["1", "0.01", "10", "0", "-1", "nan", "inf"],
+    "time_grading": ["graded", "uniform", "log"],
+    "grading_r": ["", "1", "3", "0.5", "nan"],
+    "a": ["1", "1+x^2", "-1", "x-0.5", "1+1/(x-0.5)^2", "exp(1000*x)", "none"],
+    "b": ["", "0.3", "1/(x-0.5)"],
+    "c": ["", "-1", "60", "1/(x-0.5)", "1/(t-0.5)", "sin(", "y"],
+    "c0": ["1", "0", "-1", "inf"],
+    "sigma_lo": ["0", "1", "-1", "nan"],
+    "initial": ["0", "1 + cos(pi*x)", "1/(x-0.5)", "1/x", "exp(1000*x)"],
+    "source": ["", "1", "t^-0.5", "1/(t-0.5)", "1/(x-0.25)"],
+    "semilinear": ["none", "enzyme", "burgers", "foo"],
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=st.fixed_dictionaries({k: st.sampled_from(v) for k, v in _SOLVE_VALUES.items()}),
+       method=st.sampled_from(["spectral", "l1"]))
+def test_solve_exit_contract(cfg, method):
+    """Any config ends in a documented exit code with a manifest and no
+    traceback: bad numbers, tiny grids, fields singular on a node."""
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["solve", "--method", method, "--out", out]
+        for key, value in cfg.items():
+            argv += ["--set", f"{key}={value}"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        assert read_manifest(out)["verdict"]
 
 
 class TestVerify:
@@ -190,6 +266,25 @@ class TestReproduce:
     def test_monotone_linear(self, tmp_path):
         assert run_cli(["reproduce", "monotone_linear", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "monotone_linear.csv").exists()
+
+    def test_all(self, tmp_path, capsys):
+        # read_manifest rejects the non-standard Infinity/NaN constants
+        assert run_cli(["reproduce", "all", "--out", str(tmp_path)]) == 0
+        for name in ("ex1", "e3", "e4", "prop32", "monotone_linear"):
+            out = tmp_path / name
+            assert (out / f"{name}.csv").exists() and (out / f"{name}.svg").exists()
+            man = read_manifest(out)
+            assert man["verdict"] == "ok" and man["config"]["example"] == name
+            assert man["checks"] and all(c["holds"] for c in man["checks"])
+        assert read_manifest(tmp_path / "e4")["T2"] == "inf"
+
+    def test_alpha_outside_hypotheses_exit_2(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["reproduce", "ex1", "--alpha", "1.5", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        # the e4 barriers need alpha > epsilon = 0.1
+        assert run_cli(["reproduce", "e4", "--alpha", "0.05", "--out", str(tmp_path)]) == 2
+        assert "usage error" in read_manifest(tmp_path)["verdict"]
 
 
 class TestEntryPoint:

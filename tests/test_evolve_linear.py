@@ -8,6 +8,7 @@ from fraccomp.elliptic import EllipticSpec, Grid1D, SpaceField, assemble, eigend
 from fraccomp.evolve_linear import (
     Field,
     ProblemSpec,
+    SolverError,
     duhamel_step,
     homogeneous_solution,
     solve_linear_l1,
@@ -179,6 +180,18 @@ class TestL1Solver:
         u = solve_linear_l1(p)
         ref = np.array([1.0 - ml_relaxation(alpha, 1.0, t) for t in tg.nodes])
         assert np.max(np.abs(u.values[:, 5] - ref)) < 2e-3
+
+
+@pytest.mark.parametrize("solve", [solve_linear_spectral, solve_linear_l1])
+def test_non_finite_coefficient_solver_error(solve):
+    # c = 1/(x - 0.5) is infinite on the node x = 0.5; the command line rejects
+    # it when the problem is built, a ProblemSpec built directly reaches the
+    # solver, which must fail with a SolverError naming the node
+    grid, tg, spec = make_problem(n=33, N=16, c0=1.0, c=lambda x, t: 1.0 / (x - 0.5))
+    p = ProblemSpec(0.5, spec, grid, tg, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(SolverError, match=r"non-finite .* at time node 1 \(first at x = 0\.5\)"):
+            solve(p)
 
 
 class TestCrossOracle:
