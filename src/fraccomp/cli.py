@@ -49,13 +49,14 @@ _DEFAULTS = {
     "c0": "1.0",
     "sigma_lo": "0",
     "sigma_hi": "0",
-    "b0": "",
     "initial": "0",
     "source": "",
     "semilinear": "none",
     "output_dir": ".",
-    "seed": "0",
 }
+
+# (n_space + 2) * max(n_space + 2, 2 * n_time) values: 128 MiB per float64 array
+MAX_GRID_VALUES = 2 ** 24
 
 
 class ConfigError(ValueError):
@@ -128,13 +129,16 @@ def build_problem(cfg):
     lo, hi = (_number("domain", s) for s in domain)
     n_space = _number("n_space", cfg["n_space"], int)
     n_time = _number("n_time", cfg["n_time"], int)
+    if (n_space + 2) * max(n_space + 2, 2 * n_time) > MAX_GRID_VALUES:
+        raise ConfigError(f"n_space = {n_space} and n_time = {n_time} exceed the size limit: "
+                          f"(n_space + 2) * max(n_space + 2, 2 * n_time) > {MAX_GRID_VALUES}")
     horizon = _number("T", cfg["T"])
     c0, sigma_lo, sigma_hi = (_number(key, cfg[key]) for key in ("c0", "sigma_lo", "sigma_hi"))
     grading = cfg["time_grading"].strip().lower()
     if grading not in ("uniform", "graded"):
         raise ConfigError(f"time_grading must be uniform or graded, got {grading!r}")
     r = _number("grading_r", cfg["grading_r"]) if cfg["grading_r"].strip() else 2.0 / alpha
-    expr = {key: _opt_expr(cfg, key) for key in ("a", "b", "c", "b0", "initial", "source")}
+    expr = {key: _opt_expr(cfg, key) for key in ("a", "b", "c", "initial", "source")}
     if expr["a"] is None:
         raise ConfigError("diffusion coefficient a is required")
     if expr["initial"] is None:
@@ -149,7 +153,7 @@ def build_problem(cfg):
         except ValueError as exc:
             raise ConfigError(f"grid (domain, n_space, T, n_time, grading_r): {exc}") from exc
         # a and the initial value are sampled at t = 0, a also at the cell
-        # midpoints; b, c, b0 and the source at the time nodes after t = 0
+        # midpoints; b, c and the source at the time nodes after t = 0
         # (L1) and the step midpoints (spectral)
         x, tn = grid.nodes, tgrid.nodes
         faces = np.sort(np.concatenate([x, 0.5 * (x[:-1] + x[1:])]))
@@ -161,7 +165,7 @@ def build_problem(cfg):
         # an Expression is a callable of (x, t = 0.0), the form the specs take
         try:
             spec = EllipticSpec(a=expr["a"], b=expr["b"], c=expr["c"], c0=c0,
-                                sigma_lo=sigma_lo, sigma_hi=sigma_hi, b0=expr["b0"])
+                                sigma_lo=sigma_lo, sigma_hi=sigma_hi)
             assemble(spec, grid)  # rejects a <= 0 on the same points
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -316,22 +320,15 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
-    manifest = Manifest("verify", out_dir=args.out or ".")
+    manifest = Manifest("verify", {"suite": args.suite, "seed": args.seed}, args.out or ".")
     try:
-        cfg = parse_config(args.config, args.set or ())
-        manifest.data["config"] = dict(cfg)
-        manifest.out_dir = args.out or cfg["output_dir"]
-        seed = args.seed if args.seed is not None else _number("seed", cfg["seed"], int)
-    except ConfigError as exc:
-        return _fail(manifest, "config error", exc, EXIT_CONFIG)
-    try:
-        rows = run_suite(args.suite, seed=seed)
+        rows = run_suite(args.suite, seed=args.seed)
     except KeyError as exc:
         return _fail(manifest, "usage error", exc, EXIT_CONFIG)
     except SolverError as exc:
         return _fail(manifest, "solver failure", exc, EXIT_SOLVER)
     manifest.phase("checks")
-    return _report(manifest, rows, seed=seed)
+    return _report(manifest, rows, seed=args.seed)
 
 
 def _reproduce(name, alpha, out_dir):
@@ -374,6 +371,13 @@ def _alpha(text):
     return alpha
 
 
+def _seed(text):
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text}")
+    return seed
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="fraccomp",
@@ -402,9 +406,7 @@ def build_parser():
 
     vf = sub.add_parser("verify", help="run a named property suite")
     vf.add_argument("--suite", required=True, choices=sorted(SUITES) + ["all"])
-    vf.add_argument("--config", default=None)
-    vf.add_argument("--set", action="append", metavar="KEY=VALUE")
-    vf.add_argument("--seed", type=int, default=None)
+    vf.add_argument("--seed", type=_seed, default=0)
     vf.add_argument("--out", default=None)
     vf.set_defaults(func=cmd_verify)
 

@@ -83,20 +83,12 @@ class BarrierPair:
         if np.min(self.upper.values - self.lower.values) < -1e-12:
             raise ValueError("lower barrier exceeds upper barrier somewhere")
 
-    @property
-    def lower_initial(self):
-        return self.lower.values[0]
 
-    @property
-    def upper_initial(self):
-        return self.upper.values[0]
-
-
-def default_tolerance(grid, tgrid, alpha, scale=1.0, c_pos=10.0):
-    """C_pos (h^2 + tau^min(1, 2-alpha)) * scale: the discretisation budget
-    every continuum inequality is checked against."""
+def default_tolerance(grid, tgrid, alpha, scale=1.0):
+    """C_pos (h^2 + tau^min(1, 2-alpha)) * scale with C_pos = 10: the
+    discretisation budget every continuum inequality is checked against."""
     tau = tgrid.max_step()
-    return c_pos * (grid.h ** 2 + tau ** min(1.0, 2.0 - alpha)) * max(scale, 1e-30)
+    return 10.0 * (grid.h ** 2 + tau ** min(1.0, 2.0 - alpha)) * max(scale, 1e-30)
 
 
 def _report(name, violation_field, tol):
@@ -207,7 +199,7 @@ def coefficient_comparison(
     return u1, u2, report
 
 
-def linear_monotone_sequence(p: ProblemSpec, b0_const, n_max, tol=None):
+def linear_monotone_sequence(p: ProblemSpec, b0_const, n_max):
     """The inductive linearisation: freeze the zeroth-order feedback at the
     previous iterate, keep the positive-reaction operator on the left.
 
@@ -285,11 +277,11 @@ def monotone_iteration(
     M=None,
     k_max=30,
     tol=None,
-    conv_tol=1e-8,
 ) -> MonotoneIterationResult:
     """Iterate the shifted linearisation upward from the lower barrier and
-    downward from the upper one; both chains converge to the solution, which
-    the final report sandwiches between the original barriers."""
+    downward from the upper one until a sweep moves less than 1e-8; both
+    chains converge to the solution, which the final report sandwiches
+    between the original barriers."""
     if f.depends_on_gradient:
         raise HypothesisViolation("comparison machinery needs f independent of u_x")
     M = f.bound_M if M is None else float(M)
@@ -311,7 +303,7 @@ def monotone_iteration(
                 raise RuntimeError(f"{label} chain lost monotonicity beyond tolerance")
             moved = float(np.max(np.abs(nxt.values - seq[-1].values)))
             seq.append(nxt)
-            if moved <= conv_tol:
+            if moved <= 1e-8:
                 break
         else:
             raise SolverError(
@@ -520,8 +512,7 @@ class DecayReport:
     holds: bool
 
 
-def asymptotic_decay_check(u: Field, u_inf, eig: EigenDecomposition, alpha,
-                           t_cut_frac=0.25, stability=0.10) -> DecayReport:
+def asymptotic_decay_check(u: Field, u_inf, eig: EigenDecomposition, alpha) -> DecayReport:
     """Fit |u - u_inf| <= C E_{alpha,1}(-lambda_1 t^alpha) phi_1 and call the
     decay confirmed when the fitted constant is finite and stable (within 10%)
     when refitted on the last half of the window.  Early transients carry
@@ -540,8 +531,8 @@ def asymptotic_decay_check(u: Field, u_inf, eig: EigenDecomposition, alpha,
             return math.inf
         return float(np.max(dev[mask] / env[mask]))
 
-    c_main = fit(tn >= t_cut_frac * T)
+    c_main = fit(tn >= 0.25 * T)
     c_tail = fit(tn >= 0.5 * T)
     holds = bool(np.isfinite(c_main) and np.isfinite(c_tail)
-                 and abs(c_tail - c_main) <= stability * max(c_main, 1e-300))
+                 and abs(c_tail - c_main) <= 0.10 * max(c_main, 1e-300))
     return DecayReport(fitted_C=c_main, fitted_C_tail=c_tail, holds=holds)

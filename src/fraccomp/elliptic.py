@@ -15,7 +15,6 @@ the one-sided derivative rows, so every implicit solve is pentadiagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
@@ -271,9 +270,6 @@ class EigenDecomposition:
     modes: np.ndarray = field(repr=False)      # columns phi_n on the nodes
     weights: np.ndarray = field(repr=False)    # discrete L2 weights
 
-    def inner(self, u, v):
-        return float(np.sum(self.weights * u * v))
-
     def project(self, v):
         """Coefficients (v, phi_n)_h for all retained modes."""
         return self.modes.T @ (self.weights * v)
@@ -282,19 +278,17 @@ class EigenDecomposition:
         return self.modes @ coef
 
 
-def eigendecompose(op: DiscreteOperator, k: Optional[int] = None) -> EigenDecomposition:
-    """k smallest eigenpairs of the symmetric part, orthonormal under the cell
-    weights; only the self-adjoint A0 enters (drift is handled by splitting)."""
+def eigendecompose(op: DiscreteOperator) -> EigenDecomposition:
+    """All eigenpairs of the symmetric part in ascending order, orthonormal
+    under the cell weights; only the self-adjoint A0 enters (drift is handled
+    by splitting)."""
     w = op.volumes
     sw = np.sqrt(w)
     d = op.flux_diag / w + op.spec.c0
     e = op.flux_off / (sw[:-1] * sw[1:])
     m = op.grid.n_nodes
-    k = m if k is None else int(k)
-    if not 1 <= k <= m:
-        raise ValueError(f"k must lie in [1, {m}]")
     try:
-        lam, psi = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+        lam, psi = eigh_tridiagonal(d, e, select="i", select_range=(0, m - 1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise RuntimeError("tridiagonal eigensolver failed") from exc
     modes = psi / sw[:, None]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln
@@ -50,6 +50,8 @@ __all__ = [
     "solve_linear_spectral",
     "solve_linear_l1",
 ]
+
+PICARD_MAX = 50  # Picard sweeps per time node before the march reports a stall
 
 
 class SolverError(RuntimeError):
@@ -110,9 +112,6 @@ class Field:
         object.__setattr__(self, "values", v)
         if v.shape != (self.tgrid.nodes.size, self.grid.n_nodes):
             raise ValueError("field shape must be (time nodes, space nodes)")
-
-    def at_time(self, k):
-        return SpaceField(self.grid, self.values[k])
 
     def restrict_time(self, k_last):
         sub = TimeGrid(self.tgrid.nodes[: k_last + 1])
@@ -193,7 +192,6 @@ def spectral_march(
     op: DiscreteOperator,
     nonlinearity=None,
     picard_tol=1e-10,
-    picard_max=50,
     state_guard=None,
 ):
     """Shared marching loop of the fixed-point solvers.
@@ -258,7 +256,7 @@ def spectral_march(
             u_new = u[m - 1].copy()  # warm start
             converged = False
             residual = np.inf
-            for it in range(picard_max):
+            for it in range(PICARD_MAX):
                 u_rep = 0.5 * (u[m - 1] + u_new)
                 g_coef = eig.project(step_forcing(u_rep))
                 u_next = eig.synthesize(base + w_last * g_coef)
@@ -289,15 +287,13 @@ def spectral_march(
 def solve_linear_spectral(
     p: ProblemSpec,
     eig: Optional[EigenDecomposition] = None,
-    picard_tol=1e-10,
-    picard_max=50,
 ) -> Field:
     """March the fixed-point representation; with no drift and c = -c0 the
     result is the pure eigen-expansion without iteration."""
     op = assemble(p.elliptic, p.grid)
     if eig is None:
         eig = eigendecompose(op)
-    u, _ = spectral_march(p, eig, op, picard_tol=picard_tol, picard_max=picard_max)
+    u, _ = spectral_march(p, eig, op)
     return Field(p.grid, p.tgrid, u)
 
 

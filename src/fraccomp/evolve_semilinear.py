@@ -100,7 +100,6 @@ def solve_semilinear(
     f: SemilinearTerm,
     eig: Optional[EigenDecomposition] = None,
     tol: float = 1e-10,
-    max_iter: int = 50,
     info: Optional[dict] = None,
 ) -> Field:
     """Per-node Picard iteration on the fixed-point map with f evaluated
@@ -135,7 +134,6 @@ def solve_semilinear(
         p, eig, op,
         nonlinearity=nonlinearity,
         picard_tol=tol,
-        picard_max=max_iter,
         state_guard=guard,
     )
     if info is not None:

@@ -35,7 +35,6 @@ def random_linear_problem(
     N=128,
     T=1.0,
     with_drift=True,
-    sigma_choices=(0.0, 0.5, 1.5),
     nonneg_source=True,
 ):
     """A smooth random instance with nonnegative initial value and source,
@@ -47,7 +46,7 @@ def random_linear_problem(
     b_amp = rng.uniform(-0.4, 0.4) if with_drift else 0.0
     c_amp = rng.uniform(-0.4, 0.4)
     c_freq = rng.integers(1, 4)
-    sigma = float(rng.choice(sigma_choices))
+    sigma = float(rng.choice((0.0, 0.5, 1.5)))
 
     spec = EllipticSpec(
         a=lambda x: 1.0 + a_diff_c * np.sin(x + a_diff_p),

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -153,7 +154,11 @@ class TestSolve:
         (["initial=1/x"], "config key 'initial' is not finite at x = 0"),
         (["source=1/(t-0.5)", "time_grading=uniform", "n_time=4"],
          "config key 'source' is not finite at x = 0, t = 0.5"),
-    ], ids=["n_space", "domain", "T", "n_time", "c0", "a<=0", "a", "initial", "source"])
+        (["c=" + "+".join(["x"] * 3000)], "config key 'c': cannot parse"),
+        (["c=" + "(" * 400 + "x" + ")" * 400], "config key 'c': cannot parse"),
+        (["b0=1"], "unknown key 'b0'"),
+    ], ids=["n_space", "domain", "T", "n_time", "c0", "a<=0", "a", "initial", "source",
+            "c-3000-terms", "c-400-parentheses", "b0"])
     def test_bad_config_rejected_at_build(self, tmp_path, capsys, overrides, message):
         argv = ["solve", "--out", str(tmp_path)]
         for item in overrides:
@@ -178,6 +183,17 @@ class TestSolve:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("initial = sin(\n")
         assert run_cli(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    def test_size_cap_exit_2(self, tmp_path, capsys):
+        # rejected before any grid is allocated
+        start = time.perf_counter()
+        code = run_cli(["solve", "--set", "n_time=100000000", "--set", "n_space=3",
+                        "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "n_space = 3 and n_time = 100000000 exceed the size limit" in err
+        assert "config error" in read_manifest(tmp_path)["verdict"]
 
     def test_eigenmode_decay_csv(self, tmp_path):
         # single-mode initial data decays by the relaxation profile
@@ -246,6 +262,18 @@ class TestVerify:
 
     def test_fracops_suite_passes(self, tmp_path, capsys):
         assert run_cli(["verify", "--suite", "fracops", "--out", str(tmp_path), "--seed", "7"]) == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--set", "seed=1"], "unrecognized arguments: --set seed=1"),
+        (["--config", "run.cfg"], "unrecognized arguments: --config run.cfg"),
+        (["--seed", "-1"], "argument --seed: seed must be a non-negative integer, got -1"),
+    ], ids=["set", "config", "negative-seed"])
+    def test_bad_arguments_exit_2(self, tmp_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify", "--suite", "ml", "--out", str(tmp_path)] + argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_unknown_suite_exit_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
