@@ -323,8 +323,6 @@ def cmd_verify(args):
     manifest = Manifest("verify", {"suite": args.suite, "seed": args.seed}, args.out or ".")
     try:
         rows = run_suite(args.suite, seed=args.seed)
-    except KeyError as exc:
-        return _fail(manifest, "usage error", exc, EXIT_CONFIG)
     except SolverError as exc:
         return _fail(manifest, "solver failure", exc, EXIT_SOLVER)
     manifest.phase("checks")

@@ -17,6 +17,9 @@ Two independent routes:
   comparison checks.
 
 Both keep the entire memory: there is no semigroup restart in fractional time.
+The spectral route carries it compressed, as one running sum per mode and
+exponential (see _Memory), at O(modes x exponentials) per step; the L1 route
+sums every past step exactly.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .elliptic import (
     eigendecompose,
 )
 from .fracops import TimeGrid, caputo_l1_weights
-from .special_ml import relaxation_batch
+from .special_ml import relaxation_batch, relaxation_exponentials
 
 __all__ = [
     "ProblemSpec",
@@ -127,31 +130,36 @@ def homogeneous_solution(a, eig: EigenDecomposition, alpha, t) -> np.ndarray:
     return eig.synthesize(damped)
 
 
-def _kernel_masses(alpha, lambdas, dt_pow):
+def _kernel_masses(alpha, lambdas, dt_pow, extra=None):
     """Per-mode integrals of the Duhamel kernel over consecutive windows.
 
     dt_pow holds (t_eval - t_j)^alpha for the window nodes t_j (descending in
     value); returns the matrix of int_{t_k}^{t_{k+1}} K ds >= 0, one row per
     mode, via differences of the relaxation profile.  The lambda = 0 rows use
-    the dedicated closed form (power differences over Gamma(alpha + 1))."""
+    the dedicated closed form (power differences over Gamma(alpha + 1)).
+    With `extra`, E_{alpha,1}(-extra) is evaluated in the same
+    relaxation_batch call and returned after the masses."""
     lam = np.asarray(lambdas, dtype=float)
     masses = np.zeros((lam.size, dt_pow.size - 1))
     # difference quotients of the relaxation profile cancel catastrophically
     # when lam t^alpha is tiny (and the discrete Neumann ground eigenvalue is
     # only zero to rounding); switch to the expansion in lam there
     small = lam * dt_pow[0] <= 1e-8
-    if (~small).any():
-        lp = lam[~small]
-        x = lp[:, None] * dt_pow[None, :]
-        e = relaxation_batch(alpha, x.ravel()).reshape(x.shape)
-        masses[~small] = np.diff(e, axis=1) / lp[:, None]
+    lp = lam[~small]
+    x = lp[:, None] * dt_pow[None, :]
+    head = np.empty(0) if extra is None else extra
+    e = head
+    if x.size or head.size:
+        e = relaxation_batch(alpha, np.concatenate([head, x.ravel()]))
+        masses[~small] = np.diff(e[head.size:].reshape(x.shape), axis=1) / lp[:, None]
     if small.any():
         g1 = np.exp(-gammaln(alpha + 1.0))
         g2 = np.exp(-gammaln(2.0 * alpha + 1.0))
         d1 = -np.diff(dt_pow)
         d2 = -np.diff(dt_pow * dt_pow)
         masses[small] = g1 * d1[None, :] - lam[small, None] * (g2 * d2[None, :])
-    return np.maximum(masses, 0.0)
+    masses = np.maximum(masses, 0.0)
+    return masses if extra is None else (masses, e[: head.size])
 
 
 def duhamel_step(state, F_samples, eig: EigenDecomposition, alpha, t_k, t_k1, t_eval=None):
@@ -184,6 +192,85 @@ def _non_finite(what, m, grid, values):
     bad = np.flatnonzero(~np.isfinite(values))
     where = f" (first at x = {grid.nodes[bad[0]]:.6g})" if bad.size else ""
     return SolverError(f"non-finite {what} at time node {m}{where}", node=m)
+
+
+class _Memory:
+    """The Duhamel memory of the march, node by node.
+
+    At node m, mode i carries sum_k mass_ik g_ki over the windows
+    [t_k, t_{k+1}] of the history (k <= m - 2), where mass_ik is the kernel
+    integral (E(-lam (t_m - t_{k+1})^alpha) - E(-lam (t_m - t_k)^alpha))/lam.
+    With the exponential sum E(-lam s^alpha) = sum_j w_j exp(-r_j s),
+    r_j = lam^(1/alpha) rho_j, the windows reduce to one running sum per
+    rate, S_j = sum_k exp(-r_j (t_m - t_{k+1})) (1 - exp(-r_j dt_k)) g_k,
+    which moves to the next node in O(rates):
+    S(m) = exp(-r dt_{m-1}) [S(m-1) + (1 - exp(-r dt_{m-2})) g_{m-2}].
+    Exact masses (_kernel_masses) remain for
+    * the current window, whose mass the Picard sweeps need;
+    * windows younger than sigma_lo / lam^(1/alpha), below the rule's range;
+      they join the sum when they are old enough;
+    * modes with lam t_m^alpha <= 1e-8, whose masses are power differences.
+    Every choice at node m depends on t[0..m], lam and alpha only, so a solve
+    on a restricted grid reproduces the longer solve exactly."""
+
+    def __init__(self, alpha, lambdas, t):
+        self.alpha = alpha
+        self.lam = np.asarray(lambdas, dtype=float)
+        self.t = t
+        soe = relaxation_exponentials(alpha)
+        self.weight = soe.weight
+        with np.errstate(divide="ignore", over="ignore"):
+            # lam <= 0 gets rate 0 and tau inf; such modes stay on the small branch
+            ln_root = np.log(np.maximum(self.lam, 0.0)) / alpha  # ln lam^(1/alpha)
+            self.rates = np.exp(ln_root[:, None] + soe.log_rho[None, :])
+            self.tau = soe.sigma_lo * np.exp(-ln_root)
+        self.sums = np.zeros(self.rates.shape)  # S_j at the previous node
+        self.folded = np.zeros(self.lam.size, dtype=int)  # windows k < folded are in sums
+        self.decay_m1 = np.zeros(self.rates.shape)  # exp(-r dt) - 1 of the last step
+
+    def advance(self, m, g_hist):
+        """Move to node m; returns E(-lam t_m^alpha) per mode, the history
+        term and the current window's masses.  g_hist[k] holds the mode
+        coefficients of the forcing on window k (k <= m - 2 are read)."""
+        t, lam, alpha = self.t, self.lam, self.alpha
+        t_pow = (t[m] - t[0]) ** alpha
+        small = lam * t_pow <= 1e-8
+        big = ~small
+        # windows k with age t_m - t_{k+1} >= tau fold into the sums
+        fold_to = np.where(big, np.searchsorted(t[1:m], t[m] - self.tau, side="right"), 0)
+        grow = fold_to > self.folded
+        with np.errstate(over="ignore"):
+            if grow.any():
+                for k in range(int(self.folded[grow].min()), int(fold_to.max())):
+                    sel = grow & (self.folded <= k) & (k < fold_to)
+                    if k == m - 2:  # the window the last step left behind
+                        self.sums -= self.decay_m1 * (g_hist[k] * sel)[:, None]
+                    else:  # windows that just came of age: their terms at t_{m-1}
+                        r = self.rates[sel]
+                        w = np.exp(-r * (t[m - 1] - t[k + 1])) * -np.expm1(-r * (t[k + 1] - t[k]))
+                        self.sums[sel] += w * g_hist[k, sel, None]
+                self.folded[grow] = fold_to[grow]
+            decay_m1 = np.multiply(self.rates, -(t[m] - t[m - 1]))
+        np.expm1(decay_m1, out=decay_m1)
+        self.sums *= 1.0 + decay_m1
+        self.decay_m1 = decay_m1
+
+        history = np.zeros(lam.size)
+        w_last = np.empty(lam.size)
+        history[big] = (self.sums @ self.weight)[big] / lam[big]
+        # modes whose whole history is in the sums need only the current
+        # window, evaluated with E(-lam t_m^alpha) of every mode in one call
+        rest = fold_to < m - 1
+        masses, relax = _kernel_masses(alpha, lam[~rest], (t[m] - t[m - 1 : m + 1]) ** alpha,
+                                       extra=np.maximum(lam, 0.0) * t_pow)
+        w_last[~rest] = masses[:, 0]
+        if rest.any():  # small modes, and young windows k >= fold_to of the others
+            q = int(fold_to[rest].min())
+            masses = _kernel_masses(alpha, lam[rest], (t[m] - t[q : m + 1]) ** alpha)
+            young = np.arange(q, m - 1)[None, :] >= fold_to[rest, None]
+            history[rest] += (masses[:, :-1] * young * g_hist[q : m - 1, rest].T).sum(axis=1)
+            w_last[rest] = masses[:, -1]
+        return relax, history, w_last
 
 
 def spectral_march(
@@ -226,13 +313,11 @@ def spectral_march(
     g_hist = np.zeros((N, eig.lambdas.size))
     counts = np.zeros(N, dtype=int)
 
+    memory = _Memory(alpha, eig.lambdas, t)
+
     for m in range(1, N + 1):
-        dt_pow = (t[m] - t[: m + 1]) ** alpha
-        masses = _kernel_masses(alpha, eig.lambdas, dt_pow)  # modes x m
-        base = a_coef * relaxation_batch(alpha, np.maximum(eig.lambdas, 0.0) * dt_pow[0])
-        if m > 1:
-            base = base + (masses[:, : m - 1] * g_hist[: m - 1].T).sum(axis=1)
-        w_last = masses[:, m - 1]
+        relax, history, w_last = memory.advance(m, g_hist)
+        base = a_coef * relax + history
         f_k = f_mid[m - 1]
 
         def step_forcing(u_rep):

@@ -20,7 +20,9 @@ the rarely used non-integer alpha in (1, 2) at strongly negative z.
 For the solvers there is a vectorised fast path ``relaxation_batch`` that
 evaluates E_{alpha,1}(-x) on arrays; its gap regime is a per-alpha Chebyshev
 interpolant (in log x) built from the scalar evaluator and validated against
-it on construction.
+it on construction.  With each table comes ``relaxation_exponentials``, a
+sum of decaying exponentials equal to E_{alpha,1}(-sigma^alpha), on which the
+spectral march runs its memory.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +48,8 @@ __all__ = [
     "ml_kernel_integral",
     "kernel_integral_lambda0",
     "relaxation_batch",
+    "ExponentialSum",
+    "relaxation_exponentials",
 ]
 
 
@@ -379,11 +384,13 @@ class _RelaxationTable:
         self._x_series_ref = lo
 
         self._build_cheb()
+        self.soe = self._build_soe()
 
-    def _mid_reference(self, x):
+    def _mid_reference(self, x, series=None):
         """Reference values for the fit: the cheapest evaluator whose noise is
-        well below the fit target on its band."""
-        if x <= self._x_series_ref:
+        well below the fit target on its band.  series=True/False forces the
+        choice between the float series and the rest for a whole segment."""
+        if (x <= self._x_series_ref) if series is None else series:
             return _series(self.alpha, 1.0, -x)[0]
         if self.alpha > 0.9:
             # spectral integrand of the quadrature route develops a
@@ -404,16 +411,16 @@ class _RelaxationTable:
                 return float(x), k_min
         return float(x), self._KMAX_ASYM
 
-    def _fit_segment(self, a, b):
+    def _fit_segment(self, a, b, series=None):
         """Chebyshev fit of ln E_{alpha,1}(-e^s) on s in [a, b]; None if it
         does not converge at low degree."""
         for deg in (12, 24):
             nodes = np.cos(np.pi * (np.arange(deg + 1) + 0.5) / (deg + 1))
             xs = np.exp(0.5 * (a + b) + 0.5 * (b - a) * nodes)
-            vals = np.log([self._mid_reference(x) for x in xs])
+            vals = np.log([self._mid_reference(x, series) for x in xs])
             coef = np.polynomial.chebyshev.chebfit(nodes, vals, deg)
             probe = np.exp(np.linspace(a, b, 2 * deg + 9))
-            ref = np.array([self._mid_reference(x) for x in probe])
+            ref = np.array([self._mid_reference(x, series) for x in probe])
             s = (2.0 * np.log(probe) - (a + b)) / (b - a)
             got = np.exp(np.polynomial.chebyshev.chebval(s, coef))
             if np.max(np.abs(got - ref) / np.abs(ref)) <= 5e-12:
@@ -425,21 +432,32 @@ class _RelaxationTable:
         # uniform relative accuracy; segments split adaptively around the
         # exponential-to-algebraic crossover near alpha -> 1
         segs = []
-        stack = [(math.log(self.x_ser * 0.98), math.log(self.x_asym * 1.02), 0)]
+        stack = [(math.log(self.x_ser * 0.98), math.log(self.x_asym * 1.02), 0, None)]
         while stack:
-            a, b, depth = stack.pop()
-            coef = self._fit_segment(a, b)
+            a, b, depth, series = stack.pop()
+            coef = self._fit_segment(a, b, series)
             if coef is not None:
                 segs.append((a, b, coef))
             elif depth < 14:
                 mid = 0.5 * (a + b)
-                stack.append((a, mid, depth + 1))
-                stack.append((mid, b, depth + 1))
+                stack.append((a, mid, depth + 1, series))
+                stack.append((mid, b, depth + 1, series))
+            elif series is None and self.alpha > 0.9:
+                # near alpha -> 1 the float series is noisy at the fit bound
+                # just below its switch (alpha = 0.999): fit on the exact
+                # series alone
+                stack.append((a, b, depth, False))
             else:
                 raise RuntimeError(f"relaxation interpolant failed (alpha={self.alpha})")
         segs.sort()
-        self.cheb = segs
-        self.cheb_edges = np.array([s[0] for s in segs][1:])
+        self.cheb_edges = np.array([a for a, _, _ in segs[1:]])
+        self.cheb_apb = np.array([a + b for a, b, _ in segs])
+        self.cheb_bma = np.array([b - a for a, b, _ in segs])
+        # one row per segment, zero-padded at the high-degree end: leading
+        # zeros leave the Clenshaw recurrence bit-identical to chebval's
+        self.cheb_coef = np.zeros((len(segs), 25))
+        for row, (_, _, coef) in zip(self.cheb_coef, segs):
+            row[: coef.size] = coef
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -454,19 +472,98 @@ class _RelaxationTable:
             out[m_asy] = w * np.polynomial.polynomial.polyval(w, self.asym_coef)
         if m_mid.any():
             sv = np.log(x[m_mid])
-            res = np.empty_like(sv)
             idx = np.searchsorted(self.cheb_edges, sv)
-            for j, (a, b, coef) in enumerate(self.cheb):
-                sel = idx == j
-                if sel.any():
-                    s = (2.0 * sv[sel] - (a + b)) / (b - a)
-                    res[sel] = np.polynomial.chebyshev.chebval(s, coef)
-            out[m_mid] = np.exp(res)
+            s = (2.0 * sv - self.cheb_apb[idx]) / self.cheb_bma[idx]
+            # numpy's chebval recurrence, each point with its segment's row
+            c = self.cheb_coef.T[:, idx]
+            s2 = 2.0 * s
+            c0, c1 = c[-2], c[-1]
+            for ck in c[-3::-1]:
+                c0, c1 = ck - c1, c0 + c1 * s2
+            out[m_mid] = np.exp(c0 + c1 * s)
         return out
 
+    def _build_soe(self):
+        """The exponential-sum rule of E_{alpha,1}(-sigma^alpha), validated
+        against this table on sigma in [_SOE_SIGMA_LO, _SOE_SIGMA_HI]."""
+        alpha = self.alpha
+        d = math.pi * (1.0 - alpha)  # distance of the density's poles from the real v axis
+        half = 0.5 * math.pi * alpha  # half-width of the strip where e^{-sigma rho} decays
+        v_hi = alpha * math.log(60.0 / _SOE_SIGMA_LO)
 
-_tables: dict = {}
+        def stretch(v):
+            return np.arcsinh(v / d) + v / half
+
+        ks = np.arange(math.ceil(stretch(_SOE_V_LO) / _SOE_H), math.floor(stretch(v_hi) / _SOE_H) + 1)
+        lo = np.full(ks.size, _SOE_V_LO - 1.0)
+        hi = np.full(ks.size, v_hi + 1.0)
+        for _ in range(100):  # bisection for the nodes stretch(v) = k h
+            mid = 0.5 * (lo + hi)
+            above = stretch(mid) > ks * _SOE_H
+            hi = np.where(above, mid, hi)
+            lo = np.where(above, lo, mid)
+        v = 0.5 * (lo + hi)
+        dv_dw = 1.0 / (1.0 / np.hypot(d, v) + 1.0 / half)
+        # sin(pi alpha)/(alpha pi) / (2 cosh v + 2 cos(pi alpha)), written without
+        # the cancellation of the denominator near alpha -> 1
+        density = math.sin(math.pi * alpha) / (math.pi * alpha) / (
+            4.0 * (np.sinh(0.5 * v) ** 2 + math.sin(0.5 * d) ** 2))
+        rule = ExponentialSum(v / alpha, _SOE_H * dv_dw * density, _SOE_SIGMA_LO)
+        sigma = np.geomspace(_SOE_SIGMA_LO, _SOE_SIGMA_HI, 256)
+        approx = np.exp(-sigma[:, None] * np.exp(rule.log_rho)[None, :]) @ rule.weight
+        err = float(np.max(np.abs(approx - self(sigma ** alpha))))
+        if not err <= _SOE_TOL:
+            raise RuntimeError(f"relaxation exponential sum failed (alpha={alpha}, error {err:.2e})")
+        return rule
+
+
+@dataclass(frozen=True)
+class ExponentialSum:
+    """E_{alpha,1}(-sigma^alpha) = sum_j weight_j exp(-sigma rho_j) to absolute
+    accuracy _SOE_TOL for sigma >= sigma_lo, so that E_{alpha,1}(-lam s^alpha)
+    is the same sum with the rates lam^(1/alpha) rho_j at sigma = s."""
+
+    log_rho: np.ndarray
+    weight: np.ndarray  # positive
+    sigma_lo: float
+
+
+# Exponential sums: E_{alpha,1}(-sigma^alpha) = int e^{-sigma rho} K(rho) drho
+# with v = alpha ln rho, trapezoid nodes at equal steps _SOE_H of
+# w(v) = asinh(v/d) + v/(pi alpha/2) on [_SOE_V_LO, alpha ln(60/sigma_lo)]:
+# dense near the density's poles v = +-i d, d = pi (1 - alpha), and spaced
+# to resolve e^{-sigma rho} far out: about 30/(_SOE_H pi alpha/2) nodes,
+# 320 at alpha = 0.3.
+_SOE_H = 0.3
+_SOE_V_LO = -30.0
+_SOE_SIGMA_LO, _SOE_SIGMA_HI = 1e-20, 1e18
+_SOE_TOL = 1e-10
+
+_TABLES_MAX = 32  # per-alpha tables kept; one costs up to seconds to build
+_tables: OrderedDict = OrderedDict()
 _tables_lock = threading.Lock()
+
+
+def _table(alpha):
+    """The memoised table of alpha, least recently used evicted first."""
+    with _tables_lock:
+        table = _tables.get(alpha)
+        if table is None:
+            table = _RelaxationTable(alpha)
+            _tables[alpha] = table
+            while len(_tables) > _TABLES_MAX:
+                _tables.popitem(last=False)
+        else:
+            _tables.move_to_end(alpha)
+    return table
+
+
+def relaxation_exponentials(alpha) -> ExponentialSum:
+    """The exponential-sum rule of E_{alpha,1}(-sigma^alpha), alpha in (0, 1),
+    kept with the relaxation table of alpha."""
+    if not (0.0 < alpha < 1.0):
+        raise InvalidParameterError(f"exponential sum needs alpha in (0, 1), got {alpha}")
+    return _table(float(alpha)).soe
 
 
 def relaxation_batch(alpha, x):
@@ -474,7 +571,8 @@ def relaxation_batch(alpha, x):
 
     Relative accuracy ~2e-11 everywhere (validated against exact arithmetic
     when the per-alpha table is built); intended for solver hot loops.  The
-    per-alpha table memo is synchronized and transparent to callers.
+    per-alpha table memo is synchronized, bounded (least recently used
+    tables are dropped) and transparent to callers.
     """
     if not (0.0 < alpha <= 1.0):
         raise InvalidParameterError(f"relaxation needs alpha in (0, 1], got {alpha}")
@@ -483,12 +581,4 @@ def relaxation_batch(alpha, x):
         raise InvalidParameterError("x must be nonnegative")
     if alpha == 1.0:
         return np.exp(-x)
-    key = float(alpha)
-    table = _tables.get(key)
-    if table is None:
-        with _tables_lock:
-            table = _tables.get(key)
-            if table is None:
-                table = _RelaxationTable(key)
-                _tables[key] = table
-    return table(x)
+    return _table(float(alpha))(x)

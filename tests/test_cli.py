@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraccomp import suites
 from fraccomp.cli import main
 
 
@@ -279,6 +280,16 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             run_cli(["verify", "--suite", "nope", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    def test_key_error_inside_a_suite_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        # argparse already rejects unknown suite names; a KeyError raised by a
+        # suite is a fault of the program and must surface as one
+        def broken(rng):
+            raise KeyError("inside the suite")
+
+        monkeypatch.setitem(suites.SUITES, "ml", broken)
+        with pytest.raises(KeyError, match="inside the suite"):
+            run_cli(["verify", "--suite", "ml", "--out", str(tmp_path)])
 
 
 class TestReproduce:

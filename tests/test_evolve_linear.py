@@ -137,6 +137,32 @@ class TestSpectralSolver:
         u2 = solve_linear_spectral(p2)
         assert np.max(np.abs(half.values - u2.values)) < 1e-12
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.95])
+    def test_march_matches_exact_duhamel_sum(self, alpha):
+        # q inactive (b = 0, c = -c0): u(t_m) is the eigen-expansion of S(t_m) a
+        # plus every past window's exact kernel mass times its projected
+        # midpoint source.  c0 = 1e-6 gives a mode that starts on the small
+        # branch and then keeps young windows out of the exponential sums.
+        from fraccomp.evolve_linear import _kernel_masses
+
+        grid, tg, spec = make_problem(alpha=alpha, n=24, N=256, c0=1e-6, c=-1e-6)
+        eig = eigendecompose(assemble(spec, grid))
+        src = lambda x, t: (1.0 + np.sin(3.0 * x)) * np.cos(4.0 * t) + t
+        p = ProblemSpec(alpha, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x), source=src)
+        u = solve_linear_spectral(p, eig).values
+        t = tg.nodes
+        a_coef = eig.project(p.initial_values())
+        f_coef = np.array([eig.project(src(grid.nodes, 0.5 * (t[k] + t[k + 1]))) for k in range(t.size - 1)])
+        lam = np.maximum(eig.lambdas, 0.0)
+        ref = np.empty_like(u)
+        for m in range(t.size):
+            coef = a_coef * np.array([ml_relaxation(alpha, l, t[m]) for l in lam])
+            if m:
+                masses = _kernel_masses(alpha, eig.lambdas, (t[m] - t[: m + 1]) ** alpha)
+                coef = coef + (masses * f_coef[:m].T).sum(axis=1)
+            ref[m] = eig.synthesize(coef)
+        assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+
     def test_kernel_mass_bound(self):
         # accumulated per-mode Duhamel weights over [0, T] telescope to
         # (1 - E(-lam T^alpha))/lam <= 1/lam

@@ -1,4 +1,5 @@
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfcx, gamma
 
+from fraccomp import special_ml
 from fraccomp.special_ml import (
     InvalidParameterError,
     MLQuery,
@@ -17,6 +19,7 @@ from fraccomp.special_ml import (
     ml_relaxation,
     ml_value,
     relaxation_batch,
+    relaxation_exponentials,
 )
 
 
@@ -214,3 +217,54 @@ class TestBatch:
     def test_rejects_negative(self):
         with pytest.raises(InvalidParameterError):
             relaxation_batch(0.5, np.array([-1.0]))
+
+    def test_packed_segments_match_chebval(self):
+        # the gathered Clenshaw loop over zero-padded rows against numpy's
+        # chebval per segment on the unpadded coefficients: bit for bit
+        rng = np.random.default_rng(3)
+        for alpha in (0.3, 0.7, 0.999):
+            table = special_ml._table(alpha)
+            x = np.exp(rng.uniform(math.log(table.x_ser), math.log(table.x_asym), 2000))
+            got = table(x)
+            sv = np.log(x)
+            idx = np.searchsorted(table.cheb_edges, sv)
+            ref = np.empty_like(sv)
+            for j, row in enumerate(table.cheb_coef):
+                sel = idx == j
+                s = (2.0 * sv[sel] - table.cheb_apb[j]) / table.cheb_bma[j]
+                ref[sel] = np.exp(np.polynomial.chebyshev.chebval(s, np.trim_zeros(row, "b")))
+            assert np.array_equal(got, ref)
+
+    def test_alpha_0999_builds(self):
+        # the float series is noisy at the fit bound just below its switch
+        # here; the table used to fail to build
+        table = special_ml._table(0.999)
+        xs = np.concatenate([np.geomspace(0.06, 20.0, 12), np.linspace(5.1, 5.2, 5)])
+        got = table(xs)
+        ref = np.array([special_ml._mp_series(0.999, 1.0, -x) for x in xs])
+        assert np.max(np.abs(got - ref) / ref) < 5e-12
+
+    def test_table_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(special_ml, "_TABLES_MAX", 2)
+        monkeypatch.setattr(special_ml, "_tables", OrderedDict())
+        for alpha in (0.31, 0.32, 0.33):
+            relaxation_batch(alpha, np.ones(3))
+        assert list(special_ml._tables) == [0.32, 0.33]
+        relaxation_batch(0.32, np.ones(3))  # a hit makes 0.32 the most recent
+        relaxation_batch(0.34, np.ones(3))
+        assert list(special_ml._tables) == [0.32, 0.34]
+
+
+class TestExponentialSum:
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.95, 0.999999])
+    def test_rule_accuracy(self, alpha):
+        rule = relaxation_exponentials(alpha)
+        assert np.all(rule.weight > 0.0)
+        sigma = np.geomspace(rule.sigma_lo, 1e18, 1500)
+        got = np.exp(-sigma[:, None] * np.exp(rule.log_rho)[None, :]) @ rule.weight
+        assert np.max(np.abs(got - relaxation_batch(alpha, sigma ** alpha))) < 1e-10
+
+    def test_rejects_alpha_outside_open_interval(self):
+        for alpha in (0.0, 1.0, 1.5):
+            with pytest.raises(InvalidParameterError):
+                relaxation_exponentials(alpha)
