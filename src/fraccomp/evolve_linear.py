@@ -217,7 +217,10 @@ class _Memory:
         self.alpha = alpha
         self.lam = np.asarray(lambdas, dtype=float)
         self.t = t
-        soe = relaxation_exponentials(alpha)
+        try:
+            soe = relaxation_exponentials(alpha)
+        except RuntimeError as exc:  # the relaxation table of alpha did not build
+            raise SolverError(str(exc)) from exc
         self.weight = soe.weight
         with np.errstate(divide="ignore", over="ignore"):
             # lam <= 0 gets rate 0 and tau inf; such modes stay on the small branch

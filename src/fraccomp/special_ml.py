@@ -8,33 +8,32 @@ Evaluation strategy (scalar):
 
 * power series with Kahan summation while the largest intermediate term stays
   small enough that alternating-sign cancellation cannot eat the answer,
-* a spectral-function integral over (0, inf) through adaptive quadrature in
-  the stretched variable where the integrand has no endpoint singularity
-  (used in the gap where neither series nor asymptotics reach full accuracy),
+* for 0 < alpha < 1 and z < 0 where the series falls short, the
+  spectral-function integral by an exponentially convergent trapezoid rule
+  with nodes clustered at the density's poles (Trefethen & Weideman, SIAM
+  Review 2014; Garrappa, SIAM J. Numer. Anal. 2015),
 * the algebraic asymptotic expansion truncated at its smallest term for
   large |z|,
 
-plus closed forms for alpha in {1, 2} and a high-precision series fallback for
-the rarely used non-integer alpha in (1, 2) at strongly negative z.
+plus closed forms for alpha in {1, 2} and a high-precision series for the
+rarely used non-integer alpha in (1, 2) at strongly negative z.
 
 For the solvers there is a vectorised fast path ``relaxation_batch`` that
 evaluates E_{alpha,1}(-x) on arrays; its gap regime is a per-alpha Chebyshev
-interpolant (in log x) built from the scalar evaluator and validated against
-it on construction.  With each table comes ``relaxation_exponentials``, a
-sum of decaying exponentials equal to E_{alpha,1}(-sigma^alpha), on which the
-spectral march runs its memory.
+interpolant (in log x) fitted to the trapezoid rule.  With each table comes
+``relaxation_exponentials``, a sum of decaying exponentials equal to
+E_{alpha,1}(-sigma^alpha) on nodes of the same rule, on which the spectral
+march runs its memory.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, rgamma
 
 __all__ = [
@@ -69,6 +68,10 @@ class MLResult:
     value: float
     est_abs_error: float
     regime: str  # "series" | "integral" | "asymptotic"
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "est_abs_error", float(self.est_abs_error))
 
 
 # Largest admissible ln(max series term); keeps float64 cancellation below ~1e-11.
@@ -170,45 +173,81 @@ def _oscillatory_part(alpha, beta, x):
     return amp * math.cos(im + (1.0 - beta) * ang)
 
 
-def _integral_neg(alpha, beta, x):
-    """Spectral-function integral for E_{alpha,beta}(-x), 0 < alpha < 1.
+# E_{alpha,beta}(-x) for 0 < alpha < 1, beta <= 1 is the spectral integral
+# int (sigma rho)^(1-beta) e^{-sigma rho} K_beta(v) dv over v = alpha ln rho,
+# sigma = x^(1/alpha), K_beta(v) = (e^v sin pi(1-beta) + sin pi(1-beta+alpha))
+# / (alpha pi (2 cosh v + 2 cos pi alpha)).  _rule_nodes places trapezoid
+# nodes at equal steps of w(v) = asinh(v/d) + v/(pi alpha/2): dense near the
+# poles v = +-i d, d = pi (1 - alpha), and spaced to resolve e^{-sigma rho},
+# which decays only in |Im v| < pi alpha/2.  Pointwise values take the step
+# _REF_H on v in [_REF_V_LO - ln x, alpha ln 60 - ln x]; the cut tails are
+# below e^-40 and e^-60 of the value.
+_REF_H = 0.15
+_REF_V_LO = -40.0
 
-    E = (1/(alpha pi)) int_0^inf r^((1-beta)/alpha) e^{-r^(1/alpha)}
-        (r s1 + x s2) / (r^2 + 2 r x cos(pi alpha) + x^2) dr
-    with s1 = sin(pi(1-beta)), s2 = sin(pi(1-beta+alpha)).  The integrand has
-    no endpoint singularity for beta <= 1 + alpha; larger beta is reduced
-    first via E_{a,b}(z) = (E_{a,b-a}(z) - rgamma(b-a)) / z.
-    """
-    if beta > 1.0 + alpha:
-        inner, est = _integral_neg(alpha, beta - alpha, x)
-        val = (inner - rgamma(beta - alpha)) / (-x)
-        return val, est / x + _EPS * abs(val)
-    s1 = math.sin(math.pi * (1.0 - beta))
-    s2 = math.sin(math.pi * (1.0 - beta + alpha))
-    c = math.cos(math.pi * alpha)
-    p = (1.0 - beta) / alpha
-    inv_a = 1.0 / alpha
 
-    def f(r):
-        den = r * r + 2.0 * r * x * c + x * x
-        return r ** p * math.exp(-(r ** inv_a)) * (r * s1 + x * s2) / den / (alpha * math.pi)
+def _rule_nodes(alpha, h, v_lo, v_hi):
+    """Nodes v_k on [v_lo, v_hi] at w(v_k) = k h, and their weights h dv/dw."""
+    d = math.pi * (1.0 - alpha)
+    half = 0.5 * math.pi * alpha
+    c = d / half
 
-    pts = [1.0, x]
-    if c < 0.0:
-        pts.append(x * abs(c))  # near-cancellation dip of the denominator
-    pts = sorted({t for t in pts if 1e-10 < t < 1e9})
-    total = 0.0
-    err = 0.0
-    lo = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for pt in pts:
-            v, e = quad(f, lo, pt, epsabs=1e-15, epsrel=1e-12, limit=400)
-            total += v
-            err += e
-            lo = pt
-        v, e = quad(f, lo, np.inf, epsabs=1e-15, epsrel=1e-12, limit=400)
-    return total + v, err + e
+    def stretch(v):
+        return math.asinh(v / d) + v / half
+
+    w = h * np.arange(math.ceil(stretch(v_lo) / h), math.floor(stretch(v_hi) / h) + 1)
+    # v = d sinh(u) with u + c sinh(u) = |w|: convex in u >= 0, so Newton from
+    # a start above the root decreases monotonically onto it
+    target = np.abs(w)
+    u = np.minimum(target, np.arcsinh(target / c))
+    for _ in range(100):
+        step = (u + c * np.sinh(u) - target) / (1.0 + c * np.cosh(u))
+        u -= step
+        if np.all(step <= 1e-15 * (1.0 + u)):
+            break
+    v = np.copysign(d * np.sinh(u), w)
+    return v, h / (1.0 / np.hypot(d, v) + 1.0 / half)
+
+
+def _sin_pi(y, y_c):
+    """sin(pi y) from whichever of y and its complement y_c = 1 - y is nearer
+    zero, so that a small result keeps its relative accuracy."""
+    return math.sin(math.pi * (y if abs(y) <= abs(y_c) else y_c))
+
+
+def _density(alpha, beta, v):
+    """K_beta(v) without the cancellations near v = 0 as alpha -> 1: the
+    numerator is expm1(v) s1 + (s1 + s2), the denominator
+    4 alpha pi (sinh^2(v/2) + sin^2(pi (1 - alpha)/2))."""
+    sin_hd = math.sin(0.5 * math.pi * (1.0 - alpha))
+    s1 = _sin_pi(beta, 1.0 - beta)
+    s12 = 2.0 * sin_hd * _sin_pi(beta - 0.5 * alpha, (1.0 - beta) + 0.5 * alpha)  # s1 + s2
+    return (np.expm1(v) * s1 + s12) / (4.0 * math.pi * alpha * (np.sinh(0.5 * v) ** 2 + sin_hd**2))
+
+
+def _reference_rule(alpha, beta, x_lo, x_hi):
+    """Nodes v_k and weights of the rule for E_{alpha,beta}(-x), x in [x_lo, x_hi]."""
+    v, dv = _rule_nodes(alpha, _REF_H, _REF_V_LO - math.log(x_hi),
+                        alpha * math.log(60.0) - math.log(x_lo))
+    return v, dv * _density(alpha, beta, v)
+
+
+def _ml_neg(alpha, beta, x, rule=None):
+    """E_{alpha,beta}(-x) on a short array of x > 0 for 0 < alpha < 1 by the
+    trapezoid rule on the nodes of `rule` (built for beta), by default those
+    for the range of x.  Returns (values, est).  beta > 1 is reduced first via
+    E_{a,b}(z) = (E_{a,b-a}(z) - rgamma(b-a)) / z: the density's left tail
+    decays like e^{v (1 + alpha - beta)/alpha}, too slowly as beta -> 1 + alpha."""
+    if beta > 1.0:
+        inner, est = _ml_neg(alpha, beta - alpha, x)
+        g = rgamma(beta - alpha)
+        return (g - inner) / x, (est + 4.0 * _EPS * (g + np.abs(inner))) / x
+    v, weight = rule or _reference_rule(alpha, beta, float(np.min(x)), float(np.max(x)))
+    # ln(sigma rho), capped where e^{-sigma rho} has underflowed anyway
+    ln_sr = np.minimum((np.log(x)[:, None] + v) / alpha, 7.0)
+    terms = weight * np.exp((1.0 - beta) * ln_sr - np.exp(ln_sr))
+    # rounding of the nodes v_k moves each term by (1 - beta + sigma rho) dv/alpha
+    return terms.sum(axis=1), 64.0 * _EPS / alpha * np.abs(terms).sum(axis=1)
 
 
 def _mp_series(alpha, beta, z):
@@ -270,15 +309,18 @@ def ml(q: MLQuery) -> MLResult:
     x = -z
     if _max_term_ln(alpha, beta, x) <= _LN_SAFE:
         v, est = _series(alpha, beta, z)
-        return MLResult(v, est, "series")
+        # a series cut short by max_terms (slow decay at small alpha, x ~ 1)
+        # falls through to the trapezoid rule
+        if alpha >= 1.0 or est <= 1e-12 * (1.0 + abs(v)):
+            return MLResult(v, est, "series")
 
     e_units = x ** (1.0 / alpha)
     if alpha < 1.0:
         if e_units >= _ASYM_E:
             v, est = _asymptotic_neg(alpha, beta, x)
             return MLResult(v, est, "asymptotic")
-        v, est = _integral_neg(alpha, beta, x)
-        return MLResult(v, est, "integral")
+        v, est = _ml_neg(alpha, beta, np.array([x]))
+        return MLResult(v[0], est[0], "integral")
 
     # 1 < alpha < 2 (alpha == 1 with beta != 1 also lands here)
     if e_units >= _ASYM_E and alpha > 1.0:
@@ -353,8 +395,8 @@ class _RelaxationTable:
     Layout tuned for solver hot loops: a 16-term Taylor head below x = 0.05,
     a short (<= 14 term) asymptotic tail starting only where that length
     already reaches 1e-14 relative truncation, and adaptive piecewise
-    Chebyshev fits of ln E in between.  Everything is validated against an
-    exact-arithmetic reference during construction."""
+    Chebyshev fits of ln E in between, fitted to the trapezoid rule on one
+    node set per alpha and validated against it during construction."""
 
     _KMAX_ASYM = 14
     _X_TINY = 0.05
@@ -373,32 +415,11 @@ class _RelaxationTable:
         # ln_mag at x=1 gives ln |1/Gamma(1 - alpha k)|; coefficient = sign * e^ln
         self.asym_coef = np.where(np.isfinite(ln_mag), sign * np.exp(ln_mag), 0.0)
 
-        # largest x whose float64 series keeps the max term below ~30
-        lo, hi = self._X_TINY, self.x_asym
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if _max_term_ln(alpha, 1.0, mid) <= math.log(30.0):
-                lo = mid
-            else:
-                hi = mid
-        self._x_series_ref = lo
-
+        # the fitted gap, with a margin on both sides
+        self._gap = (self.x_ser * 0.98, self.x_asym * 1.02)
+        self._reference = _reference_rule(alpha, 1.0, *self._gap)
         self._build_cheb()
         self.soe = self._build_soe()
-
-    def _mid_reference(self, x, series=None):
-        """Reference values for the fit: the cheapest evaluator whose noise is
-        well below the fit target on its band.  series=True/False forces the
-        choice between the float series and the rest for a whole segment."""
-        if (x <= self._x_series_ref) if series is None else series:
-            return _series(self.alpha, 1.0, -x)[0]
-        if self.alpha > 0.9:
-            # spectral integrand of the quadrature route develops a
-            # 1/sin^2(pi alpha) cancellation dip here; exact arithmetic instead
-            return _mp_series(self.alpha, 1.0, -x)
-        if x ** (1.0 / self.alpha) < _ASYM_E:
-            return _integral_neg(self.alpha, 1.0, x)[0]
-        return _asymptotic_neg(self.alpha, 1.0, x)[0]
 
     def _pick_asym_edge(self):
         x = _ASYM_E ** self.alpha
@@ -411,19 +432,17 @@ class _RelaxationTable:
                 return float(x), k_min
         return float(x), self._KMAX_ASYM
 
-    def _fit_segment(self, a, b, series=None):
+    def _fit_segment(self, a, b):
         """Chebyshev fit of ln E_{alpha,1}(-e^s) on s in [a, b]; None if it
         does not converge at low degree."""
         for deg in (12, 24):
             nodes = np.cos(np.pi * (np.arange(deg + 1) + 0.5) / (deg + 1))
-            xs = np.exp(0.5 * (a + b) + 0.5 * (b - a) * nodes)
-            vals = np.log([self._mid_reference(x, series) for x in xs])
-            coef = np.polynomial.chebyshev.chebfit(nodes, vals, deg)
-            probe = np.exp(np.linspace(a, b, 2 * deg + 9))
-            ref = np.array([self._mid_reference(x, series) for x in probe])
-            s = (2.0 * np.log(probe) - (a + b)) / (b - a)
-            got = np.exp(np.polynomial.chebyshev.chebval(s, coef))
-            if np.max(np.abs(got - ref) / np.abs(ref)) <= 5e-12:
+            probe = np.linspace(-1.0, 1.0, 2 * deg + 9)
+            xs = np.exp(0.5 * (a + b) + 0.5 * (b - a) * np.concatenate([nodes, probe]))
+            ref = _ml_neg(self.alpha, 1.0, xs, self._reference)[0]
+            coef = np.polynomial.chebyshev.chebfit(nodes, np.log(ref[: deg + 1]), deg)
+            got = np.exp(np.polynomial.chebyshev.chebval(probe, coef))
+            if np.max(np.abs(got / ref[deg + 1 :] - 1.0)) <= 5e-13:
                 return coef
         return None
 
@@ -432,21 +451,16 @@ class _RelaxationTable:
         # uniform relative accuracy; segments split adaptively around the
         # exponential-to-algebraic crossover near alpha -> 1
         segs = []
-        stack = [(math.log(self.x_ser * 0.98), math.log(self.x_asym * 1.02), 0, None)]
+        stack = [(*np.log(self._gap), 0)]
         while stack:
-            a, b, depth, series = stack.pop()
-            coef = self._fit_segment(a, b, series)
+            a, b, depth = stack.pop()
+            coef = self._fit_segment(a, b)
             if coef is not None:
                 segs.append((a, b, coef))
             elif depth < 14:
                 mid = 0.5 * (a + b)
-                stack.append((a, mid, depth + 1, series))
-                stack.append((mid, b, depth + 1, series))
-            elif series is None and self.alpha > 0.9:
-                # near alpha -> 1 the float series is noisy at the fit bound
-                # just below its switch (alpha = 0.999): fit on the exact
-                # series alone
-                stack.append((a, b, depth, False))
+                stack.append((a, mid, depth + 1))
+                stack.append((mid, b, depth + 1))
             else:
                 raise RuntimeError(f"relaxation interpolant failed (alpha={self.alpha})")
         segs.sort()
@@ -487,28 +501,8 @@ class _RelaxationTable:
         """The exponential-sum rule of E_{alpha,1}(-sigma^alpha), validated
         against this table on sigma in [_SOE_SIGMA_LO, _SOE_SIGMA_HI]."""
         alpha = self.alpha
-        d = math.pi * (1.0 - alpha)  # distance of the density's poles from the real v axis
-        half = 0.5 * math.pi * alpha  # half-width of the strip where e^{-sigma rho} decays
-        v_hi = alpha * math.log(60.0 / _SOE_SIGMA_LO)
-
-        def stretch(v):
-            return np.arcsinh(v / d) + v / half
-
-        ks = np.arange(math.ceil(stretch(_SOE_V_LO) / _SOE_H), math.floor(stretch(v_hi) / _SOE_H) + 1)
-        lo = np.full(ks.size, _SOE_V_LO - 1.0)
-        hi = np.full(ks.size, v_hi + 1.0)
-        for _ in range(100):  # bisection for the nodes stretch(v) = k h
-            mid = 0.5 * (lo + hi)
-            above = stretch(mid) > ks * _SOE_H
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-        v = 0.5 * (lo + hi)
-        dv_dw = 1.0 / (1.0 / np.hypot(d, v) + 1.0 / half)
-        # sin(pi alpha)/(alpha pi) / (2 cosh v + 2 cos(pi alpha)), written without
-        # the cancellation of the denominator near alpha -> 1
-        density = math.sin(math.pi * alpha) / (math.pi * alpha) / (
-            4.0 * (np.sinh(0.5 * v) ** 2 + math.sin(0.5 * d) ** 2))
-        rule = ExponentialSum(v / alpha, _SOE_H * dv_dw * density, _SOE_SIGMA_LO)
+        v, dv = _rule_nodes(alpha, _SOE_H, _SOE_V_LO, alpha * math.log(60.0 / _SOE_SIGMA_LO))
+        rule = ExponentialSum(v / alpha, dv * _density(alpha, 1.0, v), _SOE_SIGMA_LO)
         sigma = np.geomspace(_SOE_SIGMA_LO, _SOE_SIGMA_HI, 256)
         approx = np.exp(-sigma[:, None] * np.exp(rule.log_rho)[None, :]) @ rule.weight
         err = float(np.max(np.abs(approx - self(sigma ** alpha))))
@@ -528,18 +522,16 @@ class ExponentialSum:
     sigma_lo: float
 
 
-# Exponential sums: E_{alpha,1}(-sigma^alpha) = int e^{-sigma rho} K(rho) drho
-# with v = alpha ln rho, trapezoid nodes at equal steps _SOE_H of
-# w(v) = asinh(v/d) + v/(pi alpha/2) on [_SOE_V_LO, alpha ln(60/sigma_lo)]:
-# dense near the density's poles v = +-i d, d = pi (1 - alpha), and spaced
-# to resolve e^{-sigma rho} far out: about 30/(_SOE_H pi alpha/2) nodes,
+# Exponential sums: the spectral integral of E_{alpha,1}(-sigma^alpha) on
+# the trapezoid nodes of _rule_nodes at step _SOE_H on
+# [_SOE_V_LO, alpha ln(60/sigma_lo)]: about 30/(_SOE_H pi alpha/2) nodes,
 # 320 at alpha = 0.3.
 _SOE_H = 0.3
 _SOE_V_LO = -30.0
 _SOE_SIGMA_LO, _SOE_SIGMA_HI = 1e-20, 1e18
 _SOE_TOL = 1e-10
 
-_TABLES_MAX = 32  # per-alpha tables kept; one costs up to seconds to build
+_TABLES_MAX = 32  # per-alpha tables kept; one costs up to a second to build
 _tables: OrderedDict = OrderedDict()
 _tables_lock = threading.Lock()
 
@@ -569,10 +561,10 @@ def relaxation_exponentials(alpha) -> ExponentialSum:
 def relaxation_batch(alpha, x):
     """Vectorised E_{alpha,1}(-x) for x >= 0 (array-valued), alpha in (0, 1].
 
-    Relative accuracy ~2e-11 everywhere (validated against exact arithmetic
-    when the per-alpha table is built); intended for solver hot loops.  The
-    per-alpha table memo is synchronized, bounded (least recently used
-    tables are dropped) and transparent to callers.
+    Relative accuracy ~1e-12 everywhere (the gap fit is validated against
+    the trapezoid rule when the per-alpha table is built); intended for
+    solver hot loops.  The per-alpha table memo is synchronized, bounded
+    (least recently used tables are dropped) and transparent to callers.
     """
     if not (0.0 < alpha <= 1.0):
         raise InvalidParameterError(f"relaxation needs alpha in (0, 1], got {alpha}")

@@ -7,13 +7,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraccomp import suites
+from fraccomp import special_ml, suites
 from fraccomp.cli import main
 
 
@@ -129,6 +130,18 @@ class TestSolve:
         assert run_cli(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         man = read_manifest(tmp_path)
         assert "solver failure" in man["verdict"]
+
+    def test_small_alpha_solves(self, tmp_path):
+        # the relaxation table of alpha = 0.02 used to fail to build
+        assert run_cli(["solve", "--set", "alpha=0.02", "--out", str(tmp_path)]) == 0
+
+    def test_table_build_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(special_ml, "_SOE_TOL", -1.0)  # no exponential sum passes
+        monkeypatch.setattr(special_ml, "_tables", OrderedDict())
+        assert run_cli(["solve", "--set", "alpha=0.37", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "alpha=0.37" in err and "Traceback" not in err
+        assert "solver failure" in read_manifest(tmp_path)["verdict"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("method", ["spectral", "l1"])

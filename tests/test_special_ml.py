@@ -49,11 +49,40 @@ class TestMLExamples:
         assert ml(MLQuery(0.5, 1.0, -4.0)).regime == "integral"
         assert ml(MLQuery(0.5, 1.0, -100.0)).regime == "asymptotic"
 
+    def test_results_are_python_floats(self):
+        queries = [(0.5, 1.0, 0.0), (0.5, 1.0, -0.5), (0.5, 1.0, -4.0), (0.5, 1.0, -100.0),
+                   (0.5, 1.0, 3.0), (1.5, 1.0, -5.0)]
+        for q in queries:
+            r = ml(MLQuery(*q))
+            assert type(r.value) is float and type(r.est_abs_error) is float, r
+
     def test_error_estimate_honest_against_erfcx(self):
         for x in np.geomspace(0.01, 200.0, 60):
             r = ml(MLQuery(0.5, 1.0, -x))
             true = erfcx(x)
             assert abs(r.value - true) <= max(r.est_abs_error, 1e-12 * (1 + abs(r.value)))
+
+
+class TestMLGuarantee:
+    @pytest.mark.parametrize("alpha, beta, z", [(0.02, 1.0, -1.03), (0.999999, 0.999999, -8.633)])
+    def test_value_against_exact_series(self, alpha, beta, z):
+        # values once returned wrong with small estimates: a float series cut
+        # at 600 terms (0.436575 for 0.4897243782), and a kernel value near
+        # alpha = 1 off by a factor 2 (8.908e-5 for 1.7816e-4)
+        r = ml(MLQuery(alpha, beta, z))
+        ref = special_ml._mp_series(alpha, beta, z)
+        assert r.est_abs_error <= 1e-12 * (1.0 + abs(r.value))
+        assert abs(r.value - ref) <= 1e-12 * (1.0 + abs(ref))
+
+    def test_error_estimates_stay_small(self):
+        loose = []
+        for alpha in np.geomspace(0.01, 0.999, 30):
+            for beta in (1.0, alpha, 0.5, 1.5):
+                for x in np.geomspace(1e-3, 1e3, 50):
+                    r = ml(MLQuery(alpha, beta, -x))
+                    if r.est_abs_error > 1e-12 * (1.0 + abs(r.value)):
+                        loose.append((alpha, beta, x, r))
+        assert not loose
 
 
 class TestMLValidation:
@@ -236,8 +265,6 @@ class TestBatch:
             assert np.array_equal(got, ref)
 
     def test_alpha_0999_builds(self):
-        # the float series is noisy at the fit bound just below its switch
-        # here; the table used to fail to build
         table = special_ml._table(0.999)
         xs = np.concatenate([np.geomspace(0.06, 20.0, 12), np.linspace(5.1, 5.2, 5)])
         got = table(xs)
@@ -253,6 +280,35 @@ class TestBatch:
         relaxation_batch(0.32, np.ones(3))  # a hit makes 0.32 the most recent
         relaxation_batch(0.34, np.ones(3))
         assert list(special_ml._tables) == [0.32, 0.34]
+
+
+RULE_ALPHAS = [0.02, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.999, 0.999999]
+
+
+class TestSpectralRule:
+    @pytest.mark.parametrize("alpha", RULE_ALPHAS)
+    def test_matches_exact_series(self, alpha):
+        # x^(1/alpha) <= 40 keeps the mpmath series cheap
+        x = np.geomspace(1e-3, 40.0 ** alpha, 12)
+        for beta in (1.0, alpha):
+            got, est = special_ml._ml_neg(alpha, beta, x)
+            ref = np.array([special_ml._mp_series(alpha, beta, -xi) for xi in x])
+            assert np.max(np.abs(got / ref - 1.0)) < 5e-14
+            assert np.all(np.abs(got - ref) <= est)
+        # beta > 1 + alpha goes through the recurrence in beta, which divides
+        # by x: the scalar evaluator uses it only where the series fails, x > 1
+        beta = 1.3 + alpha
+        x = np.geomspace(1.0, 40.0 ** alpha, 6)
+        got, est = special_ml._ml_neg(alpha, beta, x)
+        ref = np.array([special_ml._mp_series(alpha, beta, -xi) for xi in x])
+        assert np.max(np.abs(got - ref)) < 1e-12
+        assert np.all(np.abs(got - ref) <= est)
+
+    @pytest.mark.parametrize("alpha", RULE_ALPHAS)
+    def test_scalar_and_batch_agree(self, alpha):
+        x = np.geomspace(1e-3, 1e3, 200)
+        scalar = np.array([ml_relaxation(alpha, xi, 1.0) for xi in x])
+        assert np.max(np.abs(relaxation_batch(alpha, x) - scalar)) <= 1e-12
 
 
 class TestExponentialSum:
