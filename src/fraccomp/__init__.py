@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 
 from .compare import (
     BarrierPair,
-    ComparisonReport,
+    CheckResult,
     asymptotic_decay_check,
     barrier_bounds_e3,
     barrier_bounds_e4,

@@ -5,13 +5,14 @@ barrier residuals, and long-time decay fitting against the ground mode.
 
 Continuum inequalities hold discretely only up to discretisation error, so
 every check carries a tolerance C_pos (h^2 + tau^min(1, 2-alpha)) scaled by
-the data magnitude; reports state the worst violation and where it happened.
+the data magnitude.  Each check returns one CheckResult: its name, the worst
+violation, the tolerance and whether the one is within the other.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,13 +26,13 @@ from .elliptic import (
     eigendecompose,
     principal_eigenpair,
 )
-from .evolve_linear import Field, ProblemSpec, solve_linear_l1, solve_linear_spectral
+from .evolve_linear import Field, ProblemSpec, SolverError, solve_linear_l1, solve_linear_spectral
 from .evolve_semilinear import SemilinearTerm, solve_semilinear
 from .fracops import TimeGrid, TimeSeries, caputo_l1_field
 from .special_ml import relaxation_batch
 
 __all__ = [
-    "ComparisonReport",
+    "CheckResult",
     "BarrierPair",
     "HypothesisViolation",
     "default_tolerance",
@@ -57,19 +58,22 @@ class HypothesisViolation(ValueError):
 
 
 @dataclass(frozen=True)
-class ComparisonReport:
-    property_name: str
-    holds: bool
-    worst_violation: float
-    location: tuple  # (space node index, time node index)
-    tolerance_used: float
+class CheckResult:
+    """One PASS/FAIL row: the property holds when its worst violation is
+    within the tolerance."""
 
-    def __str__(self):
+    name: str
+    holds: bool
+    worst: float
+    tolerance: float
+
+    @classmethod
+    def of(cls, name, worst, tol):
+        return cls(name, bool(worst <= tol), float(worst), float(tol))
+
+    def line(self):
         verdict = "PASS" if self.holds else "FAIL"
-        return (
-            f"{verdict} {self.property_name} "
-            f"worst={self.worst_violation:.3e} tol={self.tolerance_used:.3e}"
-        )
+        return f"{verdict} {self.name} {self.worst:.3e} {self.tolerance:.3e}"
 
 
 @dataclass(frozen=True)
@@ -91,40 +95,25 @@ def default_tolerance(grid, tgrid, alpha, scale=1.0):
     return 10.0 * (grid.h ** 2 + tau ** min(1.0, 2.0 - alpha)) * max(scale, 1e-30)
 
 
-def _report(name, violation_field, tol):
-    worst = float(np.max(violation_field))
-    k, i = np.unravel_index(int(np.argmax(violation_field)), violation_field.shape)
-    worst = max(worst, 0.0)
-    return ComparisonReport(
-        property_name=name,
-        holds=bool(worst <= tol),
-        worst_violation=worst,
-        location=(int(i), int(k)),
-        tolerance_used=float(tol),
-    )
+def _worst(*violations):
+    """The largest entry of the violation arrays, or 0 when none is positive."""
+    return max([float(np.max(v)) for v in violations if np.size(v)] + [0.0])
 
 
-def check_positivity(u: Field, tol=None, alpha=None, scale=None) -> ComparisonReport:
+def check_positivity(u: Field, alpha) -> CheckResult:
     """Nonnegativity of a solution evolved from a >= 0, F >= 0 (the caller
     certifies the hypotheses)."""
-    if tol is None:
-        if alpha is None:
-            raise ValueError("need alpha for the default tolerance")
-        scale = float(np.max(np.abs(u.values))) if scale is None else scale
-        tol = default_tolerance(u.grid, u.tgrid, alpha, scale)
-    return _report("positivity", -u.values, tol)
+    tol = default_tolerance(u.grid, u.tgrid, alpha, float(np.max(np.abs(u.values))))
+    return CheckResult.of("positivity", _worst(-u.values), tol)
 
 
-def check_ordering(u_hi: Field, u_lo: Field, tol=None, alpha=None, name="ordering") -> ComparisonReport:
+def check_ordering(u_hi: Field, u_lo: Field, alpha, name="ordering") -> CheckResult:
     """u_hi >= u_lo nodewise up to tolerance."""
     if u_hi.values.shape != u_lo.values.shape:
         raise ValueError("fields must share grids")
-    if tol is None:
-        if alpha is None:
-            raise ValueError("need alpha for the default tolerance")
-        scale = float(max(np.max(np.abs(u_hi.values)), np.max(np.abs(u_lo.values))))
-        tol = default_tolerance(u_hi.grid, u_hi.tgrid, alpha, scale)
-    return _report(name, u_lo.values - u_hi.values, tol)
+    scale = float(max(np.max(np.abs(u_hi.values)), np.max(np.abs(u_lo.values))))
+    tol = default_tolerance(u_hi.grid, u_hi.tgrid, alpha, scale)
+    return CheckResult.of(name, _worst(u_lo.values - u_hi.values), tol)
 
 
 def example1_lower_bound(alpha, beta, delta, tgrid: TimeGrid) -> TimeSeries:
@@ -145,6 +134,26 @@ def _require_signed(arr, sign, what):
         raise HypothesisViolation(f"{what} must be strictly negative")
 
 
+def _require_nonnegative_data(p: ProblemSpec):
+    """The initial value of p, after checking it and the source on every
+    time node for a >= 0 and F >= 0."""
+    a0 = p.initial_values()
+    _require_signed(a0, +1, "initial value")
+    if p.source is not None:
+        src = [p.source_at(t, node_index=k) for k, t in enumerate(p.tgrid.nodes)]
+        _require_signed(src, +1, "source")
+    return a0
+
+
+def _on_nodes(fun, p: ProblemSpec):
+    """A coefficient fun(x, t) on every time node of p, one row per node;
+    zeros for an absent coefficient."""
+    x = p.grid.nodes
+    if fun is None:
+        return np.zeros((p.tgrid.nodes.size, x.size))
+    return np.array([fun(x, t) for t in p.tgrid.nodes])
+
+
 def coefficient_comparison(
     base: ProblemSpec,
     which: str = "c",
@@ -152,7 +161,6 @@ def coefficient_comparison(
     c2=None,
     sigma1=None,
     sigma2=None,
-    tol=None,
 ):
     """Solve the problem twice with ordered coefficients and report ordering.
 
@@ -160,22 +168,13 @@ def coefficient_comparison(
     which = "sigma": needs c < 0 everywhere and sigma2 >= sigma1 >= sigma0 > 0;
     then u(sigma1) >= u(sigma2).  Requests with c >= 0 somewhere are refused
     (the unshifted Robin comparison is an open conjecture)."""
-    x = base.grid.nodes
-    a0 = base.initial_values()
-    _require_signed(a0, +1, "initial value")
-    if base.source is not None:
-        for t in base.tgrid.nodes[:: max(1, base.tgrid.n_steps // 8)]:
-            _require_signed(base.source_at(t), +1, "source")
+    _require_nonnegative_data(base)
 
     if which == "c":
         s1 = replace(base.elliptic, c=c1)
         s2 = replace(base.elliptic, c=c2)
-        c1f, c2f = s1.c_fun(), s2.c_fun()
-        for t in base.tgrid.nodes[:: max(1, base.tgrid.n_steps // 8)]:
-            v1 = c1f(x, t) if c1f else np.zeros_like(x)
-            v2 = c2f(x, t) if c2f else np.zeros_like(x)
-            if np.min(v1 - v2) < -1e-13:
-                raise HypothesisViolation("need c1 >= c2 everywhere")
+        if np.min(_on_nodes(s1.c_fun(), base) - _on_nodes(s2.c_fun(), base)) < -1e-13:
+            raise HypothesisViolation("need c1 >= c2 everywhere")
         p1 = replace(base, elliptic=s1)
         p2 = replace(base, elliptic=s2)
         name = "coefficient comparison (c1 >= c2)"
@@ -183,8 +182,7 @@ def coefficient_comparison(
         cf = base.elliptic.c_fun()
         if cf is None:
             raise HypothesisViolation("sigma comparison needs c < 0; got c = 0")
-        for t in base.tgrid.nodes[:: max(1, base.tgrid.n_steps // 8)]:
-            _require_signed(cf(x, t), -1, "zeroth-order coefficient c")
+        _require_signed(_on_nodes(cf, base), -1, "zeroth-order coefficient c")
         if not (sigma2 >= sigma1 > 0.0):
             raise HypothesisViolation("need sigma2 >= sigma1 >= sigma0 > 0")
         p1 = replace(base, elliptic=replace(base.elliptic, sigma_lo=sigma1, sigma_hi=sigma1))
@@ -195,8 +193,17 @@ def coefficient_comparison(
 
     u1 = solve_linear_spectral(p1)
     u2 = solve_linear_spectral(p2)
-    report = check_ordering(u1, u2, tol=tol, alpha=base.alpha, name=name)
-    return u1, u2, report
+    return u1, u2, check_ordering(u1, u2, base.alpha, name=name)
+
+
+def _frozen_l1(p: ProblemSpec, c, u, rhs):
+    """One implicit-L1 solve of p with zeroth-order coefficient c and the
+    forcing frozen at the iterate u: rhs(k, u[k]) plus the source on node k."""
+    src = np.empty_like(u)
+    for k, t in enumerate(p.tgrid.nodes):
+        base_f = p.source_at(t, node_index=k)
+        src[k] = rhs(k, u[k]) + (base_f if base_f is not None else 0.0)
+    return solve_linear_l1(replace(p, elliptic=replace(p.elliptic, c=c), source=src))
 
 
 def linear_monotone_sequence(p: ProblemSpec, b0_const, n_max):
@@ -207,36 +214,16 @@ def linear_monotone_sequence(p: ProblemSpec, b0_const, n_max):
     d_t^alpha (u_{j+1} - a) + A1 u_{j+1} = (b0 + c) u_j + F with
     A1 = -(a u')' - b u' + b0 u.  All iterates stay nonnegative and converge
     geometrically to the direct solution."""
-    x = p.grid.nodes
-    a0 = p.initial_values()
-    _require_signed(a0, +1, "initial value")
-    cf = p.elliptic.c_fun()
-    c_max = 0.0
-    for t in p.tgrid.nodes[:: max(1, p.tgrid.n_steps // 8)]:
-        if cf is not None:
-            c_max = max(c_max, float(np.max(np.abs(cf(x, t)))))
-        if p.source is not None:
-            _require_signed(p.source_at(t), +1, "source")
+    a0 = _require_nonnegative_data(p)
+    c_vals = _on_nodes(p.elliptic.c_fun(), p)
+    c_max = float(np.max(np.abs(c_vals)))
     if b0_const < c_max:
         raise HypothesisViolation(f"b0 = {b0_const} below ||c||_inf = {c_max}")
 
-    spec1 = replace(p.elliptic, c=-float(b0_const))
-    tn = p.tgrid.nodes
-    nt = tn.size
-
-    def feedback(uj):
-        src = np.empty((nt, x.size))
-        for k, t in enumerate(tn):
-            cv = cf(x, t) if cf is not None else np.zeros_like(x)
-            base_f = p.source_at(t, node_index=k)
-            src[k] = (b0_const + cv) * uj[k] + (base_f if base_f is not None else 0.0)
-        return src
-
-    iterates = [Field(p.grid, p.tgrid, np.tile(a0, (nt, 1)))]
+    iterates = [Field(p.grid, p.tgrid, np.tile(a0, (p.tgrid.nodes.size, 1)))]
     for _ in range(n_max - 1):
-        src = feedback(iterates[-1].values)
-        pj = replace(p, elliptic=spec1, source=src)
-        nxt = solve_linear_l1(pj)
+        nxt = _frozen_l1(p, -float(b0_const), iterates[-1].values,
+                         lambda k, uk: (b0_const + c_vals[k]) * uk)
         iterates.append(nxt)
         if not np.all(np.isfinite(nxt.values)):
             raise RuntimeError("monotone sequence diverged; b0 too small or grid too coarse")
@@ -247,7 +234,7 @@ def linear_monotone_sequence(p: ProblemSpec, b0_const, n_max):
 class MonotoneIterationResult:
     from_lower: Sequence[Field]
     from_upper: Sequence[Field]
-    sandwich: ComparisonReport
+    sandwich: CheckResult
     solution: Field
 
 
@@ -255,19 +242,10 @@ def _l_map(p: ProblemSpec, f: SemilinearTerm, M, u_field: Field) -> Field:
     """One sweep of the shifted linearisation: solve
     d_t^alpha (v - a) + A v + (M+1) v = (M+1) u + f(u)."""
     x = p.grid.nodes
-    tn = p.tgrid.nodes
     cf = p.elliptic.c_fun()
     shift = M + 1.0
-    if cf is None:
-        spec_s = replace(p.elliptic, c=-shift)
-    else:
-        spec_s = replace(p.elliptic, c=lambda xx, tt: cf(xx, tt) - shift)
-    src = np.empty_like(u_field.values)
-    for k, t in enumerate(tn):
-        uk = u_field.values[k]
-        base_f = p.source_at(t, node_index=k)
-        src[k] = shift * uk + f(x, uk) + (base_f if base_f is not None else 0.0)
-    return solve_linear_l1(replace(p, elliptic=spec_s, source=src))
+    c = -shift if cf is None else (lambda xx, tt: cf(xx, tt) - shift)
+    return _frozen_l1(p, c, u_field.values, lambda k, uk: shift * uk + f(x, uk))
 
 
 def monotone_iteration(
@@ -276,7 +254,6 @@ def monotone_iteration(
     barriers: BarrierPair,
     M=None,
     k_max=30,
-    tol=None,
 ) -> MonotoneIterationResult:
     """Iterate the shifted linearisation upward from the lower barrier and
     downward from the upper one until a sweep moves less than 1e-8; both
@@ -287,11 +264,8 @@ def monotone_iteration(
     M = f.bound_M if M is None else float(M)
     if M < f.bound_M:
         raise HypothesisViolation("M must dominate the C1 bound of f")
-    if tol is None:
-        scale = float(np.max(np.abs(barriers.upper.values)) + np.max(np.abs(barriers.lower.values)))
-        tol = default_tolerance(p.grid, p.tgrid, p.alpha, scale)
-
-    from .evolve_linear import SolverError
+    scale = float(np.max(np.abs(barriers.upper.values)) + np.max(np.abs(barriers.lower.values)))
+    tol = default_tolerance(p.grid, p.tgrid, p.alpha, scale)
 
     lo_seq = [barriers.lower]
     hi_seq = [barriers.upper]
@@ -311,20 +285,12 @@ def monotone_iteration(
             )
 
     u = solve_semilinear(p, f)
-    below = np.max(barriers.lower.values - u.values)
-    above = np.max(u.values - barriers.upper.values)
-    worst = float(max(below, above, 0.0))
-    sandwich = ComparisonReport(
-        property_name="barrier sandwich",
-        holds=bool(worst <= tol),
-        worst_violation=worst,
-        location=(0, 0),
-        tolerance_used=float(tol),
-    )
+    worst = _worst(barriers.lower.values - u.values, u.values - barriers.upper.values)
+    sandwich = CheckResult.of("barrier sandwich", worst, tol)
     return MonotoneIterationResult(lo_seq, hi_seq, sandwich, u)
 
 
-def verify_barrier(candidate: Field, kind: str, p: ProblemSpec, f=None, tol=None) -> ComparisonReport:
+def verify_barrier(candidate: Field, kind: str, p: ProblemSpec, f=None) -> CheckResult:
     """Discrete residual check of the barrier inequalities: the L1 Caputo
     derivative of (candidate - its initial row) plus the assembled operator
     minus the nonlinearity must be >= -tol (upper) or <= tol (lower), with the
@@ -337,9 +303,7 @@ def verify_barrier(candidate: Field, kind: str, p: ProblemSpec, f=None, tol=None
     x = p.grid.nodes
     tn = p.tgrid.nodes
     v = candidate.values
-    if tol is None:
-        scale = float(np.max(np.abs(v)) + 1.0)
-        tol = default_tolerance(p.grid, p.tgrid, p.alpha, scale)
+    tol = default_tolerance(p.grid, p.tgrid, p.alpha, float(np.max(np.abs(v)) + 1.0))
 
     cap = caputo_l1_field(p.tgrid, v, p.alpha)
     resid = np.zeros_like(v)
@@ -354,37 +318,19 @@ def verify_barrier(candidate: Field, kind: str, p: ProblemSpec, f=None, tol=None
 
     sign = 1.0 if kind == "upper" else -1.0
     eq_viol = np.maximum(-sign * resid[1:], 0.0)
-
-    a0 = p.initial_values()
-    if kind == "upper":
-        init_viol = float(np.max(a0 - v[0]))
-    else:
-        init_viol = float(np.max(v[0] - a0))
-
-    bc_viol = 0.0
-    for k in range(1, tn.size):
-        lo, hi = op.robin_residual(v[k])
-        bc_viol = max(bc_viol, abs(lo), abs(hi))
-
-    worst = float(max(np.max(eq_viol), init_viol, bc_viol, 0.0))
-    k, i = np.unravel_index(int(np.argmax(eq_viol)), eq_viol.shape)
-    return ComparisonReport(
-        property_name=f"{kind} solution residual",
-        holds=bool(worst <= tol),
-        worst_violation=worst,
-        location=(int(i), int(k) + 1),
-        tolerance_used=float(tol),
-    )
+    init_viol = sign * (p.initial_values() - v[0])
+    bc_viol = np.abs([op.robin_residual(v[k]) for k in range(1, tn.size)])
+    return CheckResult.of(f"{kind} solution residual", _worst(eq_viol, init_viol, bc_viol), tol)
 
 
 @dataclass(frozen=True)
 class BarrierBandE3:
     rho: float
-    report: ComparisonReport
+    report: CheckResult
     solution: Field
 
 
-def barrier_bounds_e3(p: ProblemSpec, f: Optional[SemilinearTerm] = None, tol=None) -> BarrierBandE3:
+def barrier_bounds_e3(p: ProblemSpec, f: Optional[SemilinearTerm] = None) -> BarrierBandE3:
     """Two-sided band from the explicit saturating-sink barriers: zero below,
     a(x) + rho t^alpha above, with rho = max(Delta_h a)/Gamma(alpha+1).
 
@@ -412,12 +358,10 @@ def barrier_bounds_e3(p: ProblemSpec, f: Optional[SemilinearTerm] = None, tol=No
     if rho <= 0.0:
         rho = 1e-12  # degenerate flat band
     u = solve_semilinear(p, f)
-    if tol is None:
-        scale = float(np.max(np.abs(u.values)) + 1.0)
-        tol = default_tolerance(p.grid, p.tgrid, p.alpha, scale)
+    tol = default_tolerance(p.grid, p.tgrid, p.alpha, float(np.max(np.abs(u.values)) + 1.0))
     band_hi = a0[None, :] + rho * p.tgrid.nodes[:, None] ** p.alpha
-    viol = np.maximum(-u.values, u.values - band_hi)
-    report = _report("saturating-sink band 0 <= u <= a + rho t^alpha", viol, tol)
+    report = CheckResult.of("saturating-sink band 0 <= u <= a + rho t^alpha",
+                            _worst(np.maximum(-u.values, u.values - band_hi)), tol)
     return BarrierBandE3(rho=rho, report=report, solution=u)
 
 
@@ -426,11 +370,11 @@ class BarrierBandE4:
     T1: float
     T2: float
     lower_coeff: float
-    report: ComparisonReport
+    report: CheckResult
     solution: Field
 
 
-def barrier_bounds_e4(p: ProblemSpec, f: SemilinearTerm, epsilon, delta1, tol=None) -> BarrierBandE4:
+def barrier_bounds_e4(p: ProblemSpec, f: SemilinearTerm, epsilon, delta1) -> BarrierBandE4:
     """Barriers for an increasing nonlinearity: upper a + t^(alpha-eps) on a
     window (0, T1) found by bisection, lower a - coeff t^alpha on (0, T2) with
     coeff = (M2 - f(delta1/2))/Gamma(alpha+1), M2 = max(-Delta_h a)."""
@@ -480,27 +424,14 @@ def barrier_bounds_e4(p: ProblemSpec, f: SemilinearTerm, epsilon, delta1, tol=No
         T2 = math.inf
 
     u = solve_semilinear(p, f)
-    if tol is None:
-        scale = float(np.max(np.abs(u.values)) + 1.0)
-        tol = default_tolerance(p.grid, p.tgrid, p.alpha, scale)
+    tol = default_tolerance(p.grid, p.tgrid, p.alpha, float(np.max(np.abs(u.values)) + 1.0))
     tn = p.tgrid.nodes
     up_win = tn <= T1
     lo_win = tn <= T2
-    viol_hi = np.maximum(
-        u.values[up_win] - (a0[None, :] + tn[up_win, None] ** (p.alpha - epsilon)), 0.0
-    )
-    viol_lo = np.maximum(
-        (a0[None, :] - lower_coeff * tn[lo_win, None] ** p.alpha) - u.values[lo_win], 0.0
-    )
-    worst = float(max(np.max(viol_hi) if viol_hi.size else 0.0,
-                      np.max(viol_lo) if viol_lo.size else 0.0, 0.0))
-    report = ComparisonReport(
-        property_name="increasing-term band on (0,T1) x (0,T2)",
-        holds=bool(worst <= tol),
-        worst_violation=worst,
-        location=(0, 0),
-        tolerance_used=float(tol),
-    )
+    viol_hi = u.values[up_win] - (a0[None, :] + tn[up_win, None] ** (p.alpha - epsilon))
+    viol_lo = (a0[None, :] - lower_coeff * tn[lo_win, None] ** p.alpha) - u.values[lo_win]
+    report = CheckResult.of("increasing-term band on (0,T1) x (0,T2)",
+                            _worst(viol_hi, viol_lo), tol)
     return BarrierBandE4(T1=float(T1), T2=float(T2), lower_coeff=float(lower_coeff),
                          report=report, solution=u)
 

@@ -17,32 +17,14 @@ import numpy as np
 from scipy.special import erfcx, gamma
 
 from . import compare, special_ml
+from .compare import CheckResult
 from .elliptic import EllipticSpec, Grid1D, assemble, eigendecompose, principal_eigenpair
 from .evolve_linear import Field, ProblemSpec, solve_linear_l1, solve_linear_spectral
 from .evolve_semilinear import SemilinearTerm, builtin_enzyme, scalar_fractional_ode, solve_semilinear
 from .fracops import TimeGrid, TimeSeries, caputo_l1, extremum_check, rl_integral
 from .randomspec import random_linear_problem, random_nonneg_profile
 
-__all__ = ["CheckResult", "EXPERIMENTS", "Experiment", "Outcome", "SUITES", "run_suite"]
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    holds: bool
-    worst: float
-    tolerance: float
-
-    def line(self):
-        return f"{'PASS' if self.holds else 'FAIL'} {self.name} {self.worst:.3e} {self.tolerance:.3e}"
-
-
-def _row(name, worst, tol):
-    return CheckResult(name, bool(worst <= tol), float(worst), float(tol))
-
-
-def _from_report(rep):
-    return CheckResult(rep.property_name, rep.holds, rep.worst_violation, rep.tolerance_used)
+__all__ = ["EXPERIMENTS", "Experiment", "Outcome", "SUITES", "run_suite"]
 
 
 class Outcome(NamedTuple):
@@ -75,7 +57,7 @@ def _check_ex1(p, _):
     bound = compare.example1_lower_bound(p.alpha, 0.0, 1.0, p.tgrid).values
     lo = np.min(u.values, axis=1)
     slack = float(np.min(lo - bound))
-    return Outcome([_row("positivity/power-source-lower-bound", -slack, 1e-3)],
+    return Outcome([CheckResult.of("positivity/power-source-lower-bound", -slack, 1e-3)],
                    [p.tgrid.nodes, lo, bound], {"min_slack": slack})
 
 
@@ -92,7 +74,7 @@ def _check_e3(p, f):
     upper = np.max(u - p.initial_values()[None, :], axis=1)
     cap = band.rho * p.tgrid.nodes ** p.alpha
     slack = min(float(np.min(cap - upper)), float(np.min(lower)))
-    return Outcome([_from_report(band.report)], [p.tgrid.nodes, lower, upper, cap],
+    return Outcome([band.report], [p.tgrid.nodes, lower, upper, cap],
                    {"rho": band.rho, "min_slack": slack})
 
 
@@ -107,7 +89,7 @@ def _check_e4(p, f):
     band = compare.barrier_bounds_e4(p, f, epsilon=0.1, delta1=1.0)
     tn = p.tgrid.nodes
     dev = np.max(band.solution.values - 1.0, axis=1)
-    return Outcome([_from_report(band.report)],
+    return Outcome([band.report],
                    [tn, dev, tn ** (p.alpha - 0.1), -band.lower_coeff * tn ** p.alpha],
                    {"T1": band.T1, "T2": band.T2, "lower_coeff": band.lower_coeff})
 
@@ -126,8 +108,9 @@ def _check_monotone_linear(p, _):
     direct = solve_linear_l1(p)
     errs = [float(np.max(np.abs(it.values - direct.values))) for it in seq]
     ratios = [errs[j + 1] / errs[j] for j in range(2, len(errs) - 1) if errs[j] > 1e-13]
-    rows = [_row("monotone/linear-iterates-nonnegative", neg, tol),
-            _row("monotone/linear-geometric-ratio", max(ratios) if ratios else 0.0, 0.9)]
+    rows = [CheckResult.of("monotone/linear-iterates-nonnegative", neg, tol),
+            CheckResult.of("monotone/linear-geometric-ratio",
+                           max(ratios) if ratios else 0.0, 0.9)]
     return Outcome(rows, [np.arange(1, len(seq) + 1, dtype=float), np.array(errs)],
                    {"worst_negativity": neg, "final_error": errs[-1]})
 
@@ -152,9 +135,9 @@ def _check_sandwich(p, f):
             chain_worst = max(chain_worst, -float(np.min(sgn * (b.values - a.values))))
     y = scalar_fractional_ode(p.tgrid, p.alpha, 1.0, lambda v: -v / (1 + abs(v)),
                               rhs_du=lambda v: -1.0 / (1 + abs(v)) ** 2)
-    rows = [_from_report(res.sandwich),
-            _row("monotone/chain-monotonicity", chain_worst, res.sandwich.tolerance_used),
-            _row("monotone/scalar-oracle-agreement",
+    rows = [res.sandwich,
+            CheckResult.of("monotone/chain-monotonicity", chain_worst, res.sandwich.tolerance),
+            CheckResult.of("monotone/scalar-oracle-agreement",
                  float(np.max(np.abs(res.solution.values[:, 5] - y))), 5e-3)]
     return Outcome(rows, [], {})
 
@@ -179,10 +162,10 @@ def _check_decay(p, f):
         env = tn[mask, None] ** -alpha * phi1[None, :]
         return float(np.max(dev[mask] / env))
 
-    rows = [_row("decay/single-mode-constant-ratio", abs(rep1.fitted_C - 0.7), 1e-8),
-            _row("decay/saturating-sink-fit-stability",
+    rows = [CheckResult.of("decay/single-mode-constant-ratio", abs(rep1.fitted_C - 0.7), 1e-8),
+            CheckResult.of("decay/saturating-sink-fit-stability",
                  abs(rep.fitted_C_tail - rep.fitted_C) / max(rep.fitted_C, 1e-300), 0.10),
-            _row("decay/t^-alpha-envelope", sup_ratio(tail), 1.1 * sup_ratio(third))]
+            CheckResult.of("decay/t^-alpha-envelope", sup_ratio(tail), 1.1 * sup_ratio(third))]
     envelope = rep.fitted_C * special_ml.relaxation_batch(alpha, lam1 * tn ** alpha)
     return Outcome(rows, [tn, np.max(dev, axis=1), envelope],
                    {"fitted_C": rep.fitted_C, "fitted_C_tail": rep.fitted_C_tail})
@@ -211,15 +194,15 @@ def suite_ml(rng):
     worst = max(
         abs(special_ml.ml_value(1.0, 1.0, z) - math.exp(z)) / math.exp(z) for z in xs
     )
-    rows.append(_row("ml/exponential-identity", worst, 1e-12))
+    rows.append(CheckResult.of("ml/exponential-identity", worst, 1e-12))
     xs = np.linspace(0.0, 10.0, 161)
     worst = max(abs(special_ml.ml_value(2.0, 1.0, -x * x) - math.cos(x)) for x in xs)
-    rows.append(_row("ml/cosine-identity", worst, 1e-10))
+    rows.append(CheckResult.of("ml/cosine-identity", worst, 1e-10))
     xs = np.linspace(0.0, 5.0, 101)
     worst = max(
         abs(special_ml.ml_value(0.5, 1.0, -x) - erfcx(x)) / erfcx(x) for x in xs
     )
-    rows.append(_row("ml/erfc-identity", worst, 1e-9))
+    rows.append(CheckResult.of("ml/erfc-identity", worst, 1e-9))
     h = 1e-4
     worst = 0.0
     for alpha in (0.3, 0.5, 0.7, 0.9):
@@ -229,7 +212,7 @@ def suite_ml(rng):
                       - special_ml.ml_relaxation(alpha, lam, t - h)) / (2 * h)
                 ref = -lam * special_ml.ml_kernel(alpha, lam, t)
                 worst = max(worst, abs(fd - ref) / abs(ref))
-    rows.append(_row("ml/derivative-identity", worst, 1e-5))
+    rows.append(CheckResult.of("ml/derivative-identity", worst, 1e-5))
     worst = 0.0
     xs = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 80)])
     for alpha in (0.3, 0.5, 0.7, 0.9):
@@ -237,7 +220,7 @@ def suite_ml(rng):
             bound = 1.1 / (1.0 + x)
             worst = max(worst, special_ml.ml_value(alpha, 1.0, -x) - bound,
                         special_ml.ml_value(alpha, alpha, -x) - bound)
-    rows.append(_row("ml/uniform-bound-C=1.1", max(worst, 0.0), 1e-9))
+    rows.append(CheckResult.of("ml/uniform-bound-C=1.1", max(worst, 0.0), 1e-9))
     worst = 0.0
     for _ in range(20):
         alpha = rng.uniform(0.3, 0.95)
@@ -250,7 +233,7 @@ def suite_ml(rng):
         parts = (special_ml.ml_kernel_integral(alpha, lam, 0.0, a, t)
                  + special_ml.ml_kernel_integral(alpha, lam, a, b, t))
         worst = max(worst, abs(whole - parts) / max(abs(whole), 1e-30))
-    rows.append(_row("ml/kernel-additivity", worst, 1e-12))
+    rows.append(CheckResult.of("ml/kernel-additivity", worst, 1e-12))
     return rows
 
 
@@ -263,18 +246,18 @@ def suite_fracops(rng):
         out = caputo_l1(TimeSeries(g, g.nodes ** alpha), alpha)
         errs.append(abs(out.values[-1] - gamma(1 + alpha)))
     rates = [math.log2(errs[i] / errs[i + 1]) for i in range(3)]
-    rows.append(_row("fracops/L1-power-rule-order", (2.0 - alpha) - min(rates), 0.1))
+    rows.append(CheckResult.of("fracops/L1-power-rule-order", (2.0 - alpha) - min(rates), 0.1))
     g = TimeGrid.uniform(1.0, 256)
     y = TimeSeries(g, np.sin(3 * g.nodes) + g.nodes)
     both = rl_integral(rl_integral(y, 0.45), 0.35).values
     direct = rl_integral(y, 0.8).values
-    rows.append(_row("fracops/J-semigroup", float(np.max(np.abs(both - direct))), 5e-3))
+    rows.append(CheckResult.of("fracops/J-semigroup", float(np.max(np.abs(both - direct))), 5e-3))
     y2 = TimeSeries(g, np.sin(2 * g.nodes) * g.nodes)
     back = caputo_l1(rl_integral(y2, alpha), alpha)
-    rows.append(_row("fracops/caputo-inverts-J",
+    rows.append(CheckResult.of("fracops/caputo-inverts-J",
                      float(np.max(np.abs(back.values[1:] - y2.values[1:]))), 5e-3))
     vals = rng.random(257)
-    rows.append(_row("fracops/J-sign-preservation",
+    rows.append(CheckResult.of("fracops/J-sign-preservation",
                      -float(np.min(rl_integral(TimeSeries(g, vals), 0.6).values)), 0.0))
     worst = -np.inf
     n_applicable = 0
@@ -288,7 +271,7 @@ def suite_fracops(rng):
         rep = extremum_check(series, 0.5)
         n_applicable += 1
         worst = max(worst, rep.caputo_at_min - rep.tolerance)
-    rows.append(_row(f"fracops/extremum-principle[{n_applicable} cases]", worst, 0.0))
+    rows.append(CheckResult.of(f"fracops/extremum-principle[{n_applicable} cases]", worst, 0.0))
     return rows
 
 
@@ -300,8 +283,8 @@ def suite_positivity(rng):
         p = random_linear_problem(rng, alpha, n=20, N=64, T=1.0)
         u = solve_linear_spectral(p)
         rep = compare.check_positivity(u, alpha=alpha)
-        worst = max(worst, rep.worst_violation - rep.tolerance_used)
-    rows.append(_row("positivity/50-random-specs", worst, 0.0))
+        worst = max(worst, rep.worst - rep.tolerance)
+    rows.append(CheckResult.of("positivity/50-random-specs", worst, 0.0))
     return rows + EX1.run(0.5, 24, 96).rows
 
 
@@ -316,8 +299,8 @@ def suite_ordering(rng):
         u_hi = solve_linear_spectral(p_hi)
         u_lo = solve_linear_spectral(p)
         rep = compare.check_ordering(u_hi, u_lo, alpha=alpha)
-        worst = max(worst, rep.worst_violation - rep.tolerance_used)
-    rows.append(_row("ordering/data-comparison-10-pairs", worst, 0.0))
+        worst = max(worst, rep.worst - rep.tolerance)
+    rows.append(CheckResult.of("ordering/data-comparison-10-pairs", worst, 0.0))
     worst = 0.0
     for _ in range(10):
         alpha = float(rng.choice([0.3, 0.5, 0.7]))
@@ -326,8 +309,8 @@ def suite_ordering(rng):
         d2 = float(rng.uniform(0.0, 0.6))
         hi, lo = max(d1, d2), min(d1, d2)
         _, _, rep = compare.coefficient_comparison(p, which="c", c1=-lo, c2=-hi)
-        worst = max(worst, rep.worst_violation - rep.tolerance_used)
-    rows.append(_row("ordering/zeroth-order-comparison-10-pairs", worst, 0.0))
+        worst = max(worst, rep.worst - rep.tolerance)
+    rows.append(CheckResult.of("ordering/zeroth-order-comparison-10-pairs", worst, 0.0))
     worst = 0.0
     for _ in range(10):
         alpha = float(rng.choice([0.3, 0.5, 0.7]))
@@ -336,8 +319,8 @@ def suite_ordering(rng):
         s1 = float(rng.uniform(0.2, 1.5))
         s2 = s1 + float(rng.uniform(0.0, 1.5))
         _, _, rep = compare.coefficient_comparison(p, which="sigma", sigma1=s1, sigma2=s2)
-        worst = max(worst, rep.worst_violation - rep.tolerance_used)
-    rows.append(_row("ordering/robin-comparison-10-pairs", worst, 0.0))
+        worst = max(worst, rep.worst - rep.tolerance)
+    rows.append(CheckResult.of("ordering/robin-comparison-10-pairs", worst, 0.0))
     worst = 0.0
     for _ in range(10):
         alpha = float(rng.choice([0.3, 0.5, 0.7]))
@@ -347,8 +330,8 @@ def suite_ordering(rng):
         u1 = solve_semilinear(p, f1)
         u2 = solve_semilinear(p, f2)
         rep = compare.check_ordering(u1, u2, alpha=alpha, name="semilinear ordering")
-        worst = max(worst, rep.worst_violation - rep.tolerance_used)
-    rows.append(_row("ordering/semilinear-term-10-pairs", worst, 0.0))
+        worst = max(worst, rep.worst - rep.tolerance)
+    rows.append(CheckResult.of("ordering/semilinear-term-10-pairs", worst, 0.0))
     return rows
 
 
@@ -356,7 +339,7 @@ def suite_barriers(rng):
     p, f = E3.build(0.5, 32, 96)
     rows = E3.check(p, f).rows + E4.run(0.5, 24, 96).rows
     zeros = Field(p.grid, p.tgrid, np.zeros((p.tgrid.nodes.size, p.grid.n_nodes)))
-    rows.append(_from_report(compare.verify_barrier(zeros, "lower", p, f=f)))
+    rows.append(compare.verify_barrier(zeros, "lower", p, f=f))
     return rows
 
 

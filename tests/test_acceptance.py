@@ -237,7 +237,7 @@ class TestCriterion6Positivity:
             p = random_linear_problem(rng, alpha, n=24, N=96)
             u = solve_linear_spectral(p)
             rep = compare.check_positivity(u, alpha=alpha)
-            worst = max(worst, rep.worst_violation - rep.tolerance_used)
+            worst = max(worst, rep.worst - rep.tolerance)
             fails += 0 if rep.holds else 1
         report(6, "positivity on 50 random nonnegative-data specs", fails == 0,
                f"worst margin {worst:.2e}")
@@ -272,7 +272,7 @@ class TestCriterion8CoefficientComparison:
             p = random_linear_problem(rng, alpha, n=24, N=96)
             d1, d2 = sorted(rng.uniform(0.0, 0.6, 2))
             _, _, rep = compare.coefficient_comparison(p, which="c", c1=-d1, c2=-d2)
-            worst = max(worst, rep.worst_violation - rep.tolerance_used)
+            worst = max(worst, rep.worst - rep.tolerance)
             fails += 0 if rep.holds else 1
         report(8, "zeroth-order comparison on 10 random pairs", fails == 0,
                f"worst margin {worst:.2e}")
@@ -289,7 +289,7 @@ class TestCriterion8CoefficientComparison:
             s1 = float(rng.uniform(0.2, 1.5))
             s2 = s1 + float(rng.uniform(0.0, 1.5))
             _, _, rep = compare.coefficient_comparison(p, which="sigma", sigma1=s1, sigma2=s2)
-            worst = max(worst, rep.worst_violation - rep.tolerance_used)
+            worst = max(worst, rep.worst - rep.tolerance)
             fails += 0 if rep.holds else 1
         report(8, "Robin comparison under c < 0 on 10 random pairs", fails == 0,
                f"worst margin {worst:.2e}")
@@ -337,7 +337,7 @@ class TestCriterion10SemilinearReduction:
             u1 = solve_semilinear(p1, f1)
             u2 = solve_semilinear(p2, f2)
             rep = compare.check_ordering(u1, u2, alpha=alpha)
-            worst = max(worst, rep.worst_violation - rep.tolerance_used)
+            worst = max(worst, rep.worst - rep.tolerance)
             fails += 0 if rep.holds else 1
         report(10, "semilinear ordering (f1 >= f2, a1 >= a2) on 10 instances", fails == 0,
                f"worst margin {worst:.2e}")
@@ -352,14 +352,14 @@ class TestCriterion11Sandwich:
             upper=Field(p.grid, p.tgrid, np.ones((nt, p.grid.n_nodes))),
         )
         res = compare.monotone_iteration(p, f, barriers, M=1.0, k_max=30)
-        tol = res.sandwich.tolerance_used
+        tol = res.sandwich.tolerance
         chain_worst = 0.0
         for seq, sgn in ((res.from_lower, 1.0), (res.from_upper, -1.0)):
             for a, b in zip(seq, seq[1:]):
                 chain_worst = max(chain_worst, -float(np.min(sgn * (b.values - a.values))))
         ok = res.sandwich.holds and chain_worst <= tol
         report(11, "monotone chains and final sandwich", ok,
-               f"chain violation {chain_worst:.1e}, sandwich worst {res.sandwich.worst_violation:.1e}")
+               f"chain violation {chain_worst:.1e}, sandwich worst {res.sandwich.worst:.1e}")
 
     def test_saturating_sink_band(self):
         # the band the explicit barriers prove: 0 <= u and u <= a + rho t^alpha
