@@ -139,17 +139,7 @@ def caputo_l1(y: TimeSeries, alpha: float) -> TimeSeries:
 
     Constant shifts drop out exactly, matching d_t^alpha y = d_t^alpha (y - y(0)).
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    t = y.grid.nodes
-    v = y.values
-    n = t.size
-    out = np.zeros(n)
-    dv = np.diff(v)
-    for m in range(1, n):
-        w = caputo_l1_weights(t[: m + 1], alpha)
-        out[m] = np.dot(w, dv[:m])
-    return TimeSeries(y.grid, out)
+    return TimeSeries(y.grid, caputo_l1_field(y.grid, y.values, alpha))
 
 
 def caputo_l1_field(tgrid: TimeGrid, values: np.ndarray, alpha: float) -> np.ndarray:
