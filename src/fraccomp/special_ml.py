@@ -133,10 +133,14 @@ def _asym_term_logs(alpha, beta, x, max_terms):
     Gamma of negative argument goes through the reflection formula so magnitudes
     stay representable for hundreds of terms.  Truncation decisions must use the
     envelope: near alpha = 1 the raw magnitudes dip at pseudo-poles of the
-    reflection sine long after the true optimal index."""
+    reflection sine long after the true optimal index.  The sine comes from
+    whichever of y and k - y is nearer zero, sin(pi y) = (-1)^(k+1) sin(pi (k - y)),
+    so that it keeps its relative accuracy there."""
     k = np.arange(1, max_terms + 1, dtype=float)
     y = alpha * k - beta + 1.0  # Gamma(beta - alpha k) = Gamma(1 - y)
-    sin_y = np.sin(np.pi * y)
+    y_c = (1.0 - alpha) * k + (beta - 1.0)  # k - y
+    sin_y = np.where(np.abs(y) <= np.abs(y_c), np.sin(np.pi * y),
+                     (-1.0) ** (k + 1) * np.sin(np.pi * y_c))
     base = -k * math.log(x) + gammaln(np.maximum(y, 1e-300)) - math.log(math.pi)
     with np.errstate(divide="ignore"):
         ln_mag = base + np.log(np.abs(sin_y))

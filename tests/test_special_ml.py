@@ -304,6 +304,15 @@ class TestSpectralRule:
         assert np.max(np.abs(got - ref)) < 1e-12
         assert np.all(np.abs(got - ref) <= est)
 
+    @pytest.mark.parametrize("alpha", [0.99999, 0.999999])
+    def test_asymptotic_tail_near_one(self, alpha):
+        # the reflection sine of the tail coefficients, sin(pi alpha k), loses
+        # about eps/(1 - alpha) relative unless taken from (1 - alpha) k
+        table = special_ml._table(alpha)
+        x = np.geomspace(table.x_asym, 50.0 * table.x_asym, 64)
+        ref = special_ml._ml_neg(alpha, 1.0, x)[0]
+        assert np.max(np.abs(relaxation_batch(alpha, x) / ref - 1.0)) < 1e-13
+
     @pytest.mark.parametrize("alpha", RULE_ALPHAS)
     def test_scalar_and_batch_agree(self, alpha):
         x = np.geomspace(1e-3, 1e3, 200)
