@@ -137,7 +137,14 @@ def build_problem(cfg):
     grading = cfg["time_grading"].strip().lower()
     if grading not in ("uniform", "graded"):
         raise ConfigError(f"time_grading must be uniform or graded, got {grading!r}")
-    r = _number("grading_r", cfg["grading_r"]) if cfg["grading_r"].strip() else 2.0 / alpha
+    r_default = not cfg["grading_r"].strip()
+    r = 2.0 / alpha if r_default else _number("grading_r", cfg["grading_r"])
+    # a steep grading underflows the first graded node T (1/N)^r to t_0 = 0
+    steep = grading == "graded" and horizon > 0.0 and n_time >= 2
+    if steep and not horizon * (1.0 / n_time) ** r > 0.0:
+        raise ConfigError(f"grading_r = {r:g}{' (the default 2/alpha)' if r_default else ''} "
+                          f"underflows the first graded node T (1/n_time)^r to 0; "
+                          f"set a smaller grading_r or time_grading = uniform")
     expr = {key: _opt_expr(cfg, key) for key in ("a", "b", "c", "initial", "source")}
     if expr["a"] is None:
         raise ConfigError("diffusion coefficient a is required")

@@ -171,8 +171,9 @@ class TestSolve:
         (["c=" + "+".join(["x"] * 3000)], "config key 'c': cannot parse"),
         (["c=" + "(" * 400 + "x" + ")" * 400], "config key 'c': cannot parse"),
         (["b0=1"], "unknown key 'b0'"),
+        (["grading_r=300"], "grading_r = 300 underflows the first graded node"),
     ], ids=["n_space", "domain", "T", "n_time", "c0", "a<=0", "a", "initial", "source",
-            "c-3000-terms", "c-400-parentheses", "b0"])
+            "c-3000-terms", "c-400-parentheses", "b0", "grading_r"])
     def test_bad_config_rejected_at_build(self, tmp_path, capsys, overrides, message):
         argv = ["solve", "--out", str(tmp_path)]
         for item in overrides:
@@ -181,6 +182,13 @@ class TestSolve:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert "config error" in read_manifest(tmp_path)["verdict"]
+
+    def test_default_grading_named_at_small_alpha(self, tmp_path, capsys):
+        # r = 2/alpha = 200 underflows T (1/N)^r: the default grading is the cause
+        assert run_cli(["solve", "--set", "alpha=0.01", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "grading_r = 200 (the default 2/alpha)" in err
+        assert "smaller grading_r or time_grading = uniform" in err
 
     def test_fields_checked_on_the_grid_only(self, tmp_path):
         # singular at x = 0.1 and t = 0, neither of which the solvers sample
