@@ -139,9 +139,9 @@ def build_problem(cfg):
         raise ConfigError(f"time_grading must be uniform or graded, got {grading!r}")
     r_default = not cfg["grading_r"].strip()
     r = 2.0 / alpha if r_default else _number("grading_r", cfg["grading_r"])
-    # a steep grading underflows the first graded node T (1/N)^r to t_0 = 0
-    steep = grading == "graded" and horizon > 0.0 and n_time >= 2
-    if steep and not horizon * (1.0 / n_time) ** r > 0.0:
+    # on an otherwise valid graded grid, T (1/N)^r = 0 = t_0 is the grading's fault
+    if (grading == "graded" and horizon > 0.0 and n_time >= 2 and r >= 1.0
+            and not horizon * (1.0 / n_time) ** r > 0.0):
         raise ConfigError(f"grading_r = {r:g}{' (the default 2/alpha)' if r_default else ''} "
                           f"underflows the first graded node T (1/n_time)^r to 0; "
                           f"set a smaller grading_r or time_grading = uniform")

@@ -97,7 +97,7 @@ def default_tolerance(grid, tgrid, alpha, scale=1.0):
 
 def _worst(*violations):
     """The largest entry of the violation arrays, or 0 when none is positive."""
-    return max([float(np.max(v)) for v in violations if np.size(v)] + [0.0])
+    return max([float(np.max(v)) for v in violations] + [0.0])
 
 
 def check_positivity(u: Field, alpha) -> CheckResult:

@@ -138,7 +138,7 @@ def _check_sandwich(p, f):
     rows = [res.sandwich,
             CheckResult.of("monotone/chain-monotonicity", chain_worst, res.sandwich.tolerance),
             CheckResult.of("monotone/scalar-oracle-agreement",
-                 float(np.max(np.abs(res.solution.values[:, 5] - y))), 5e-3)]
+                           float(np.max(np.abs(res.solution.values[:, 5] - y))), 5e-3)]
     return Outcome(rows, [], {})
 
 
@@ -164,7 +164,7 @@ def _check_decay(p, f):
 
     rows = [CheckResult.of("decay/single-mode-constant-ratio", abs(rep1.fitted_C - 0.7), 1e-8),
             CheckResult.of("decay/saturating-sink-fit-stability",
-                 abs(rep.fitted_C_tail - rep.fitted_C) / max(rep.fitted_C, 1e-300), 0.10),
+                           abs(rep.fitted_C_tail - rep.fitted_C) / max(rep.fitted_C, 1e-300), 0.10),
             CheckResult.of("decay/t^-alpha-envelope", sup_ratio(tail), 1.1 * sup_ratio(third))]
     envelope = rep.fitted_C * special_ml.relaxation_batch(alpha, lam1 * tn ** alpha)
     return Outcome(rows, [tn, np.max(dev, axis=1), envelope],
@@ -255,10 +255,10 @@ def suite_fracops(rng):
     y2 = TimeSeries(g, np.sin(2 * g.nodes) * g.nodes)
     back = caputo_l1(rl_integral(y2, alpha), alpha)
     rows.append(CheckResult.of("fracops/caputo-inverts-J",
-                     float(np.max(np.abs(back.values[1:] - y2.values[1:]))), 5e-3))
+                               float(np.max(np.abs(back.values[1:] - y2.values[1:]))), 5e-3))
     vals = rng.random(257)
     rows.append(CheckResult.of("fracops/J-sign-preservation",
-                     -float(np.min(rl_integral(TimeSeries(g, vals), 0.6).values)), 0.0))
+                               -float(np.min(rl_integral(TimeSeries(g, vals), 0.6).values)), 0.0))
     worst = -np.inf
     n_applicable = 0
     for _ in range(20):

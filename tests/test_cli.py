@@ -172,8 +172,9 @@ class TestSolve:
         (["c=" + "(" * 400 + "x" + ")" * 400], "config key 'c': cannot parse"),
         (["b0=1"], "unknown key 'b0'"),
         (["grading_r=300"], "grading_r = 300 underflows the first graded node"),
+        (["grading_r=-2000"], "grading exponent must be >= 1"),
     ], ids=["n_space", "domain", "T", "n_time", "c0", "a<=0", "a", "initial", "source",
-            "c-3000-terms", "c-400-parentheses", "b0", "grading_r"])
+            "c-3000-terms", "c-400-parentheses", "b0", "grading_r", "grading_r<1"])
     def test_bad_config_rejected_at_build(self, tmp_path, capsys, overrides, message):
         argv = ["solve", "--out", str(tmp_path)]
         for item in overrides:
