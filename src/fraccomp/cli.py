@@ -133,6 +133,8 @@ def build_problem(cfg):
         raise ConfigError(f"n_space = {n_space} and n_time = {n_time} exceed the size limit: "
                           f"(n_space + 2) * max(n_space + 2, 2 * n_time) > {MAX_GRID_VALUES}")
     horizon = _number("T", cfg["T"])
+    if not horizon > 0.0:
+        raise ConfigError(f"T must be positive, got {horizon:g}")
     c0, sigma_lo, sigma_hi = (_number(key, cfg[key]) for key in ("c0", "sigma_lo", "sigma_hi"))
     grading = cfg["time_grading"].strip().lower()
     if grading not in ("uniform", "graded"):
@@ -140,7 +142,7 @@ def build_problem(cfg):
     r_default = not cfg["grading_r"].strip()
     r = 2.0 / alpha if r_default else _number("grading_r", cfg["grading_r"])
     # on an otherwise valid graded grid, T (1/N)^r = 0 = t_0 is the grading's fault
-    if (grading == "graded" and horizon > 0.0 and n_time >= 2 and r >= 1.0
+    if (grading == "graded" and n_time >= 2 and r >= 1.0
             and not horizon * (1.0 / n_time) ** r > 0.0):
         raise ConfigError(f"grading_r = {r:g}{' (the default 2/alpha)' if r_default else ''} "
                           f"underflows the first graded node T (1/n_time)^r to 0; "

@@ -15,6 +15,7 @@ the one-sided derivative rows, so every implicit solve is pentadiagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
@@ -79,9 +80,12 @@ class Grid1D:
     def h(self):
         return (self.x_hi - self.x_lo) / (self.n + 1)
 
-    @property
+    @cached_property
     def nodes(self):
-        return np.linspace(self.x_lo, self.x_hi, self.n + 2)
+        """The n + 2 nodes, built once and read-only: every caller shares them."""
+        x = np.linspace(self.x_lo, self.x_hi, self.n + 2)
+        x.setflags(write=False)
+        return x
 
     @property
     def n_nodes(self):

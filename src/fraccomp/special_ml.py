@@ -34,7 +34,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, rgamma
+from scipy.special import erfcx, gammaln, rgamma
 
 __all__ = [
     "MLQuery",
@@ -164,6 +164,15 @@ def _asymptotic_neg(alpha, beta, x, max_terms=1200):
     terms = sign[:k_opt] * mags
     total = math.fsum(terms)
     est = 2.0 * float(np.exp(min(ln_env[k_opt - 1], 700.0)))
+    if alpha < 1.0:
+        # the pair of exponential branches zeta = x^(1/alpha) e^(+-i pi/alpha)
+        # that the series omits; past the Stokes line arg zeta = pi they are
+        # switched off by erfc(theta sqrt(|zeta|/2)), theta = pi (1/alpha - 1).
+        # They make up E = e^-x at alpha = 1 and are negligible below ~0.9.
+        root = x ** (1.0 / alpha)
+        y = math.pi * (1.0 / alpha - 1.0) * math.sqrt(0.5 * root)
+        est += ((2.0 / alpha) * x ** ((1.0 - beta) / alpha) * erfcx(y)
+                * math.exp(root * math.cos(math.pi / alpha) - y * y))
     return total, est + _EPS * float(np.sum(np.abs(terms)))
 
 

@@ -161,6 +161,8 @@ class TestSolve:
         (["n_space=2"], "grid (domain, n_space, T, n_time, grading_r): need at least 3 interior nodes"),
         (["domain=1,0"], "grid (domain, n_space, T, n_time, grading_r): need x_lo < x_hi"),
         (["T=nan"], "config key 'T': 'nan' is not a finite float"),
+        (["T=0"], "T must be positive, got 0"),
+        (["T=-1"], "T must be positive, got -1"),
         (["n_time=1"], "grid (domain, n_space, T, n_time, grading_r): need at least 3 nodes"),
         (["c0=inf"], "config key 'c0'"),
         (["a=-1"], "ellipticity violated"),
@@ -173,7 +175,7 @@ class TestSolve:
         (["b0=1"], "unknown key 'b0'"),
         (["grading_r=300"], "grading_r = 300 underflows the first graded node"),
         (["grading_r=-2000"], "grading exponent must be >= 1"),
-    ], ids=["n_space", "domain", "T", "n_time", "c0", "a<=0", "a", "initial", "source",
+    ], ids=["n_space", "domain", "T", "T=0", "T=-1", "n_time", "c0", "a<=0", "a", "initial", "source",
             "c-3000-terms", "c-400-parentheses", "b0", "grading_r", "grading_r<1"])
     def test_bad_config_rejected_at_build(self, tmp_path, capsys, overrides, message):
         argv = ["solve", "--out", str(tmp_path)]

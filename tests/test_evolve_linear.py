@@ -6,16 +6,18 @@ from scipy.special import gamma
 
 from fraccomp.elliptic import EllipticSpec, Grid1D, SpaceField, assemble, eigendecompose
 from fraccomp.evolve_linear import (
+    _RELAX_BLOCK,
     Field,
     ProblemSpec,
     SolverError,
+    _Memory,
     duhamel_step,
     homogeneous_solution,
     solve_linear_l1,
     solve_linear_spectral,
 )
 from fraccomp.fracops import TimeGrid
-from fraccomp.special_ml import ml_relaxation
+from fraccomp.special_ml import ml_relaxation, relaxation_batch, relaxation_exponentials
 
 
 def make_problem(alpha=0.5, n=24, N=64, T=1.0, r=None, **spec_kw):
@@ -177,6 +179,77 @@ class TestSpectralSolver:
         ref = (1.0 - np.array([ml_relaxation(alpha, l, T) for l in lams])) / lams
         assert np.allclose(total, ref, rtol=1e-12)
         assert np.all(total <= 1.0 / lams + 1e-15)
+
+
+def exact_duhamel(p, eig):
+    """The march's fields from the eigen-expansion of S(t_m) a plus every past
+    window's exact kernel mass times its projected midpoint source (q inactive)."""
+    from fraccomp.evolve_linear import _kernel_masses
+
+    t, alpha = p.tgrid.nodes, p.alpha
+    a_coef = eig.project(p.initial_values())
+    f_coef = np.array([eig.project(p.source_at(0.5 * (t[k] + t[k + 1]))) for k in range(t.size - 1)])
+    lam = np.maximum(eig.lambdas, 0.0)
+    ref = np.empty((t.size, p.grid.n_nodes))
+    for m in range(t.size):
+        coef = a_coef * np.array([ml_relaxation(alpha, l, t[m]) for l in lam])
+        if m:
+            masses = _kernel_masses(alpha, eig.lambdas, (t[m] - t[: m + 1]) ** alpha)
+            coef = coef + (masses * f_coef[:m].T).sum(axis=1)
+        ref[m] = eig.synthesize(coef)
+    return ref
+
+
+class TestBlockedMarch:
+    """The march fetches relaxation values _RELAX_BLOCK nodes at a time and
+    advances only the live band of exponential terms of each mode."""
+
+    def test_relaxation_batch_is_pointwise(self):
+        # a value does not depend on the batch it is computed in, which is
+        # what lets the march fetch a block of nodes at once
+        rng = np.random.default_rng(3)
+        for alpha in (0.3, 0.95):
+            x = np.concatenate([[0.0, 1e-3, 0.05, 1.0, 30.0], 10.0 ** rng.uniform(-6.0, 4.0, 400)])
+            batch = relaxation_batch(alpha, x)
+            alone = np.array([relaxation_batch(alpha, x[i : i + 1])[0] for i in range(x.size)])
+            assert np.array_equal(batch, alone)
+            assert np.array_equal(relaxation_batch(alpha, x.reshape(5, 81)).ravel(), batch)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.95])
+    def test_several_blocks_match_exact_duhamel_sum(self, alpha):
+        grid, tg, spec = make_problem(alpha=alpha, n=24, N=2 * _RELAX_BLOCK + 5, c0=1e-6, c=-1e-6)
+        eig = eigendecompose(assemble(spec, grid))
+        src = lambda x, t: (1.0 + np.sin(3.0 * x)) * np.cos(4.0 * t) + t
+        p = ProblemSpec(alpha, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x), source=src)
+        u = solve_linear_spectral(p, eig).values
+        ref = exact_duhamel(p, eig)
+        assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_restriction_inside_a_block_is_exact(self):
+        # node 45 lies inside the second block of nodes; q is active, so the
+        # Picard sweeps and the running sums both enter
+        grid, tg, spec = make_problem(alpha=0.4, N=3 * _RELAX_BLOCK, c0=1.0, b=0.3, c=-0.5)
+        p = ProblemSpec(0.4, spec, grid, tg, lambda x: 1 + np.cos(math.pi * x),
+                        source=lambda x, t: np.sin(2.0 * x) + t)
+        u = solve_linear_spectral(p)
+        half = u.restrict_time(45)
+        u2 = solve_linear_spectral(ProblemSpec(0.4, spec, grid, half.tgrid, p.initial, source=p.source))
+        assert np.array_equal(half.values, u2.values)
+
+    def test_memory_holds_only_the_band(self):
+        # the rule has 1392 terms at alpha = 0.05; no modes x terms array is kept
+        alpha, n = 0.05, 1024
+        n_terms = relaxation_exponentials(alpha).log_rho.size
+        lam = 1.0 + (math.pi * np.arange(n + 2)) ** 2
+        t = TimeGrid.graded(1.0, 64, 2.0 / alpha).nodes
+        memory = _Memory(alpha, lam, t)
+        g_hist = np.ones((t.size - 1, lam.size))
+        for m in range(1, t.size):
+            memory.advance(m, g_hist)
+        arrays = [a for a in vars(memory).values() if isinstance(a, np.ndarray)]
+        assert max(a.size for a in arrays) < lam.size * n_terms // 4
+        per_mode = [a for a in arrays if a.ndim == 2 and a.shape[0] == lam.size]
+        assert per_mode and all(a.shape[1] < n_terms // 4 for a in per_mode)
 
 
 class TestL1Solver:

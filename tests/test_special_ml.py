@@ -313,6 +313,18 @@ class TestSpectralRule:
         ref = special_ml._ml_neg(alpha, 1.0, x)[0]
         assert np.max(np.abs(relaxation_batch(alpha, x) / ref - 1.0)) < 1e-13
 
+    @pytest.mark.parametrize("alpha", [0.999, 0.99999, 0.999999])
+    @pytest.mark.parametrize("beta_is_alpha", [False, True])
+    def test_asymptotic_estimate_counts_exponential_branch(self, alpha, beta_is_alpha):
+        # just above the switch x^(1/alpha) = 38 the omitted e^-x-like term
+        # (3e-17 at x = 38) is larger than the tail's own estimate
+        beta = alpha if beta_is_alpha else 1.0
+        for factor in (1.0, 1.01, 1.1):
+            x = 38.0 ** alpha * factor
+            r = ml(MLQuery(alpha, beta, -x))
+            assert r.regime == "asymptotic"
+            assert abs(r.value - special_ml._mp_series(alpha, beta, -x)) <= r.est_abs_error
+
     @pytest.mark.parametrize("alpha", RULE_ALPHAS)
     def test_scalar_and_batch_agree(self, alpha):
         x = np.geomspace(1e-3, 1e3, 200)
