@@ -362,6 +362,7 @@ class _Memory:
         s_m, dt = t[m] - t[0], t[m] - t[m - 1]
         ln_lo, ln_hi = math.log(_BAND_LO / s_m), math.log(_BAND_HI / dt)
         moved = ()
+        # the margins cover rounding between this test and the searches below
         if ln_lo <= self.ln_top + 1e-6 or ln_hi >= self.ln_next - 1e-6:
             lo = np.searchsorted(self.log_rho, ln_lo - self.ln_root)
             hi = np.searchsorted(self.log_rho, ln_hi - self.ln_root, side="right")
