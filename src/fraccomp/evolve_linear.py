@@ -222,7 +222,11 @@ class _Memory:
       they join the sums when they are old enough;
     * modes with lam t_m^alpha <= 1e-8, whose masses are power differences.
     E(-lam t_m^alpha) and the current window's relaxation values are
-    fetched for _RELAX_BLOCK nodes in one relaxation_batch call.  Every
+    fetched for _RELAX_BLOCK nodes in one relaxation_batch call, together
+    with the block's fold schedule.  At a node where every big row folds
+    just window m - 2 (on graded grids, every node past the first), the
+    fold is a fixed set of in-place operations; the rest go through
+    _fold window by window.  Every
     choice at node m depends on t[0..m], lam and alpha only, so a solve on
     a restricted grid reproduces the longer solve exactly."""
 
@@ -258,6 +262,8 @@ class _Memory:
         self.rates = np.zeros((modes, 0))
         self.weight = np.zeros((modes, 0))
         self.decay_m1 = np.zeros((modes, 0))  # exp(-r dt) - 1 of the last step
+        self.work = np.zeros((modes, 0))  # scratch of the band's shape
+        self.g_k = np.zeros(modes)  # scratch: the forcing of the window to fold
         self.m1 = np.zeros(modes)  # moments of the folded windows
         self.p = np.zeros(modes)
         self.folded = np.zeros(modes, dtype=int)  # windows k < folded are in sums
@@ -285,8 +291,21 @@ class _Memory:
             masses = np.where(small,
                               self.g1 * dt_pow[:, None] - lam * (self.g2 * (dt_pow * dt_pow)[:, None]),
                               (1.0 - cur) / lam)
+        # the fold schedule: at node k, windows j with age t_k - t_{j+1} >= tau
+        # fold into the sums, up to window k - 2; small rows fold nothing
+        k = np.arange(m, stop)[:, None]
+        big = lam * t_pow[:, None] > 1e-8
+        fold = np.minimum(np.searchsorted(t[1:], t[m:stop, None] - self.tau, side="right"), k - 1)
+        fold[~big] = 0
+        # nodes where every big row folds exactly window k - 2, the one the
+        # last step left behind (windows fold one at a time, each in turn)
+        before = np.concatenate([self.folded[None, :], fold[:-1]])
+        one = np.all(~big | ((fold == k - 1) & (before == k - 2)), axis=1) & big.any(axis=1)
+        rest = fold < k - 1
         self.block_start, self.block_stop = m, stop
         self.t_pow, self.relax, self.w_cur = t_pow, e[: stop - m], np.maximum(masses, 0.0)
+        self.fold, self.big, self.fold_one = fold, big, one
+        self.rest, self.rest_any = rest, rest.any(axis=1)
 
     def _band_rows(self, rows, base):
         """Rates and weights of the band columns of `rows` from term `base` on."""
@@ -318,6 +337,7 @@ class _Memory:
         if m >= 2:
             decay = np.expm1(rates[:, old:] * -(self.t[m - 1] - self.t[m - 2]))
         self.decay_m1 = np.concatenate([self.decay_m1, decay], axis=1)
+        self.work = np.empty_like(self.sums)
         self._edges()
 
     def _shift(self, m, rows, base):
@@ -342,6 +362,24 @@ class _Memory:
         self.ln_a2[rows] = 2.0 * self.ln_root[rows] + self.ln_c2[base]
         self._edges()
 
+    def _fold(self, m, g_hist, grow, fold_to):
+        """Fold the windows folded <= k < fold_to of the rows `grow` into the
+        sums at t_{m-1} and into the moments, window by window."""
+        t = self.t
+        k0, k1 = int(self.folded[grow].min()), int(fold_to.max())
+        for k in range(k0, k1):
+            # one window to fold: every growing row folds it
+            sel = grow if k1 == k0 + 1 else grow & (self.folded <= k) & (k < fold_to)
+            g_k = g_hist[k] * sel
+            if k == m - 2:  # the window the last step left behind
+                self.sums -= self.decay_m1 * g_k[:, None]
+            else:  # windows that just came of age: their terms at t_{m-1}
+                r = self.rates[sel]
+                w = np.exp(-r * (t[m - 1] - t[k + 1])) * -np.expm1(-r * (t[k + 1] - t[k]))
+                self.sums[sel] += w * g_hist[k, sel, None]
+            self.m1 += (t[k + 1] - t[k]) * g_k
+            self.p += ((t[k + 1] - t[k]) * (t[k + 1] + t[k] - 2.0 * t[0])) * g_k
+
     def advance(self, m, g_hist):
         """Move to node m; returns E(-lam t_m^alpha) per mode, the history
         term and the current window's masses.  g_hist[k] holds the mode
@@ -350,10 +388,7 @@ class _Memory:
         if m >= self.block_stop:
             self._fetch(m)
         b = m - self.block_start
-        big = lam * self.t_pow[b] > 1e-8
-        # windows k with age t_m - t_{k+1} >= tau fold into the sums
-        fold_to = np.where(big, np.searchsorted(t[1:m], t[m] - self.tau, side="right"), 0)
-        grow = fold_to > self.folded
+        fold_to = self.fold[b]
 
         # the live band [lo, hi) of each mode at node m.  When the lower edge
         # of a row passes its first column, every row whose edge is within
@@ -374,27 +409,22 @@ class _Memory:
                 self._widen(m, -(-width // _BAND_SLACK) * _BAND_SLACK)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            if grow.any():
-                k0, k1 = int(self.folded[grow].min()), int(fold_to.max())
-                for k in range(k0, k1):
-                    # one window to fold: every growing row folds it
-                    sel = grow if k1 == k0 + 1 else grow & (self.folded <= k) & (k < fold_to)
-                    g_k = g_hist[k] * sel
-                    if k == m - 2:  # the window the last step left behind
-                        self.sums -= self.decay_m1 * g_k[:, None]
-                    else:  # windows that just came of age: their terms at t_{m-1}
-                        r = self.rates[sel]
-                        w = np.exp(-r * (t[m - 1] - t[k + 1])) * -np.expm1(-r * (t[k + 1] - t[k]))
-                        self.sums[sel] += w * g_hist[k, sel, None]
-                    self.m1 += (t[k + 1] - t[k]) * g_k
-                    self.p += ((t[k + 1] - t[k]) * (t[k + 1] + t[k] - 2.0 * t[0])) * g_k
-                np.maximum(self.folded, fold_to, out=self.folded)
+            if self.fold_one[b]:  # window m - 2 on every big row, in place
+                g_k = np.multiply(g_hist[m - 2], self.big[b], out=self.g_k)
+                self.sums -= np.multiply(self.decay_m1, g_k[:, None], out=self.work)
+                dt_k = t[m - 1] - t[m - 2]
+                self.m1 += dt_k * g_k
+                self.p += (dt_k * (t[m - 1] + t[m - 2] - 2.0 * t[0])) * g_k
+            else:
+                grow = fold_to > self.folded
+                if grow.any():
+                    self._fold(m, g_hist, grow, fold_to)
+            self.folded = fold_to
             if len(moved):
                 self._shift(m, moved, base[moved])
-            decay_m1 = np.multiply(self.rates, -dt)
+            decay_m1 = np.multiply(self.rates, -dt, out=self.decay_m1)
         np.expm1(decay_m1, out=decay_m1)
-        self.sums *= 1.0 + decay_m1
-        self.decay_m1 = decay_m1
+        self.sums *= np.add(decay_m1, 1.0, out=self.work)
 
         # the frozen terms, scaled by t_m so that no factor overflows:
         # sum_j w_j r_j t_m <= 1e-8 sum_j w_j, M1 / t_m <= max |g|
@@ -405,8 +435,8 @@ class _Memory:
         history = (np.einsum("ij,ij->i", self.sums, self.weight) + frozen) / self.lam_div
         w_last = self.w_cur[b].copy()
         # small modes, and young windows k >= fold_to of the others
-        rest = fold_to < m - 1
-        if rest.any():
+        if self.rest_any[b]:
+            rest = self.rest[b]
             q = int(fold_to[rest].min())
             masses = _kernel_masses(alpha, lam[rest], (t[m] - t[q : m + 1]) ** alpha)
             young = np.arange(q, m - 1)[None, :] >= fold_to[rest, None]
