@@ -44,12 +44,21 @@ class DegenerateEigenpairError(RuntimeError):
     pass
 
 
+def _on_nodes(values, x):
+    """values as a writable float array of x's shape: a scalar, a shorter
+    shape or a read-only array is broadcast into a fresh array."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != np.shape(x) or not v.flags.writeable:
+        v = v * np.ones_like(x)
+    return v
+
+
 def _as_xfun(f):
     """Coefficient given as a constant or a callable of x."""
     if f is None:
         return None
     if callable(f):
-        return lambda x: np.asarray(f(x), dtype=float) * np.ones_like(x)
+        return lambda x: _on_nodes(f(x), x)
     c = float(f)
     return lambda x: np.full_like(np.asarray(x, dtype=float), c)
 
@@ -59,7 +68,7 @@ def _as_xtfun(f):
     if f is None:
         return None
     if callable(f):
-        return lambda x, t: np.asarray(f(x, t), dtype=float) * np.ones_like(x)
+        return lambda x, t: _on_nodes(f(x, t), x)
     c = float(f)
     return lambda x, t: np.full_like(np.asarray(x, dtype=float), c)
 
@@ -133,17 +142,23 @@ class EllipticSpec:
         if self.sigma_lo < 0.0 or self.sigma_hi < 0.0:
             raise ValueError("Robin coefficients must be >= 0")
 
+    @cached_property
+    def _funs(self):
+        """The coefficients as callables on node arrays, wrapped once per spec."""
+        return {"a": _as_xfun(self.a), "b": _as_xtfun(self.b),
+                "c": _as_xtfun(self.c), "b0": _as_xtfun(self.b0)}
+
     def a_fun(self):
-        return _as_xfun(self.a)
+        return self._funs["a"]
 
     def b_fun(self):
-        return _as_xtfun(self.b)
+        return self._funs["b"]
 
     def c_fun(self):
-        return _as_xtfun(self.c)
+        return self._funs["c"]
 
     def b0_fun(self):
-        return _as_xtfun(self.b0)
+        return self._funs["b0"]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,13 @@ Two independent routes:
   Peclet numbers, which makes it the order-preserving workhorse for the
   comparison checks.
 
+On the spectral route u at node m is the fixed point of the step map, found
+by Picard sweeps on its mode coefficients (see spectral_march): a sweep is
+one product giving u and u' on the nodes, the nodal forcing, one weighted
+projection and the per-mode update.  The sweeps start from the linear
+extrapolation of the last two nodes' coefficients, so that they mostly stop
+after 3-4 sweeps; the march returns the number of sweeps per node.
+
 Both keep the entire memory: there is no semigroup restart in fractional time.
 The spectral route carries it compressed, as one running sum per mode and
 exponential (see _Memory).  Per mode only a live band of the exponentials is
@@ -41,6 +48,7 @@ from .elliptic import (
     EllipticSpec,
     Grid1D,
     SpaceField,
+    _on_nodes,
     assemble,
     banded_solve,
     eigendecompose,
@@ -91,9 +99,7 @@ class ProblemSpec:
         a = self.initial
         if isinstance(a, SpaceField):
             return a.values.copy()
-        if callable(a):
-            return np.asarray(a(x), dtype=float) * np.ones_like(x)
-        return np.asarray(a, dtype=float) * np.ones_like(x)
+        return _on_nodes(a(x) if callable(a) else a, x)
 
     def source_at(self, t, node_index=None):
         """Source values on the nodes at time t; array sources are stored on
@@ -102,7 +108,7 @@ class ProblemSpec:
             return None
         if callable(self.source):
             x = self.grid.nodes
-            return np.asarray(self.source(x, t), dtype=float) * np.ones_like(x)
+            return _on_nodes(self.source(x, t), x)
         arr = np.asarray(self.source, dtype=float)
         tn = self.tgrid.nodes
         if node_index is not None:
@@ -455,14 +461,29 @@ def spectral_march(
 ):
     """Shared marching loop of the fixed-point solvers.
 
+    At node m the step forcing g = F + Q u_rep [+ f(u_rep)], with u_rep the
+    average of u_{m-1} and u_m, is frozen on the window, and the mode
+    coefficients v of u_m are the fixed point of v -> base + w_last * P g,
+    P the weighted projection.  The Picard sweeps run on v: the half of
+    Q u_rep that u_{m-1} fixes (with the u' its last sweep gave) is projected
+    once per step, and a sweep is one product giving u and u' on the nodes,
+    the other half plus f, one projection and the update.  They start from
+    the extrapolation of the last two nodes' coefficients and stop when u_m
+    moves by at most picard_tol on the nodes.  The memory keeps the forcing
+    of the last sweep, so u_m is exactly its Duhamel image.
+
     nonlinearity(u_nodal, t) -> nodal values is added to the step forcing with
     the same endpoint-average state treatment as Q u.  state_guard(u, k) may
-    raise to abort (box monitoring).  Returns (field values, picard counts)."""
+    raise to abort (box monitoring).  Returns the field values and, per
+    node, the number of sweeps (applications of the map; 0 where nothing
+    couples the modes and u_m is taken directly)."""
     t = p.tgrid.nodes
     alpha = p.alpha
     n_nodes = p.grid.n_nodes
     N = t.size - 1
     a = p.initial_values()
+    if not np.all(np.isfinite(a)):
+        raise _non_finite("initial value", 0, p.grid, a)
     a_coef = eig.project(a)
     # the splitting coefficients and the source are sampled at the step
     # midpoints step by step, so that no (steps x nodes) copy of them is kept
@@ -471,58 +492,71 @@ def spectral_march(
         (b is not None and np.max(np.abs(b)) > 0.0) or np.max(np.abs(cz)) > 0.0
         for b, cz in map(op.q_parts, mids)
     )
+    iterate = q_active or nonlinearity is not None
     src = p.source
     if src is not None and not callable(src):
         src = np.asarray(src, dtype=float)
+    # one product gives the nodal values and, when Q is active, their derivative
+    synth = np.vstack([eig.modes, op.derivative(eig.modes)]) if q_active else eig.modes
+    proj = np.ascontiguousarray((eig.modes * eig.weights[:, None]).T)
 
     u = np.empty((N + 1, n_nodes))
     u[0] = a
+    du = op.derivative(a)  # u' at the last node
     # mode coefficients of the frozen step forcings (F + Qu [+ f(u)])
     g_hist = np.zeros((N, eig.lambdas.size))
     counts = np.zeros(N, dtype=int)
+    v_last = v_prev = a_coef  # coefficients of u at the last two nodes
+    half_b = None  # b / 2 at the step midpoint, when there is a drift
 
     memory = _Memory(alpha, eig.lambdas, t)
 
     for m in range(1, N + 1):
         relax, history, w_last = memory.advance(m, g_hist)
         base = a_coef * relax + history
+        # the part of the step forcing that u_{m-1} fixes: F + Q u_{m-1} / 2
         if src is None:
-            f_k = None
+            fixed = np.zeros(n_nodes)
         elif callable(src):
-            f_k = p.source_at(mids[m - 1])
+            fixed = p.source_at(mids[m - 1])
         else:
-            f_k = 0.5 * (src[m - 1] + src[m])
-        q_k = op.q_parts(mids[m - 1]) if q_active else None
+            fixed = 0.5 * (src[m - 1] + src[m])
+        if q_active:
+            b, cz = op.q_parts(mids[m - 1])
+            half_c = 0.5 * cz
+            fixed = fixed + half_c * u[m - 1]
+            if b is not None:
+                half_b = 0.5 * b
+                fixed += half_b * du
+        g_fixed = proj @ fixed
+        if not np.all(np.isfinite(g_fixed)):
+            raise _non_finite("step forcing", m, p.grid, fixed)
 
-        def step_forcing(u_rep):
-            g = np.zeros(n_nodes)
-            if f_k is not None:
-                g = g + f_k
-            if q_active:
-                g = g + op.apply_q(u_rep, q_k)
-            if nonlinearity is not None:
-                g = g + nonlinearity(u_rep, mids[m - 1])
-            return g
-
-        needs_iteration = q_active or (nonlinearity is not None)
-        if not needs_iteration:
-            g_coef = eig.project(f_k) if f_k is not None else np.zeros_like(base)
-            u_new = eig.synthesize(base + w_last * g_coef)
+        if not iterate:
+            g = g_fixed
+            u_new = synth @ (base + w_last * g)
             if not np.all(np.isfinite(u_new)):
-                raise _non_finite("source or initial value", m, p.grid, a if f_k is None else a + f_k)
-            counts[m - 1] = 0
+                raise _non_finite("field", m, p.grid, u_new)
         else:
-            u_new = u[m - 1].copy()  # warm start
+            v = v_last
+            if m >= 2:  # linear extrapolation in t from the last two nodes
+                v = v + ((t[m] - t[m - 1]) / (t[m - 1] - t[m - 2])) * (v_last - v_prev)
+            uv = synth @ v
             converged = False
             residual = np.inf
             for it in range(PICARD_MAX):
-                u_rep = 0.5 * (u[m - 1] + u_new)
-                g_coef = eig.project(step_forcing(u_rep))
-                u_next = eig.synthesize(base + w_last * g_coef)
-                residual = float(np.max(np.abs(u_next - u_new)))
+                u_new = uv[:n_nodes]
+                swept = half_c * u_new if q_active else 0.0
+                if half_b is not None:
+                    swept += half_b * uv[n_nodes:]
+                if nonlinearity is not None:
+                    swept = swept + nonlinearity(0.5 * (u[m - 1] + u_new), mids[m - 1])
+                g = g_fixed + proj @ swept
+                v_next = base + w_last * g
+                uv = synth @ v_next
+                residual = float(np.max(np.abs(uv[:n_nodes] - u_new)))
                 if not math.isfinite(residual):
-                    raise _non_finite("step forcing", m, p.grid, step_forcing(u_rep))
-                u_new = u_next
+                    raise _non_finite("step forcing", m, p.grid, fixed + swept)
                 if residual <= picard_tol:
                     converged = True
                     counts[m - 1] = it + 1
@@ -534,11 +568,12 @@ def spectral_march(
                     node=m,
                     residual=residual,
                 )
+            v_prev, v_last = v_last, v_next
+            u_new, du = uv[:n_nodes], uv[n_nodes:]
         u[m] = u_new
         if state_guard is not None:
             state_guard(u_new, m)
-        u_rep = 0.5 * (u[m - 1] + u[m])
-        g_hist[m - 1] = eig.project(step_forcing(u_rep))
+        g_hist[m - 1] = g
 
     return u, counts
 

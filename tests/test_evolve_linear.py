@@ -15,8 +15,11 @@ from fraccomp.evolve_linear import (
     homogeneous_solution,
     solve_linear_l1,
     solve_linear_spectral,
+    spectral_march,
 )
+from fraccomp.evolve_semilinear import builtin_burgers, solve_semilinear
 from fraccomp.fracops import TimeGrid
+from fraccomp.randomspec import random_linear_problem
 from fraccomp.special_ml import ml_relaxation, relaxation_batch, relaxation_exponentials
 
 
@@ -250,6 +253,60 @@ class TestBlockedMarch:
         assert max(a.size for a in arrays) < lam.size * n_terms // 4
         per_mode = [a for a in arrays if a.ndim == 2 and a.shape[0] == lam.size]
         assert per_mode and all(a.shape[1] < n_terms // 4 for a in per_mode)
+
+
+class TestModeSpaceSweeps:
+    """The Picard sweeps run on the mode coefficients of u_m, from the
+    extrapolation of the last two nodes."""
+
+    def test_sweep_count_below_the_physical_space_iteration(self):
+        # the sweeps in physical space from u_{m-1}, which this march
+        # replaced, took 1293 sweeps on this spec
+        p = random_linear_problem(np.random.default_rng(5), 0.5, n=32, N=256, with_drift=True)
+        op = assemble(p.elliptic, p.grid)
+        _, counts = spectral_march(p, eigendecompose(op), op)
+        assert np.all(counts >= 1)
+        assert counts.sum() < 1293
+
+    def test_general_fold_path_matches_exact_duhamel_sum(self, monkeypatch):
+        # c0 = 0 with Neumann ends: the ground mode is small (|lambda| ~ 1e-18)
+        # and keeps its exact masses.  On [0, 300] the next mode's lambda is
+        # 1e-4, so at alpha = 0.3 its windows join the sums only when older
+        # than about 1e-4, and steps of 1e-9 to 0.1 in random order make
+        # several of them come of age at once: that is _Memory._fold's work
+        alpha, L = 0.3, 300.0
+        rng = np.random.default_rng(4)
+        tg = TimeGrid(np.concatenate([[0.0], np.cumsum(10.0 ** rng.uniform(-9.0, -1.0, 96))]))
+        grid, spec = Grid1D(0.0, L, 24), EllipticSpec(c0=0.0)
+        eig = eigendecompose(assemble(spec, grid))
+        assert eig.lambdas[0] * tg.horizon ** alpha <= 1e-8
+        folded = []
+        fold = _Memory._fold
+
+        def spy(self, m, g_hist, grow, fold_to):
+            folded.append(int(fold_to.max() - self.folded[grow].min()))
+            return fold(self, m, g_hist, grow, fold_to)
+
+        monkeypatch.setattr(_Memory, "_fold", spy)
+        src = lambda x, t: (1.0 + np.sin(3.0 * x / L)) * np.cos(4.0 * t) + t
+        p = ProblemSpec(alpha, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x / L), source=src)
+        u = solve_linear_spectral(p, eig).values
+        assert max(folded) > 1
+        ref = exact_duhamel(p, eig)
+        assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_burgers_converges_and_restricts_exactly(self):
+        # u u_x needs the derivative of every sweep's state; the predictor
+        # reads t[0..m] only, so a restricted solve repeats the longer one
+        grid, tg, spec = make_problem(alpha=0.6, n=24, N=48, c0=1.0, b=0.3, c=-0.5)
+        p = ProblemSpec(0.6, spec, grid, tg, lambda x: 1.0 + 0.5 * np.cos(math.pi * x))
+        info = {}
+        u = solve_semilinear(p, builtin_burgers(0.8), info=info)
+        assert np.all(info["picard_counts"] >= 1)
+        assert np.all(np.isfinite(u.values))
+        half = u.restrict_time(30)
+        u2 = solve_semilinear(ProblemSpec(0.6, spec, grid, half.tgrid, p.initial), builtin_burgers(0.8))
+        assert np.array_equal(half.values, u2.values)
 
 
 class TestL1Solver:
