@@ -173,7 +173,12 @@ def _asymptotic_neg(alpha, beta, x, max_terms=1200):
         y = math.pi * (1.0 / alpha - 1.0) * math.sqrt(0.5 * root)
         est += ((2.0 / alpha) * x ** ((1.0 - beta) / alpha) * erfcx(y)
                 * math.exp(root * math.cos(math.pi / alpha) - y * y))
-    return total, est + _EPS * float(np.sum(np.abs(terms)))
+    # rounding: exp(ln_mag) is off by the error of ln_mag, about eps times
+    # the size of its parts k ln x and ln_mag + k ln x; the sum by half an ulp
+    kx = k[:k_opt] * math.log(x)
+    parts = np.where(np.isfinite(head), np.abs(kx) + np.abs(head + kx), 0.0)
+    rounding = _EPS * float(np.sum(np.abs(terms) * (1.0 + parts))) + 0.5 * math.ulp(total)
+    return total, est + rounding
 
 
 def _oscillatory_part(alpha, beta, x):
@@ -199,27 +204,71 @@ _REF_H = 0.15
 _REF_V_LO = -40.0
 
 
-def _rule_nodes(alpha, h, v_lo, v_hi):
-    """Nodes v_k on [v_lo, v_hi] at w(v_k) = k h, and their weights h dv/dw."""
+def _node_range(alpha, h, v_lo, v_hi):
+    """The indices k of the nodes v_k in [v_lo, v_hi], w(v_k) = k h."""
     d = math.pi * (1.0 - alpha)
     half = 0.5 * math.pi * alpha
-    c = d / half
 
     def stretch(v):
         return math.asinh(v / d) + v / half
 
-    w = h * np.arange(math.ceil(stretch(v_lo) / h), math.floor(stretch(v_hi) / h) + 1)
+    return math.ceil(stretch(v_lo) / h), math.floor(stretch(v_hi) / h)
+
+
+def _nodes_at(alpha, h, k):
+    """Nodes v_k at w(v_k) = k h for the integer array k, and their weights
+    h dv/dw.  Each node's Newton iteration stops on its own step, so a node
+    does not depend on the others it is placed with."""
+    d = math.pi * (1.0 - alpha)
+    half = 0.5 * math.pi * alpha
+    c = d / half
+    w = h * k
     # v = d sinh(u) with u + c sinh(u) = |w|: convex in u >= 0, so Newton from
     # a start above the root decreases monotonically onto it
     target = np.abs(w)
     u = np.minimum(target, np.arcsinh(target / c))
+    active = np.ones(u.shape, dtype=bool)
     for _ in range(100):
         step = (u + c * np.sinh(u) - target) / (1.0 + c * np.cosh(u))
+        step[~active] = 0.0
         u -= step
-        if np.all(step <= 1e-15 * (1.0 + u)):
+        active &= step > 1e-15 * (1.0 + u)
+        if not active.any():
             break
     v = np.copysign(d * np.sinh(u), w)
     return v, h / (1.0 / np.hypot(d, v) + 1.0 / half)
+
+
+def _rule_nodes(alpha, h, v_lo, v_hi):
+    """Nodes v_k on [v_lo, v_hi] at w(v_k) = k h, and their weights h dv/dw."""
+    k_lo, k_hi = _node_range(alpha, h, v_lo, v_hi)
+    return _nodes_at(alpha, h, np.arange(k_lo, k_hi + 1))
+
+
+_NODES_PAD = 8.0  # v a memoised node set reaches past the range it was built for
+_nodes: OrderedDict = OrderedDict()  # alpha -> (k_lo, k_hi, v, dv) of the _REF_H rule
+_nodes_lock = threading.Lock()
+
+
+def _reference_nodes(alpha, v_lo, v_hi):
+    """The _REF_H nodes and weights on [v_lo, v_hi], sliced from one node set
+    per alpha.  A range that leaves the set rebuilds it wider, by _NODES_PAD
+    past the range on each side it left.  As bounded as the table memo."""
+    k_lo, k_hi = _node_range(alpha, _REF_H, v_lo, v_hi)
+    with _nodes_lock:
+        entry = _nodes.get(alpha)
+        if entry is None or k_lo < entry[0] or k_hi > entry[1]:
+            lo, hi = _node_range(alpha, _REF_H, v_lo - _NODES_PAD, v_hi + _NODES_PAD)
+            if entry is not None:
+                lo, hi = min(lo, entry[0]), max(hi, entry[1])
+            entry = (lo, hi, *_nodes_at(alpha, _REF_H, np.arange(lo, hi + 1)))
+            _nodes[alpha] = entry
+            while len(_nodes) > _TABLES_MAX:
+                _nodes.popitem(last=False)
+        else:
+            _nodes.move_to_end(alpha)
+    lo, _, v, dv = entry
+    return v[k_lo - lo : k_hi - lo + 1], dv[k_lo - lo : k_hi - lo + 1]
 
 
 def _sin_pi(y, y_c):
@@ -240,8 +289,8 @@ def _density(alpha, beta, v):
 
 def _reference_rule(alpha, beta, x_lo, x_hi):
     """Nodes v_k and weights of the rule for E_{alpha,beta}(-x), x in [x_lo, x_hi]."""
-    v, dv = _rule_nodes(alpha, _REF_H, _REF_V_LO - math.log(x_hi),
-                        alpha * math.log(60.0) - math.log(x_lo))
+    v, dv = _reference_nodes(alpha, _REF_V_LO - math.log(x_hi),
+                             alpha * math.log(60.0) - math.log(x_lo))
     return v, dv * _density(alpha, beta, v)
 
 

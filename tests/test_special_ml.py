@@ -325,11 +325,79 @@ class TestSpectralRule:
             assert r.regime == "asymptotic"
             assert abs(r.value - special_ml._mp_series(alpha, beta, -x)) <= r.est_abs_error
 
+    @pytest.mark.parametrize("alpha, x", [(0.99, (1.5 * 38.0) ** 0.99), (0.5, 1.01 * 38.0 ** 0.5)])
+    def test_asymptotic_estimate_covers_rounding_points(self, alpha, x):
+        # each term exp(ln_mag) is off by about eps |ln_mag| relative, and the
+        # sum by half an ulp: 1.9e-19 and 2.8e-17 here, beyond the terms' eps
+        r = ml(MLQuery(alpha, 1.0, -x))
+        assert r.regime == "asymptotic"
+        assert abs(r.value - special_ml._mp_series(alpha, 1.0, -x)) <= r.est_abs_error
+
+    def test_asymptotic_estimate_covers_rounding_scan(self):
+        for alpha in (0.3, 0.5, 0.7, 0.9, 0.99, 0.999999):
+            for beta in (1.0, alpha):
+                for factor in (1.01, 1.1, 1.5, 3.0):
+                    x = (factor * 38.0) ** alpha
+                    r = ml(MLQuery(alpha, beta, -x))
+                    assert r.regime == "asymptotic"
+                    err = abs(r.value - special_ml._mp_series(alpha, beta, -x))
+                    assert err <= r.est_abs_error, (alpha, beta, factor)
+
     @pytest.mark.parametrize("alpha", RULE_ALPHAS)
     def test_scalar_and_batch_agree(self, alpha):
         x = np.geomspace(1e-3, 1e3, 200)
         scalar = np.array([ml_relaxation(alpha, xi, 1.0) for xi in x])
         assert np.max(np.abs(relaxation_batch(alpha, x) - scalar)) <= 1e-12
+
+
+class TestReferenceNodes:
+    """ml() and the tables slice their trapezoid nodes from one memoised node
+    set per alpha."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.999])
+    def test_slices_equal_a_fresh_placement(self, alpha, monkeypatch):
+        # random ranges grow the memo on either side or fall inside it
+        monkeypatch.setattr(special_ml, "_nodes", OrderedDict())
+        h = special_ml._REF_H
+        rng = np.random.default_rng(1)
+        for _ in range(60):
+            v_lo = rng.uniform(-70.0, 5.0)
+            v_hi = v_lo + rng.uniform(0.0, 40.0)
+            got = special_ml._reference_nodes(alpha, v_lo, v_hi)
+            ref = special_ml._rule_nodes(alpha, h, v_lo, v_hi)
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        assert list(special_ml._nodes) == [alpha]
+
+    def test_growth_keeps_the_edge_it_did_not_pass(self, monkeypatch):
+        # ranges that start on the lower edge of the set, with or without
+        # its padding, and leave it above: the rebuilt set must still start
+        # at that edge's node, though its v may round to a higher w
+        h, pad = special_ml._REF_H, special_ml._NODES_PAD
+        rng = np.random.default_rng(2)
+        for alpha in (0.44, 0.7):
+            for v_lo in rng.uniform(-60.0, -20.0, 40):
+                monkeypatch.setattr(special_ml, "_nodes", OrderedDict())
+                for lo, hi in [(v_lo, v_lo + 20.0), (v_lo, v_lo + 40.0), (v_lo - pad, v_lo + 80.0)]:
+                    got = special_ml._reference_nodes(alpha, lo, hi)
+                    ref = special_ml._rule_nodes(alpha, h, lo, hi)
+                    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+    def test_a_node_does_not_depend_on_its_neighbours(self):
+        k = np.arange(-900, 200)
+        v, dv = special_ml._nodes_at(0.3, 0.15, k)
+        for part in (slice(0, 7), slice(450, 460), slice(1090, 1100)):
+            v_part, dv_part = special_ml._nodes_at(0.3, 0.15, k[part])
+            assert np.array_equal(v_part, v[part]) and np.array_equal(dv_part, dv[part])
+
+    def test_node_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(special_ml, "_TABLES_MAX", 2)
+        monkeypatch.setattr(special_ml, "_nodes", OrderedDict())
+        for alpha in (0.41, 0.42, 0.43):
+            ml(MLQuery(alpha, 1.0, -4.0))
+        assert list(special_ml._nodes) == [0.42, 0.43]
+        assert ml(MLQuery(0.42, 1.0, -4.0)).regime == "integral"  # a hit
+        ml(MLQuery(0.44, 1.0, -4.0))
+        assert list(special_ml._nodes) == [0.42, 0.44]
 
 
 class TestExponentialSum:
