@@ -496,8 +496,9 @@ def spectral_march(
     src = p.source
     if src is not None and not callable(src):
         src = np.asarray(src, dtype=float)
-    # one product gives the nodal values and, when Q is active, their derivative
-    synth = np.vstack([eig.modes, op.derivative(eig.modes)]) if q_active else eig.modes
+    # one product gives the nodal values and, under a drift, their derivative
+    drift = q_active and op.spec.b_fun() is not None
+    synth = np.vstack([eig.modes, op.derivative(eig.modes)]) if drift else eig.modes
     proj = np.ascontiguousarray((eig.modes * eig.weights[:, None]).T)
 
     u = np.empty((N + 1, n_nodes))
@@ -529,13 +530,13 @@ def spectral_march(
                 half_b = 0.5 * b
                 fixed += half_b * du
         g_fixed = proj @ fixed
-        if not np.all(np.isfinite(g_fixed)):
+        if not np.isfinite(g_fixed).all():
             raise _non_finite("step forcing", m, p.grid, fixed)
 
         if not iterate:
             g = g_fixed
             u_new = synth @ (base + w_last * g)
-            if not np.all(np.isfinite(u_new)):
+            if not np.isfinite(u_new).all():
                 raise _non_finite("field", m, p.grid, u_new)
         else:
             v = v_last
@@ -554,7 +555,7 @@ def spectral_march(
                 g = g_fixed + proj @ swept
                 v_next = base + w_last * g
                 uv = synth @ v_next
-                residual = float(np.max(np.abs(uv[:n_nodes] - u_new)))
+                residual = float(np.abs(uv[:n_nodes] - u_new).max())
                 if not math.isfinite(residual):
                     raise _non_finite("step forcing", m, p.grid, fixed + swept)
                 if residual <= picard_tol:
