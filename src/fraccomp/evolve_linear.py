@@ -230,11 +230,11 @@ class _Memory:
     E(-lam t_m^alpha) and the current window's relaxation values are
     fetched for _RELAX_BLOCK nodes in one relaxation_batch call, together
     with the block's fold schedule.  At a node where every big row folds
-    just window m - 2 (on graded grids, every node past the first), the
-    fold is a fixed set of in-place operations; the rest go through
-    _fold window by window.  Every
-    choice at node m depends on t[0..m], lam and alpha only, so a solve on
-    a restricted grid reproduces the longer solve exactly."""
+    just window m - 2 (on the acceptance specs, every node past the first),
+    the fold is a fixed set of in-place operations; other nodes go through
+    _fold window by window.  Every choice at node m depends on t[0..m], lam
+    and alpha only, so a solve on a restricted grid reproduces the longer
+    solve exactly."""
 
     def __init__(self, alpha, lambdas, t):
         self.alpha = alpha

@@ -251,9 +251,10 @@ _nodes_lock = threading.Lock()
 
 
 def _reference_nodes(alpha, v_lo, v_hi):
-    """The _REF_H nodes and weights on [v_lo, v_hi], sliced from one node set
-    per alpha.  A range that leaves the set rebuilds it wider, by _NODES_PAD
-    past the range on each side it left.  As bounded as the table memo."""
+    """The _REF_H nodes and weights on [v_lo, v_hi], as read-only slices of
+    one node set per alpha.  A range that leaves the set rebuilds it to
+    cover the old set and the range widened by _NODES_PAD on both sides.
+    As bounded as the table memo."""
     k_lo, k_hi = _node_range(alpha, _REF_H, v_lo, v_hi)
     with _nodes_lock:
         entry = _nodes.get(alpha)
@@ -261,7 +262,10 @@ def _reference_nodes(alpha, v_lo, v_hi):
             lo, hi = _node_range(alpha, _REF_H, v_lo - _NODES_PAD, v_hi + _NODES_PAD)
             if entry is not None:
                 lo, hi = min(lo, entry[0]), max(hi, entry[1])
-            entry = (lo, hi, *_nodes_at(alpha, _REF_H, np.arange(lo, hi + 1)))
+            v, dv = _nodes_at(alpha, _REF_H, np.arange(lo, hi + 1))
+            v.setflags(write=False)
+            dv.setflags(write=False)
+            entry = (lo, hi, v, dv)
             _nodes[alpha] = entry
             while len(_nodes) > _TABLES_MAX:
                 _nodes.popitem(last=False)
