@@ -44,7 +44,7 @@ class DegenerateEigenpairError(RuntimeError):
     pass
 
 
-def _on_nodes(values, x):
+def _node_values(values, x):
     """values as a writable float array of x's shape: a scalar, a shorter
     shape or a read-only array is broadcast into a fresh array."""
     v = np.asarray(values, dtype=float)
@@ -58,7 +58,7 @@ def _as_xfun(f):
     if f is None:
         return None
     if callable(f):
-        return lambda x: _on_nodes(f(x), x)
+        return lambda x: _node_values(f(x), x)
     c = float(f)
     return lambda x: np.full_like(np.asarray(x, dtype=float), c)
 
@@ -68,7 +68,7 @@ def _as_xtfun(f):
     if f is None:
         return None
     if callable(f):
-        return lambda x, t: _on_nodes(f(x, t), x)
+        return lambda x, t: _node_values(f(x, t), x)
     c = float(f)
     return lambda x, t: np.full_like(np.asarray(x, dtype=float), c)
 

@@ -48,7 +48,7 @@ from .elliptic import (
     EllipticSpec,
     Grid1D,
     SpaceField,
-    _on_nodes,
+    _node_values,
     assemble,
     banded_solve,
     eigendecompose,
@@ -99,7 +99,9 @@ class ProblemSpec:
         a = self.initial
         if isinstance(a, SpaceField):
             return a.values.copy()
-        return _on_nodes(a(x) if callable(a) else a, x)
+        if callable(a):
+            return np.asarray(a(x), dtype=float) * np.ones_like(x)
+        return np.asarray(a, dtype=float) * np.ones_like(x)
 
     def source_at(self, t, node_index=None):
         """Source values on the nodes at time t; array sources are stored on
@@ -108,7 +110,7 @@ class ProblemSpec:
             return None
         if callable(self.source):
             x = self.grid.nodes
-            return _on_nodes(self.source(x, t), x)
+            return _node_values(self.source(x, t), x)
         arr = np.asarray(self.source, dtype=float)
         tn = self.tgrid.nodes
         if node_index is not None:
