@@ -243,6 +243,8 @@ def cmd_ml(args):
         else:
             if args.z_min is None or args.z_max is None:
                 raise ConfigError("give either --z or both --z-min and --z-max")
+            if args.z_count < 1:
+                raise ConfigError(f"--z-count must be at least 1, got {args.z_count}")
             zs = np.linspace(args.z_min, args.z_max, args.z_count)
         print(f"{'z':>24} {'E_(a,b)(z)':>24} {'regime':>10} {'est_abs_error':>13}")
         for z in zs:
@@ -282,6 +284,11 @@ def cmd_solve(args):
         manifest.data["config"] = dict(cfg)
         manifest.out_dir = args.out or cfg["output_dir"]
         problem, term = build_problem(cfg)
+        # the L1 oracle is linear: only the spectral route takes a semilinear term
+        if term is not None and (args.method == "l1" or args.cross_oracle):
+            flag = "--method l1" if args.method == "l1" else "--cross-oracle"
+            raise ConfigError(f"{flag} conflicts with semilinear = {cfg['semilinear'].strip()}: "
+                              "the implicit L1 route solves linear problems only")
     except ConfigError as exc:
         return _fail(manifest, "config error", exc, EXIT_CONFIG)
     manifest.phase("setup")
@@ -297,7 +304,7 @@ def cmd_solve(args):
             method = "spectral"
         manifest.phase("solve")
         extra = {"method": method}
-        if args.cross_oracle and term is None:
+        if args.cross_oracle:
             other = solve_linear_l1(problem) if args.method != "l1" else solve_linear_spectral(problem)
             extra["cross_oracle_max_diff"] = float(np.max(np.abs(field.values - other.values)))
             manifest.phase("cross-oracle")

@@ -104,21 +104,16 @@ class ProblemSpec:
         return np.asarray(a, dtype=float) * np.ones_like(x)
 
     def source_at(self, t, node_index=None):
-        """Source values on the nodes at time t; array sources are stored on
-        the time nodes and interpolated linearly between them."""
+        """Source values on the nodes at time t.  Array sources are stored on
+        the time nodes and read at node_index, which they require."""
         if self.source is None:
             return None
         if callable(self.source):
             x = self.grid.nodes
             return _node_values(self.source(x, t), x)
-        arr = np.asarray(self.source, dtype=float)
-        tn = self.tgrid.nodes
-        if node_index is not None:
-            return arr[node_index]
-        j = int(np.searchsorted(tn, t, side="right") - 1)
-        j = min(max(j, 0), tn.size - 2)
-        th = (t - tn[j]) / (tn[j + 1] - tn[j])
-        return (1.0 - th) * arr[j] + th * arr[j + 1]
+        if node_index is None:
+            raise ValueError("an array source is read at a time node: pass node_index")
+        return np.asarray(self.source, dtype=float)[node_index]
 
 
 @dataclass(frozen=True)
@@ -231,12 +226,13 @@ class _Memory:
     * modes with lam t_m^alpha <= 1e-8, whose masses are power differences.
     E(-lam t_m^alpha) and the current window's relaxation values are
     fetched for _RELAX_BLOCK nodes in one relaxation_batch call, together
-    with the block's fold schedule.  At a node where every big row folds
-    just window m - 2 (on the acceptance specs, every node past the first),
-    the fold is a fixed set of in-place operations; other nodes go through
-    _fold window by window.  Every choice at node m depends on t[0..m], lam
-    and alpha only, so a solve on a restricted grid reproduces the longer
-    solve exactly."""
+    with the block's fold schedule.  At every node m >= 2, window m - 2,
+    which the last step left behind, folds in place on the rows whose
+    schedule reaches it.  Windows older than that which came of age at
+    node m fold first, window by window, in _fold; on the acceptance specs
+    and the verify suites none ever do.  Every choice at node m depends on
+    t[0..m], lam and alpha only, so a solve on a restricted grid reproduces
+    the longer solve exactly."""
 
     def __init__(self, alpha, lambdas, t):
         self.alpha = alpha
@@ -305,14 +301,10 @@ class _Memory:
         big = lam * t_pow[:, None] > 1e-8
         fold = np.minimum(np.searchsorted(t[1:], t[m:stop, None] - self.tau, side="right"), k - 1)
         fold[~big] = 0
-        # nodes where every big row folds exactly window k - 2, the one the
-        # last step left behind (windows fold one at a time, each in turn)
-        before = np.concatenate([self.folded[None, :], fold[:-1]])
-        one = np.all(~big | ((fold == k - 1) & (before == k - 2)), axis=1) & big.any(axis=1)
         rest = fold < k - 1
         self.block_start, self.block_stop = m, stop
-        self.t_pow, self.relax, self.w_cur = t_pow, e[: stop - m], np.maximum(masses, 0.0)
-        self.fold, self.big, self.fold_one = fold, big, one
+        self.relax, self.w_cur = e[: stop - m], np.maximum(masses, 0.0)
+        self.fold, self.fold_last = fold, fold == k - 1
         self.rest, self.rest_any = rest, rest.any(axis=1)
 
     def _band_rows(self, rows, base):
@@ -370,21 +362,17 @@ class _Memory:
         self.ln_a2[rows] = 2.0 * self.ln_root[rows] + self.ln_c2[base]
         self._edges()
 
-    def _fold(self, m, g_hist, grow, fold_to):
-        """Fold the windows folded <= k < fold_to of the rows `grow` into the
-        sums at t_{m-1} and into the moments, window by window."""
+    def _fold(self, m, g_hist, late):
+        """Fold the windows folded <= k < late, older than m - 2, that came
+        of age at node m into the sums at t_{m-1} and into the moments,
+        window by window."""
         t = self.t
-        k0, k1 = int(self.folded[grow].min()), int(fold_to.max())
-        for k in range(k0, k1):
-            # one window to fold: every growing row folds it
-            sel = grow if k1 == k0 + 1 else grow & (self.folded <= k) & (k < fold_to)
+        for k in range(int(self.folded[late > self.folded].min()), int(late.max())):
+            sel = (self.folded <= k) & (k < late)
+            r = self.rates[sel]
+            w = np.exp(-r * (t[m - 1] - t[k + 1])) * -np.expm1(-r * (t[k + 1] - t[k]))
+            self.sums[sel] += w * g_hist[k, sel, None]
             g_k = g_hist[k] * sel
-            if k == m - 2:  # the window the last step left behind
-                self.sums -= self.decay_m1 * g_k[:, None]
-            else:  # windows that just came of age: their terms at t_{m-1}
-                r = self.rates[sel]
-                w = np.exp(-r * (t[m - 1] - t[k + 1])) * -np.expm1(-r * (t[k + 1] - t[k]))
-                self.sums[sel] += w * g_hist[k, sel, None]
             self.m1 += (t[k + 1] - t[k]) * g_k
             self.p += ((t[k + 1] - t[k]) * (t[k + 1] + t[k] - 2.0 * t[0])) * g_k
 
@@ -417,16 +405,16 @@ class _Memory:
                 self._widen(m, -(-width // _BAND_SLACK) * _BAND_SLACK)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.fold_one[b]:  # window m - 2 on every big row, in place
-                g_k = np.multiply(g_hist[m - 2], self.big[b], out=self.g_k)
+            if m >= 2:
+                late = np.minimum(fold_to, m - 2)
+                if np.any(late > self.folded):
+                    self._fold(m, g_hist, late)
+                # window m - 2, the one the last step left behind, in place
+                g_k = np.multiply(g_hist[m - 2], self.fold_last[b], out=self.g_k)
                 self.sums -= np.multiply(self.decay_m1, g_k[:, None], out=self.work)
                 dt_k = t[m - 1] - t[m - 2]
                 self.m1 += dt_k * g_k
                 self.p += (dt_k * (t[m - 1] + t[m - 2] - 2.0 * t[0])) * g_k
-            else:
-                grow = fold_to > self.folded
-                if grow.any():
-                    self._fold(m, g_hist, grow, fold_to)
             self.folded = fold_to
             if len(moved):
                 self._shift(m, moved, base[moved])
@@ -441,16 +429,14 @@ class _Memory:
                   - np.exp(self.ln_a2 + 2.0 * ln_s) * (m1 - 0.5 * self.p / s_m / s_m))
         # small modes have folded nothing, so their sums and moments are 0
         history = (np.einsum("ij,ij->i", self.sums, self.weight) + frozen) / self.lam_div
-        w_last = self.w_cur[b].copy()
-        # small modes, and young windows k >= fold_to of the others
+        # small modes, and young windows fold_to <= k <= m - 2 of the others
         if self.rest_any[b]:
             rest = self.rest[b]
             q = int(fold_to[rest].min())
-            masses = _kernel_masses(alpha, lam[rest], (t[m] - t[q : m + 1]) ** alpha)
+            masses = _kernel_masses(alpha, lam[rest], (t[m] - t[q:m]) ** alpha)
             young = np.arange(q, m - 1)[None, :] >= fold_to[rest, None]
-            history[rest] += (masses[:, :-1] * young * g_hist[q : m - 1, rest].T).sum(axis=1)
-            w_last[rest] = masses[:, -1]
-        return self.relax[b], history, w_last
+            history[rest] += (masses * young * g_hist[q : m - 1, rest].T).sum(axis=1)
+        return self.relax[b], history, self.w_cur[b]
 
 
 def spectral_march(

@@ -35,7 +35,6 @@ def random_linear_problem(
     N=128,
     T=1.0,
     with_drift=True,
-    nonneg_source=True,
 ):
     """A smooth random instance with nonnegative initial value and source,
     mild drift and zeroth-order coefficients, and a random Robin constant."""
@@ -58,9 +57,6 @@ def random_linear_problem(
     )
     a0 = random_nonneg_profile(rng)
     src_prof = random_nonneg_profile(rng, amplitude=0.7)
-    if nonneg_source:
-        decay = rng.uniform(0.0, 1.0)
-        source = lambda x, t: src_prof(x) * math.exp(-decay * t)
-    else:
-        source = None
+    decay = rng.uniform(0.0, 1.0)
+    source = lambda x, t: src_prof(x) * math.exp(-decay * t)
     return ProblemSpec(alpha, spec, grid, tgrid, a0, source=source)

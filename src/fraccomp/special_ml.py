@@ -430,7 +430,10 @@ def ml_kernel_integral(alpha, lam, s0, s1, t) -> float:
     """Closed form of int_{s0}^{s1} (t-s)^(alpha-1) E_{alpha,alpha}(-lam (t-s)^alpha) ds.
 
     Equals (1/lam) [E_{alpha,1}(-lam (t-s1)^alpha) - E_{alpha,1}(-lam (t-s0)^alpha)];
-    nonnegative and bounded by 1/lam.
+    nonnegative and bounded by 1/lam.  Where lam (t-s0)^alpha <= 1e-8 that
+    difference cancels, and the expansion in lam to first order is exact
+    to rounding: the lam == 0 value minus lam times the difference of the
+    2 alpha powers over Gamma(2 alpha + 1).
     """
     if lam <= 0.0:
         raise InvalidParameterError(
@@ -439,6 +442,10 @@ def ml_kernel_integral(alpha, lam, s0, s1, t) -> float:
         )
     if not (0.0 <= s0 < s1 <= t):
         raise InvalidParameterError(f"need 0 <= s0 < s1 <= t, got {(s0, s1, t)}")
+    if lam * (t - s0) ** alpha <= 1e-8:
+        d2 = (t - s0) ** (2.0 * alpha) - (t - s1) ** (2.0 * alpha)
+        g2 = math.exp(gammaln(2.0 * alpha + 1.0))
+        return max(0.0, kernel_integral_lambda0(alpha, s0, s1, t) - lam * d2 / g2)
     hi = ml_relaxation(alpha, lam, t - s1) if t > s1 else 1.0
     lo = ml_relaxation(alpha, lam, t - s0)
     return max(0.0, (hi - lo) / lam)

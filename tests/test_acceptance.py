@@ -328,8 +328,8 @@ class TestCriterion10SemilinearReduction:
         worst = -np.inf
         for j in range(10):
             alpha = (0.3, 0.5, 0.7)[j % 3]
-            p2 = random_linear_problem(rng, alpha, n=16, N=48, with_drift=False,
-                                       nonneg_source=False)
+            p2 = replace(random_linear_problem(rng, alpha, n=16, N=48, with_drift=False),
+                         source=None)
             bump = random_nonneg_profile(rng, amplitude=0.2)
             p1 = replace(p2, initial=lambda x, a0=p2.initial, b=bump: a0(x) + b(x))
             f1 = builtin_enzyme()

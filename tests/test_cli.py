@@ -69,6 +69,12 @@ class TestMl:
     def test_invalid_parameters_exit_2(self):
         assert run_cli(["ml", "--alpha", "-1", "--z", "1"]) == 2
 
+    @pytest.mark.parametrize("count", ["-1", "0"])
+    def test_empty_grid_exit_2(self, capsys, count):
+        assert run_cli(["ml", "--alpha", "0.5", "--z-min", "-1", "--z-max", "0", "--z-count", count]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"usage error: --z-count must be at least 1, got {count}" in err
+
     def test_manifest_when_out_given(self, tmp_path, capsys):
         assert run_cli(["ml", "--alpha", "0.5", "--z", "-1", "--out", str(tmp_path)]) == 0
         assert read_manifest(tmp_path)["verdict"] == "ok"
@@ -111,6 +117,16 @@ class TestSolve:
         assert run_cli(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         man = read_manifest(tmp_path)
         assert "enzyme" in man["method"]
+
+    @pytest.mark.parametrize("flags", [["--method", "l1"], ["--cross-oracle"]])
+    def test_semilinear_conflicts_exit_2(self, tmp_path, capsys, flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG.format(out=tmp_path) + "semilinear = enzyme\n")
+        assert run_cli(["solve", "--config", str(cfg), "--out", str(tmp_path)] + flags) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {' '.join(flags)} conflicts with semilinear = enzyme" in err
+        assert "conflicts with semilinear" in read_manifest(tmp_path)["verdict"]
+        assert not (tmp_path / "u.csv").exists()
 
     def test_config_error_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -148,24 +148,12 @@ class TestSpectralSolver:
         # plus every past window's exact kernel mass times its projected
         # midpoint source.  c0 = 1e-6 gives a mode that starts on the small
         # branch and then keeps young windows out of the exponential sums.
-        from fraccomp.evolve_linear import _kernel_masses
-
         grid, tg, spec = make_problem(alpha=alpha, n=24, N=256, c0=1e-6, c=-1e-6)
         eig = eigendecompose(assemble(spec, grid))
         src = lambda x, t: (1.0 + np.sin(3.0 * x)) * np.cos(4.0 * t) + t
         p = ProblemSpec(alpha, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x), source=src)
         u = solve_linear_spectral(p, eig).values
-        t = tg.nodes
-        a_coef = eig.project(p.initial_values())
-        f_coef = np.array([eig.project(src(grid.nodes, 0.5 * (t[k] + t[k + 1]))) for k in range(t.size - 1)])
-        lam = np.maximum(eig.lambdas, 0.0)
-        ref = np.empty_like(u)
-        for m in range(t.size):
-            coef = a_coef * np.array([ml_relaxation(alpha, l, t[m]) for l in lam])
-            if m:
-                masses = _kernel_masses(alpha, eig.lambdas, (t[m] - t[: m + 1]) ** alpha)
-                coef = coef + (masses * f_coef[:m].T).sum(axis=1)
-            ref[m] = eig.synthesize(coef)
+        ref = exact_duhamel(p, eig)
         assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_kernel_mass_bound(self):
@@ -201,6 +189,16 @@ def exact_duhamel(p, eig):
             coef = coef + (masses * f_coef[:m].T).sum(axis=1)
         ref[m] = eig.synthesize(coef)
     return ref
+
+
+def test_array_source_is_read_at_time_nodes():
+    # an array source holds one row per time node and is not interpolated
+    grid, tg, spec = make_problem(N=8, c0=1.0)
+    src = np.arange(9.0)[:, None] * np.ones(grid.n_nodes)
+    p = ProblemSpec(0.5, spec, grid, tg, 1.0, source=src)
+    assert np.array_equal(p.source_at(tg.nodes[3], node_index=3), src[3])
+    with pytest.raises(ValueError, match="node_index"):
+        p.source_at(0.5 * (tg.nodes[3] + tg.nodes[4]))
 
 
 class TestBlockedMarch:
@@ -283,9 +281,9 @@ class TestModeSpaceSweeps:
         folded = []
         fold = _Memory._fold
 
-        def spy(self, m, g_hist, grow, fold_to):
-            folded.append(int(fold_to.max() - self.folded[grow].min()))
-            return fold(self, m, g_hist, grow, fold_to)
+        def spy(self, m, g_hist, late):
+            folded.append(int(late.max() - self.folded[late > self.folded].min()))
+            return fold(self, m, g_hist, late)
 
         monkeypatch.setattr(_Memory, "_fold", spy)
         src = lambda x, t: (1.0 + np.sin(3.0 * x / L)) * np.cos(4.0 * t) + t
@@ -294,6 +292,28 @@ class TestModeSpaceSweeps:
         assert max(folded) > 1
         ref = exact_duhamel(p, eig)
         assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_one_window_folds_in_place_at_every_node(self, monkeypatch):
+        # on a graded grid with every mode big, each window comes of age at
+        # the node after its end: window m - 2 folds in place at every node
+        # past the first, and the catch-up of older windows never runs
+        grid, tg, spec = make_problem(alpha=0.5, n=24, N=256, c0=0.5)
+        caught_up, in_place = [], []
+        advance = _Memory.advance
+
+        def spy(self, m, g_hist):
+            out = advance(self, m, g_hist)
+            in_place.append(int(np.count_nonzero(self.folded == m - 1)))
+            return out
+
+        monkeypatch.setattr(_Memory, "_fold", lambda self, m, *args: caught_up.append(m))
+        monkeypatch.setattr(_Memory, "advance", spy)
+        p = ProblemSpec(0.5, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x),
+                        source=lambda x, t: np.sin(2.0 * x) + t)
+        solve_linear_spectral(p)
+        assert caught_up == []
+        # node 1 has no window to fold; from node 2 on every mode folds one
+        assert len(in_place) == 256 and set(in_place[1:]) == {grid.n_nodes}
 
     def test_burgers_converges_and_restricts_exactly(self):
         # u u_x needs the derivative of every sweep's state; the predictor

@@ -1,6 +1,7 @@
 import math
 from collections import OrderedDict
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,6 +212,19 @@ class TestKernelIntegral:
         left = ml_kernel_integral(alpha, lam, 0.0, a, t)
         right = ml_kernel_integral(alpha, lam, a, b, t)
         assert left + right == pytest.approx(whole, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("lam", [1e-14, 1e-9])
+    def test_small_rate(self, lam):
+        # the difference of relaxation values over lam loses ~|log10 lam|
+        # digits; reference: the series sum_k (-lam)^k ((t-s0)^(a(k+1)) -
+        # (t-s1)^(a(k+1))) / Gamma(a(k+1) + 1) in 30-digit arithmetic
+        alpha, s0, s1, t = 0.5, 0.0, 0.5, 1.0
+        with mpmath.workdps(30):
+            a = mpmath.mpf(alpha)
+            ref = sum((-mpmath.mpf(lam)) ** k
+                      * ((t - s0) ** (a * (k + 1)) - (t - s1) ** (a * (k + 1)))
+                      / mpmath.gamma(a * (k + 1) + 1) for k in range(6))
+        assert ml_kernel_integral(alpha, lam, s0, s1, t) == pytest.approx(float(ref), rel=1e-14)
 
     def test_rejects_zero_rate(self):
         with pytest.raises(InvalidParameterError):
