@@ -30,7 +30,11 @@ advanced: the fastest have decayed and are dropped, the slowest share two
 moments.  A step costs O(modes x band), with a band of 67-94 of the rule's
 214-339 terms at alpha = 0.3-0.95 on the acceptance grids; the
 relaxation values the step needs are fetched for _RELAX_BLOCK nodes in one
-vectorised call.  The L1 route sums every past step exactly.
+vectorised call.  The L1 route sums every past step exactly: it takes the
+grid's L1 weight rows from fracops.l1_weight_rows, built lazily for one
+solve or once for a chain of solves on one grid (compare's monotone
+iterations pass them to _l1_march), and solves each step's pentadiagonal
+system with one direct LAPACK gbsv (elliptic.banded_solve).
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .elliptic import (
     banded_solve,
     eigendecompose,
 )
-from .fracops import TimeGrid, caputo_l1_weights
+from .fracops import TimeGrid, l1_weight_rows
 from .special_ml import relaxation_batch, relaxation_exponentials
 
 __all__ = [
@@ -582,6 +586,13 @@ def solve_linear_spectral(
 
 def solve_linear_l1(p: ProblemSpec) -> Field:
     """Implicit L1 stepping of the full operator; the cross-validation oracle."""
+    return _l1_march(p, l1_weight_rows(p.tgrid.nodes, p.alpha))
+
+
+def _l1_march(p: ProblemSpec, rows) -> Field:
+    """solve_linear_l1 with the grid's L1 weight rows given: rows yields
+    caputo_l1_weights(t[:m+1], alpha) for m = 1..N in order, either lazily
+    (one solve) or from a tuple that a chain of solves on one grid shares."""
     op = assemble(p.elliptic, p.grid)
     t = p.tgrid.nodes
     N = t.size - 1
@@ -590,8 +601,7 @@ def solve_linear_l1(p: ProblemSpec) -> Field:
     u = np.empty((N + 1, n_nodes))
     u[0] = a
     du = np.empty((N, n_nodes))
-    for m in range(1, N + 1):
-        w = caputo_l1_weights(t[: m + 1], p.alpha)
+    for m, w in enumerate(rows, start=1):
         rhs = w[-1] * u[m - 1]
         if m > 1:
             rhs = rhs - w[: m - 1] @ du[: m - 1]

@@ -25,6 +25,7 @@ from .elliptic import (
     eigendecompose,
 )
 from .evolve_linear import Field, ProblemSpec, SolverError, spectral_march
+from .fracops import l1_weight_rows
 
 __all__ = [
     "SemilinearTerm",
@@ -200,26 +201,32 @@ def solve_semilinear_stationary(
 def scalar_fractional_ode(tgrid, alpha, y0, rhs, rhs_du=None, newton_tol=1e-12):
     """Implicit L1 marching of d_t^alpha (y - y0) = rhs(y) (brute-force oracle
     for spatially flat problems).  rhs_du enables Newton; otherwise damped
-    fixed point with numerical slope."""
-    from .fracops import caputo_l1_weights
-
+    fixed point with numerical slope.  Raises SolverError naming the node
+    where rhs gives a non-finite value or where 100 steps do not settle."""
     t = tgrid.nodes
     y = np.empty(t.size)
     y[0] = y0
     dy = np.empty(t.size - 1)
-    for m in range(1, t.size):
-        w = caputo_l1_weights(t[: m + 1], alpha)
+    for m, w in enumerate(l1_weight_rows(t, alpha), start=1):
         hist = 0.0 if m == 1 else float(w[: m - 1] @ dy[: m - 1])
         d = w[-1]
         # solve d*(ym - y[m-1]) + hist = rhs(ym)
         ym = y[m - 1]
         for _ in range(100):
-            g = d * (ym - y[m - 1]) + hist - rhs(ym)
+            fy = rhs(ym)
+            g = d * (ym - y[m - 1]) + hist - fy
+            if not math.isfinite(g):
+                raise SolverError(
+                    f"scalar ODE: non-finite residual at node {m} (y = {ym:.6g}, rhs = {fy:.6g})", node=m)
             slope = d - (rhs_du(ym) if rhs_du is not None else (rhs(ym + 1e-7) - rhs(ym - 1e-7)) / 2e-7)
             step = -g / slope
             ym += step
             if abs(step) <= newton_tol * (1.0 + abs(ym)):
                 break
+        else:
+            raise SolverError(
+                f"scalar ODE: no convergence at node {m} within 100 steps "
+                f"(last step {step:.2e})", node=m, residual=abs(g))
         y[m] = ym
         dy[m - 1] = y[m] - y[m - 1]
     return y

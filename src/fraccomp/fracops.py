@@ -4,6 +4,10 @@ Riemann-Liouville integrals by product integration (exact for piecewise-linear
 data), Caputo derivatives by the classical L1 scheme (exact for affine data,
 order 2-alpha for smooth data), and the discrete extremum-principle check:
 at an interior-or-right-end minimum the Caputo derivative is nonpositive.
+
+Every L1 user takes its weight rows from l1_weight_rows: the implicit L1
+solvers walk it once per solve, a chain of solves on one grid stores its rows
+for the chain's lifetime, and the extremum check builds only the row it reads.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ __all__ = [
     "rl_integral",
     "caputo_l1",
     "caputo_l1_weights",
+    "l1_weight_rows",
     "caputo_l1_field",
     "extremum_check",
     "ExtremumReport",
@@ -134,6 +139,18 @@ def caputo_l1_weights(t, alpha):
     return w
 
 
+def l1_weight_rows(t, alpha):
+    """The L1 weight rows of a grid, caputo_l1_weights(t[:m+1], alpha) for
+    m = 1..N, generated one at a time.
+
+    Row m holds m weights, so all N rows take N(N+1)/2 floats: a march that
+    runs once walks the generator, and a chain of solves on one grid stores
+    tuple(l1_weight_rows(t, alpha)) for its own lifetime.  No memo keeps rows
+    beyond that: a cache per (grid, alpha) would hold 4.2 MB at N = 1024 for
+    every grid a process has solved on."""
+    return (caputo_l1_weights(t[: m + 1], alpha) for m in range(1, len(t)))
+
+
 def caputo_l1(y: TimeSeries, alpha: float) -> TimeSeries:
     """Pointwise Caputo derivative by the L1 scheme; output[0] = 0 by convention.
 
@@ -152,8 +169,7 @@ def caputo_l1_field(tgrid: TimeGrid, values: np.ndarray, alpha: float) -> np.nda
         raise ValueError("axis 0 must match the time grid")
     out = np.zeros_like(v)
     dv = np.diff(v, axis=0)
-    for m in range(1, t.size):
-        w = caputo_l1_weights(t[: m + 1], alpha)
+    for m, w in enumerate(l1_weight_rows(t, alpha), start=1):
         out[m] = w @ dv[:m]
     return out
 
@@ -177,8 +193,11 @@ def extremum_check(y: TimeSeries, alpha: float) -> ExtremumReport:
     k = int(np.argmin(v))
     if k == 0:
         raise NotApplicableError("minimum attained at t=0; the check needs t_0 > 0")
-    cap = caputo_l1(y, alpha).values[k]
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     t = y.grid.nodes
+    # row k of caputo_l1 alone: the same weights and the same product
+    cap = caputo_l1_weights(t[: k + 1], alpha) @ np.diff(v)[:k]
     tau = float(np.max(np.diff(t)))
     # crude max |y''| from second differences on the (possibly nonuniform) grid
     if v.size >= 3:

@@ -368,9 +368,13 @@ class TestReproduce:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child imports fraccomp from this checkout's src, whatever PYTHONPATH says
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "fraccomp.cli", "ml", "--alpha", "1", "--z", "0"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "1" in proc.stdout

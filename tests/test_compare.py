@@ -203,6 +203,23 @@ class TestLinearMonotoneSequence:
         spectral = solve_linear_spectral(p)
         assert np.max(np.abs(seq[-1].values - spectral.values)) < 5e-3
 
+    def test_shared_rows_match_direct_solves(self):
+        # the chain builds its L1 weight rows once; every iterate must be the
+        # public one-off solve of its frozen problem, bit for bit
+        from dataclasses import replace
+
+        from fraccomp.evolve_linear import solve_linear_l1
+
+        p = neumann_problem(initial=lambda x: 1 + np.cos(math.pi * x), N=40, c0=1.0,
+                            c=lambda x, t: -0.3 + 0.2 * np.sin(3 * x + t))
+        b0 = 0.6
+        seq = linear_monotone_sequence(p, b0_const=b0, n_max=4)
+        c_vals = np.array([p.elliptic.c_fun()(p.grid.nodes, t) for t in p.tgrid.nodes])
+        frozen = replace(p, elliptic=replace(p.elliptic, c=-b0))
+        for prev, nxt in zip(seq, seq[1:]):
+            direct = solve_linear_l1(replace(frozen, source=(b0 + c_vals) * prev.values + 0.0))
+            assert np.array_equal(nxt.values, direct.values)
+
     def test_rejects_small_b0(self):
         p = neumann_problem(initial=1.0, c0=1.0, c=-2.0)
         with pytest.raises(HypothesisViolation):
@@ -305,6 +322,24 @@ class TestMonotoneIteration:
         y = scalar_fractional_ode(p.tgrid, alpha, 1.0, lambda v: -v / (1 + abs(v)),
                                   rhs_du=lambda v: -1.0 / (1 + abs(v)) ** 2)
         assert np.max(np.abs(res.solution.values[:, 5] - y)) < 5e-3
+
+    def test_shared_rows_match_per_sweep_rows(self):
+        # both chains share one tuple of L1 weight rows; each sweep must equal
+        # the same sweep with its rows generated afresh, as a one-off solve does
+        from fraccomp.compare import _l_map
+        from fraccomp.fracops import l1_weight_rows
+
+        p = neumann_problem(alpha=0.5, initial=1.0, N=32, c0=0.0, n=12)
+        nt = p.tgrid.nodes.size
+        ones = Field(p.grid, p.tgrid, np.ones((nt, p.grid.n_nodes)))
+        zeros = Field(p.grid, p.tgrid, np.zeros((nt, p.grid.n_nodes)))
+        f = builtin_enzyme()
+        res = monotone_iteration(p, f, BarrierPair(lower=zeros, upper=ones), M=1.0, k_max=25)
+        for seq in (res.from_lower, res.from_upper):
+            assert len(seq) > 2
+            for prev, nxt in zip(seq, seq[1:]):
+                again = _l_map(p, f, 1.0, prev, l1_weight_rows(p.tgrid.nodes, p.alpha))
+                assert np.array_equal(nxt.values, again.values)
 
     def test_ground_mode_barriers(self):
         # stationary-state barriers u_inf +- M1 E(-lam1 t^alpha) phi1

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from fraccomp.elliptic import (
     DegenerateEigenpairError,
@@ -123,6 +124,53 @@ def test_banded_operator(drift, sigma, n):
         sol = banded_solve(op.bands(t, shift, reaction), v)
         res = shift * sol + op.apply_full(sol, t, reaction) - v
         assert np.max(np.abs(res)) <= 1e-13 * (shift + norm) * np.max(np.abs(sol))
+
+
+class TestBandedSolve:
+    """banded_solve calls LAPACK gbsv directly: the same bits and the same
+    errors as scipy.linalg.solve_banded((2, 2), ...)."""
+
+    @pytest.mark.parametrize("n", [3, 33, 129])
+    def test_operator_bands_match_solve_banded(self, n):
+        g = Grid1D(0.0, 1.0, n)
+        spec = EllipticSpec(a=lambda x: 1.0 + x, b=lambda x, t: 4.0 * np.cos(5.0 * x) - t,
+                            c=lambda x, t: 0.3 * np.sin(x), c0=0.5, sigma_hi=1.0)
+        op = assemble(spec, g)
+        rhs = np.random.default_rng(n).normal(size=g.n_nodes)
+        for t, shift in ((0.0, 0.0), (0.4, 3.7), (1.0, 250.0)):
+            ab = op.bands(t, shift)
+            assert np.array_equal(banded_solve(ab, rhs), solve_banded((2, 2), ab, rhs))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_dominant_pentadiagonal(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 200))
+        ab = rng.normal(size=(5, m))
+        ab[2] = np.sum(np.abs(ab), axis=0) + rng.uniform(0.1, 1.0, m)
+        rhs = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3)
+        assert np.array_equal(banded_solve(ab, rhs), solve_banded((2, 2), ab, rhs))
+
+    def test_singular_raises_linalg_error(self):
+        ab = np.zeros((5, 6))
+        ab[2] = 1.0
+        ab[2, 3] = 0.0  # a zero row and column
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_banded((2, 2), ab, np.ones(6))
+        with pytest.raises(np.linalg.LinAlgError):
+            banded_solve(ab, np.ones(6))
+
+    def test_non_finite_raises_value_error(self):
+        ab = np.zeros((5, 6))
+        ab[2] = 2.0
+        rhs = np.ones(6)
+        rhs[4] = np.nan
+        with pytest.raises(ValueError):
+            banded_solve(ab, rhs)
+        ab[1, 3] = np.inf
+        with pytest.raises(ValueError):
+            banded_solve(ab, np.ones(6))
+        # the inputs are left as they were
+        assert np.isnan(rhs[4]) and np.sum(np.isnan(rhs)) == 1
 
 
 class TestEigen:

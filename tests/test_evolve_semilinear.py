@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fraccomp.elliptic import EllipticSpec, Grid1D, assemble, eigendecompose
-from fraccomp.evolve_linear import ProblemSpec, solve_linear_spectral
+from fraccomp.evolve_linear import ProblemSpec, SolverError, solve_linear_spectral
 from fraccomp.evolve_semilinear import (
     BoxExitError,
     SemilinearTerm,
@@ -183,3 +183,25 @@ class TestScalarOracle:
         y = scalar_fractional_ode(tg, alpha, 1.0, lambda v: -v, rhs_du=lambda v: -1.0)
         ref = np.array([ml_relaxation(alpha, 1.0, t) for t in tg.nodes])
         assert np.max(np.abs(y - ref)) < 5e-4
+
+    def test_non_finite_rhs_names_the_node(self):
+        # rhs is NaN below 0.5: the march must stop at the first node whose
+        # value falls there instead of returning NaNs
+        alpha = 0.6
+        tg = TimeGrid.graded(4.0, 64, 2.0 / alpha)
+        ref = scalar_fractional_ode(tg, alpha, 1.0, lambda v: -v, rhs_du=lambda v: -1.0)
+        first = int(np.argmax(ref <= 0.5))
+        assert first > 1
+        with pytest.raises(SolverError, match=f"node {first}") as err:
+            scalar_fractional_ode(tg, alpha, 1.0, lambda v: -v if v > 0.5 else math.nan,
+                                  rhs_du=lambda v: -1.0)
+        assert err.value.node == first
+
+    def test_newton_without_convergence_names_the_node(self):
+        # a jump in rhs across the root: with d = 2.26 at node 1 the iterate
+        # flips between 1 - 1/d and 1 + 1/d and never settles
+        tg = TimeGrid.uniform(1.0, 4)
+        with pytest.raises(SolverError, match="node 1") as err:
+            scalar_fractional_ode(tg, 0.5, 1.0, lambda v: -math.copysign(1.0, v - 0.9),
+                                  rhs_du=lambda v: 0.0)
+        assert err.value.node == 1

@@ -11,7 +11,9 @@ from fraccomp.fracops import (
     TimeGrid,
     TimeSeries,
     caputo_l1,
+    caputo_l1_weights,
     extremum_check,
+    l1_weight_rows,
     rl_integral,
 )
 
@@ -169,6 +171,14 @@ class TestCaputoL1:
             caputo_l1(series(g, lambda t: t), 0.0)
 
 
+def test_l1_weight_rows():
+    t = TimeGrid.graded(1.0, 40, 3.0).nodes
+    rows = list(l1_weight_rows(t, 0.4))
+    assert len(rows) == 40
+    for m, w in enumerate(rows, start=1):
+        assert np.array_equal(w, caputo_l1_weights(t[: m + 1], 0.4))
+
+
 class TestExtremumCheck:
     def test_parabola_interior_minimum(self):
         g = TimeGrid.uniform(1.0, 200)
@@ -190,6 +200,25 @@ class TestExtremumCheck:
         assert rep.holds
         ref = -gamma(2.0) * 1.0 ** 0.5 / gamma(1.5)  # power-rule oracle
         assert rep.caputo_at_min == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.93])
+    @pytest.mark.parametrize("grid", ["uniform", "graded"])
+    def test_row_equals_full_l1_field(self, alpha, grid):
+        # the check forms only row k; it must be that row of caputo_l1 to the bit
+        g = TimeGrid.uniform(2.0, 150) if grid == "uniform" else TimeGrid.graded(2.0, 150, 2.0 / alpha)
+        rng = np.random.default_rng(int(alpha * 100))
+        for _ in range(5):
+            c = rng.normal(0, 1, 3)
+            y = series(g, lambda t: c[0] * np.sin(4 * t + c[1]) + c[2] * t)
+            k = int(np.argmin(y.values))
+            if k == 0:
+                continue
+            assert extremum_check(y, alpha).caputo_at_min == caputo_l1(y, alpha).values[k]
+
+    def test_rejects_bad_alpha(self):
+        g = TimeGrid.uniform(1.0, 20)
+        with pytest.raises(ValueError):
+            extremum_check(series(g, lambda t: (t - 0.5) ** 2), 1.0)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
