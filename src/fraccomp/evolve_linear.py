@@ -19,9 +19,12 @@ Two independent routes:
 On the spectral route u at node m is the fixed point of the step map, found
 by Picard sweeps on its mode coefficients (see spectral_march): a sweep is
 one product giving u and u' on the nodes, the nodal forcing, one weighted
-projection and the per-mode update.  The sweeps start from the linear
-extrapolation of the last two nodes' coefficients, so that they mostly stop
-after 3-4 sweeps; the march returns the number of sweeps per node.
+projection and the per-mode update.  The sweeps start from the quadratic
+extrapolation of u and u' from the last three nodes, so that they mostly
+stop after 2-3 sweeps; the march returns the number of sweeps per node.
+The coefficients b, c and the source are sampled at the step midpoints
+_RELAX_BLOCK steps per call where they broadcast in t, and once per step
+where they do not.
 
 Both keep the entire memory: there is no semigroup restart in fractional time.
 The spectral route carries it compressed, as one running sum per mode and
@@ -76,6 +79,7 @@ _RELAX_BLOCK = 32  # time nodes whose relaxation values the march fetches in one
 _BAND_HI = 40.0  # r dt_{m-1} above this: the running sum is below e^-40 of its input
 _BAND_LO = 1e-8  # r t_m below this: exp(-r s) is quadratic in r s to rounding
 _BAND_SLACK = 8  # terms the band storage moves or grows by at once
+_START_MAX = 10.0  # largest weight of the sweeps' extrapolated start (see _extrapolation_weights)
 
 
 class SolverError(RuntimeError):
@@ -230,13 +234,16 @@ class _Memory:
     * modes with lam t_m^alpha <= 1e-8, whose masses are power differences.
     E(-lam t_m^alpha) and the current window's relaxation values are
     fetched for _RELAX_BLOCK nodes in one relaxation_batch call, together
-    with the block's fold schedule.  At every node m >= 2, window m - 2,
-    which the last step left behind, folds in place on the rows whose
-    schedule reaches it.  Windows older than that which came of age at
-    node m fold first, window by window, in _fold; on the acceptance specs
-    and the verify suites none ever do.  Every choice at node m depends on
-    t[0..m], lam and alpha only, so a solve on a restricted grid reproduces
-    the longer solve exactly."""
+    with the block's fold schedule and, per node, the flags the fold reads:
+    whether every row folds window m - 2 and whether an older window is due.
+    At every node m >= 2, window m - 2, which the last step left behind,
+    folds in place on the rows whose schedule reaches it.  Windows older
+    than that which came of age at node m fold first, window by window, in
+    _fold; on the acceptance specs and the verify suites none ever do.  The
+    two moments are one (2 x modes) array, and a fold adds the forcing times
+    the window's two precomputed weights.  Every choice at node m depends
+    on t[0..m], lam and alpha only, so a solve on a restricted grid
+    reproduces the longer solve exactly."""
 
     def __init__(self, alpha, lambdas, t):
         self.alpha = alpha
@@ -261,8 +268,8 @@ class _Memory:
             self.ln_c1 = np.log(np.concatenate([[0.0], np.cumsum(soe.weight * rho)]))
             self.ln_c2 = np.log(np.concatenate([[0.0], np.cumsum(soe.weight * rho * rho)]))
             # ln sum_{j < base} w_j r_j and ln sum_{j < base} w_j r_j^2
-            self.ln_a1 = self.ln_root + self.ln_c1[n_terms]
-            self.ln_a2 = 2.0 * self.ln_root + self.ln_c2[n_terms]
+            self.ln_a = np.stack([self.ln_root + self.ln_c1[n_terms],
+                                  2.0 * self.ln_root + self.ln_c2[n_terms]])
         modes = self.lam.size
         self.lam_div = np.where(self.lam > 0.0, self.lam, 1.0)
         self.base = np.full(modes, n_terms)  # term held in column 0 of each row
@@ -272,8 +279,11 @@ class _Memory:
         self.decay_m1 = np.zeros((modes, 0))  # exp(-r dt) - 1 of the last step
         self.work = np.zeros((modes, 0))  # scratch of the band's shape
         self.g_k = np.zeros(modes)  # scratch: the forcing of the window to fold
-        self.m1 = np.zeros(modes)  # moments of the folded windows
-        self.p = np.zeros(modes)
+        self.mom = np.zeros((2, modes))  # moments M1 and P of the folded windows
+        self.mom_work = np.empty((2, modes))
+        # the moments' weights of window k: dt_k and t_{k+1}^2 - t_k^2 (from t_0)
+        dt_w = t[1:] - t[:-1]
+        self.mom_w = np.stack([dt_w, dt_w * (t[1:] + t[:-1] - 2.0 * t[0])], axis=1)[:, :, None]
         self.folded = np.zeros(modes, dtype=int)  # windows k < folded are in sums
         self.g1 = np.exp(-gammaln(alpha + 1.0))
         self.g2 = np.exp(-gammaln(2.0 * alpha + 1.0))
@@ -303,13 +313,28 @@ class _Memory:
         # fold into the sums, up to window k - 2; small rows fold nothing
         k = np.arange(m, stop)[:, None]
         big = lam * t_pow[:, None] > 1e-8
-        fold = np.minimum(np.searchsorted(t[1:], t[m:stop, None] - self.tau, side="right"), k - 1)
+        # a mode with tau below half the block's shortest step reaches
+        # window k - 2 at every node k; only the others are searched
+        fold = np.repeat(k - 1, lam.size, axis=1)
+        slow = np.flatnonzero(self.tau >= 0.5 * np.min(t[m:stop] - t[m - 1 : stop - 1]))
+        if slow.size:
+            fold[:, slow] = np.minimum(
+                np.searchsorted(t[1:], t[m:stop, None] - self.tau[slow], side="right"), k - 1)
         fold[~big] = 0
         rest = fold < k - 1
         self.block_start, self.block_stop = m, stop
+        # the frozen terms' scaling: ln t_m and 2 ln t_m, t_m and 2 t_m
+        s = t[m:stop] - t[0]
+        self.ln_s = np.log(s)[:, None, None] * np.array([[1.0], [2.0]])
+        self.mom_div = np.stack([s, 2.0 * s], axis=1)[:, :, None]
         self.relax, self.w_cur = e[: stop - m], np.maximum(masses, 0.0)
         self.fold, self.fold_last = fold, fold == k - 1
+        self.fold_all = self.fold_last.all(axis=1)
         self.rest, self.rest_any = rest, rest.any(axis=1)
+        # the catch-up is due at node k >= 2 where a window older than k - 2
+        # came of age: min(fold, k - 2) passes what node k - 1 folded
+        before = np.concatenate([self.folded[None, :], fold[:-1]])
+        self.late_due = (np.minimum(fold, k - 2) > before).any(axis=1)
 
     def _band_rows(self, rows, base):
         """Rates and weights of the band columns of `rows` from term `base` on."""
@@ -355,15 +380,16 @@ class _Memory:
         # which stay bounded for r s < 1e-8
         s = self.t[m - 1] - self.t[0]
         if s > 0.0:
-            rs, m1 = rates * s, self.m1[rows, None] / s
-            thawed = rs * m1 - rs * rs * (m1 - 0.5 * self.p[rows, None] / s / s)
+            rs, m1 = rates * s, self.mom[0, rows, None] / s
+            with np.errstate(over="ignore", invalid="ignore"):  # rates past the rule may be inf
+                thawed = rs * m1 - rs * rs * (m1 - 0.5 * self.mom[1, rows, None] / s / s)
         else:  # node 0: nothing is folded yet
             thawed = np.zeros_like(rates)
         self.sums[rows] = np.where(src >= 0, kept, thawed)
         self.rates[rows], self.weight[rows] = rates, weight
         self.base[rows] = base
-        self.ln_a1[rows] = self.ln_root[rows] + self.ln_c1[base]
-        self.ln_a2[rows] = 2.0 * self.ln_root[rows] + self.ln_c2[base]
+        self.ln_a[0, rows] = self.ln_root[rows] + self.ln_c1[base]
+        self.ln_a[1, rows] = 2.0 * self.ln_root[rows] + self.ln_c2[base]
         self._edges()
 
     def _fold(self, m, g_hist, late):
@@ -374,11 +400,10 @@ class _Memory:
         for k in range(int(self.folded[late > self.folded].min()), int(late.max())):
             sel = (self.folded <= k) & (k < late)
             r = self.rates[sel]
-            w = np.exp(-r * (t[m - 1] - t[k + 1])) * -np.expm1(-r * (t[k + 1] - t[k]))
+            with np.errstate(over="ignore", invalid="ignore"):  # rates past the rule may be inf
+                w = np.exp(-r * (t[m - 1] - t[k + 1])) * -np.expm1(-r * (t[k + 1] - t[k]))
             self.sums[sel] += w * g_hist[k, sel, None]
-            g_k = g_hist[k] * sel
-            self.m1 += (t[k + 1] - t[k]) * g_k
-            self.p += ((t[k + 1] - t[k]) * (t[k + 1] + t[k] - 2.0 * t[0])) * g_k
+            self.mom += self.mom_w[k] * (g_hist[k] * sel)
 
     def advance(self, m, g_hist):
         """Move to node m; returns E(-lam t_m^alpha) per mode, the history
@@ -408,29 +433,36 @@ class _Memory:
             if width > self.sums.shape[1]:
                 self._widen(m, -(-width // _BAND_SLACK) * _BAND_SLACK)
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            if m >= 2:
-                late = np.minimum(fold_to, m - 2)
-                if np.any(late > self.folded):
-                    self._fold(m, g_hist, late)
-                # window m - 2, the one the last step left behind, in place
-                g_k = np.multiply(g_hist[m - 2], self.fold_last[b], out=self.g_k)
-                self.sums -= np.multiply(self.decay_m1, g_k[:, None], out=self.work)
-                dt_k = t[m - 1] - t[m - 2]
-                self.m1 += dt_k * g_k
-                self.p += (dt_k * (t[m - 1] + t[m - 2] - 2.0 * t[0])) * g_k
-            self.folded = fold_to
-            if len(moved):
-                self._shift(m, moved, base[moved])
-            decay_m1 = np.multiply(self.rates, -dt, out=self.decay_m1)
+        # nothing below overflows: a rate past the rule may be inf, which
+        # expm1 takes to -1, and the frozen terms are scaled by t_m
+        if m >= 2:
+            if self.late_due[b]:
+                self._fold(m, g_hist, np.minimum(fold_to, m - 2))
+            # window m - 2, the one the last step left behind, in place
+            g_k = g_hist[m - 2]
+            if not self.fold_all[b]:
+                g_k = np.multiply(g_k, self.fold_last[b], out=self.g_k)
+            self.sums -= np.multiply(self.decay_m1, g_k[:, None], out=self.work)
+            self.mom += np.multiply(self.mom_w[m - 2], g_k, out=self.mom_work)
+        self.folded = fold_to
+        if len(moved):
+            self._shift(m, moved, base[moved])
+        decay_m1 = np.multiply(self.rates, -dt, out=self.decay_m1)
         np.expm1(decay_m1, out=decay_m1)
         self.sums *= np.add(decay_m1, 1.0, out=self.work)
 
         # the frozen terms, scaled by t_m so that no factor overflows:
-        # sum_j w_j r_j t_m <= 1e-8 sum_j w_j, M1 / t_m <= max |g|
-        ln_s, m1 = math.log(s_m), self.m1 / s_m
-        frozen = (np.exp(self.ln_a1 + ln_s) * m1
-                  - np.exp(self.ln_a2 + 2.0 * ln_s) * (m1 - 0.5 * self.p / s_m / s_m))
+        # sum_j w_j r_j t_m <= 1e-8 sum_j w_j, M1 / t_m <= max |g|.  Row 0 of
+        # e and c is t_m sum_j w_j r_j against M1 / t_m, row 1 is
+        # t_m^2 sum_j w_j r_j^2 against P / (2 t_m^2) - M1 / t_m (t_m^2 may
+        # underflow, so P is divided by t_m twice)
+        e = np.exp(self.ln_a + self.ln_s[b])
+        c = np.divide(self.mom, self.mom_div[b], out=self.mom_work)
+        c1 = c[1]
+        c1 /= s_m
+        c1 -= c[0]
+        e *= c
+        frozen = e[0] + e[1]
         # small modes have folded nothing, so their sums and moments are 0
         history = (np.einsum("ij,ij->i", self.sums, self.weight) + frozen) / self.lam_div
         # small modes, and young windows fold_to <= k <= m - 2 of the others
@@ -441,6 +473,80 @@ class _Memory:
             young = np.arange(q, m - 1)[None, :] >= fold_to[rest, None]
             history[rest] += (masses * young * g_hist[q : m - 1, rest].T).sum(axis=1)
         return self.relax[b], history, self.w_cur[b]
+
+
+class _Sampled:
+    """A coefficient f(x, t) of the march at the step midpoints, as post(f)
+    on the nodes x.  Each block of _RELAX_BLOCK midpoints is sampled by one
+    call of f with x and the column of the block's times.  Where that call
+    raises or gives another shape than (times, nodes), f does not broadcast
+    in t: it is called once per time from then on, when the march reaches
+    the step, so that an error surfaces at its own node.  A constant f is
+    post(f) at every time and is never called."""
+
+    def __init__(self, f, x, post=None):
+        self.f, self.x, self.post = f, x, post
+        self.per_time = False
+        if not callable(f):
+            v = float(f) if post is None else post(float(f))
+            self.rows = np.full((_RELAX_BLOCK, 1), v)
+            self.nonzero = np.full(_RELAX_BLOCK, v != 0.0)
+
+    def block(self, ts):
+        """Sample the midpoints ts of the next block."""
+        if not callable(self.f):
+            return
+        self.ts, self.rows = ts, None
+        # a block of one time is sampled per time: a scalar-only f (math.exp)
+        # would take a one-element column for a scalar
+        if self.per_time or ts.size < 2:
+            return
+        try:
+            v = np.asarray(self.f(self.x, ts[:, None]), dtype=float)
+        except Exception:  # any error: the per-time calls raise it again at its node
+            v = None
+        if v is None or v.shape != (ts.size, self.x.size):
+            self.per_time = True
+            return
+        self.rows = v if self.post is None else self.post(v)
+        self.nonzero = self.rows.any(axis=1)  # NaN counts as nonzero
+
+    def at(self, k):
+        """Row k of the block, and whether it has an entry other than 0."""
+        if self.rows is not None:
+            return self.rows[k], self.nonzero[k]
+        v = _node_values(self.f(self.x, self.ts[k]), self.x)
+        if self.post is not None:
+            v = self.post(v)
+        return v, np.count_nonzero(v) > 0  # NaN counts as nonzero
+
+
+def _extrapolation_weights(t):
+    """Weights of the start of the Picard sweeps at each node m: the
+    quadratic through nodes m - 1, m - 2 and m - 3, evaluated at t_m.
+    Row m holds the weight of node k in column k % 3, where the march keeps
+    node k.  The Lagrange weights are written as ratios of steps: on a
+    strongly graded grid (t_k = (k/N)^100) products of the first steps
+    underflow.  There the ratios are huge instead, and the start's rounding
+    alone would cost sweeps, so a row whose weights exceed _START_MAX takes
+    the line through m - 1 and m - 2, or failing that node m - 1 itself
+    (as do m = 1 and m = 2)."""
+    h = np.diff(t)
+    rows = np.arange(t.size)
+    col1, col2, col3 = (rows - 1) % 3, (rows - 2) % 3, rows % 3  # nodes m - 1, m - 2, m - 3
+    w = np.zeros((t.size, 3))
+    w[rows[1:], col1[1:]] = 1.0
+    with np.errstate(over="ignore"):  # a huge ratio is rejected below
+        r = h[1:] / h[:-1]  # (t_m - t_{m-1}) / (t_{m-1} - t_{m-2}) at m = 2..N
+        h1, h2, h3 = h[2:], h[1:-1], h[:-2]  # t_m - t_{m-1}, ... at m = 3..N
+        quad = np.stack([((h1 + h2) / h2) * ((h1 + h2 + h3) / (h2 + h3)),
+                         -(h1 / h2) * ((h1 + h2 + h3) / h3),
+                         (h1 / h3) * ((h1 + h2) / (h2 + h3))])
+    m = np.flatnonzero(1.0 + r <= _START_MAX) + 2
+    w[m, col1[m]], w[m, col2[m]] = 1.0 + r[m - 2], -r[m - 2]
+    m = np.flatnonzero(np.abs(quad).max(axis=0) <= _START_MAX) + 3
+    w[m, col1[m]], w[m, col2[m]], w[m, col3[m]] = quad[:, m - 3]
+    return w
 
 
 def spectral_march(
@@ -460,9 +566,15 @@ def spectral_march(
     Q u_rep that u_{m-1} fixes (with the u' its last sweep gave) is projected
     once per step, and a sweep is one product giving u and u' on the nodes,
     the other half plus f, one projection and the update.  They start from
-    the extrapolation of the last two nodes' coefficients and stop when u_m
-    moves by at most picard_tol on the nodes.  The memory keeps the forcing
-    of the last sweep, so u_m is exactly its Duhamel image.
+    the quadratic extrapolation of u and u' from the last three nodes (see
+    _extrapolation_weights) and stop when u_m moves by at most picard_tol on
+    the nodes.  The memory keeps the forcing of the last sweep, so u_m is
+    exactly its Duhamel image.
+
+    b / 2, (c0 + c) / 2 and the source are sampled at the step midpoints a
+    block of _RELAX_BLOCK steps at a time (see _Sampled); without b and c,
+    Q is the constant c0 and is not sampled.  A step whose samples of b and
+    c0 + c are all zero takes u_m directly.
 
     nonlinearity(u_nodal, t) -> nodal values is added to the step forcing with
     the same endpoint-average state treatment as Q u.  state_guard(u, k) may
@@ -471,27 +583,28 @@ def spectral_march(
     couples the modes and u_m is taken directly)."""
     t = p.tgrid.nodes
     alpha = p.alpha
+    x = p.grid.nodes
     n_nodes = p.grid.n_nodes
     N = t.size - 1
     a = p.initial_values()
     if not np.all(np.isfinite(a)):
         raise _non_finite("initial value", 0, p.grid, a)
     a_coef = eig.project(a)
-    # the splitting coefficients and the source are sampled at the step
-    # midpoints step by step, so that no (steps x nodes) copy of them is kept
     mids = 0.5 * (t[:-1] + t[1:])
-    q_active = any(
-        (b is not None and np.max(np.abs(b)) > 0.0) or np.max(np.abs(cz)) > 0.0
-        for b, cz in map(op.q_parts, mids)
-    )
-    iterate = q_active or nonlinearity is not None
+    spec = p.elliptic
+    half_b = None if spec.b is None else _Sampled(spec.b, x, lambda v: 0.5 * v)
+    half_c = _Sampled(0.0 if spec.c is None else spec.c, x, lambda v: 0.5 * (spec.c0 + v))
     src = p.source
-    if src is not None and not callable(src):
+    if callable(src):
+        src = _Sampled(src, x)
+    elif src is not None:
         src = np.asarray(src, dtype=float)
+    sampled = [s for s in (half_b, half_c, src) if isinstance(s, _Sampled)]
+    no_source = np.zeros(n_nodes)
     # one product gives the nodal values and, under a drift, their derivative
-    drift = q_active and op.spec.b_fun() is not None
-    synth = np.vstack([eig.modes, op.derivative(eig.modes)]) if drift else eig.modes
+    synth = np.vstack([eig.modes, op.derivative(eig.modes)]) if half_b is not None else eig.modes
     proj = np.ascontiguousarray((eig.modes * eig.weights[:, None]).T)
+    start = _extrapolation_weights(t)
 
     u = np.empty((N + 1, n_nodes))
     u[0] = a
@@ -499,49 +612,54 @@ def spectral_march(
     # mode coefficients of the frozen step forcings (F + Qu [+ f(u)])
     g_hist = np.zeros((N, eig.lambdas.size))
     counts = np.zeros(N, dtype=int)
-    v_last = v_prev = a_coef  # coefficients of u at the last two nodes
-    half_b = None  # b / 2 at the step midpoint, when there is a drift
+    # u (and u') on the nodes at node k in row k % 3, for the sweeps' start
+    uv_hist = np.zeros((3, synth.shape[0]))
+    uv_hist[0] = synth @ a_coef
 
     memory = _Memory(alpha, eig.lambdas, t)
 
     for m in range(1, N + 1):
         relax, history, w_last = memory.advance(m, g_hist)
         base = a_coef * relax + history
+        k = (m - 1) % _RELAX_BLOCK
+        if k == 0:
+            for s in sampled:
+                s.block(mids[m - 1 : m - 1 + _RELAX_BLOCK])
         # the part of the step forcing that u_{m-1} fixes: F + Q u_{m-1} / 2
         if src is None:
-            fixed = np.zeros(n_nodes)
-        elif callable(src):
-            fixed = p.source_at(mids[m - 1])
+            fixed = no_source
+        elif isinstance(src, _Sampled):
+            fixed, _ = src.at(k)
         else:
             fixed = 0.5 * (src[m - 1] + src[m])
-        if q_active:
-            b, cz = op.q_parts(mids[m - 1])
-            half_c = 0.5 * cz
-            fixed = fixed + half_c * u[m - 1]
-            if b is not None:
-                half_b = 0.5 * b
-                fixed += half_b * du
+        half_c_m, active = half_c.at(k)
+        half_b_m = None
+        if half_b is not None:
+            half_b_m, b_active = half_b.at(k)
+            active = active or b_active
+        if active:
+            fixed = fixed + half_c_m * u[m - 1]
+            if half_b_m is not None:
+                fixed += half_b_m * du
         g_fixed = proj @ fixed
         if not np.isfinite(g_fixed).all():
             raise _non_finite("step forcing", m, p.grid, fixed)
 
-        if not iterate:
+        if not (active or nonlinearity is not None):
             g = g_fixed
-            u_new = synth @ (base + w_last * g)
-            if not np.isfinite(u_new).all():
-                raise _non_finite("field", m, p.grid, u_new)
+            v_next = base + w_last * g
+            uv = synth @ v_next
+            if not np.isfinite(uv[:n_nodes]).all():
+                raise _non_finite("field", m, p.grid, uv[:n_nodes])
         else:
-            v = v_last
-            if m >= 2:  # linear extrapolation in t from the last two nodes
-                v = v + ((t[m] - t[m - 1]) / (t[m - 1] - t[m - 2])) * (v_last - v_prev)
-            uv = synth @ v
+            uv = start[m] @ uv_hist
             converged = False
             residual = np.inf
             for it in range(PICARD_MAX):
                 u_new = uv[:n_nodes]
-                swept = half_c * u_new if q_active else 0.0
-                if half_b is not None:
-                    swept += half_b * uv[n_nodes:]
+                swept = half_c_m * u_new if active else 0.0
+                if active and half_b_m is not None:
+                    swept += half_b_m * uv[n_nodes:]
                 if nonlinearity is not None:
                     swept = swept + nonlinearity(0.5 * (u[m - 1] + u_new), mids[m - 1])
                 g = g_fixed + proj @ swept
@@ -561,8 +679,8 @@ def spectral_march(
                     node=m,
                     residual=residual,
                 )
-            v_prev, v_last = v_last, v_next
-            u_new, du = uv[:n_nodes], uv[n_nodes:]
+        uv_hist[m % 3] = uv
+        u_new, du = uv[:n_nodes], uv[n_nodes:]
         u[m] = u_new
         if state_guard is not None:
             state_guard(u_new, m)

@@ -1,16 +1,26 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import gamma
 
-from fraccomp.elliptic import EllipticSpec, Grid1D, SpaceField, assemble, eigendecompose
+from fraccomp.elliptic import (
+    DiscreteOperator,
+    EllipticSpec,
+    Grid1D,
+    SpaceField,
+    assemble,
+    eigendecompose,
+)
 from fraccomp.evolve_linear import (
     _RELAX_BLOCK,
+    _START_MAX,
     Field,
     ProblemSpec,
     SolverError,
     _Memory,
+    _extrapolation_weights,
     duhamel_step,
     homogeneous_solution,
     solve_linear_l1,
@@ -327,6 +337,138 @@ class TestModeSpaceSweeps:
         half = u.restrict_time(30)
         u2 = solve_semilinear(ProblemSpec(0.6, spec, grid, half.tgrid, p.initial), builtin_burgers(0.8))
         assert np.array_equal(half.values, u2.values)
+
+
+class TestBlockSampledForcing:
+    """b / 2, (c0 + c) / 2 and the source are sampled _RELAX_BLOCK step
+    midpoints per call where they broadcast in t, and once per step where
+    they do not."""
+
+    @staticmethod
+    def problem(N=3 * _RELAX_BLOCK, **spec_kw):
+        grid, tg, spec = make_problem(alpha=0.4, n=24, N=N, c0=1.0, **spec_kw)
+        return ProblemSpec(0.4, spec, grid, tg, lambda x: 1 + np.cos(math.pi * x),
+                           source=lambda x, t: np.sin(2.0 * x) + t)
+
+    def test_non_broadcasting_coefficients_match_their_broadcasting_spelling(self):
+        calls = {"scalar": 0, "array": 0}
+
+        def step_c(x, t):  # `if t < 0.5` needs a scalar t
+            calls["scalar"] += 1
+            return (0.2 if t < 0.5 else -0.1) * np.cos(x)
+
+        def where_c(x, t):
+            calls["array"] += 1
+            return np.where(t < 0.5, 0.2, -0.1) * np.cos(x)
+
+        b_math = lambda x, t: 0.3 * np.sin(x) * math.cos(t)
+        b_numpy = lambda x, t: 0.3 * np.sin(x) * np.cos(t)
+        u1 = solve_linear_spectral(self.problem(b=b_math, c=step_c)).values
+        u2 = solve_linear_spectral(self.problem(b=b_numpy, c=where_c)).values
+        # one failed block call, then one call per step; one call per block
+        assert calls == {"scalar": 1 + 3 * _RELAX_BLOCK, "array": 3}
+        # math.cos and numpy's cos may differ in the last bit
+        assert np.max(np.abs(u1 - u2)) <= 1e-14 * np.max(np.abs(u2))
+        u3 = solve_linear_spectral(self.problem(b=b_numpy, c=step_c)).values
+        assert np.array_equal(u2, u3)
+
+    def test_a_coefficient_raises_at_its_own_node(self):
+        # the midpoint of step 40 (node 40, in the second block) is the first
+        # past t_bad; nodes 1..39 are reached and guarded first
+        p = self.problem()
+        t = p.tgrid.nodes
+        t_bad = t[39]
+
+        def c(x, t):
+            if np.any(np.asarray(t) > t_bad):
+                raise ValueError("c is undefined past t_bad")
+            return -0.5 * np.ones_like(x) * np.ones_like(t)
+
+        p = replace(p, elliptic=replace(p.elliptic, c=c))
+        op = assemble(p.elliptic, p.grid)
+        reached = []
+        with pytest.raises(ValueError, match="past t_bad"):
+            spectral_march(p, eigendecompose(op), op, state_guard=lambda u, k: reached.append(k))
+        assert reached == list(range(1, 40))
+
+    @pytest.mark.parametrize("k_last", [45, 2 * _RELAX_BLOCK + 1])
+    def test_restriction_is_exact_past_a_partial_block(self, k_last):
+        # the restricted march's last block holds 13 or 1 midpoints; a block
+        # of one is sampled by a call with a scalar t
+        p = self.problem(b=lambda x, t: 0.3 * np.cos(2.0 * x + 0.3 * t),
+                         c=lambda x, t: -0.5 * np.sin(3.0 * x) * np.cos(0.5 * t))
+        u = solve_linear_spectral(p)
+        half = u.restrict_time(k_last)
+        u2 = solve_linear_spectral(replace(p, tgrid=half.tgrid))
+        assert np.array_equal(half.values, u2.values)
+
+    def test_constant_q_is_not_sampled(self, monkeypatch):
+        # without b and c, Q is the constant c0: q_parts is never called and
+        # a step with c0 = 0 takes u_m directly
+        monkeypatch.setattr(DiscreteOperator, "q_parts", lambda self, t: pytest.fail("sampled"))
+        grid, tg, spec = make_problem(alpha=0.5, N=40, c0=0.0)
+        p = ProblemSpec(0.5, spec, grid, tg, 1.0, source=lambda x, t: np.ones_like(x) * (1.0 + t))
+        op = assemble(spec, grid)
+        _, counts = spectral_march(p, eigendecompose(op), op)
+        assert not counts.any()
+
+
+@pytest.mark.parametrize("solve", [solve_linear_spectral, solve_linear_l1])
+def test_nan_coefficient_solver_error(solve):
+    # nan > 0 is False: the spectral route used to find no active Q and
+    # return a finite field; both routes now fail at node 1
+    grid, tg, spec = make_problem(n=24, N=16, c0=0.0, c=lambda x, t: np.where(x < 0.5, np.nan, 0.0))
+    p = ProblemSpec(0.5, spec, grid, tg, 1.0, source=lambda x, t: np.ones_like(x))
+    with pytest.raises(SolverError, match=r"non-finite .* at time node 1 \(first at x = 0\)"):
+        solve(p)
+
+
+class TestExtrapolatedStart:
+    def test_weights_are_finite_on_a_steeply_graded_grid(self):
+        # alpha = 0.02 grades by 100: the first steps are ~1e-181 apart, and
+        # products of three of them underflow
+        w = _extrapolation_weights(TimeGrid.graded(1.0, 64, 100.0).nodes)
+        assert np.all(np.isfinite(w))
+        assert np.all(np.abs(w) <= _START_MAX)
+        assert np.allclose(w[1:].sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+
+    def test_polynomials_are_extrapolated_exactly(self):
+        t = TimeGrid.graded(2.0, 50, 2.5).nodes
+        w = _extrapolation_weights(t)
+        order = np.count_nonzero(w, axis=1)
+        assert order[0] == 0 and order[1] == 1
+        # the first steps of a graded grid grow fast: their rows fall back
+        assert set(order[1:10]) == {1, 2, 3} and np.all(order[10:] == 3)
+        q = 1.0 + 2.0 * t - 3.0 * t * t
+        for m in range(1, t.size):
+            ring = np.zeros(3)
+            for k in range(max(m - 3, 0), m):
+                ring[k % 3] = q[k]
+            if order[m] == 3:
+                assert w[m] @ ring == pytest.approx(q[m], rel=1e-11, abs=1e-11)
+            elif order[m] == 2:  # the line through the last two nodes
+                slope = (q[m - 1] - q[m - 2]) / (t[m - 1] - t[m - 2])
+                assert w[m] @ ring == pytest.approx(q[m - 1] + slope * (t[m] - t[m - 1]), rel=1e-12)
+            else:
+                assert w[m] @ ring == q[m - 1]
+
+    def test_steepest_grid_does_not_stall(self):
+        # alpha = 0.01 grades by 200: the quadratic's weights at node 3 are
+        # ~1e130, and starting from them stalled there after 50 sweeps
+        grid, tg, spec = make_problem(alpha=0.01, n=32, N=32, c0=1.0)
+        p = ProblemSpec(0.01, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x))
+        op = assemble(spec, grid)
+        u, counts = spectral_march(p, eigendecompose(op), op)
+        assert np.all(np.isfinite(u)) and counts.max() < 10
+
+    def test_sweeps_below_the_linear_start(self):
+        # the first criterion-5 spec (seed 77, alpha = 0.3): the start from
+        # the last two nodes took 4251 sweeps
+        p = random_linear_problem(np.random.default_rng(77), 0.3, n=128, N=1024, T=1.0)
+        op = assemble(p.elliptic, p.grid)
+        _, counts = spectral_march(p, eigendecompose(op), op)
+        assert np.all(counts >= 1)
+        assert counts.sum() < 4251
 
 
 class TestL1Solver:
