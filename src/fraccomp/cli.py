@@ -57,6 +57,10 @@ _DEFAULTS = {
 
 # (n_space + 2) * max(n_space + 2, 2 * n_time) values: 128 MiB per float64 array
 MAX_GRID_VALUES = 2 ** 24
+# largest n_nodes * max |entry| of the assembled diffusion operator: past
+# about sqrt(max float) / 1.7 (measured for 5 to 502 nodes) LAPACK's
+# tridiagonal eigensolver fails or gives NaN modes
+_MAX_OPERATOR_SCALE = math.sqrt(np.finfo(float).max) / 4.0
 
 
 class ConfigError(ValueError):
@@ -175,9 +179,17 @@ def build_problem(cfg):
         try:
             spec = EllipticSpec(a=expr["a"], b=expr["b"], c=expr["c"], c0=c0,
                                 sigma_lo=sigma_lo, sigma_hi=sigma_hi)
-            assemble(spec, grid)  # rejects a <= 0 on the same points
+            op = assemble(spec, grid)  # rejects a <= 0 on the same points
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # a very short domain gives diffusion entries that are not finite, or
+        # too large for the eigensolver (see _MAX_OPERATOR_SCALE); the diagonal
+        # holds the largest entries of -(a u')'
+        scale = grid.n_nodes * float(np.max(np.abs(op.flux_diag / op.volumes)))
+        if not scale <= _MAX_OPERATOR_SCALE:
+            raise ConfigError(f"grid (domain, n_space): the assembled operator's largest entry "
+                              f"times the {grid.n_nodes} nodes is {scale:.3g}, beyond "
+                              f"{_MAX_OPERATOR_SCALE:.3g}; take a longer domain or a smaller n_space")
     problem = ProblemSpec(alpha, spec, grid, tgrid, expr["initial"], source=expr["source"])
 
     terms = {"": None, "none": None, "enzyme": builtin_enzyme, "burgers": builtin_burgers}

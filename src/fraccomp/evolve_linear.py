@@ -19,9 +19,9 @@ Two independent routes:
 On the spectral route u at node m is the fixed point of the step map, found
 by Picard sweeps on its mode coefficients (see spectral_march): a sweep is
 one product giving u and u' on the nodes, the nodal forcing, one weighted
-projection and the per-mode update.  The sweeps start from the quadratic
-extrapolation of u and u' from the last three nodes, so that they mostly
-stop after 2-3 sweeps; the march returns the number of sweeps per node.
+projection and the per-mode update.  The sweeps start from the cubic
+extrapolation of u and u' from the last four nodes, so that they mostly
+stop after 2 sweeps; the march returns the number of sweeps per node.
 The coefficients b, c and the source are sampled at the step midpoints
 _RELAX_BLOCK steps per call where they broadcast in t, and once per step
 where they do not.
@@ -29,9 +29,9 @@ where they do not.
 Both keep the entire memory: there is no semigroup restart in fractional time.
 The spectral route carries it compressed, as one running sum per mode and
 exponential (see _Memory).  Per mode only a live band of the exponentials is
-advanced: the fastest have decayed and are dropped, the slowest share two
-moments.  A step costs O(modes x band), with a band of 67-94 of the rule's
-214-339 terms at alpha = 0.3-0.95 on the acceptance grids; the
+advanced: the fastest have decayed and are dropped, the slowest share K
+Taylor moments.  A step costs O(modes x band), with a band of 17-43 of the
+rule's 214-339 terms at alpha = 0.3-0.95 on the acceptance grids; the
 relaxation values the step needs are fetched for _RELAX_BLOCK nodes in one
 vectorised call.  The L1 route sums every past step exactly: it takes the
 grid's L1 weight rows from fracops.l1_weight_rows, built lazily for one
@@ -42,6 +42,7 @@ system with one direct LAPACK gbsv (elliptic.banded_solve).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -77,7 +78,10 @@ PICARD_MAX = 50  # Picard sweeps per time node before the march reports a stall
 _RELAX_BLOCK = 32  # time nodes whose relaxation values the march fetches in one call
 # edges of the live band of exponential terms (see _Memory)
 _BAND_HI = 40.0  # r dt_{m-1} above this: the running sum is below e^-40 of its input
-_BAND_LO = 1e-8  # r t_m below this: exp(-r s) is quadratic in r s to rounding
+_MOMENTS = 12  # K: Taylor moments per mode that carry the frozen terms (see _Memory)
+# r t_m below this: exp(-r s) is its degree-K Taylor polynomial in r s to
+# rounding, the remainder (r s)^(K+1)/(K+1)! below 2^-53 r s
+_BAND_LO = (math.factorial(_MOMENTS + 1) * 2.0 ** -53) ** (1.0 / _MOMENTS)
 _BAND_SLACK = 8  # terms the band storage moves or grows by at once
 _START_MAX = 10.0  # largest weight of the sweeps' extrapolated start (see _extrapolation_weights)
 
@@ -202,6 +206,31 @@ def _non_finite(what, m, grid, values):
     return SolverError(f"non-finite {what} at time node {m}{where}", node=m)
 
 
+# the moments' orders p = 1..K as a column, the signs (-1)^(p+1) and the
+# coefficients (-1)^(p+1) / p! of the Taylor terms of 1 - exp(-x), and the
+# transfer's C(q, i) at [q - 1, i - 1] (0 for i > q) with its exponents q - i
+_ORDERS = np.arange(1.0, _MOMENTS + 1.0)[:, None]
+_SIGNS = np.array([(-1.0) ** (p + 1) for p in range(1, _MOMENTS + 1)])
+_TAYLOR = np.array([(-1.0) ** (p + 1) / math.factorial(p) for p in range(1, _MOMENTS + 1)])
+_BINOM = np.array([[math.comb(q, i) for i in range(1, _MOMENTS + 1)]
+                   for q in range(1, _MOMENTS + 1)], dtype=float)
+_Q_MINUS_I = np.array([[max(q - i, 0) for i in range(_MOMENTS)] for q in range(_MOMENTS)])
+
+
+@functools.lru_cache(maxsize=32)  # one per alpha, as special_ml keeps its tables
+def _prefix_logs(alpha):
+    """ln (C_p[i] / p!), C_p[i] = sum_{j < i} w_j rho_j^p over the rule of
+    alpha, p = 1..K, i = 0..n.  The sums are taken in logs: rho^p overflows
+    past p = 14."""
+    soe = relaxation_exponentials(alpha)
+    ln_c = np.concatenate([np.full((_MOMENTS, 1), -np.inf),
+                           np.logaddexp.accumulate(np.log(soe.weight) + _ORDERS * soe.log_rho, axis=1)],
+                          axis=1)
+    ln_c -= gammaln(_ORDERS + 1.0)
+    ln_c.flags.writeable = False
+    return ln_c
+
+
 class _Memory:
     """The Duhamel memory of the march, node by node.
 
@@ -217,15 +246,22 @@ class _Memory:
     Only a live band of rates is advanced per mode:
     * above it, r_j dt_{m-1} > _BAND_HI: every window is at least dt_{m-1}
       old, so S_j is below e^-40 of the forcing and is dropped;
-    * below it, r_j t_m < _BAND_LO: exp(-r s) = 1 - r s + (r s)^2/2 to
-      rounding for every age s, so the frozen S_j are linear and quadratic
-      in r_j through two moments per mode, M1 = sum_k dt_k g_k and
-      P = sum_k (t_{k+1}^2 - t_k^2) g_k.  As t_m grows, the lower edge moves
-      down the rule; a term that thaws gets its S_j rebuilt from them.
-    The band is ln(4e9 t_m / dt_{m-1}) wide in ln r for every mode, so it is
-    stored as a (modes x width) rectangle, column c of mode i holding term
-    base_i + c; the width grows with the band and the rows shift only when
-    the lower edge passes a node of the rule.
+    * below it, r_j t_m < _BAND_LO: exp(-r s) is its Taylor polynomial of
+      degree K = _MOMENTS in r s to rounding for every age s, so the frozen
+      S_j = sum_p (-1)^(p+1) (r_j tau_m)^p / p! A_p are polynomials in r_j
+      through K moments per mode.  With tau = t - t_0 and s = tau_m they are
+      age-scaled, A_p = sum_k g_k [(1 - tau_k / s)^p - (1 - tau_{k+1} / s)^p],
+      so that no power of t is formed and |A_p| <= max |g|; window m - 2
+      folds in at s' = tau_{m-1} with the weights (dt_{m-2} / s')^p, and the
+      moments move on to s = tau_m by the nonnegative lower-triangular
+      matrix C(p, i) (dt_{m-1} / s)^(p-i) (s' / s)^i.  The frozen sum
+      sum_{j < base} w_j S_j takes the prefix sums sum_{j < base} w_j rho_j^p
+      as logs.  As t_m grows, the lower edge moves down the rule; a term
+      that thaws gets its S_j rebuilt from the moments.
+    The band is ln(_BAND_HI / _BAND_LO t_m / dt_{m-1}) wide in ln r for
+    every mode, so it is stored as a (modes x width) rectangle, column c of
+    mode i holding term base_i + c; the width grows with the band and the
+    rows shift only when the lower edge passes a node of the rule.
 
     Exact masses remain for
     * the current window, whose mass the Picard sweeps need;
@@ -240,10 +276,11 @@ class _Memory:
     folds in place on the rows whose schedule reaches it.  Windows older
     than that which came of age at node m fold first, window by window, in
     _fold; on the acceptance specs and the verify suites none ever do.  The
-    two moments are one (2 x modes) array, and a fold adds the forcing times
-    the window's two precomputed weights.  Every choice at node m depends
-    on t[0..m], lam and alpha only, so a solve on a restricted grid
-    reproduces the longer solve exactly."""
+    moments sit above the forcing of window m - 2 in one (K + 1) x modes
+    array, and one product with the node's K x (K + 1) matrix, fetched with
+    the block, folds the window in and moves them to tau_m.  Every choice
+    at node m depends on t[0..m], lam and alpha only, so a solve on a
+    restricted grid reproduces the longer solve exactly."""
 
     def __init__(self, alpha, lambdas, t):
         self.alpha = alpha
@@ -259,17 +296,13 @@ class _Memory:
         self.log_rho_pad = np.concatenate([soe.log_rho, np.full(n_terms + _BAND_SLACK, -np.inf)])
         self.weight_pad = np.concatenate([soe.weight, np.zeros(n_terms + _BAND_SLACK)])
         self.log_rho_at = np.append(soe.log_rho, np.inf)  # +inf past the rule
-        rho = np.exp(soe.log_rho)
+        self.ln_c = _prefix_logs(alpha)
         with np.errstate(divide="ignore", over="ignore"):
             # lam <= 0 gets rate 0 and tau inf; such modes stay on the small branch
             self.ln_root = np.log(np.maximum(self.lam, 0.0)) / alpha  # ln lam^(1/alpha)
             self.tau = soe.sigma_lo * np.exp(-self.ln_root)
-            # ln of the prefix sums sum_{j < i} w_j rho_j and w_j rho_j^2, i = 0..n
-            self.ln_c1 = np.log(np.concatenate([[0.0], np.cumsum(soe.weight * rho)]))
-            self.ln_c2 = np.log(np.concatenate([[0.0], np.cumsum(soe.weight * rho * rho)]))
-            # ln sum_{j < base} w_j r_j and ln sum_{j < base} w_j r_j^2
-            self.ln_a = np.stack([self.ln_root + self.ln_c1[n_terms],
-                                  2.0 * self.ln_root + self.ln_c2[n_terms]])
+            # ln (sum_{j < base} w_j r_j^p) / p!, p = 1..K
+            self.ln_a = _ORDERS * self.ln_root + self.ln_c[:, n_terms, None]
         modes = self.lam.size
         self.lam_div = np.where(self.lam > 0.0, self.lam, 1.0)
         self.base = np.full(modes, n_terms)  # term held in column 0 of each row
@@ -278,12 +311,13 @@ class _Memory:
         self.weight = np.zeros((modes, 0))
         self.decay_m1 = np.zeros((modes, 0))  # exp(-r dt) - 1 of the last step
         self.work = np.zeros((modes, 0))  # scratch of the band's shape
-        self.g_k = np.zeros(modes)  # scratch: the forcing of the window to fold
-        self.mom = np.zeros((2, modes))  # moments M1 and P of the folded windows
-        self.mom_work = np.empty((2, modes))
-        # the moments' weights of window k: dt_k and t_{k+1}^2 - t_k^2 (from t_0)
-        dt_w = t[1:] - t[:-1]
-        self.mom_w = np.stack([dt_w, dt_w * (t[1:] + t[:-1] - 2.0 * t[0])], axis=1)[:, :, None]
+        # the moments A_1..A_K of the folded windows (mom), above the forcing
+        # of the window that folds at this node (the last row): one product
+        # with [T | T w] (see _fetch) folds it in and moves the moments on.
+        # Two such buffers, swapped at every node
+        self.mom_g, self.next_g = np.zeros((2, _MOMENTS + 1, modes))
+        self.mom, self.next_mom = self.mom_g[:-1], self.next_g[:-1]
+        self.frozen_work = np.empty((_MOMENTS, modes))
         self.folded = np.zeros(modes, dtype=int)  # windows k < folded are in sums
         self.g1 = np.exp(-gammaln(alpha + 1.0))
         self.g2 = np.exp(-gammaln(2.0 * alpha + 1.0))
@@ -292,7 +326,8 @@ class _Memory:
 
     def _fetch(self, m):
         """Relaxation values and current-window masses of the nodes
-        m .. m + _RELAX_BLOCK - 1, from one relaxation_batch call."""
+        m .. m + _RELAX_BLOCK - 1, from one relaxation_batch call, and the
+        moments' fold weights and transfer matrices of those nodes."""
         t, lam, alpha = self.t, self.lam, self.alpha
         stop = min(m + _RELAX_BLOCK, t.size)
         # scalar powers, like homogeneous_solution's t ** alpha: numpy's
@@ -323,10 +358,24 @@ class _Memory:
         fold[~big] = 0
         rest = fold < k - 1
         self.block_start, self.block_stop = m, stop
-        # the frozen terms' scaling: ln t_m and 2 ln t_m, t_m and 2 t_m
-        s = t[m:stop] - t[0]
-        self.ln_s = np.log(s)[:, None, None] * np.array([[1.0], [2.0]])
-        self.mom_div = np.stack([s, 2.0 * s], axis=1)[:, :, None]
+        # the moments at node k: window k - 2 folds at s' = tau_{k-1} with
+        # the weights (dt_{k-2} / s')^q, the powers of node k - 1's ratio
+        # dt / tau, and they move to s = tau_k by the matrix
+        # C(q, i) (dt_{k-1} / s)^(q-i) (s' / s)^i.  Row r of `ratios` is node
+        # m - 1 + r; the powers 0..K are repeated products, which do not
+        # depend on the block's length
+        B, j = stop - m, max(m - 1, 1)  # node 1 folds nothing: row 0 stays 0
+        tau = t[j - 1 : stop] - t[0]
+        ratios = np.zeros((2, B + 1, _MOMENTS + 1))
+        ratios[0, j - m + 1 :] = (np.diff(t[j - 1 : stop]) / tau[1:])[:, None]
+        ratios[1, 1:] = (tau[-B - 1 : -1] / tau[-B:])[:, None]
+        ratios[:, :, 0] = 1.0
+        powers = np.cumprod(ratios, axis=2)
+        self.mom_w = powers[0, :-1, 1:, None]
+        move = _BINOM * powers[1, 1:, None, 1:] * powers[0, 1:][:, _Q_MINUS_I]
+        self.mom_t = np.concatenate([move, move @ self.mom_w], axis=2)
+        # the frozen terms' scaling p ln tau_k
+        self.ln_s = np.log(tau[-B:])[:, None, None] * _ORDERS
         self.relax, self.w_cur = e[: stop - m], np.maximum(masses, 0.0)
         self.fold, self.fold_last = fold, fold == k - 1
         self.fold_all = self.fold_last.all(axis=1)
@@ -369,41 +418,58 @@ class _Memory:
         self.work = np.empty_like(self.sums)
         self._edges()
 
-    def _shift(self, m, rows, base):
+    def _shift(self, m, rows, base, moments):
         """Move the band of `rows` down to start at term `base`; the thawed
-        terms get their sums at t_{m-1} from the moments."""
+        terms get their sums at t_{m-1} from the moments at tau_{m-1}."""
         width = self.sums.shape[1]
-        src = np.arange(width)[None, :] - (self.base[rows] - base)[:, None]
+        lag = self.base[rows] - base
+        src = np.arange(width)[None, :] - lag[:, None]
         kept = self.sums[rows[:, None], np.maximum(src, 0)]
         rates, weight = self._band_rows(rows, base)
-        # S_j = r M1 - r^2 (s M1 - P/2) at s = t_{m-1}, in r s and M1 / s,
-        # which stay bounded for r s < 1e-8
+        # S_j = sum_p (-1)^(p+1) (r s)^p / p! A_p at s = tau_{m-1}, by Horner
+        # on the leading columns, where the thawed terms have r s < _BAND_LO;
+        # the clip keeps the others, which np.where drops, from overflowing
         s = self.t[m - 1] - self.t[0]
-        if s > 0.0:
-            rs, m1 = rates * s, self.mom[0, rows, None] / s
-            with np.errstate(over="ignore", invalid="ignore"):  # rates past the rule may be inf
-                thawed = rs * m1 - rs * rs * (m1 - 0.5 * self.mom[1, rows, None] / s / s)
-        else:  # node 0: nothing is folded yet
-            thawed = np.zeros_like(rates)
+        thawed = np.zeros_like(kept)
+        if s > 0.0:  # at node 1 nothing is folded yet
+            with np.errstate(over="ignore"):
+                x = np.minimum(rates[:, : int(lag.max())] * s, _BAND_LO)
+            coef = _TAYLOR[:, None] * moments[:, rows]
+            acc = np.repeat(coef[-1][:, None], x.shape[1], axis=1)
+            for c in coef[-2::-1]:
+                acc *= x
+                acc += c[:, None]
+            thawed[:, : x.shape[1]] = acc * x
         self.sums[rows] = np.where(src >= 0, kept, thawed)
         self.rates[rows], self.weight[rows] = rates, weight
         self.base[rows] = base
-        self.ln_a[0, rows] = self.ln_root[rows] + self.ln_c1[base]
-        self.ln_a[1, rows] = 2.0 * self.ln_root[rows] + self.ln_c2[base]
+        self.ln_a[:, rows] = _ORDERS * self.ln_root[rows] + self.ln_c[:, base]
         self._edges()
 
     def _fold(self, m, g_hist, late):
         """Fold the windows folded <= k < late, older than m - 2, that came
-        of age at node m into the sums at t_{m-1} and into the moments,
-        window by window."""
+        of age at node m into the sums at t_{m-1} and into the moments at
+        s' = tau_{m-1}, window by window."""
         t = self.t
+        s = t[m - 1] - t[0]
         for k in range(int(self.folded[late > self.folded].min()), int(late.max())):
             sel = (self.folded <= k) & (k < late)
             r = self.rates[sel]
             with np.errstate(over="ignore", invalid="ignore"):  # rates past the rule may be inf
                 w = np.exp(-r * (t[m - 1] - t[k + 1])) * -np.expm1(-r * (t[k + 1] - t[k]))
             self.sums[sel] += w * g_hist[k, sel, None]
-            self.mom += self.mom_w[k] * (g_hist[k] * sel)
+            # (1 - tau_k / s')^q - (1 - tau_{k+1} / s')^q
+            ages = np.cumprod(np.repeat([[(t[m - 1] - t[k]) / s], [(t[m - 1] - t[k + 1]) / s]],
+                                        _MOMENTS, axis=1), axis=1)
+            self.mom += (ages[0] - ages[1])[:, None] * (g_hist[k] * sel)
+
+    def _frozen(self, ln_s):
+        """sum_{j < base} w_j S_j per mode at the node whose p ln tau is ln_s:
+        sum_p (-1)^(p+1) (sum_{j < base} w_j r_j^p) tau^p / p! A_p, every
+        factor of which is at most sum_j w_j _BAND_LO^p."""
+        e = np.exp(np.add(self.ln_a, ln_s, out=self.frozen_work), out=self.frozen_work)
+        e *= self.mom
+        return _SIGNS @ e
 
     def advance(self, m, g_hist):
         """Move to node m; returns E(-lam t_m^alpha) per mode, the history
@@ -420,7 +486,9 @@ class _Memory:
         # _BAND_SLACK / 2 terms of its first column moves to _BAND_SLACK
         # terms below the edge, so that rows move together and seldom
         s_m, dt = t[m] - t[0], t[m] - t[m - 1]
-        ln_lo, ln_hi = math.log(_BAND_LO / s_m), math.log(_BAND_HI / dt)
+        # as differences of logs: _BAND_LO / s_m overflows for a tiny horizon
+        ln_lo = math.log(_BAND_LO) - math.log(s_m)
+        ln_hi = math.log(_BAND_HI) - math.log(dt)
         moved = ()
         # the margins cover rounding between this test and the searches below
         if ln_lo <= self.ln_top + 1e-6 or ln_hi >= self.ln_next - 1e-6:
@@ -434,37 +502,32 @@ class _Memory:
                 self._widen(m, -(-width // _BAND_SLACK) * _BAND_SLACK)
 
         # nothing below overflows: a rate past the rule may be inf, which
-        # expm1 takes to -1, and the frozen terms are scaled by t_m
+        # expm1 takes to -1, and the moments are scaled by the age tau_m
         if m >= 2:
             if self.late_due[b]:
                 self._fold(m, g_hist, np.minimum(fold_to, m - 2))
             # window m - 2, the one the last step left behind, in place
-            g_k = g_hist[m - 2]
-            if not self.fold_all[b]:
-                g_k = np.multiply(g_k, self.fold_last[b], out=self.g_k)
+            g_k = self.mom_g[-1]
+            if self.fold_all[b]:
+                g_k[:] = g_hist[m - 2]
+            else:
+                np.multiply(g_hist[m - 2], self.fold_last[b], out=g_k)
             self.sums -= np.multiply(self.decay_m1, g_k[:, None], out=self.work)
-            self.mom += np.multiply(self.mom_w[m - 2], g_k, out=self.mom_work)
         self.folded = fold_to
         if len(moved):
-            self._shift(m, moved, base[moved])
+            # a thaw reads the moments at tau_{m-1}, window m - 2 folded in
+            self._shift(m, moved, base[moved], self.mom + self.mom_w[b] * self.mom_g[-1])
+        # fold window m - 2 and move the moments to tau_m
+        np.matmul(self.mom_t[b], self.mom_g, out=self.next_mom)
+        self.mom_g, self.next_g = self.next_g, self.mom_g
+        self.mom, self.next_mom = self.next_mom, self.mom
         decay_m1 = np.multiply(self.rates, -dt, out=self.decay_m1)
         np.expm1(decay_m1, out=decay_m1)
         self.sums *= np.add(decay_m1, 1.0, out=self.work)
 
-        # the frozen terms, scaled by t_m so that no factor overflows:
-        # sum_j w_j r_j t_m <= 1e-8 sum_j w_j, M1 / t_m <= max |g|.  Row 0 of
-        # e and c is t_m sum_j w_j r_j against M1 / t_m, row 1 is
-        # t_m^2 sum_j w_j r_j^2 against P / (2 t_m^2) - M1 / t_m (t_m^2 may
-        # underflow, so P is divided by t_m twice)
-        e = np.exp(self.ln_a + self.ln_s[b])
-        c = np.divide(self.mom, self.mom_div[b], out=self.mom_work)
-        c1 = c[1]
-        c1 /= s_m
-        c1 -= c[0]
-        e *= c
-        frozen = e[0] + e[1]
         # small modes have folded nothing, so their sums and moments are 0
-        history = (np.einsum("ij,ij->i", self.sums, self.weight) + frozen) / self.lam_div
+        history = np.einsum("ij,ij->i", self.sums, self.weight) + self._frozen(self.ln_s[b])
+        history /= self.lam_div
         # small modes, and young windows fold_to <= k <= m - 2 of the others
         if self.rest_any[b]:
             rest = self.rest[b]
@@ -522,30 +585,38 @@ class _Sampled:
 
 
 def _extrapolation_weights(t):
-    """Weights of the start of the Picard sweeps at each node m: the
-    quadratic through nodes m - 1, m - 2 and m - 3, evaluated at t_m.
-    Row m holds the weight of node k in column k % 3, where the march keeps
-    node k.  The Lagrange weights are written as ratios of steps: on a
-    strongly graded grid (t_k = (k/N)^100) products of the first steps
-    underflow.  There the ratios are huge instead, and the start's rounding
-    alone would cost sweeps, so a row whose weights exceed _START_MAX takes
-    the line through m - 1 and m - 2, or failing that node m - 1 itself
-    (as do m = 1 and m = 2)."""
+    """Weights of the start of the Picard sweeps at each node m: the cubic
+    through nodes m - 1, m - 2, m - 3 and m - 4, evaluated at t_m.  Row m
+    holds the weight of node k in column k % 4, where the march keeps node
+    k.  The Lagrange weights are written as ratios of steps: on a strongly
+    graded grid (t_k = (k/N)^100) products of the first steps underflow.
+    There the ratios are huge instead, and the start's rounding alone would
+    cost sweeps, so a row whose weights exceed _START_MAX drops to the
+    quadratic through m - 1, m - 2 and m - 3, to the line through m - 1 and
+    m - 2, or failing those to node m - 1 itself (as does m = 1)."""
     h = np.diff(t)
     rows = np.arange(t.size)
-    col1, col2, col3 = (rows - 1) % 3, (rows - 2) % 3, rows % 3  # nodes m - 1, m - 2, m - 3
-    w = np.zeros((t.size, 3))
-    w[rows[1:], col1[1:]] = 1.0
+    col = [(rows - d) % 4 for d in (1, 2, 3, 4)]  # nodes m - 1, ..., m - 4
+    w = np.zeros((t.size, 4))
+    w[rows[1:], col[0][1:]] = 1.0
     with np.errstate(over="ignore"):  # a huge ratio is rejected below
         r = h[1:] / h[:-1]  # (t_m - t_{m-1}) / (t_{m-1} - t_{m-2}) at m = 2..N
         h1, h2, h3 = h[2:], h[1:-1], h[:-2]  # t_m - t_{m-1}, ... at m = 3..N
         quad = np.stack([((h1 + h2) / h2) * ((h1 + h2 + h3) / (h2 + h3)),
                          -(h1 / h2) * ((h1 + h2 + h3) / h3),
                          (h1 / h3) * ((h1 + h2) / (h2 + h3))])
-    m = np.flatnonzero(1.0 + r <= _START_MAX) + 2
-    w[m, col1[m]], w[m, col2[m]] = 1.0 + r[m - 2], -r[m - 2]
-    m = np.flatnonzero(np.abs(quad).max(axis=0) <= _START_MAX) + 3
-    w[m, col1[m]], w[m, col2[m]], w[m, col3[m]] = quad[:, m - 3]
+        # d_a = t_m - t_{m-a}; the weight of node m - a is the product over
+        # b != a of d_b / (d_b - d_a), each a ratio of sums of steps
+        h1, h2, h3, h4 = h[3:], h[2:-1], h[1:-2], h[:-3]  # at m = 4..N
+        d1, d2, d3, d4 = h1, h1 + h2, h1 + h2 + h3, h1 + h2 + h3 + h4
+        cubic = np.stack([(d2 / h2) * (d3 / (h2 + h3)) * (d4 / (h2 + h3 + h4)),
+                          -(d1 / h2) * (d3 / h3) * (d4 / (h3 + h4)),
+                          (d1 / (h2 + h3)) * (d2 / h3) * (d4 / h4),
+                          -(d1 / (h2 + h3 + h4)) * (d2 / (h3 + h4)) * (d3 / h4)])
+    for start, lagrange in ((2, np.stack([1.0 + r, -r])), (3, quad), (4, cubic)):
+        m = np.flatnonzero(np.abs(lagrange).max(axis=0) <= _START_MAX) + start
+        for d, weight in enumerate(lagrange):
+            w[m, col[d][m]] = weight[m - start]
     return w
 
 
@@ -566,7 +637,7 @@ def spectral_march(
     Q u_rep that u_{m-1} fixes (with the u' its last sweep gave) is projected
     once per step, and a sweep is one product giving u and u' on the nodes,
     the other half plus f, one projection and the update.  They start from
-    the quadratic extrapolation of u and u' from the last three nodes (see
+    the cubic extrapolation of u and u' from the last four nodes (see
     _extrapolation_weights) and stop when u_m moves by at most picard_tol on
     the nodes.  The memory keeps the forcing of the last sweep, so u_m is
     exactly its Duhamel image.
@@ -612,8 +683,8 @@ def spectral_march(
     # mode coefficients of the frozen step forcings (F + Qu [+ f(u)])
     g_hist = np.zeros((N, eig.lambdas.size))
     counts = np.zeros(N, dtype=int)
-    # u (and u') on the nodes at node k in row k % 3, for the sweeps' start
-    uv_hist = np.zeros((3, synth.shape[0]))
+    # u (and u') on the nodes at node k in row k % 4, for the sweeps' start
+    uv_hist = np.zeros((4, synth.shape[0]))
     uv_hist[0] = synth @ a_coef
 
     memory = _Memory(alpha, eig.lambdas, t)
@@ -679,7 +750,7 @@ def spectral_march(
                     node=m,
                     residual=residual,
                 )
-        uv_hist[m % 3] = uv
+        uv_hist[m % 4] = uv
         u_new, du = uv[:n_nodes], uv[n_nodes:]
         u[m] = u_new
         if state_guard is not None:

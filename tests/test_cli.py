@@ -160,6 +160,24 @@ class TestSolve:
         assert "solver failure" in read_manifest(tmp_path)["verdict"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("domain", ["0,1e-150", "0,1e-300"])
+    @pytest.mark.parametrize("method", ["spectral", "l1"])
+    def test_too_short_domain_exit_2(self, tmp_path, capsys, method, domain):
+        # the operator's entries reach 2e303 (past the eigensolver's range;
+        # the L1 step's shift is lost to rounding) or overflow: rejected
+        # when the problem is built, the same way for both routes
+        code = run_cli(["solve", "--set", f"domain={domain}", "--method", method, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "domain" in err and "n_space" in err and "Traceback" not in err
+        assert "config error" in read_manifest(tmp_path)["verdict"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_horizon_solves_without_warnings(self, tmp_path):
+        # the march formed _BAND_LO / t_m, which overflows at T = 1e-300
+        assert run_cli(["solve", "--set", "T=1e-300", "--set", "initial=1", "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("method", ["spectral", "l1"])
     def test_non_finite_coefficient_exit_2(self, tmp_path, capsys, method):
         # c = 1/(x - 0.5) is infinite on the grid node x = 0.5: rejected when

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,8 @@ from fraccomp.elliptic import (
     eigendecompose,
 )
 from fraccomp.evolve_linear import (
+    _BAND_LO,
+    _ORDERS,
     _RELAX_BLOCK,
     _START_MAX,
     Field,
@@ -339,6 +342,99 @@ class TestModeSpaceSweeps:
         assert np.array_equal(half.values, u2.values)
 
 
+class TestTaylorMoments:
+    """The frozen terms of _Memory, r t_m < _BAND_LO, live in K Taylor
+    moments per mode; a term that thaws gets its sum back from them."""
+
+    @staticmethod
+    def exponential_sums(alpha, memory, t, g, m):
+        """S_j at t_m of the windows k <= m - 2, term by term, per mode."""
+        soe = relaxation_exponentials(alpha)
+        r = np.exp(memory.ln_root[:, None] + soe.log_rho)
+        k = np.arange(m - 1)
+        terms = (np.exp(-r[:, None, :] * (t[m] - t[k + 1])[None, :, None])
+                 * -np.expm1(-r[:, None, :] * (t[k + 1] - t[k])[None, :, None]) * g[k].T[:, :, None])
+        sums = np.array([[math.fsum(terms[i, :, j]) for j in range(r.shape[1])] for i in range(r.shape[0])])
+        return r, soe.weight, sums
+
+    def test_frozen_sum_and_thaw_match_the_exponential_sums(self):
+        alpha, lam = 0.5, np.array([1.0, 2.0])
+        t = TimeGrid.graded(1.0, 24, 2.0).nodes
+        g = np.random.default_rng(2).uniform(0.5, 1.5, (t.size - 1, lam.size))
+        shifts = []
+
+        class Spy(_Memory):
+            def _shift(self, m, rows, base, moments):
+                shifts.append(m)
+                return super()._shift(m, rows, base, moments)
+
+        memory = Spy(alpha, lam, t)
+        for m in range(1, t.size):
+            memory.advance(m, g)
+        # the node before the last shift: the lower edge is about to pass
+        # the band's first term, so the highest frozen terms sit just below it
+        m = shifts[-1] - 1
+        memory = _Memory(alpha, lam, t)
+        for k in range(1, m + 1):
+            memory.advance(k, g)
+        tau = t[m] - t[0]
+        r, w, sums = self.exponential_sums(alpha, memory, t, g, m)
+        rows, base = np.arange(lam.size), memory.base.copy()
+        assert np.all(r[rows, base - 1] * tau > 0.75 * _BAND_LO)
+        assert np.all(r[rows, base - 1] * tau < _BAND_LO)
+
+        def frozen_error(top):
+            frozen = memory._frozen(math.log(tau) * _ORDERS)
+            ref = np.array([math.fsum(w[: top[i]] * sums[i, : top[i]]) for i in rows])
+            return np.max(np.abs(frozen - ref) / ref)
+
+        # the frozen sum reads its prefix sums as logs, each rounded to
+        # eps |ln C_p| with |ln C_p| up to about 10 here
+        assert frozen_error(base) <= 2e-15
+        # thaw the four highest frozen terms, as node m + 1 would before
+        # folding its window
+        memory._shift(m + 1, rows, base - 4, memory.mom)
+        ref = sums[rows[:, None], base[:, None] - 4 + np.arange(4)]
+        assert np.max(np.abs(memory.sums[:, :4] - ref) / ref) <= 1e-15
+        assert frozen_error(base - 4) <= 2e-15
+
+    def test_march_with_thaws_matches_exact_duhamel_sum(self):
+        # steps of 1e-6 to 0.1 in random order: the lower edge of the band
+        # moves by many terms at once, and rows thaw terms from the moments
+        alpha = 0.4
+        rng = np.random.default_rng(6)
+        tg = TimeGrid(np.concatenate([[0.0], np.cumsum(10.0 ** rng.uniform(-6.0, -1.0, 120))]))
+        grid, spec = Grid1D(0.0, 1.0, 24), EllipticSpec(c0=1e-6, c=-1e-6)
+        eig = eigendecompose(assemble(spec, grid))
+        thawed = []
+
+        class Spy(_Memory):
+            def _shift(self, m, rows, base, moments):
+                if m >= 3:
+                    thawed.append(int(np.sum(self.base[rows] - base)))
+                return super()._shift(m, rows, base, moments)
+
+        src = lambda x, t: (1.0 + np.sin(3.0 * x)) * np.cos(40.0 * t) + t
+        p = ProblemSpec(alpha, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x), source=src)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("fraccomp.evolve_linear._Memory", Spy)
+            u = solve_linear_spectral(p, eig).values
+        assert sum(thawed) > 100
+        ref = exact_duhamel(p, eig)
+        assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_huge_horizon_marches(self):
+        # the two-moment weights squared t and overflowed at T = 1e300; the
+        # age-scaled moments hold ratios of steps only
+        grid, tg, spec = make_problem(alpha=0.5, n=16, N=64, T=1e300, c0=1.0, b=0.3, c=-0.5)
+        p = ProblemSpec(0.5, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x),
+                        source=lambda x, t: np.sin(2.0 * x) + 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            u = solve_linear_spectral(p).values
+        assert np.all(np.isfinite(u))
+
+
 class TestBlockSampledForcing:
     """b / 2, (c0 + c) / 2 and the source are sampled _RELAX_BLOCK step
     midpoints per call where they broadcast in t, and once per step where
@@ -438,19 +534,26 @@ class TestExtrapolatedStart:
         order = np.count_nonzero(w, axis=1)
         assert order[0] == 0 and order[1] == 1
         # the first steps of a graded grid grow fast: their rows fall back
-        assert set(order[1:10]) == {1, 2, 3} and np.all(order[10:] == 3)
-        q = 1.0 + 2.0 * t - 3.0 * t * t
+        assert set(order[1:11]) == {1, 2, 3} and np.all(order[11:] == 4)
+        q = 1.0 + 2.0 * t - 3.0 * t * t + 0.5 * t ** 3
         for m in range(1, t.size):
-            ring = np.zeros(3)
-            for k in range(max(m - 3, 0), m):
-                ring[k % 3] = q[k]
-            if order[m] == 3:
+            ring = np.zeros(4)
+            for k in range(max(m - 4, 0), m):
+                ring[k % 4] = q[k]
+            if order[m] == 4:
                 assert w[m] @ ring == pytest.approx(q[m], rel=1e-11, abs=1e-11)
+            elif order[m] == 3:  # the quadratic through the last three nodes
+                tq, qq = t[m - 3 : m], q[m - 3 : m]
+                quad = np.polyval(np.polyfit(tq, qq, 2), t[m])
+                assert w[m] @ ring == pytest.approx(quad, rel=1e-9, abs=1e-12)
             elif order[m] == 2:  # the line through the last two nodes
                 slope = (q[m - 1] - q[m - 2]) / (t[m - 1] - t[m - 2])
                 assert w[m] @ ring == pytest.approx(q[m - 1] + slope * (t[m] - t[m - 1]), rel=1e-12)
             else:
                 assert w[m] @ ring == q[m - 1]
+        # on a uniform grid the cubic's weights are 4, -6, 4, -1
+        u = _extrapolation_weights(np.linspace(0.0, 1.0, 11))
+        assert np.allclose(u[7, [2, 1, 0, 3]], [4.0, -6.0, 4.0, -1.0], rtol=0.0, atol=1e-14)
 
     def test_steepest_grid_does_not_stall(self):
         # alpha = 0.01 grades by 200: the quadratic's weights at node 3 are
@@ -460,6 +563,25 @@ class TestExtrapolatedStart:
         op = assemble(spec, grid)
         u, counts = spectral_march(p, eigendecompose(op), op)
         assert np.all(np.isfinite(u)) and counts.max() < 10
+
+    def test_cubic_start_and_narrow_band(self):
+        # the first criterion-5 spec (seed 77, alpha = 0.3): the quadratic
+        # start took 3070 sweeps and the two-moment band 9945 entries per step
+        p = random_linear_problem(np.random.default_rng(77), 0.3, n=128, N=1024, T=1.0)
+        op = assemble(p.elliptic, p.grid)
+        entries = []
+
+        class Spy(_Memory):
+            def advance(self, m, g_hist):
+                out = super().advance(m, g_hist)
+                entries.append(self.sums.size)
+                return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("fraccomp.evolve_linear._Memory", Spy)
+            _, counts = spectral_march(p, eigendecompose(op), op)
+        assert counts.sum() < 2600
+        assert np.mean(entries) < 6000
 
     def test_sweeps_below_the_linear_start(self):
         # the first criterion-5 spec (seed 77, alpha = 0.3): the start from
