@@ -38,6 +38,7 @@ from .evolve_linear import (
     homogeneous_solution,
     solve_linear_l1,
     solve_linear_spectral,
+    solve_linear_spectral_many,
 )
 from .evolve_semilinear import (
     SemilinearTerm,

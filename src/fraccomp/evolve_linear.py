@@ -24,7 +24,12 @@ extrapolation of u and u' from the last four nodes, so that they mostly
 stop after 2 sweeps; the march returns the number of sweeps per node.
 The coefficients b, c and the source are sampled at the step midpoints
 _RELAX_BLOCK steps per call where they broadcast in t, and once per step
-where they do not.
+where they do not.  The march takes a leading problem axis: problems that
+share alpha, the time nodes and the number of space nodes (a Batch) are
+marched as one, with one memory of all their modes and the products of the
+sweeps stacked, so that a short march's numpy overhead is paid once per
+batch.  solve_linear_spectral is a batch of one, and
+solve_linear_spectral_many groups a list of problems into batches.
 
 Both keep the entire memory: there is no semigroup restart in fractional time.
 The spectral route carries it compressed, as one running sum per mode and
@@ -51,7 +56,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from .elliptic import (
-    DiscreteOperator,
     EigenDecomposition,
     EllipticSpec,
     Grid1D,
@@ -71,6 +75,7 @@ __all__ = [
     "homogeneous_solution",
     "duhamel_step",
     "solve_linear_spectral",
+    "solve_linear_spectral_many",
     "solve_linear_l1",
 ]
 
@@ -84,13 +89,22 @@ _MOMENTS = 12  # K: Taylor moments per mode that carry the frozen terms (see _Me
 _BAND_LO = (math.factorial(_MOMENTS + 1) * 2.0 ** -53) ** (1.0 / _MOMENTS)
 _BAND_SLACK = 8  # terms the band storage moves or grows by at once
 _START_MAX = 10.0  # largest weight of the sweeps' extrapolated start (see _extrapolation_weights)
+# modes one batched march advances at most (see solve_linear_spectral_many):
+# a batch holds the band, block samples and history of all its problems at
+# once, and this keeps it to about the memory of one march at n = 128
+_BATCH_MODES = 128
 
 
 class SolverError(RuntimeError):
-    def __init__(self, msg, node=None, residual=None):
-        super().__init__(msg)
+    """A solve that cannot go on: node is the time node at fault, and in a
+    batch of several problems problem is the index of the one at fault,
+    which the message names first."""
+
+    def __init__(self, msg, node=None, residual=None, problem=None):
+        super().__init__(msg if problem is None else f"problem {problem}: {msg}")
         self.node = node
         self.residual = residual
+        self.problem = problem
 
 
 @dataclass(frozen=True)
@@ -198,12 +212,12 @@ def duhamel_step(state, F_samples, eig: EigenDecomposition, alpha, t_k, t_k1, t_
     return SpaceField(grid, out) if grid is not None else out
 
 
-def _non_finite(what, m, grid, values):
+def _non_finite(what, m, grid, values, problem=None):
     """SolverError for a time step whose data are not finite, naming the
     time node and the first space node at fault."""
     bad = np.flatnonzero(~np.isfinite(values))
     where = f" (first at x = {grid.nodes[bad[0]]:.6g})" if bad.size else ""
-    return SolverError(f"non-finite {what} at time node {m}{where}", node=m)
+    return SolverError(f"non-finite {what} at time node {m}{where}", node=m, problem=problem)
 
 
 # the moments' orders p = 1..K as a column, the signs (-1)^(p+1) and the
@@ -269,8 +283,9 @@ class _Memory:
       they join the sums when they are old enough;
     * modes with lam t_m^alpha <= 1e-8, whose masses are power differences.
     E(-lam t_m^alpha) and the current window's relaxation values are
-    fetched for _RELAX_BLOCK nodes in one relaxation_batch call, together
-    with the block's fold schedule and, per node, the flags the fold reads:
+    fetched for _RELAX_BLOCK nodes in one relaxation_batch call per
+    problem, together with the block's fold schedule and, per node, the
+    flags the fold reads:
     whether every row folds window m - 2 and whether an older window is due.
     At every node m >= 2, window m - 2, which the last step left behind,
     folds in place on the rows whose schedule reaches it.  Windows older
@@ -279,12 +294,22 @@ class _Memory:
     moments sit above the forcing of window m - 2 in one (K + 1) x modes
     array, and one product with the node's K x (K + 1) matrix, fetched with
     the block, folds the window in and moves them to tau_m.  Every choice
-    at node m depends on t[0..m], lam and alpha only, so a solve on a
-    restricted grid reproduces the longer solve exactly."""
+    at node m depends on t[0..m], lam and alpha only, so a march on a
+    restricted grid reproduces the longer march exactly.
+
+    A batch of problems (see spectral_march) passes the eigenvalues of all
+    of them, problem by problem.  Each row is still one mode, but the band
+    moves when any row needs it, so a problem's band moves depend on the
+    whole batch's eigenvalues: restriction is exact for the same batch, and
+    the same problem in another batch moves by rounding only."""
 
     def __init__(self, alpha, lambdas, t):
         self.alpha = alpha
-        self.lam = np.asarray(lambdas, dtype=float)
+        # the modes of a batch of several problems come with a leading
+        # problem axis, which the values advance returns keep; the memory
+        # works on the flat modes
+        self.shape = np.shape(lambdas) if np.ndim(lambdas) > 1 else None
+        self.lam = np.ravel(np.asarray(lambdas, dtype=float))
         self.t = t
         try:
             soe = relaxation_exponentials(alpha)
@@ -326,8 +351,9 @@ class _Memory:
 
     def _fetch(self, m):
         """Relaxation values and current-window masses of the nodes
-        m .. m + _RELAX_BLOCK - 1, from one relaxation_batch call, and the
-        moments' fold weights and transfer matrices of those nodes."""
+        m .. m + _RELAX_BLOCK - 1, from one relaxation_batch call per
+        problem, and the moments' fold weights and transfer matrices of
+        those nodes."""
         t, lam, alpha = self.t, self.lam, self.alpha
         stop = min(m + _RELAX_BLOCK, t.size)
         # scalar powers, like homogeneous_solution's t ** alpha: numpy's
@@ -335,15 +361,23 @@ class _Memory:
         t_pow = np.array([(t[k] - t[0]) ** alpha for k in range(m, stop)])
         dt_pow = (t[m:stop] - t[m - 1 : stop - 1]) ** alpha
         x = np.maximum(lam, 0.0) * np.concatenate([t_pow, dt_pow])[:, None]
-        e = relaxation_batch(alpha, x)
+        # one relaxation_batch call per problem of a batch, so that its
+        # temporaries, which grow with its input, are those of one march
+        e = np.hstack([relaxation_batch(alpha, part)
+                       for part in np.split(x, 1 if self.shape is None else self.shape[0], axis=1)])
+        del x
         cur = e[stop - m :]
         # the mass (E(0) - E(-lam dt^alpha))/lam, E(0) = 1; power differences
         # where lam dt^alpha is tiny, as in _kernel_masses
-        small = lam * dt_pow[:, None] <= 1e-8
         with np.errstate(divide="ignore", invalid="ignore"):
-            masses = np.where(small,
-                              self.g1 * dt_pow[:, None] - lam * (self.g2 * (dt_pow * dt_pow)[:, None]),
-                              (1.0 - cur) / lam)
+            masses = (1.0 - cur) / lam
+        small = lam * dt_pow[:, None] <= 1e-8
+        if small.any():
+            masses[small] = (self.g1 * dt_pow[:, None]
+                             - lam * (self.g2 * (dt_pow * dt_pow)[:, None]))[small]
+        # the block's outputs; the rest of e goes before the schedule's arrays come
+        relax, w_cur = e[: stop - m].copy(), np.maximum(masses, 0.0, out=masses)
+        del e, cur
         # the fold schedule: at node k, windows j with age t_k - t_{j+1} >= tau
         # fold into the sums, up to window k - 2; small rows fold nothing
         k = np.arange(m, stop)[:, None]
@@ -358,6 +392,12 @@ class _Memory:
         fold[~big] = 0
         rest = fold < k - 1
         self.block_start, self.block_stop = m, stop
+        # per node, ln r of the band's edges, ln(_BAND_LO / tau_k) and
+        # ln(_BAND_HI / dt_k), as differences of logs (_BAND_LO / tau_k
+        # overflows for a tiny horizon), and -dt_k for the decay
+        self.edges = [(math.log(_BAND_LO) - math.log(t[k] - t[0]),
+                       math.log(_BAND_HI) - math.log(t[k] - t[k - 1]), -(t[k] - t[k - 1]))
+                      for k in range(m, stop)]
         # the moments at node k: window k - 2 folds at s' = tau_{k-1} with
         # the weights (dt_{k-2} / s')^q, the powers of node k - 1's ratio
         # dt / tau, and they move to s = tau_k by the matrix
@@ -376,14 +416,16 @@ class _Memory:
         self.mom_t = np.concatenate([move, move @ self.mom_w], axis=2)
         # the frozen terms' scaling p ln tau_k
         self.ln_s = np.log(tau[-B:])[:, None, None] * _ORDERS
-        self.relax, self.w_cur = e[: stop - m], np.maximum(masses, 0.0)
+        if self.shape is not None:
+            relax, w_cur = relax.reshape((-1,) + self.shape), w_cur.reshape((-1,) + self.shape)
+        self.relax, self.w_cur = relax, w_cur
         self.fold, self.fold_last = fold, fold == k - 1
-        self.fold_all = self.fold_last.all(axis=1)
-        self.rest, self.rest_any = rest, rest.any(axis=1)
+        self.fold_all = self.fold_last.all(axis=1).tolist()
+        self.rest, self.rest_any = rest, rest.any(axis=1).tolist()
         # the catch-up is due at node k >= 2 where a window older than k - 2
         # came of age: min(fold, k - 2) passes what node k - 1 folded
         before = np.concatenate([self.folded[None, :], fold[:-1]])
-        self.late_due = (np.minimum(fold, k - 2) > before).any(axis=1)
+        self.late_due = (np.minimum(fold, k - 2) > before).any(axis=1).tolist()
 
     def _band_rows(self, rows, base):
         """Rates and weights of the band columns of `rows` from term `base` on."""
@@ -430,17 +472,20 @@ class _Memory:
         # on the leading columns, where the thawed terms have r s < _BAND_LO;
         # the clip keeps the others, which np.where drops, from overflowing
         s = self.t[m - 1] - self.t[0]
-        thawed = np.zeros_like(kept)
+        # the thawed columns, c < lag of each row, are the leading ones
+        n_thawed = min(int(lag.max()), width)
+        thawed = np.zeros((rows.size, n_thawed))
         if s > 0.0:  # at node 1 nothing is folded yet
             with np.errstate(over="ignore"):
-                x = np.minimum(rates[:, : int(lag.max())] * s, _BAND_LO)
+                x = np.minimum(rates[:, :n_thawed] * s, _BAND_LO)
             coef = _TAYLOR[:, None] * moments[:, rows]
-            acc = np.repeat(coef[-1][:, None], x.shape[1], axis=1)
+            acc = np.repeat(coef[-1][:, None], n_thawed, axis=1)
             for c in coef[-2::-1]:
                 acc *= x
                 acc += c[:, None]
-            thawed[:, : x.shape[1]] = acc * x
-        self.sums[rows] = np.where(src >= 0, kept, thawed)
+            thawed = acc * x
+        kept[:, :n_thawed] = np.where(src[:, :n_thawed] >= 0, kept[:, :n_thawed], thawed)
+        self.sums[rows] = kept
         self.rates[rows], self.weight[rows] = rates, weight
         self.base[rows] = base
         self.ln_a[:, rows] = _ORDERS * self.ln_root[rows] + self.ln_c[:, base]
@@ -473,8 +518,9 @@ class _Memory:
 
     def advance(self, m, g_hist):
         """Move to node m; returns E(-lam t_m^alpha) per mode, the history
-        term and the current window's masses.  g_hist[k] holds the mode
-        coefficients of the forcing on window k (k <= m - 2 are read)."""
+        term and the current window's masses, each in the shape of lambdas.
+        g_hist[k] holds the mode coefficients of the forcing on window k,
+        flat (k <= m - 2 are read)."""
         t, lam, alpha = self.t, self.lam, self.alpha
         if m >= self.block_stop:
             self._fetch(m)
@@ -485,10 +531,7 @@ class _Memory:
         # of a row passes its first column, every row whose edge is within
         # _BAND_SLACK / 2 terms of its first column moves to _BAND_SLACK
         # terms below the edge, so that rows move together and seldom
-        s_m, dt = t[m] - t[0], t[m] - t[m - 1]
-        # as differences of logs: _BAND_LO / s_m overflows for a tiny horizon
-        ln_lo = math.log(_BAND_LO) - math.log(s_m)
-        ln_hi = math.log(_BAND_HI) - math.log(dt)
+        ln_lo, ln_hi, minus_dt = self.edges[b]
         moved = ()
         # the margins cover rounding between this test and the searches below
         if ln_lo <= self.ln_top + 1e-6 or ln_hi >= self.ln_next - 1e-6:
@@ -521,7 +564,7 @@ class _Memory:
         np.matmul(self.mom_t[b], self.mom_g, out=self.next_mom)
         self.mom_g, self.next_g = self.next_g, self.mom_g
         self.mom, self.next_mom = self.next_mom, self.mom
-        decay_m1 = np.multiply(self.rates, -dt, out=self.decay_m1)
+        decay_m1 = np.multiply(self.rates, minus_dt, out=self.decay_m1)
         np.expm1(decay_m1, out=decay_m1)
         self.sums *= np.add(decay_m1, 1.0, out=self.work)
 
@@ -535,53 +578,92 @@ class _Memory:
             masses = _kernel_masses(alpha, lam[rest], (t[m] - t[q:m]) ** alpha)
             young = np.arange(q, m - 1)[None, :] >= fold_to[rest, None]
             history[rest] += (masses * young * g_hist[q : m - 1, rest].T).sum(axis=1)
+        if self.shape is not None:
+            history = history.reshape(self.shape)
         return self.relax[b], history, self.w_cur[b]
 
 
 class _Sampled:
-    """A coefficient f(x, t) of the march at the step midpoints, as post(f)
-    on the nodes x.  Each block of _RELAX_BLOCK midpoints is sampled by one
-    call of f with x and the column of the block's times.  Where that call
-    raises or gives another shape than (times, nodes), f does not broadcast
-    in t: it is called once per time from then on, when the march reaches
-    the step, so that an error surfaces at its own node.  A constant f is
-    post(f) at every time and is never called."""
+    """The coefficients f_s(x_s, t) of a batch's problems at the step
+    midpoints, stacked on the problem axis as f_s, or as
+    0.5 (shift_s + f_s) where a shift is given, on each problem's nodes x_s:
+    rows[k, s] holds midpoint k of the block.  Each block of _RELAX_BLOCK
+    midpoints is sampled by one call of f_s with x_s and the column of the
+    block's times.  Where that call raises or gives another shape than
+    (times, nodes), f_s does not broadcast in t: it is called once per time
+    from then on, when the march reaches the step, so that an error
+    surfaces at its own node, and it fills only its own row.  A number f_s
+    is the same at every time and is never called; an array f_s holds
+    values on the time nodes, and a step takes the mean of its two ends.
+    Where every f_s is a number, a row is one value per problem."""
 
-    def __init__(self, f, x, post=None):
-        self.f, self.x, self.post = f, x, post
-        self.per_time = False
-        if not callable(f):
-            v = float(f) if post is None else post(float(f))
-            self.rows = np.full((_RELAX_BLOCK, 1), v)
-            self.nonzero = np.full(_RELAX_BLOCK, v != 0.0)
+    def __init__(self, fs, xs, shift=None):
+        self.fs, self.xs, self.shift = fs, xs, shift
+        self.sampled = [s for s, f in enumerate(fs) if callable(f) or isinstance(f, np.ndarray)]
+        self.per_time = [False] * len(fs)
+        self.late = []  # the problems sampled per time in this block
+        self.rows = np.zeros((_RELAX_BLOCK, len(fs), xs[0].size if self.sampled else 1))
+        # what at returns: a batch of one drops the problem axis (see spectral_march)
+        self.view = self.rows[:, 0] if len(fs) == 1 else self.rows
+        for s, f in enumerate(fs):
+            if s not in self.sampled:
+                self._put(self.rows[:, s], s, float(f))
+        self._flags()
 
-    def block(self, ts):
-        """Sample the midpoints ts of the next block."""
-        if not callable(self.f):
+    def _put(self, out, s, v):
+        """Write the values v of problem s into its rows out."""
+        if self.shift is None:
+            out[...] = v
+        else:
+            np.add(self.shift[s], v, out=out)
+            out *= 0.5
+
+    def _flags(self):
+        # NaN counts as nonzero
+        self.nonzero = self.rows.any(axis=2)
+        self.any_nonzero = self.nonzero.any(axis=1).tolist()
+
+    def block(self, m0, ts):
+        """Sample the midpoints ts of the steps m0 + 1, m0 + 2, ..."""
+        self.ts, self.late = ts, []
+        if not self.sampled:
             return
-        self.ts, self.rows = ts, None
-        # a block of one time is sampled per time: a scalar-only f (math.exp)
-        # would take a one-element column for a scalar
-        if self.per_time or ts.size < 2:
-            return
-        try:
-            v = np.asarray(self.f(self.x, ts[:, None]), dtype=float)
-        except Exception:  # any error: the per-time calls raise it again at its node
-            v = None
-        if v is None or v.shape != (ts.size, self.x.size):
-            self.per_time = True
-            return
-        self.rows = v if self.post is None else self.post(v)
-        self.nonzero = self.rows.any(axis=1)  # NaN counts as nonzero
+        B = ts.size
+        for s in self.sampled:
+            f, x = self.fs[s], self.xs[s]
+            if isinstance(f, np.ndarray):
+                out = self.rows[:B, s]
+                np.add(f[m0 : m0 + B], f[m0 + 1 : m0 + B + 1], out=out)
+                out *= 0.5
+                continue
+            # a block of one time is sampled per time: a scalar-only f
+            # (math.exp) would take a one-element column for a scalar
+            if self.per_time[s] or B < 2:
+                self.late.append(s)
+                continue
+            try:
+                v = np.asarray(f(x, ts[:, None]), dtype=float)
+            except Exception:  # any error: the per-time calls raise it again at its node
+                v = None
+            if v is None or v.shape != (B, x.size):
+                self.per_time[s] = True
+                self.late.append(s)
+                continue
+            self._put(self.rows[:B, s], s, v)
+        self._flags()
 
     def at(self, k):
         """Row k of the block, and whether it has an entry other than 0."""
-        if self.rows is not None:
-            return self.rows[k], self.nonzero[k]
-        v = _node_values(self.f(self.x, self.ts[k]), self.x)
-        if self.post is not None:
-            v = self.post(v)
-        return v, np.count_nonzero(v) > 0  # NaN counts as nonzero
+        if not self.late:
+            return self.view[k], self.any_nonzero[k]
+        row = self.rows[k]
+        for s in self.late:
+            self._put(row[s], s, self.fs[s](self.xs[s], self.ts[k]))
+        return self.view[k], np.count_nonzero(row) > 0  # NaN counts as nonzero
+
+    def nonzero_at(self, k):
+        """Per problem, whether its row k (see at) has an entry other than 0."""
+        return self.rows[k].any(axis=1) if self.late else self.nonzero[k]
 
 
 def _extrapolation_weights(t):
@@ -620,15 +702,69 @@ def _extrapolation_weights(t):
     return w
 
 
+def _batch_key(p: ProblemSpec):
+    """What the problems of one march share: alpha, the time nodes and the
+    number of space nodes."""
+    return p.alpha, p.tgrid.nodes.tobytes(), p.grid.n_nodes
+
+
+@dataclass(frozen=True)
+class Batch:
+    """Problems that share alpha, the time nodes and the number of space
+    nodes: the leading axis of spectral_march.  index holds their positions
+    in the caller's list, which a SolverError names; without it a batch of
+    several problems names their positions in the batch, and a batch of one
+    names none."""
+
+    problems: tuple
+    index: Optional[tuple] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "problems", tuple(self.problems))
+        if not self.problems:
+            raise ValueError("a batch holds at least one problem")
+        if len({_batch_key(p) for p in self.problems}) > 1:
+            raise ValueError("the problems of a batch share alpha, the time nodes and n_nodes")
+
+    @property
+    def alpha(self):
+        return self.problems[0].alpha
+
+    @property
+    def tgrid(self):
+        return self.problems[0].tgrid
+
+    def label(self, s):
+        """The index that a SolverError of problem s names, or None."""
+        if self.index is not None:
+            return self.index[s]
+        return s if len(self.problems) > 1 else None
+
+
+@dataclass(frozen=True)
+class ModeStack:
+    """The eigendecompositions and operators of a Batch's problems, in its
+    order.  lambdas concatenates their eigenvalues, problem by problem: the
+    modes whose memory the march advances as one."""
+
+    eigs: tuple
+    ops: tuple
+    lambdas: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "eigs", tuple(self.eigs))
+        object.__setattr__(self, "ops", tuple(self.ops))
+        object.__setattr__(self, "lambdas", np.concatenate([e.lambdas for e in self.eigs]))
+
+
 def spectral_march(
-    p: ProblemSpec,
-    eig: EigenDecomposition,
-    op: DiscreteOperator,
+    batch: Batch,
+    stack: ModeStack,
     nonlinearity=None,
     picard_tol=1e-10,
     state_guard=None,
 ):
-    """Shared marching loop of the fixed-point solvers.
+    """Shared marching loop of the fixed-point solvers, for S problems at once.
 
     At node m the step forcing g = F + Q u_rep [+ f(u_rep)], with u_rep the
     average of u_{m-1} and u_m, is frozen on the window, and the mode
@@ -642,122 +778,221 @@ def spectral_march(
     the nodes.  The memory keeps the forcing of the last sweep, so u_m is
     exactly its Duhamel image.
 
+    The problems of the batch share one _Memory of all their modes, and
+    each product is one stack of S matrix-vector products.  A problem stops
+    sweeping at the sweep where it converges and keeps that iterate, so its
+    field and its sweep counts are those of its own march, up to the band
+    moves of the shared memory (see _Memory).  A SolverError names the node
+    and, in a batch of several, the problem (see Batch.label).
+
     b / 2, (c0 + c) / 2 and the source are sampled at the step midpoints a
     block of _RELAX_BLOCK steps at a time (see _Sampled); without b and c,
-    Q is the constant c0 and is not sampled.  A step whose samples of b and
-    c0 + c are all zero takes u_m directly.
+    Q is the constant c0 and is not sampled.  A problem whose samples of b
+    and c0 + c are all zero at a step takes u_m directly.
 
     nonlinearity(u_nodal, t) -> nodal values is added to the step forcing with
     the same endpoint-average state treatment as Q u.  state_guard(u, k) may
-    raise to abort (box monitoring).  Returns the field values and, per
-    node, the number of sweeps (applications of the map; 0 where nothing
-    couples the modes and u_m is taken directly)."""
-    t = p.tgrid.nodes
-    alpha = p.alpha
-    x = p.grid.nodes
-    n_nodes = p.grid.n_nodes
+    raise to abort (box monitoring).  Both take a batch of one.  Returns the
+    field values, (S, time nodes, space nodes), and per problem and node the
+    number of sweeps (applications of the map; 0 where nothing couples the
+    modes and u_m is taken directly), (S, time steps)."""
+    problems = batch.problems
+    S = len(problems)
+    if S > 1 and (nonlinearity is not None or state_guard is not None):
+        raise ValueError("a march with a nonlinearity or a state guard takes one problem")
+    t = batch.tgrid.nodes
+    n_nodes = problems[0].grid.n_nodes
+    n_modes = stack.eigs[0].lambdas.size
     N = t.size - 1
-    a = p.initial_values()
-    if not np.all(np.isfinite(a)):
-        raise _non_finite("initial value", 0, p.grid, a)
-    a_coef = eig.project(a)
+    # the leading problem axis; a batch of one drops it, because numpy's
+    # elementwise loops and reductions cost more on (1, n) views than on
+    # (n,) vectors, and a short march is made of little else
+    lead = (S,) if S > 1 else ()
+    # first, so that a relaxation table it builds meets none of the arrays below
+    memory = _Memory(batch.alpha, stack.lambdas.reshape(lead + (n_modes,)), t)
+    grids = [p.grid for p in problems]
+    xs = [g.nodes for g in grids]
+    a = np.empty((S, n_nodes))
+    for j, p in enumerate(problems):
+        a[j] = p.initial_values()
+        if not np.all(np.isfinite(a[j])):
+            raise _non_finite("initial value", 0, p.grid, a[j], batch.label(j))
+    a_coef = np.stack([e.project(v) for e, v in zip(stack.eigs, a)]).reshape(lead + (n_modes,))
     mids = 0.5 * (t[:-1] + t[1:])
-    spec = p.elliptic
-    half_b = None if spec.b is None else _Sampled(spec.b, x, lambda v: 0.5 * v)
-    half_c = _Sampled(0.0 if spec.c is None else spec.c, x, lambda v: 0.5 * (spec.c0 + v))
-    src = p.source
-    if callable(src):
-        src = _Sampled(src, x)
-    elif src is not None:
-        src = np.asarray(src, dtype=float)
-    sampled = [s for s in (half_b, half_c, src) if isinstance(s, _Sampled)]
-    no_source = np.zeros(n_nodes)
+    specs = [p.elliptic for p in problems]
+    half_b = None
+    if any(sp.b is not None for sp in specs):
+        half_b = _Sampled([0.0 if sp.b is None else sp.b for sp in specs], xs, np.zeros(S))
+    half_c = _Sampled([0.0 if sp.c is None else sp.c for sp in specs], xs, [sp.c0 for sp in specs])
+    src = None
+    if any(p.source is not None for p in problems):
+        src = _Sampled([0.0 if p.source is None else p.source if callable(p.source)
+                        else np.asarray(p.source, dtype=float) for p in problems], xs)
+    sampled = [smp for smp in (half_b, half_c, src) if smp is not None and smp.sampled]
+    no_source = np.zeros(lead + (n_nodes,))
     # one product gives the nodal values and, under a drift, their derivative
-    synth = np.vstack([eig.modes, op.derivative(eig.modes)]) if half_b is not None else eig.modes
-    proj = np.ascontiguousarray((eig.modes * eig.weights[:, None]).T)
+    synth = np.stack([np.vstack([e.modes, op.derivative(e.modes)]) if half_b is not None else e.modes
+                      for e, op in zip(stack.eigs, stack.ops)])
+    synth = synth.reshape(lead + synth.shape[1:])
+    proj = np.stack([(e.modes * e.weights[:, None]).T for e in stack.eigs]).reshape(lead + (n_modes, n_nodes))
     start = _extrapolation_weights(t)
 
-    u = np.empty((N + 1, n_nodes))
-    u[0] = a
-    du = op.derivative(a)  # u' at the last node
-    # mode coefficients of the frozen step forcings (F + Qu [+ f(u)])
-    g_hist = np.zeros((N, eig.lambdas.size))
-    counts = np.zeros(N, dtype=int)
+    u = np.empty((N + 1,) + lead + (n_nodes,))
+    u[0] = u_prev = a.reshape(lead + (n_nodes,))
+    # u' at the last node, under a drift
+    du = None
+    if half_b is not None:
+        du = np.stack([op.derivative(v) for op, v in zip(stack.ops, a)]).reshape(u_prev.shape)
+    # mode coefficients of the frozen step forcings (F + Qu [+ f(u)]); the
+    # memory reads them as one row of S x modes per window
+    g_hist = np.zeros((N,) + lead + (n_modes,))
+    g_rows = g_hist.reshape(N, -1)
+    counts = np.zeros((N,) + lead, dtype=int)
     # u (and u') on the nodes at node k in row k % 4, for the sweeps' start
-    uv_hist = np.zeros((4, synth.shape[0]))
-    uv_hist[0] = synth @ a_coef
-
-    memory = _Memory(alpha, eig.lambdas, t)
+    uv_hist = np.zeros(lead + (4, synth.shape[-2]))
+    uv_hist[..., 0, :] = np.matvec(synth, a_coef)
 
     for m in range(1, N + 1):
-        relax, history, w_last = memory.advance(m, g_hist)
+        relax, history, w_last = memory.advance(m, g_rows)
         base = a_coef * relax + history
         k = (m - 1) % _RELAX_BLOCK
         if k == 0:
-            for s in sampled:
-                s.block(mids[m - 1 : m - 1 + _RELAX_BLOCK])
+            for smp in sampled:
+                smp.block(m - 1, mids[m - 1 : m - 1 + _RELAX_BLOCK])
         # the part of the step forcing that u_{m-1} fixes: F + Q u_{m-1} / 2
-        if src is None:
-            fixed = no_source
-        elif isinstance(src, _Sampled):
-            fixed, _ = src.at(k)
-        else:
-            fixed = 0.5 * (src[m - 1] + src[m])
-        half_c_m, active = half_c.at(k)
+        fixed = no_source if src is None else src.at(k)[0]
+        half_c_m, any_active = half_c.at(k)
         half_b_m = None
         if half_b is not None:
             half_b_m, b_active = half_b.at(k)
-            active = active or b_active
-        if active:
-            fixed = fixed + half_c_m * u[m - 1]
+            any_active = any_active or b_active
+        # in a batch, which problems Q couples at this step
+        active = None
+        if S > 1 and any_active:
+            active = half_c.nonzero_at(k)
+            if half_b is not None:
+                active = active | half_b.nonzero_at(k)
+        if any_active:
+            fixed = fixed + half_c_m * u_prev
             if half_b_m is not None:
                 fixed += half_b_m * du
-        g_fixed = proj @ fixed
+        g_fixed = np.matvec(proj, fixed)
         if not np.isfinite(g_fixed).all():
-            raise _non_finite("step forcing", m, p.grid, fixed)
+            raise _first_non_finite(batch, "step forcing", m, g_fixed, fixed)
 
-        if not (active or nonlinearity is not None):
+        if not (any_active or nonlinearity is not None):
             g = g_fixed
-            v_next = base + w_last * g
-            uv = synth @ v_next
-            if not np.isfinite(uv[:n_nodes]).all():
-                raise _non_finite("field", m, p.grid, uv[:n_nodes])
+            uv = np.matvec(synth, base + w_last * g)
+            u_prev = uv[..., :n_nodes]
+            if not np.isfinite(u_prev).all():
+                raise _first_non_finite(batch, "field", m, u_prev, u_prev)
         else:
-            uv = start[m] @ uv_hist
-            converged = False
-            residual = np.inf
-            for it in range(PICARD_MAX):
-                u_new = uv[:n_nodes]
-                swept = half_c_m * u_new if active else 0.0
-                if active and half_b_m is not None:
-                    swept += half_b_m * uv[n_nodes:]
-                if nonlinearity is not None:
-                    swept = swept + nonlinearity(0.5 * (u[m - 1] + u_new), mids[m - 1])
-                g = g_fixed + proj @ swept
-                v_next = base + w_last * g
-                uv = synth @ v_next
-                residual = float(np.abs(uv[:n_nodes] - u_new).max())
-                if not math.isfinite(residual):
-                    raise _non_finite("step forcing", m, p.grid, fixed + swept)
-                if residual <= picard_tol:
-                    converged = True
-                    counts[m - 1] = it + 1
-                    break
-            if not converged:
-                raise SolverError(
-                    f"Picard iteration stalled at node {m} (residual {residual:.3e}); "
-                    "refine the time grid or reduce the coefficients",
-                    node=m,
-                    residual=residual,
-                )
-        uv_hist[m % 4] = uv
-        u_new, du = uv[:n_nodes], uv[n_nodes:]
-        u[m] = u_new
+            if not any_active:  # nothing to sweep for Q
+                half_c_m = half_b_m = None
+            rows = (proj, synth, base, w_last, fixed, g_fixed, half_c_m, half_b_m,
+                    start[m] @ uv_hist)
+            uv, u_prev, g = _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts,
+                                    u_prev, mids[m - 1])
+        uv_hist[..., m % 4, :] = uv
+        if half_b is not None:
+            du = uv[..., n_nodes:]
+        u[m] = u_prev
         if state_guard is not None:
-            state_guard(u_new, m)
+            state_guard(u_prev, m)
         g_hist[m - 1] = g
 
-    return u, counts
+    return u.reshape(N + 1, S, n_nodes).transpose(1, 0, 2), counts.reshape(N, S).T
+
+
+def _first_non_finite(batch, what, m, test, values, rows=None):
+    """The SolverError of the first problem whose row of test is not
+    finite, naming the first space node where its row of values is not;
+    rows maps the rows to the batch's problems (default: one each)."""
+    test, values = np.atleast_2d(test), np.atleast_2d(values)
+    j = int(np.flatnonzero(~np.isfinite(test).all(axis=1))[0])
+    s = j if rows is None else int(rows[j])
+    return _non_finite(what, m, batch.problems[s].grid, values[j], batch.label(s))
+
+
+def _take(rows, live):
+    return tuple(None if v is None else v[live] for v in rows)
+
+
+def _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts, u_prev, mid):
+    """The Picard sweeps of node m (see spectral_march), on the rows of the
+    march's arrays, one per problem: projector, synthesis, base, w_last,
+    fixed forcing and its coefficients, b / 2 and (c0 + c) / 2 (None where Q
+    is not swept) and the start.  Returns u and u' on the nodes, u alone
+    and the forcing's mode coefficients, and enters the sweep counts.  A
+    problem leaves the sweeps at the sweep where it converges; where active
+    marks some problems only, the others take u_m directly."""
+    S, n_nodes = len(batch.problems), u_prev.shape[-1]
+    # the problems still sweeping (None: all of them), and the rows of the
+    # others, once there are any
+    live = out_uv = out_g = None
+    if active is not None and not active.all():
+        proj, synth, base, w_last, _, g_fixed = rows[:6]
+        out_uv, out_g = np.matvec(synth, base + w_last * g_fixed), g_fixed.copy()
+        if not np.isfinite(out_uv[~active, :n_nodes]).all():
+            idle = np.flatnonzero(~active)
+            raise _first_non_finite(batch, "field", m, out_uv[idle, :n_nodes], out_uv[idle, :n_nodes], idle)
+        live = np.flatnonzero(active)
+        rows = _take(rows, live)
+    proj, synth, base, w_last, fixed, g_fixed, half_c_m, half_b_m, uv = rows
+    u_new = uv[..., :n_nodes]
+    for it in range(PICARD_MAX):
+        swept = 0.0 if half_c_m is None else half_c_m * u_new
+        if half_b_m is not None:
+            swept += half_b_m * uv[..., n_nodes:]
+        if nonlinearity is not None:
+            swept = swept + nonlinearity(0.5 * (u_prev + u_new), mid)
+        g = g_fixed + np.matvec(proj, swept)
+        uv = np.matvec(synth, base + w_last * g)
+        u_next = uv[..., :n_nodes]
+        change = np.abs(u_next - u_new)
+        residual = float(change.max())
+        if residual <= picard_tol:
+            if live is None:
+                counts[m - 1] = it + 1
+                return uv, u_next, g
+            counts[m - 1, live] = it + 1
+            out_uv[live], out_g[live] = uv, g
+            return out_uv, out_uv[:, :n_nodes], out_g
+        if not math.isfinite(residual):
+            raise _first_non_finite(batch, "step forcing", m, change, fixed + swept, live)
+        u_new = u_next
+        if S == 1:
+            continue
+        done = change.max(axis=1) <= picard_tol
+        if done.any():
+            # the converged problems keep this iterate and leave the sweeps
+            if live is None:
+                live = np.arange(S)
+                out_uv, out_g = np.empty_like(uv), np.empty_like(g)
+            counts[m - 1, live[done]] = it + 1
+            out_uv[live[done]], out_g[live[done]] = uv[done], g[done]
+            keep = ~done
+            live = live[keep]
+            proj, synth, base, w_last, fixed, g_fixed, half_c_m, half_b_m, uv, u_new, change = _take(
+                (proj, synth, base, w_last, fixed, g_fixed, half_c_m, half_b_m, uv, u_new, change), keep)
+    # the first problem still sweeping
+    residual = float(np.atleast_2d(change)[0].max())
+    raise SolverError(
+        f"Picard iteration stalled at node {m} (residual {residual:.3e}); "
+        "refine the time grid or reduce the coefficients",
+        node=m,
+        residual=residual,
+        problem=batch.label(0 if live is None else int(live[0])),
+    )
+
+
+def _march_fields(batch: Batch, eigs) -> list:
+    """The fields of a batch's problems from one march; eigs holds each
+    problem's eigendecomposition or None."""
+    ops = [assemble(p.elliptic, p.grid) for p in batch.problems]
+    eigs = [eigendecompose(op) if e is None else e for e, op in zip(eigs, ops)]
+    u, _ = spectral_march(batch, ModeStack(eigs, ops))
+    return [Field(p.grid, p.tgrid, v) for p, v in zip(batch.problems, u)]
 
 
 def solve_linear_spectral(
@@ -766,11 +1001,30 @@ def solve_linear_spectral(
 ) -> Field:
     """March the fixed-point representation; with no drift and c = -c0 the
     result is the pure eigen-expansion without iteration."""
-    op = assemble(p.elliptic, p.grid)
-    if eig is None:
-        eig = eigendecompose(op)
-    u, _ = spectral_march(p, eig, op)
-    return Field(p.grid, p.tgrid, u)
+    return _march_fields(Batch((p,)), [eig])[0]
+
+
+def solve_linear_spectral_many(problems) -> list:
+    """solve_linear_spectral for each of the problems, in their order.  The
+    problems that share alpha, the time nodes and the number of space nodes
+    are marched together, in batches of up to _BATCH_MODES modes (see
+    spectral_march), which costs much less than one march each when the
+    marches are short.  A SolverError names the problem's index in this list
+    when it holds several."""
+    problems = list(problems)
+    groups = {}
+    for i, p in enumerate(problems):
+        groups.setdefault(_batch_key(p), []).append(i)
+    fields = [None] * len(problems)
+    for group in groups.values():
+        # batches of at most _BATCH_MODES modes (or one problem), as even as they come
+        size = max(1, _BATCH_MODES // problems[group[0]].grid.n_nodes)
+        for index in np.array_split(group, -(-len(group) // size)):
+            index = index.tolist()
+            batch = Batch([problems[i] for i in index], tuple(index) if len(problems) > 1 else None)
+            for i, f in zip(index, _march_fields(batch, [None] * len(index))):
+                fields[i] = f
+    return fields
 
 
 def solve_linear_l1(p: ProblemSpec) -> Field:

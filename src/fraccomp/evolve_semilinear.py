@@ -24,7 +24,7 @@ from .elliptic import (
     banded_solve,
     eigendecompose,
 )
-from .evolve_linear import Field, ProblemSpec, SolverError, spectral_march
+from .evolve_linear import Batch, Field, ModeStack, ProblemSpec, SolverError, spectral_march
 from .fracops import l1_weight_rows
 
 __all__ = [
@@ -58,9 +58,9 @@ class SemilinearTerm:
     box_m: float = math.inf
 
     def __call__(self, x, u, ux=None):
-        if self.depends_on_gradient:
-            return np.asarray(self.eval(x, u, ux), dtype=float) * np.ones_like(u)
-        return np.asarray(self.eval(x, u), dtype=float) * np.ones_like(u)
+        v = np.asarray(self.eval(x, u, ux) if self.depends_on_gradient else self.eval(x, u), dtype=float)
+        # multiplying by ones only broadcasts: a value of u's shape is returned as it is
+        return v if v.shape == np.shape(u) else v * np.ones_like(u)
 
     def shifted(self, delta):
         """The term plus a constant; keeps the ordering f1 >= f2 testable."""
@@ -132,14 +132,14 @@ def solve_semilinear(
         raise BoxExitError(f"initial value already outside the box m = {box:.3g}", node=0)
 
     u, counts = spectral_march(
-        p, eig, op,
+        Batch((p,)), ModeStack((eig,), (op,)),
         nonlinearity=nonlinearity,
         picard_tol=tol,
         state_guard=guard,
     )
     if info is not None:
-        info["picard_counts"] = counts
-    return Field(p.grid, p.tgrid, u)
+        info["picard_counts"] = counts[0]
+    return Field(p.grid, p.tgrid, u[0])
 
 
 def solve_semilinear_stationary(

@@ -561,12 +561,14 @@ class _RelaxationTable:
             sv = np.log(x[m_mid])
             idx = np.searchsorted(self.cheb_edges, sv)
             s = (2.0 * sv - self.cheb_apb[idx]) / self.cheb_bma[idx]
-            # numpy's chebval recurrence, each point with its segment's row
-            c = self.cheb_coef.T[:, idx]
+            # numpy's chebval recurrence, each point with its segment's row;
+            # the rows are gathered one coefficient at a time, so that the
+            # temporaries stay the size of x however long the rows are
+            c = self.cheb_coef.T
             s2 = 2.0 * s
-            c0, c1 = c[-2], c[-1]
+            c0, c1 = c[-2, idx], c[-1, idx]
             for ck in c[-3::-1]:
-                c0, c1 = ck - c1, c0 + c1 * s2
+                c0, c1 = ck[idx] - c1, c0 + c1 * s2
             out[m_mid] = np.exp(c0 + c1 * s)
         return out
 

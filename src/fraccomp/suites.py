@@ -19,7 +19,8 @@ from scipy.special import erfcx, gamma
 from . import compare, special_ml
 from .compare import CheckResult
 from .elliptic import EllipticSpec, Grid1D, assemble, eigendecompose, principal_eigenpair
-from .evolve_linear import Field, ProblemSpec, solve_linear_l1, solve_linear_spectral
+from .evolve_linear import (Field, ProblemSpec, solve_linear_l1, solve_linear_spectral,
+                            solve_linear_spectral_many)
 from .evolve_semilinear import SemilinearTerm, builtin_enzyme, scalar_fractional_ode, solve_semilinear
 from .fracops import TimeGrid, TimeSeries, caputo_l1, extremum_check, rl_integral
 from .randomspec import random_linear_problem, random_nonneg_profile
@@ -278,11 +279,10 @@ def suite_fracops(rng):
 def suite_positivity(rng):
     rows = []
     worst = 0.0
-    for _ in range(50):
-        alpha = float(rng.choice([0.3, 0.5, 0.7]))
-        p = random_linear_problem(rng, alpha, n=20, N=64, T=1.0)
-        u = solve_linear_spectral(p)
-        rep = compare.check_positivity(u, alpha=alpha)
+    problems = [random_linear_problem(rng, float(rng.choice([0.3, 0.5, 0.7])), n=20, N=64, T=1.0)
+                for _ in range(50)]
+    for p, u in zip(problems, solve_linear_spectral_many(problems)):
+        rep = compare.check_positivity(u, alpha=p.alpha)
         worst = max(worst, rep.worst - rep.tolerance)
     rows.append(CheckResult.of("positivity/50-random-specs", worst, 0.0))
     return rows + EX1.run(0.5, 24, 96).rows
@@ -291,14 +291,14 @@ def suite_positivity(rng):
 def suite_ordering(rng):
     rows = []
     worst = 0.0
+    problems = []
     for _ in range(10):
-        alpha = float(rng.choice([0.3, 0.5, 0.7]))
-        p = random_linear_problem(rng, alpha, n=20, N=64)
+        p = random_linear_problem(rng, float(rng.choice([0.3, 0.5, 0.7])), n=20, N=64)
         bump = random_nonneg_profile(rng, amplitude=0.3)
-        p_hi = replace(p, initial=lambda x, a0=p.initial, b=bump: a0(x) + b(x))
-        u_hi = solve_linear_spectral(p_hi)
-        u_lo = solve_linear_spectral(p)
-        rep = compare.check_ordering(u_hi, u_lo, alpha=alpha)
+        problems += [replace(p, initial=lambda x, a0=p.initial, b=bump: a0(x) + b(x)), p]
+    fields = solve_linear_spectral_many(problems)
+    for p, u_hi, u_lo in zip(problems[1::2], fields[::2], fields[1::2]):
+        rep = compare.check_ordering(u_hi, u_lo, alpha=p.alpha)
         worst = max(worst, rep.worst - rep.tolerance)
     rows.append(CheckResult.of("ordering/data-comparison-10-pairs", worst, 0.0))
     worst = 0.0

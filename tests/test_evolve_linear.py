@@ -16,10 +16,13 @@ from fraccomp.elliptic import (
 )
 from fraccomp.evolve_linear import (
     _BAND_LO,
+    _BATCH_MODES,
     _ORDERS,
     _RELAX_BLOCK,
     _START_MAX,
+    Batch,
     Field,
+    ModeStack,
     ProblemSpec,
     SolverError,
     _Memory,
@@ -28,12 +31,20 @@ from fraccomp.evolve_linear import (
     homogeneous_solution,
     solve_linear_l1,
     solve_linear_spectral,
+    solve_linear_spectral_many,
     spectral_march,
 )
 from fraccomp.evolve_semilinear import builtin_burgers, solve_semilinear
 from fraccomp.fracops import TimeGrid
 from fraccomp.randomspec import random_linear_problem
 from fraccomp.special_ml import ml_relaxation, relaxation_batch, relaxation_exponentials
+
+
+def march_one(p, **kw):
+    """spectral_march on a batch of one: the field values and the sweep counts."""
+    op = assemble(p.elliptic, p.grid)
+    u, counts = spectral_march(Batch((p,)), ModeStack((eigendecompose(op),), (op,)), **kw)
+    return u[0], counts[0]
 
 
 def make_problem(alpha=0.5, n=24, N=64, T=1.0, r=None, **spec_kw):
@@ -274,8 +285,7 @@ class TestModeSpaceSweeps:
         # the sweeps in physical space from u_{m-1}, which this march
         # replaced, took 1293 sweeps on this spec
         p = random_linear_problem(np.random.default_rng(5), 0.5, n=32, N=256, with_drift=True)
-        op = assemble(p.elliptic, p.grid)
-        _, counts = spectral_march(p, eigendecompose(op), op)
+        _, counts = march_one(p)
         assert np.all(counts >= 1)
         assert counts.sum() < 1293
 
@@ -481,10 +491,9 @@ class TestBlockSampledForcing:
             return -0.5 * np.ones_like(x) * np.ones_like(t)
 
         p = replace(p, elliptic=replace(p.elliptic, c=c))
-        op = assemble(p.elliptic, p.grid)
         reached = []
         with pytest.raises(ValueError, match="past t_bad"):
-            spectral_march(p, eigendecompose(op), op, state_guard=lambda u, k: reached.append(k))
+            march_one(p, state_guard=lambda u, k: reached.append(k))
         assert reached == list(range(1, 40))
 
     @pytest.mark.parametrize("k_last", [45, 2 * _RELAX_BLOCK + 1])
@@ -504,9 +513,95 @@ class TestBlockSampledForcing:
         monkeypatch.setattr(DiscreteOperator, "q_parts", lambda self, t: pytest.fail("sampled"))
         grid, tg, spec = make_problem(alpha=0.5, N=40, c0=0.0)
         p = ProblemSpec(0.5, spec, grid, tg, 1.0, source=lambda x, t: np.ones_like(x) * (1.0 + t))
-        op = assemble(spec, grid)
-        _, counts = spectral_march(p, eigendecompose(op), op)
+        _, counts = march_one(p)
         assert not counts.any()
+
+
+class TestBatch:
+    """spectral_march advances several problems on one time grid at once;
+    each keeps the field and the sweep counts of its own march."""
+
+    @staticmethod
+    def mixed_batch(N=64):
+        alpha, n = 0.5, 24
+        grid, tg, _ = make_problem(alpha=alpha, n=n, N=N)
+        x, t = grid.nodes, tg.nodes
+        c = lambda x, t: -0.3 * np.sin(2.0 * x) * np.cos(t)
+        a0 = lambda x: 1.0 + 0.5 * np.cos(math.pi * x)
+        specs = [
+            # drift, no source
+            (EllipticSpec(b=lambda x, t: 0.3 * np.cos(2.0 * x + t), c=c, c0=0.5), None),
+            # no drift, a Robin sigma and an array source
+            (EllipticSpec(c=c, c0=0.5, sigma_lo=1.5, sigma_hi=1.5),
+             np.outer(np.exp(-t), 1.0 + np.sin(x))),
+            # c = None with c0 = 0: Q is inactive; a source that takes a scalar t only
+            (EllipticSpec(c0=0.0, sigma_lo=1.0, sigma_hi=0.5),
+             lambda x, t: np.cos(x) * math.exp(-t)),
+            # a constant drift and a broadcasting source
+            (EllipticSpec(b=0.3, c0=1.0), lambda x, t: np.sin(3.0 * x) + t),
+        ]
+        return [ProblemSpec(alpha, spec, grid, tg, a0, source=f) for spec, f in specs]
+
+    def test_mixed_batch_matches_solo_marches(self):
+        problems = self.mixed_batch()
+        ops = [assemble(p.elliptic, p.grid) for p in problems]
+        u, counts = spectral_march(Batch(problems), ModeStack([eigendecompose(op) for op in ops], ops))
+        assert u.shape == (4, 65, problems[0].grid.n_nodes) and counts.shape == (4, 64)
+        for j, p in enumerate(problems):
+            solo_u, solo_counts = march_one(p)
+            assert np.max(np.abs(u[j] - solo_u)) <= 1e-13 * np.max(np.abs(solo_u))
+            assert np.array_equal(counts[j], solo_counts)
+        assert not counts[2].any()
+        assert np.all(counts[[0, 1, 3]] >= 1)
+
+    def test_many_returns_fields_in_input_order(self):
+        grid, _, spec = make_problem(n=20, c0=0.5, c=lambda x, t: -0.2 * np.cos(x))
+        src = lambda x, t: 1.0 + np.sin(x) * t
+        problems = [ProblemSpec(alpha, spec, grid, TimeGrid.graded(1.0, N, 2.0 / alpha),
+                                lambda x, k=k: 1.0 + 0.1 * k * np.cos(math.pi * x), source=src)
+                    for k, (alpha, N) in enumerate([(0.5, 64), (0.3, 64), (0.5, 48), (0.5, 64), (0.3, 64)]
+                                                   + [(0.7, 32)] * 7)]
+        # the seven alpha = 0.7 problems take more than _BATCH_MODES modes: two batches
+        assert 7 * problems[-1].grid.n_nodes > _BATCH_MODES
+        fields = solve_linear_spectral_many(problems)
+        assert len(fields) == len(problems)
+        for p, f in zip(problems, fields):
+            solo = solve_linear_spectral(p)
+            assert f.tgrid is p.tgrid and f.values.shape == solo.values.shape
+            assert np.max(np.abs(f.values - solo.values)) <= 1e-13 * np.max(np.abs(solo.values))
+
+    def test_empty_list(self):
+        assert solve_linear_spectral_many([]) == []
+
+    def test_solver_error_names_the_problem(self):
+        grid, tg, spec = make_problem(n=24, N=16, c0=0.5, c=lambda x, t: -0.2 * np.cos(x))
+        bad = replace(spec, c=lambda x, t: np.where(x < 0.5, np.nan, 0.0) + 0.0 * t)
+        problems = [ProblemSpec(0.5, bad if j == 2 else spec, grid, tg, 1.0,
+                                source=lambda x, t: np.ones_like(x)) for j in range(5)]
+        message = r"^problem 2: non-finite .* at time node 1 \(first at x = 0\)"
+        with pytest.raises(SolverError, match=message) as exc:
+            solve_linear_spectral_many(problems)
+        assert exc.value.problem == 2 and exc.value.node == 1
+        # a batch given directly names the position in the batch
+        ops = [assemble(p.elliptic, p.grid) for p in problems[1:]]
+        with pytest.raises(SolverError, match=r"^problem 1: non-finite .* at time node 1"):
+            spectral_march(Batch(problems[1:]), ModeStack([eigendecompose(op) for op in ops], ops))
+
+    def test_semilinear_march_takes_one_problem(self):
+        grid, tg, spec = make_problem(n=16, N=16, c0=0.5)
+        p = ProblemSpec(0.5, spec, grid, tg, 1.0)
+        op = assemble(spec, grid)
+        eig = eigendecompose(op)
+        with pytest.raises(ValueError, match="one problem"):
+            spectral_march(Batch([p, p]), ModeStack([eig, eig], [op, op]), nonlinearity=lambda u, t: -u)
+
+    def test_batch_shares_alpha_and_grids(self):
+        grid, tg, spec = make_problem(n=16, N=16, c0=0.5)
+        p = ProblemSpec(0.5, spec, grid, tg, 1.0)
+        with pytest.raises(ValueError, match="share"):
+            Batch([p, replace(p, alpha=0.3)])
+        with pytest.raises(ValueError, match="share"):
+            Batch([p, replace(p, grid=Grid1D(0.0, 1.0, 17))])
 
 
 @pytest.mark.parametrize("solve", [solve_linear_spectral, solve_linear_l1])
@@ -560,15 +655,13 @@ class TestExtrapolatedStart:
         # ~1e130, and starting from them stalled there after 50 sweeps
         grid, tg, spec = make_problem(alpha=0.01, n=32, N=32, c0=1.0)
         p = ProblemSpec(0.01, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x))
-        op = assemble(spec, grid)
-        u, counts = spectral_march(p, eigendecompose(op), op)
+        u, counts = march_one(p)
         assert np.all(np.isfinite(u)) and counts.max() < 10
 
     def test_cubic_start_and_narrow_band(self):
         # the first criterion-5 spec (seed 77, alpha = 0.3): the quadratic
         # start took 3070 sweeps and the two-moment band 9945 entries per step
         p = random_linear_problem(np.random.default_rng(77), 0.3, n=128, N=1024, T=1.0)
-        op = assemble(p.elliptic, p.grid)
         entries = []
 
         class Spy(_Memory):
@@ -579,7 +672,7 @@ class TestExtrapolatedStart:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("fraccomp.evolve_linear._Memory", Spy)
-            _, counts = spectral_march(p, eigendecompose(op), op)
+            _, counts = march_one(p)
         assert counts.sum() < 2600
         assert np.mean(entries) < 6000
 
@@ -587,8 +680,7 @@ class TestExtrapolatedStart:
         # the first criterion-5 spec (seed 77, alpha = 0.3): the start from
         # the last two nodes took 4251 sweeps
         p = random_linear_problem(np.random.default_rng(77), 0.3, n=128, N=1024, T=1.0)
-        op = assemble(p.elliptic, p.grid)
-        _, counts = spectral_march(p, eigendecompose(op), op)
+        _, counts = march_one(p)
         assert np.all(counts >= 1)
         assert counts.sum() < 4251
 
