@@ -34,7 +34,6 @@ from .evolve_linear import (
     Field,
     ProblemSpec,
     SolverError,
-    duhamel_step,
     homogeneous_solution,
     solve_linear_l1,
     solve_linear_spectral,

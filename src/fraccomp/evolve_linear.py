@@ -37,8 +37,8 @@ exponential (see _Memory).  Per mode only a live band of the exponentials is
 advanced: the fastest have decayed and are dropped, the slowest share K
 Taylor moments.  A step costs O(modes x band), with a band of 17-43 of the
 rule's 214-339 terms at alpha = 0.3-0.95 on the acceptance grids; the
-relaxation values the step needs are fetched for _RELAX_BLOCK nodes in one
-vectorised call.  The L1 route sums every past step exactly: it takes the
+relaxation values and masses the step needs are fetched _RELAX_BLOCK nodes
+at a time.  The L1 route sums every past step exactly: it takes the
 grid's L1 weight rows from fracops.l1_weight_rows, built lazily for one
 solve or once for a chain of solves on one grid (compare's monotone
 iterations pass them to _l1_march), and solves each step's pentadiagonal
@@ -66,14 +66,13 @@ from .elliptic import (
     eigendecompose,
 )
 from .fracops import TimeGrid, l1_weight_rows
-from .special_ml import relaxation_batch, relaxation_exponentials
+from .special_ml import relaxation_batch, relaxation_deficit, relaxation_exponentials
 
 __all__ = [
     "ProblemSpec",
     "Field",
     "SolverError",
     "homogeneous_solution",
-    "duhamel_step",
     "solve_linear_spectral",
     "solve_linear_spectral_many",
     "solve_linear_l1",
@@ -173,43 +172,12 @@ def _kernel_masses(alpha, lambdas, dt_pow):
 
     dt_pow holds (t_eval - t_j)^alpha for the window nodes t_j (descending in
     value); returns the matrix of int_{t_k}^{t_{k+1}} K ds >= 0, one row per
-    mode, via differences of the relaxation profile.  The lambda = 0 rows use
-    the dedicated closed form (power differences over Gamma(alpha + 1))."""
-    lam = np.asarray(lambdas, dtype=float)
-    masses = np.zeros((lam.size, dt_pow.size - 1))
-    # difference quotients of the relaxation profile cancel catastrophically
-    # when lam t^alpha is tiny (and the discrete Neumann ground eigenvalue is
-    # only zero to rounding); switch to the expansion in lam there
-    small = lam * dt_pow[0] <= 1e-8
-    lp = lam[~small]
-    if lp.size:
-        e = relaxation_batch(alpha, lp[:, None] * dt_pow[None, :])
-        masses[~small] = np.diff(e, axis=1) / lp[:, None]
-    if small.any():
-        g1 = np.exp(-gammaln(alpha + 1.0))
-        g2 = np.exp(-gammaln(2.0 * alpha + 1.0))
-        d1 = -np.diff(dt_pow)
-        d2 = -np.diff(dt_pow * dt_pow)
-        masses[small] = g1 * d1[None, :] - lam[small, None] * (g2 * d2[None, :])
-    return np.maximum(masses, 0.0)
-
-
-def duhamel_step(state, F_samples, eig: EigenDecomposition, alpha, t_k, t_k1, t_eval=None):
-    """Add the per-mode contribution of int_{t_k}^{t_k1} K(t_eval - s) F ds with
-    F held constant on the step (exact per mode).  t_eval defaults to t_k1;
-    history replay at later nodes passes the evaluation time explicitly."""
-    if t_eval is None:
-        t_eval = t_k1
-    if not t_k < t_k1 <= t_eval:
-        raise ValueError("need t_k < t_k1 <= t_eval")
-    sv = state.values if isinstance(state, SpaceField) else np.asarray(state, dtype=float)
-    fv = F_samples.values if isinstance(F_samples, SpaceField) else np.asarray(F_samples, dtype=float)
-    dt_pow = np.array([(t_eval - t_k) ** alpha, (t_eval - t_k1) ** alpha])
-    masses = _kernel_masses(alpha, eig.lambdas, dt_pow)[:, 0]
-    coef = eig.project(fv) * masses
-    grid = state.grid if isinstance(state, SpaceField) else None
-    out = sv + eig.synthesize(coef)
-    return SpaceField(grid, out) if grid is not None else out
+    mode, as differences of s phi(lam s) over s = dt_pow (see
+    special_ml.relaxation_deficit), to rounding for every lam >= 0; a
+    negative lam, a Neumann ground eigenvalue off zero by rounding, is 0."""
+    lam = np.maximum(np.asarray(lambdas, dtype=float), 0.0)
+    g = dt_pow * relaxation_deficit(alpha, lam[:, None] * dt_pow)
+    return np.maximum(g[:, :-1] - g[:, 1:], 0.0)
 
 
 def _non_finite(what, m, grid, values, problem=None):
@@ -281,12 +249,13 @@ class _Memory:
     * the current window, whose mass the Picard sweeps need;
     * windows younger than sigma_lo / lam^(1/alpha), below the rule's range;
       they join the sums when they are old enough;
-    * modes with lam t_m^alpha <= 1e-8, whose masses are power differences.
-    E(-lam t_m^alpha) and the current window's relaxation values are
-    fetched for _RELAX_BLOCK nodes in one relaxation_batch call per
-    problem, together with the block's fold schedule and, per node, the
-    flags the fold reads:
-    whether every row folds window m - 2 and whether an older window is due.
+    * modes with lam t_m^alpha <= 1e-8 (small modes), which fold nothing.
+    Each is formed as in _kernel_masses, to rounding for every lam >= 0.
+    E(-lam t_m^alpha) and the current window's masses are fetched for
+    _RELAX_BLOCK nodes by one relaxation_batch call per problem and one
+    relaxation_deficit call, together with the block's fold schedule and,
+    per node, the flags the fold reads: whether every row folds window
+    m - 2 and whether an older window is due.
     At every node m >= 2, window m - 2, which the last step left behind,
     folds in place on the rows whose schedule reaches it.  Windows older
     than that which came of age at node m fold first, window by window, in
@@ -323,7 +292,7 @@ class _Memory:
         self.log_rho_at = np.append(soe.log_rho, np.inf)  # +inf past the rule
         self.ln_c = _prefix_logs(alpha)
         with np.errstate(divide="ignore", over="ignore"):
-            # lam <= 0 gets rate 0 and tau inf; such modes stay on the small branch
+            # lam <= 0 gets rate 0 and tau inf; such modes stay small
             self.ln_root = np.log(np.maximum(self.lam, 0.0)) / alpha  # ln lam^(1/alpha)
             self.tau = soe.sigma_lo * np.exp(-self.ln_root)
             # ln (sum_{j < base} w_j r_j^p) / p!, p = 1..K
@@ -344,16 +313,13 @@ class _Memory:
         self.mom, self.next_mom = self.mom_g[:-1], self.next_g[:-1]
         self.frozen_work = np.empty((_MOMENTS, modes))
         self.folded = np.zeros(modes, dtype=int)  # windows k < folded are in sums
-        self.g1 = np.exp(-gammaln(alpha + 1.0))
-        self.g2 = np.exp(-gammaln(2.0 * alpha + 1.0))
         self.block_start = self.block_stop = 1
         self._edges()
 
     def _fetch(self, m):
         """Relaxation values and current-window masses of the nodes
-        m .. m + _RELAX_BLOCK - 1, from one relaxation_batch call per
-        problem, and the moments' fold weights and transfer matrices of
-        those nodes."""
+        m .. m + _RELAX_BLOCK - 1, and the moments' fold weights and
+        transfer matrices of those nodes."""
         t, lam, alpha = self.t, self.lam, self.alpha
         stop = min(m + _RELAX_BLOCK, t.size)
         # scalar powers, like homogeneous_solution's t ** alpha: numpy's
@@ -365,19 +331,9 @@ class _Memory:
         # temporaries, which grow with its input, are those of one march
         e = np.hstack([relaxation_batch(alpha, part)
                        for part in np.split(x, 1 if self.shape is None else self.shape[0], axis=1)])
-        del x
-        cur = e[stop - m :]
-        # the mass (E(0) - E(-lam dt^alpha))/lam, E(0) = 1; power differences
-        # where lam dt^alpha is tiny, as in _kernel_masses
-        with np.errstate(divide="ignore", invalid="ignore"):
-            masses = (1.0 - cur) / lam
-        small = lam * dt_pow[:, None] <= 1e-8
-        if small.any():
-            masses[small] = (self.g1 * dt_pow[:, None]
-                             - lam * (self.g2 * (dt_pow * dt_pow)[:, None]))[small]
-        # the block's outputs; the rest of e goes before the schedule's arrays come
-        relax, w_cur = e[: stop - m].copy(), np.maximum(masses, 0.0, out=masses)
-        del e, cur
+        # the block's outputs, E(-lam t^alpha) and the masses dt^alpha phi(lam dt^alpha)
+        relax, w_cur = e[: stop - m].copy(), relaxation_deficit(alpha, x[stop - m :], e[stop - m :]) * dt_pow[:, None]
+        del x, e  # before the schedule's arrays come
         # the fold schedule: at node k, windows j with age t_k - t_{j+1} >= tau
         # fold into the sums, up to window k - 2; small rows fold nothing
         k = np.arange(m, stop)[:, None]

@@ -28,6 +28,8 @@ march runs its memory.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import threading
 from collections import OrderedDict
@@ -45,8 +47,8 @@ __all__ = [
     "ml_relaxation",
     "ml_kernel",
     "ml_kernel_integral",
-    "kernel_integral_lambda0",
     "relaxation_batch",
+    "relaxation_deficit",
     "ExponentialSum",
     "relaxation_exponentials",
 ]
@@ -90,11 +92,22 @@ def _validate(alpha, beta, z):
         raise InvalidParameterError(f"z must be finite, got {z}")
 
 
+def _units(x, alpha):
+    """x^(1/alpha), x >= 0, and inf where that overflows."""
+    try:
+        return x ** (1.0 / alpha)
+    except OverflowError:
+        return math.inf
+
+
 def _max_term_ln(alpha, beta, x):
     """ln of the largest term of sum x^k / Gamma(alpha k + beta), x > 0."""
     if x <= 0.0:
         return 0.0
-    kstar = (x ** (1.0 / alpha) - beta) / alpha
+    root = _units(x, alpha)
+    if root == math.inf:
+        return math.inf
+    kstar = (root - beta) / alpha
     if kstar <= 0.0:
         return -gammaln(beta)
     return kstar * math.log(x) - gammaln(alpha * kstar + beta)
@@ -169,10 +182,9 @@ def _asymptotic_neg(alpha, beta, x, max_terms=1200):
         # that the series omits; past the Stokes line arg zeta = pi they are
         # switched off by erfc(theta sqrt(|zeta|/2)), theta = pi (1/alpha - 1).
         # They make up E = e^-x at alpha = 1 and are negligible below ~0.9.
-        root = x ** (1.0 / alpha)
-        y = math.pi * (1.0 / alpha - 1.0) * math.sqrt(0.5 * root)
-        est += ((2.0 / alpha) * x ** ((1.0 - beta) / alpha) * erfcx(y)
-                * math.exp(root * math.cos(math.pi / alpha) - y * y))
+        theta, root = math.pi * (1.0 / alpha - 1.0), _units(x, alpha)
+        est += (2.0 / alpha) * erfcx(theta * math.sqrt(0.5 * root)) * math.exp(
+            (1.0 - beta) / alpha * math.log(x) + root * (math.cos(math.pi / alpha) - 0.5 * theta * theta))
     # rounding: exp(ln_mag) is off by the error of ln_mag, about eps times
     # the size of its parts k ln x and ln_mag + k ln x; the sum by half an ulp
     kx = k[:k_opt] * math.log(x)
@@ -342,10 +354,18 @@ def ml(q: MLQuery) -> MLResult:
     """Evaluate E_{alpha,beta}(z) with a recorded regime and error estimate.
 
     Guarantee: |value - E| <= max(est_abs_error, 1e-12 (1 + |value|)).
+    Raises InvalidParameterError where E (at z > 0) overflows the double range.
     """
     alpha, beta, z = float(q.alpha), float(q.beta), float(q.z)
     _validate(alpha, beta, z)
+    with contextlib.suppress(OverflowError):
+        r = _ml(alpha, beta, z)
+        if not math.isinf(r.value):
+            return r
+    raise InvalidParameterError(f"E_(alpha,beta)(z) at alpha={alpha}, beta={beta}, z={z} overflows the double range")
 
+
+def _ml(alpha, beta, z):
     if z == 0.0:
         v = rgamma(beta)
         return MLResult(float(v), 4.0 * _EPS * abs(v), "series")
@@ -363,11 +383,11 @@ def ml(q: MLQuery) -> MLResult:
         return MLResult(v, 4.0 * _EPS * (1.0 + abs(v)), "series")
 
     if z > 0.0:
-        if z ** (1.0 / alpha) <= 200.0:
+        root = _units(z, alpha)
+        if root <= 200.0:
             v, est = _series(alpha, beta, z, max_terms=2000)
             return MLResult(v, est, "series")
         # exponential growth dominates every algebraic correction out here
-        root = z ** (1.0 / alpha)
         lead = (1.0 / alpha) * root ** (1.0 - beta) * math.exp(root)
         return MLResult(lead, abs(z ** -1.0 * rgamma(beta - alpha)) + 4 * _EPS * lead, "asymptotic")
 
@@ -380,7 +400,7 @@ def ml(q: MLQuery) -> MLResult:
         if alpha >= 1.0 or est <= 1e-12 * (1.0 + abs(v)):
             return MLResult(v, est, "series")
 
-    e_units = x ** (1.0 / alpha)
+    e_units = _units(x, alpha)
     if alpha < 1.0:
         if e_units >= _ASYM_E:
             v, est = _asymptotic_neg(alpha, beta, x)
@@ -427,36 +447,59 @@ def ml_kernel(alpha, lam, t) -> float:
 
 
 def ml_kernel_integral(alpha, lam, s0, s1, t) -> float:
-    """Closed form of int_{s0}^{s1} (t-s)^(alpha-1) E_{alpha,alpha}(-lam (t-s)^alpha) ds.
+    """Closed form of int_{s0}^{s1} (t-s)^(alpha-1) E_{alpha,alpha}(-lam (t-s)^alpha) ds, lam >= 0.
 
-    Equals (1/lam) [E_{alpha,1}(-lam (t-s1)^alpha) - E_{alpha,1}(-lam (t-s0)^alpha)];
-    nonnegative and bounded by 1/lam.  Where lam (t-s0)^alpha <= 1e-8 that
-    difference cancels, and the expansion in lam to first order is exact
-    to rounding: the lam == 0 value minus lam times the difference of the
-    2 alpha powers over Gamma(2 alpha + 1).
+    Equals (1/lam) [E_{alpha,1}(-lam (t-s1)^alpha) - E_{alpha,1}(-lam (t-s0)^alpha)], in [0, 1/lam],
+    formed as hi phi(lam hi) - lo phi(lam lo), hi = (t-s0)^alpha, lo = (t-s1)^alpha, with phi from
+    relaxation_deficit and E from ml, so that lam -> 0 does not cancel: lam == 0 gives (hi - lo)/Gamma(alpha+1).
     """
-    if lam <= 0.0:
-        raise InvalidParameterError(
-            "lam must be positive; for lam == 0 use the closed form "
-            "((t-s0)^alpha - (t-s1)^alpha)/Gamma(alpha+1) (kernel_integral_lambda0)"
-        )
-    if not (0.0 <= s0 < s1 <= t):
-        raise InvalidParameterError(f"need 0 <= s0 < s1 <= t, got {(s0, s1, t)}")
-    if lam * (t - s0) ** alpha <= 1e-8:
-        d2 = (t - s0) ** (2.0 * alpha) - (t - s1) ** (2.0 * alpha)
-        g2 = math.exp(gammaln(2.0 * alpha + 1.0))
-        return max(0.0, kernel_integral_lambda0(alpha, s0, s1, t) - lam * d2 / g2)
-    hi = ml_relaxation(alpha, lam, t - s1) if t > s1 else 1.0
-    lo = ml_relaxation(alpha, lam, t - s0)
-    return max(0.0, (hi - lo) / lam)
+    if not (0.0 < alpha <= 1.0 and np.isfinite(lam) and lam >= 0.0 and 0.0 <= s0 < s1 <= t):
+        raise InvalidParameterError(f"need alpha in (0, 1], lam >= 0 and 0 <= s0 < s1 <= t, got {(alpha, lam, s0, s1, t)}")
+    ages = np.array([(t - s0) ** alpha, (t - s1) ** alpha])
+    g = ages * relaxation_deficit(alpha, lam * ages, np.array([ml(MLQuery(alpha, 1.0, -lam * a)).value for a in ages]))
+    return max(0.0, float(g[0] - g[1]))
 
 
-def kernel_integral_lambda0(alpha, s0, s1, t) -> float:
-    """The lam == 0 branch: ((t-s0)^alpha - (t-s1)^alpha)/Gamma(alpha+1)."""
-    if not (0.0 <= s0 < s1 <= t):
-        raise InvalidParameterError(f"need 0 <= s0 < s1 <= t, got {(s0, s1, t)}")
-    g = math.exp(gammaln(alpha + 1.0))
-    return ((t - s0) ** alpha - (t - s1) ** alpha) / g
+@functools.lru_cache(maxsize=32)  # one per alpha, as the tables are kept
+def _deficit_head(alpha):
+    """phi's first 24 Taylor coefficients and reach[j - 1], the x <= 2 up to which each term past
+    the first j is below 2^-56: added to a sum above 0.4, such a term leaves it as it is."""
+    k = np.arange(1.0, 26.0)
+    coef = (-1.0) ** (k - 1.0) * rgamma(alpha * k + 1.0)
+    reach = (2.0 ** -56 / np.abs(coef[1:])) ** (1.0 / k[:-1])
+    return tuple(coef[:-1]), tuple(np.minimum(np.minimum.accumulate(reach[::-1])[::-1], 2.0))  # read-only
+
+
+def relaxation_deficit(alpha, x, e=None):
+    """phi(x) = (1 - E_{alpha,1}(-x))/x for x >= 0 (array-valued), alpha in (0, 1].
+
+    Within about 1e-14 relative of phi, phi(0) = 1/Gamma(alpha+1): the Taylor
+    series gives it up to x = 0.2-2, past which (1 - E)/x loses a few ulps (at
+    x = 0.05, where the table's head ends, up to 1e-13 for alpha near 1).  E(-x)
+    comes from e where given (the caller's values on x), else from
+    relaxation_batch.  Every window mass (E(-lam s_lo^a) - E(-lam s_hi^a))/lam,
+    lam >= 0, is s_hi^a phi(lam s_hi^a) - s_lo^a phi(lam s_lo^a).
+    """
+    if not (0.0 < alpha <= 1.0):
+        raise InvalidParameterError(f"relaxation needs alpha in (0, 1], got {alpha}")
+    x = np.asarray(x, dtype=float)
+    if x.size and float(np.min(x)) < 0.0:
+        raise InvalidParameterError("x must be nonnegative")
+    coef, reach = _deficit_head(float(alpha))
+    head = x <= reach[-1]
+    out = np.empty_like(x)
+    # the series in order, to the terms the largest x needs: those past an x's
+    # own leave its sum as it is, and a ground mode zero to rounding takes two
+    xh = x[head]
+    total, power = np.full(xh.shape, coef[0]), np.ones(xh.shape)
+    for c in coef[1 : np.searchsorted(reach, xh.max(initial=0.0)) + 1]:
+        power *= xh
+        total += c * power
+    out[head] = total
+    if not head.all():
+        far = ~head
+        out[far] = (1.0 - (relaxation_batch(alpha, x[far]) if e is None else e[far])) / x[far]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,19 +14,21 @@ _W, _H = 760, 480
 _ML, _MR, _MT, _MB = 70, 20, 40, 55
 
 
+def _widen(lo, hi):
+    """[lo, hi], or [lo, lo + max(1, 1e-9 |lo|)] where it is narrower than 1e-9 of its
+    magnitude (or than 1e-299): round ticks cannot resolve it, and plotted it is a point."""
+    if hi - lo > 1e-9 * max(abs(lo), abs(hi), 1e-290):
+        return lo, hi
+    return lo, lo + max(1.0, 1e-9 * abs(lo))
+
+
 def _ticks(lo, hi, n=5):
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / n
+    """About n round ticks k step, k an integer, on [lo, hi] (see _widen)."""
+    lo, hi = _widen(lo, hi)
+    raw = hi / n - lo / n  # hi - lo may overflow
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
-    first = math.ceil(lo / step) * step
-    out = []
-    v = first
-    while v <= hi + 1e-12 * step:
-        out.append(0.0 if abs(v) < 1e-12 * step else v)
-        v += step
-    return out
+    return [k * step for k in range(math.ceil(lo / step), math.floor(hi / step + 1e-12) + 1)]
 
 
 def write_svg_plot(path, curves, title="", xlabel="", ylabel="", logy=False):
@@ -46,10 +48,8 @@ def write_svg_plot(path, curves, title="", xlabel="", ylabel="", logy=False):
     x_hi = max(float(np.max(c[0])) for c in prepared)
     y_lo = min(float(np.min(c[1])) for c in prepared)
     y_hi = max(float(np.max(c[1])) for c in prepared)
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _widen(x_lo, x_hi)
+    y_lo, y_hi = _widen(y_lo, y_hi)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

@@ -75,6 +75,18 @@ class TestMl:
         out, err = capsys.readouterr()
         assert out == "" and f"usage error: --z-count must be at least 1, got {count}" in err
 
+    def test_huge_negative_argument(self, capsys):
+        # x^(1/alpha) once overflowed into a traceback; E = erfcx(1e308)
+        assert run_cli(["ml", "--alpha", "0.5", "--z=-1e308"]) == 0
+        val = float(capsys.readouterr().out.strip().splitlines()[-1].split()[1])
+        assert val == pytest.approx(5.6418958354775628e-309, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, z", [("0.5", "800"), ("0.5", "1e300"), ("1", "1000")])
+    def test_overflowing_value_exit_2(self, capsys, alpha, z):
+        assert run_cli(["ml", "--alpha", alpha, "--z", z]) == 2
+        out, err = capsys.readouterr()
+        assert "overflows the double range" in err and "Traceback" not in err
+
     def test_manifest_when_out_given(self, tmp_path, capsys):
         assert run_cli(["ml", "--alpha", "0.5", "--z", "-1", "--out", str(tmp_path)]) == 0
         assert read_manifest(tmp_path)["verdict"] == "ok"
@@ -93,6 +105,17 @@ class TestSolve:
         assert (tmp_path / "slices.svg").exists()
         header = (tmp_path / "u.csv").read_text().splitlines()[0]
         assert header == "x,t,u"
+
+    def test_near_constant_field_plots(self, tmp_path):
+        # u stays within 4e-16 of 1, so the slice plot's y-range is a few
+        # ulps wide: its ticks once never ended and ran the memory out
+        argv = ["solve", "--method", "l1", "--out", str(tmp_path)]
+        for item in ("alpha=0.05", "domain=0,1", "n_space=3", "n_time=8", "T=1",
+                     "time_grading=uniform", "a=2+sin(t)", "b=-30", "c=-1", "c0=0",
+                     "sigma_lo=0", "initial=1", "source=1"):
+            argv += ["--set", item]
+        assert run_cli(argv) == 0
+        assert (tmp_path / "decay.svg").exists() and (tmp_path / "slices.svg").exists()
 
     def test_csv_deterministic(self, tmp_path):
         cfg = tmp_path / "run.cfg"

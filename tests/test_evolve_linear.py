@@ -27,7 +27,7 @@ from fraccomp.evolve_linear import (
     SolverError,
     _Memory,
     _extrapolation_weights,
-    duhamel_step,
+    _kernel_masses,
     homogeneous_solution,
     solve_linear_l1,
     solve_linear_spectral,
@@ -37,7 +37,7 @@ from fraccomp.evolve_linear import (
 from fraccomp.evolve_semilinear import builtin_burgers, solve_semilinear
 from fraccomp.fracops import TimeGrid
 from fraccomp.randomspec import random_linear_problem
-from fraccomp.special_ml import ml_relaxation, relaxation_batch, relaxation_exponentials
+from fraccomp.special_ml import ml_relaxation, relaxation_batch, relaxation_deficit, relaxation_exponentials
 
 
 def march_one(p, **kw):
@@ -82,32 +82,25 @@ class TestHomogeneous:
 
 
 class TestDuhamelStep:
-    def test_zero_source_unchanged(self):
-        grid, tg, spec = make_problem(c0=1.0)
-        eig = eigendecompose(assemble(spec, grid))
-        state = SpaceField(grid, np.cos(grid.nodes))
-        out = duhamel_step(state, np.zeros(grid.n_nodes), eig, 0.5, 0.0, 0.1)
-        assert np.allclose(out.values, state.values)
+    """The Duhamel mass of a step from rest, s^alpha phi(lam s^alpha) with
+    the step's age s and phi from special_ml.relaxation_deficit."""
 
     def test_first_step_constant_mode(self):
         grid, tg, spec = make_problem(c0=1.0)
-        eig = eigendecompose(assemble(spec, grid))
-        lam1 = eig.lambdas[0]
-        phi1 = eig.modes[:, 0]
+        lam = eigendecompose(assemble(spec, grid)).lambdas
         tau = 0.25
-        out = duhamel_step(np.zeros(grid.n_nodes), phi1, eig, 0.5, 0.0, tau)
-        ref = (1.0 - ml_relaxation(0.5, lam1, tau)) / lam1 * phi1
-        assert np.allclose(out, ref, atol=1e-12)
+        masses = _kernel_masses(0.5, lam, np.array([tau ** 0.5, 0.0]))[:, 0]
+        ref = (1.0 - np.array([ml_relaxation(0.5, l, tau) for l in lam])) / lam
+        assert np.allclose(masses, ref, rtol=1e-12, atol=0.0)
 
     def test_exponential_case(self):
         grid, tg, spec = make_problem(c0=1.0)
-        eig = eigendecompose(assemble(spec, grid))
-        lam1 = eig.lambdas[0]
-        phi1 = eig.modes[:, 0]
-        tau = 0.5
-        out = duhamel_step(np.zeros(grid.n_nodes), phi1, eig, 0.999999, 0.0, tau)
-        ref = (1.0 - math.exp(-lam1 * tau)) / lam1 * phi1
-        assert np.max(np.abs(out - ref)) < 1e-5
+        lam1 = eigendecompose(assemble(spec, grid)).lambdas[0]
+        tau, alpha = 0.5, 0.999999
+        mass = tau ** alpha * relaxation_deficit(alpha, lam1 * tau ** alpha)
+        assert abs(mass - (1.0 - math.exp(-lam1 * tau)) / lam1) < 1e-5
+        assert tau * relaxation_deficit(1.0, lam1 * tau) == pytest.approx(
+            -math.expm1(-lam1 * tau) / lam1, rel=1e-15)
 
 
 class TestSpectralSolver:
@@ -166,15 +159,26 @@ class TestSpectralSolver:
         u2 = solve_linear_spectral(p2)
         assert np.max(np.abs(half.values - u2.values)) < 1e-12
 
-    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.95])
-    def test_march_matches_exact_duhamel_sum(self, alpha):
+    @pytest.mark.parametrize("alpha, T, c0", [
+        pytest.param(0.3, 1.0, 1e-6, id="0.3"),
+        pytest.param(0.5, 1.0, 1e-6, id="0.5"),
+        pytest.param(0.95, 1.0, 1e-6, id="0.95"),
+        pytest.param(0.3, 1e4, 1e-9, id="0.3-T=1e4-c0=1e-9"),
+        pytest.param(0.5, 1e4, 1e-9, id="0.5-T=1e4-c0=1e-9"),
+        pytest.param(0.5, 1.0, 0.0, id="0.5-c0=0"),
+    ])
+    def test_march_matches_exact_duhamel_sum(self, alpha, T, c0):
         # q inactive (b = 0, c = -c0): u(t_m) is the eigen-expansion of S(t_m) a
         # plus every past window's exact kernel mass times its projected
-        # midpoint source.  c0 = 1e-6 gives a mode that starts on the small
-        # branch and then keeps young windows out of the exponential sums.
-        grid, tg, spec = make_problem(alpha=alpha, n=24, N=256, c0=1e-6, c=-1e-6)
+        # midpoint source.  c0 = 1e-6 gives a mode that starts small and then
+        # keeps young windows out of the exponential sums.  At T = 1e4,
+        # c0 = 1e-9 puts lam t^alpha of the ground mode at 1.6e-8 (alpha =
+        # 0.3) and 1e-7 (alpha = 0.5), where the quotient (1 - E)/lam loses
+        # half its digits: masses formed that way put the alpha = 0.3 march
+        # 6.5e-9 sup |u| off.  c0 = 0 leaves the ground mode zero to rounding
+        grid, tg, spec = make_problem(alpha=alpha, n=24, N=256, T=T, c0=c0, c=-c0)
         eig = eigendecompose(assemble(spec, grid))
-        src = lambda x, t: (1.0 + np.sin(3.0 * x)) * np.cos(4.0 * t) + t
+        src = lambda x, t: (1.0 + np.sin(3.0 * x)) * np.cos(4.0 * t / T) + t / T
         p = ProblemSpec(alpha, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x), source=src)
         u = solve_linear_spectral(p, eig).values
         ref = exact_duhamel(p, eig)
@@ -182,25 +186,27 @@ class TestSpectralSolver:
 
     def test_kernel_mass_bound(self):
         # accumulated per-mode Duhamel weights over [0, T] telescope to
-        # (1 - E(-lam T^alpha))/lam <= 1/lam
-        from fraccomp.evolve_linear import _kernel_masses
-
+        # T^alpha phi(lam T^alpha) = (1 - E(-lam T^alpha))/lam <= 1/lam, and
+        # to T^alpha / Gamma(alpha + 1) at lam = 0
         alpha, T = 0.6, 2.0
         tg = TimeGrid.graded(T, 37, 3.0)
-        lams = np.array([0.5, 3.0, 40.0])
+        lams = np.array([0.0, 1e-12, 0.5, 3.0, 40.0])
         dt_pow = (T - tg.nodes) ** alpha
-        masses = _kernel_masses(alpha, lams, dt_pow)
-        total = masses.sum(axis=1)
-        ref = (1.0 - np.array([ml_relaxation(alpha, l, T) for l in lams])) / lams
-        assert np.allclose(total, ref, rtol=1e-12)
-        assert np.all(total <= 1.0 / lams + 1e-15)
+        total = _kernel_masses(alpha, lams, dt_pow).sum(axis=1)
+        closed = T ** alpha * relaxation_deficit(alpha, lams * T ** alpha)
+        assert np.allclose(total, closed, rtol=1e-13, atol=0.0)
+        assert total[0] == pytest.approx(T ** alpha / gamma(alpha + 1.0), rel=1e-13)
+        ref = (1.0 - np.array([ml_relaxation(alpha, l, T) for l in lams[2:]])) / lams[2:]
+        assert np.allclose(total[2:], ref, rtol=1e-12, atol=0.0)
+        assert np.all(total[1:] <= 1.0 / lams[1:] + 1e-15)
 
 
 def exact_duhamel(p, eig):
     """The march's fields from the eigen-expansion of S(t_m) a plus every past
-    window's exact kernel mass times its projected midpoint source (q inactive)."""
-    from fraccomp.evolve_linear import _kernel_masses
-
+    window's exact kernel mass times its projected midpoint source (q
+    inactive).  A window's mass is hi phi(lam hi) - lo phi(lam lo) over the
+    powers hi, lo of its ends' ages, with phi from relaxation_deficit, and
+    the ground eigenvalue, zero to rounding, is taken as 0."""
     t, alpha = p.tgrid.nodes, p.alpha
     a_coef = eig.project(p.initial_values())
     f_coef = np.array([eig.project(p.source_at(0.5 * (t[k] + t[k + 1]))) for k in range(t.size - 1)])
@@ -209,8 +215,9 @@ def exact_duhamel(p, eig):
     for m in range(t.size):
         coef = a_coef * np.array([ml_relaxation(alpha, l, t[m]) for l in lam])
         if m:
-            masses = _kernel_masses(alpha, eig.lambdas, (t[m] - t[: m + 1]) ** alpha)
-            coef = coef + (masses * f_coef[:m].T).sum(axis=1)
+            ages = (t[m] - t[: m + 1]) ** alpha
+            g = ages * relaxation_deficit(alpha, lam[:, None] * ages)
+            coef = coef - (np.diff(g, axis=1) * f_coef[:m].T).sum(axis=1)
         ref[m] = eig.synthesize(coef)
     return ref
 

@@ -13,13 +13,13 @@ from fraccomp import special_ml
 from fraccomp.special_ml import (
     InvalidParameterError,
     MLQuery,
-    kernel_integral_lambda0,
     ml,
     ml_kernel,
     ml_kernel_integral,
     ml_relaxation,
     ml_value,
     relaxation_batch,
+    relaxation_deficit,
     relaxation_exponentials,
 )
 
@@ -106,6 +106,24 @@ class TestMLValidation:
             ml(MLQuery(0.5, 1.0, math.inf))
         with pytest.raises(InvalidParameterError):
             ml(MLQuery(0.5, 1.0, math.nan))
+
+
+class TestMLRange:
+    @pytest.mark.parametrize("alpha, x", [(0.5, 1e308), (0.1, 1e31), (0.3, 1e300)])
+    def test_huge_negative_argument(self, alpha, x):
+        # x^(1/alpha) overflows; E(-x) is about x^-1 / Gamma(1 - alpha),
+        # for alpha = 1/2 erfcx(x), a subnormal at x = 1e308
+        r = ml(MLQuery(alpha, 1.0, -x))
+        with mpmath.workdps(30):
+            ref = float(mpmath.rgamma(1 - mpmath.mpf(alpha)) / mpmath.mpf(x))
+        assert r.regime == "asymptotic"
+        assert abs(r.value - ref) <= r.est_abs_error <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("alpha, beta, z", [(0.5, 1.0, 800.0), (0.5, 1.0, 1e300), (1.0, 1.0, 1000.0),
+                                                (2.0, 1.0, 1e7), (2.0, 2.0, 1e7), (0.5, 0.2, 700.0)])
+    def test_overflow_is_rejected(self, alpha, beta, z):
+        with pytest.raises(InvalidParameterError, match="overflows the double range"):
+            ml(MLQuery(alpha, beta, z))
 
 
 class TestRelaxation:
@@ -226,9 +244,10 @@ class TestKernelIntegral:
                       / mpmath.gamma(a * (k + 1) + 1) for k in range(6))
         assert ml_kernel_integral(alpha, lam, s0, s1, t) == pytest.approx(float(ref), rel=1e-14)
 
-    def test_rejects_zero_rate(self):
-        with pytest.raises(InvalidParameterError):
-            ml_kernel_integral(0.5, 0.0, 0.0, 0.5, 1.0)
+    def test_rejects_negative_rate(self):
+        for lam in (-1e-300, -1.0, math.nan, math.inf):
+            with pytest.raises(InvalidParameterError):
+                ml_kernel_integral(0.5, lam, 0.0, 0.5, 1.0)
 
     def test_rejects_bad_window(self):
         with pytest.raises(InvalidParameterError):
@@ -238,10 +257,100 @@ class TestKernelIntegral:
 
     def test_lambda0_branch(self):
         alpha = 0.45
-        got = kernel_integral_lambda0(alpha, 0.0, 1.0, 1.0)
+        got = ml_kernel_integral(alpha, 0.0, 0.0, 1.0, 1.0)
         assert got == pytest.approx(1.0 / gamma(alpha + 1.0), rel=1e-13)
         ref, _ = quad(lambda s: (1.0 - s) ** (alpha - 1.0) / gamma(alpha), 0.2, 0.7)
-        assert kernel_integral_lambda0(alpha, 0.2, 0.7, 1.0) == pytest.approx(ref, rel=1e-9)
+        assert ml_kernel_integral(alpha, 0.0, 0.2, 0.7, 1.0) == pytest.approx(ref, rel=1e-9)
+
+    def test_lambda_scan_against_series(self):
+        # the window mass hi^a phi(lam hi^a) - lo^a phi(lam lo^a) with the
+        # ages hi, lo of the window's ends and phi in 40 digits, through
+        # the switch at lam t^a = 1e-8 the mass once had and on to lam = 3
+        t = 1.0
+        for alpha in (0.1, 0.3, 0.5, 0.95):
+            a = mpmath.mpf(alpha)
+            for lam in np.concatenate([[0.0], np.geomspace(1e-14, 3.0, 25)]):
+                for s0, s1 in ((0.5, 1.0), (0.0, 0.5), (0.9, 0.95)):
+                    with mpmath.workdps(40):
+                        hi, lo = mpmath.mpf(t - s0) ** a, mpmath.mpf(t - s1) ** a
+                        ref = hi * mp_deficit(alpha, lam * hi) - lo * mp_deficit(alpha, lam * lo)
+                    got = ml_kernel_integral(alpha, lam, s0, s1, t)
+                    assert abs(got / ref - 1) <= 1e-12, (alpha, lam, s0, s1)
+
+
+def mp_deficit(alpha, x):
+    """phi(x) = (1 - E_{alpha,1}(-x))/x as an mpf: the series
+    sum_k (-x)^k / Gamma(alpha (k + 1) + 1) where x^(1/alpha) <= 60, at the
+    precision its cancellation needs, else 1 - E over x with E's asymptotic
+    expansion summed to its smallest term, off by about e^-60 relative."""
+    a, xm = mpmath.mpf(alpha), mpmath.mpf(x)
+    if x ** (1.0 / alpha) <= 60.0:
+        dps = 40 + int(max(x, 1.0) ** (1.0 / alpha) / 2.3)
+        with mpmath.workdps(dps):
+            total, k = mpmath.mpf(0), 0
+            while True:
+                term = (-xm) ** k * mpmath.rgamma(a * (k + 1) + 1)
+                total += term
+                if k > 5 and abs(term) < mpmath.mpf(10) ** -40 * abs(total):
+                    return +total
+                k += 1
+    e, prev = mpmath.mpf(0), mpmath.inf
+    for k in range(1, 2000):
+        envelope = xm ** -k * mpmath.gamma(a * k) / mpmath.pi  # >= |x^-k / Gamma(1 - a k)|
+        if envelope > prev or envelope < mpmath.mpf(10) ** -40:
+            break
+        prev = envelope
+        e += (-1) ** (k + 1) * xm ** -k * mpmath.rgamma(1 - a * k)
+    return (1 - e) / xm
+
+
+class TestDeficit:
+    """relaxation_deficit: phi(x) = (1 - E_{alpha,1}(-x))/x without cancellation."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.95])
+    def test_matches_series(self, alpha):
+        # both sides of the Taylor head's reach and of the table's, to 1e2
+        x = np.concatenate([[0.0, 5e-324], np.geomspace(1e-16, 0.04, 8),
+                            np.geomspace(0.045, 100.0, 50)])
+        got = relaxation_deficit(alpha, x)
+        with mpmath.workdps(40):
+            ref = np.array([float(mp_deficit(alpha, xi)) if xi else float(mpmath.rgamma(alpha + 1))
+                            for xi in x])
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-14
+
+    def test_pointwise(self):
+        # a value does not depend on the others it is computed with, however
+        # many Taylor terms the largest of them takes: the march's masses of
+        # a block of nodes then equal those of a shorter block
+        rng = np.random.default_rng(3)
+        for alpha in (0.3, 0.95, 1.0):
+            x = np.concatenate([[0.0, 1e-300, 1e-16, 1e-3, 0.1, 0.25, 1.5, 30.0],
+                                10.0 ** rng.uniform(-14.0, 1.0, 300)])
+            together = relaxation_deficit(alpha, x)
+            alone = np.array([relaxation_deficit(alpha, x[i : i + 1])[0] for i in range(x.size)])
+            assert np.array_equal(together, alone)
+
+    def test_alpha_one_is_expm1(self):
+        x = np.concatenate([[0.0], np.geomspace(1e-300, 1e3, 200)])
+        got = relaxation_deficit(1.0, x)
+        with np.errstate(invalid="ignore"):
+            ref = np.where(x > 0.0, -np.expm1(-x) / x, 1.0)
+        assert np.max(np.abs(got / ref - 1.0)) <= 4e-16
+
+    def test_window_mass_is_the_relaxation_difference(self):
+        # x phi(x) = 1 - E(-x) where that difference does not cancel
+        for alpha in (0.3, 0.7):
+            x = np.geomspace(0.5, 1e4, 40)
+            got = x * relaxation_deficit(alpha, x)
+            assert np.allclose(got, 1.0 - relaxation_batch(alpha, x), rtol=1e-14, atol=0.0)
+
+    def test_shape_and_rejects_negative(self):
+        assert relaxation_deficit(0.5, np.zeros((3, 4))).shape == (3, 4)
+        assert relaxation_deficit(0.5, 0.0) == pytest.approx(1.0 / gamma(1.5), rel=1e-15)
+        with pytest.raises(InvalidParameterError):
+            relaxation_deficit(0.5, np.array([1.0, -1e-300]))
+        with pytest.raises(InvalidParameterError):
+            relaxation_deficit(1.5, np.ones(2))
 
 
 class TestBatch:
