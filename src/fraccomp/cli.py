@@ -113,7 +113,7 @@ def _number(key, text, kind=float):
 
 def _require_finite(key, expr, x, t):
     """ConfigError naming the first point (x, t) where a field is not finite."""
-    values = np.broadcast_to(expr(x[None, :], t[:, None]), (t.size, x.size))
+    values = expr(x[None, :], t[:, None])
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         k, i = bad[0]

@@ -127,7 +127,10 @@ class SpaceField:
 class EllipticSpec:
     """Coefficients of -A u = (a u')' + b u' + c u, the shifted self-adjoint
     part -(a u')' + c0 u, and the Robin data sigma >= 0 at both endpoints.
-    b0 > 0 activates the positive-reaction form -(a u')' - b u' + b0 u."""
+    b0 > 0 activates the positive-reaction form -(a u')' - b u' + b0 u.
+    The march samples a callable b or c 32 steps per call if it takes the
+    nodes and a column of times and returns (times, nodes), as numpy
+    expressions do; any other callable is called once per time."""
 
     a: object = 1.0
     b: object = None

@@ -23,11 +23,11 @@ projection and the per-mode update.  The sweeps start from the cubic
 extrapolation of u and u' from the last four nodes, so that they mostly
 stop after 2 sweeps; the march returns the number of sweeps per node.
 The coefficients b, c and the source are sampled at the step midpoints
-_RELAX_BLOCK steps per call where they broadcast in t, and once per step
-where they do not.  The march takes a leading problem axis: problems that
-share alpha, the time nodes and the number of space nodes (a Batch) are
-marched as one, with one memory of all their modes and the products of the
-sweeps stacked, so that a short march's numpy overhead is paid once per
+_RELAX_BLOCK steps per call where they take a column of times, and once per
+step where they do not.  The march takes a leading problem axis: problems
+that share alpha, the time nodes and the number of space nodes (a Batch)
+are marched as one, with one memory of all their modes and the products of
+the sweeps stacked, so that a short march's numpy overhead is paid once per
 batch.  solve_linear_spectral is a batch of one, and
 solve_linear_spectral_many groups a list of problems into batches.
 
@@ -108,16 +108,32 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
+    """The source is None, a callable of (x, t), sampled as EllipticSpec's b
+    and c are, or an array of one row per time node and n_nodes columns or
+    one, kept as a float array; anything else is a ValueError."""
+
     alpha: float
     elliptic: EllipticSpec
     grid: Grid1D
     tgrid: TimeGrid
     initial: object  # SpaceField, array on the nodes, or callable of x
-    source: object = None  # None, callable (x, t) -> values, or array (n_t+1, n_nodes)
+    source: object = None  # None, callable (x, t) -> values, or array (n_t+1, n_nodes or 1)
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.source is None or callable(self.source):
+            return
+        rows, cols = self.tgrid.nodes.size, self.grid.n_nodes
+        try:
+            src = np.asarray(self.source, dtype=float)
+        except (TypeError, ValueError):
+            src = None
+        if src is None or src.shape not in ((rows, cols), (rows, 1)):
+            got = type(self.source).__name__ if src is None else f"shape {src.shape}"
+            raise ValueError(f"source must be None, a callable of (x, t) or an array of shape "
+                             f"({rows}, {cols}) or ({rows}, 1), one row per time node; got {got}")
+        object.__setattr__(self, "source", src)
 
     def initial_values(self):
         x = self.grid.nodes
@@ -138,7 +154,7 @@ class ProblemSpec:
             return _node_values(self.source(x, t), x)
         if node_index is None:
             raise ValueError("an array source is read at a time node: pass node_index")
-        return np.asarray(self.source, dtype=float)[node_index]
+        return self.source[node_index]
 
 
 @dataclass(frozen=True)
@@ -543,21 +559,20 @@ class _Sampled:
     """The coefficients f_s(x_s, t) of a batch's problems at the step
     midpoints, stacked on the problem axis as f_s, or as
     0.5 (shift_s + f_s) where a shift is given, on each problem's nodes x_s:
-    rows[k, s] holds midpoint k of the block.  Each block of _RELAX_BLOCK
-    midpoints is sampled by one call of f_s with x_s and the column of the
-    block's times.  Where that call raises or gives another shape than
-    (times, nodes), f_s does not broadcast in t: it is called once per time
-    from then on, when the march reaches the step, so that an error
-    surfaces at its own node, and it fills only its own row.  A number f_s
-    is the same at every time and is never called; an array f_s holds
-    values on the time nodes, and a step takes the mean of its two ends.
-    Where every f_s is a number, a row is one value per problem."""
+    rows[k, s] holds midpoint k of the block.  A callable f_s is called with
+    x_s and the column of a block's times; if the first block's call gives
+    (times, nodes) it is so sampled each block (and per time in a block
+    whose call fails), else per time for the whole march, as the block
+    begins.  at raises a per-time call's error at its own step.  A number
+    f_s is never called; an array f_s holds values on the time nodes, and a
+    step takes the mean of its two ends.  Where every f_s is a number, a
+    row is one value per problem."""
 
     def __init__(self, fs, xs, shift=None):
         self.fs, self.xs, self.shift = fs, xs, shift
         self.sampled = [s for s, f in enumerate(fs) if callable(f) or isinstance(f, np.ndarray)]
-        self.per_time = [False] * len(fs)
-        self.late = []  # the problems sampled per time in this block
+        self.by_column = [None] * len(fs)  # per problem, set by the first block
+        self.errors = {}  # step in the block: the error of its per-time call
         self.rows = np.zeros((_RELAX_BLOCK, len(fs), xs[0].size if self.sampled else 1))
         # what at returns: a batch of one drops the problem axis (see spectral_march)
         self.view = self.rows[:, 0] if len(fs) == 1 else self.rows
@@ -581,45 +596,37 @@ class _Sampled:
 
     def block(self, m0, ts):
         """Sample the midpoints ts of the steps m0 + 1, m0 + 2, ..."""
-        self.ts, self.late = ts, []
-        if not self.sampled:
-            return
         B = ts.size
         for s in self.sampled:
-            f, x = self.fs[s], self.xs[s]
+            f, x, out = self.fs[s], self.xs[s], self.rows[:B, s]
             if isinstance(f, np.ndarray):
-                out = self.rows[:B, s]
                 np.add(f[m0 : m0 + B], f[m0 + 1 : m0 + B + 1], out=out)
                 out *= 0.5
                 continue
-            # a block of one time is sampled per time: a scalar-only f
-            # (math.exp) would take a one-element column for a scalar
-            if self.per_time[s] or B < 2:
-                self.late.append(s)
-                continue
-            try:
-                v = np.asarray(f(x, ts[:, None]), dtype=float)
-            except Exception:  # any error: the per-time calls raise it again at its node
-                v = None
-            if v is None or v.shape != (B, x.size):
-                self.per_time[s] = True
-                self.late.append(s)
-                continue
-            self._put(self.rows[:B, s], s, v)
+            if self.by_column[s] is not False:
+                try:
+                    v = np.asarray(f(x, ts[:, None]), dtype=float)
+                except Exception:  # any error: the per-time calls raise it again at its node
+                    v = None
+                fits = v is not None and v.shape == (B, x.size)
+                if self.by_column[s] is None:
+                    self.by_column[s] = fits
+                if fits:
+                    self._put(out, s, v)
+                    continue
+            for k in range(B):
+                try:
+                    self._put(out[k], s, f(x, ts[k]))
+                except Exception as exc:  # where several fail at step k, the first problem's
+                    self.errors.setdefault(k, exc)
+                    break
         self._flags()
 
     def at(self, k):
         """Row k of the block, and whether it has an entry other than 0."""
-        if not self.late:
-            return self.view[k], self.any_nonzero[k]
-        row = self.rows[k]
-        for s in self.late:
-            self._put(row[s], s, self.fs[s](self.xs[s], self.ts[k]))
-        return self.view[k], np.count_nonzero(row) > 0  # NaN counts as nonzero
-
-    def nonzero_at(self, k):
-        """Per problem, whether its row k (see at) has an entry other than 0."""
-        return self.rows[k].any(axis=1) if self.late else self.nonzero[k]
+        if k in self.errors:
+            raise self.errors[k]
+        return self.view[k], self.any_nonzero[k]
 
 
 def _extrapolation_weights(t):
@@ -742,9 +749,10 @@ def spectral_march(
     and, in a batch of several, the problem (see Batch.label).
 
     b / 2, (c0 + c) / 2 and the source are sampled at the step midpoints a
-    block of _RELAX_BLOCK steps at a time (see _Sampled); without b and c,
-    Q is the constant c0 and is not sampled.  A problem whose samples of b
-    and c0 + c are all zero at a step takes u_m directly.
+    block of _RELAX_BLOCK steps at a time, each per block or per time as the
+    first block decides (see _Sampled); without b and c, Q is the constant
+    c0 and is not sampled.  A problem whose samples of b and c0 + c are all
+    zero at a step takes u_m directly.
 
     nonlinearity(u_nodal, t) -> nodal values is added to the step forcing with
     the same endpoint-average state treatment as Q u.  state_guard(u, k) may
@@ -782,8 +790,7 @@ def spectral_march(
     half_c = _Sampled([0.0 if sp.c is None else sp.c for sp in specs], xs, [sp.c0 for sp in specs])
     src = None
     if any(p.source is not None for p in problems):
-        src = _Sampled([0.0 if p.source is None else p.source if callable(p.source)
-                        else np.asarray(p.source, dtype=float) for p in problems], xs)
+        src = _Sampled([0.0 if p.source is None else p.source for p in problems], xs)
     sampled = [smp for smp in (half_b, half_c, src) if smp is not None and smp.sampled]
     no_source = np.zeros(lead + (n_nodes,))
     # one product gives the nodal values and, under a drift, their derivative
@@ -825,9 +832,9 @@ def spectral_march(
         # in a batch, which problems Q couples at this step
         active = None
         if S > 1 and any_active:
-            active = half_c.nonzero_at(k)
+            active = half_c.nonzero[k]
             if half_b is not None:
-                active = active | half_b.nonzero_at(k)
+                active = active | half_b.nonzero[k]
         if any_active:
             fixed = fixed + half_c_m * u_prev
             if half_b_m is not None:

@@ -70,9 +70,9 @@ class Expression:
             why = getattr(exc, "msg", exc)  # a SyntaxError without its position
             raise ExpressionError(f"cannot parse {self.source[:60]!r}: {why}") from None
 
-    def __call__(self, x, t=0.0):
+    def __call__(self, x, t=0.0):  # on the broadcast of x and t
         out = _eval(self._ast, np.asarray(x, dtype=float), t)
-        return np.asarray(out, dtype=float) * np.ones_like(np.asarray(x, dtype=float))
+        return np.asarray(out, dtype=float) * np.ones(np.broadcast_shapes(np.shape(x), np.shape(t)))
 
 
 def parse_expression(text) -> Expression:

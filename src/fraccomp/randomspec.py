@@ -58,5 +58,5 @@ def random_linear_problem(
     a0 = random_nonneg_profile(rng)
     src_prof = random_nonneg_profile(rng, amplitude=0.7)
     decay = rng.uniform(0.0, 1.0)
-    source = lambda x, t: src_prof(x) * math.exp(-decay * t)
+    source = lambda x, t: src_prof(x) * np.exp(-decay * t)
     return ProblemSpec(alpha, spec, grid, tgrid, a0, source=source)

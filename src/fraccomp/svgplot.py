@@ -31,6 +31,15 @@ def _ticks(lo, hi, n=5):
     return [k * step for k in range(math.ceil(lo / step), math.floor(hi / step + 1e-12) + 1)]
 
 
+def _labelled_ticks(lo, hi):
+    """(tick, label) over _ticks(lo, hi), in enough significant digits to tell adjacent
+    ticks apart: max(6, ceil(log10(max |tick| / step)) + 1), at most 17."""
+    ticks = _ticks(lo, hi)
+    top, step = max(abs(ticks[0]), abs(ticks[-1])), ticks[1] - ticks[0]
+    digits = min(17, max(6, math.ceil(math.log10(top / step)) + 1))
+    return [(v, f"{v:.{digits}g}") for v in ticks]
+
+
 def write_svg_plot(path, curves, title="", xlabel="", ylabel="", logy=False):
     """curves: iterable of (xs, ys, label); writes a single polyline plot."""
     prepared = []
@@ -68,11 +77,11 @@ def write_svg_plot(path, curves, title="", xlabel="", ylabel="", logy=False):
     ]
     if title:
         parts.append(f'<text x="{_W / 2}" y="24" text-anchor="middle" font-size="15">{title}</text>')
-    for v in _ticks(x_lo, x_hi):
+    for v, label in _labelled_ticks(x_lo, x_hi):
         parts.append(f'<line x1="{px(v):.1f}" y1="{_H - _MB}" x2="{px(v):.1f}" y2="{_H - _MB + 5}" stroke="#999"/>')
-        parts.append(f'<text x="{px(v):.1f}" y="{_H - _MB + 18}" text-anchor="middle">{v:g}</text>')
-    for v in _ticks(y_lo, y_hi):
-        label = f"1e{v:g}" if logy else f"{v:g}"
+        parts.append(f'<text x="{px(v):.1f}" y="{_H - _MB + 18}" text-anchor="middle">{label}</text>')
+    for v, label in _labelled_ticks(y_lo, y_hi):
+        label = f"1e{label}" if logy else label
         parts.append(f'<line x1="{_ML - 5}" y1="{py(v):.1f}" x2="{_ML}" y2="{py(v):.1f}" stroke="#999"/>')
         parts.append(f'<text x="{_ML - 8}" y="{py(v):.1f}" text-anchor="end" dominant-baseline="middle">{label}</text>')
     if xlabel:

@@ -26,6 +26,7 @@ from fraccomp.evolve_linear import (
     ProblemSpec,
     SolverError,
     _Memory,
+    _Sampled,
     _extrapolation_weights,
     _kernel_masses,
     homogeneous_solution,
@@ -35,9 +36,11 @@ from fraccomp.evolve_linear import (
     spectral_march,
 )
 from fraccomp.evolve_semilinear import builtin_burgers, solve_semilinear
+from fraccomp.expressions import parse_expression
 from fraccomp.fracops import TimeGrid
 from fraccomp.randomspec import random_linear_problem
 from fraccomp.special_ml import ml_relaxation, relaxation_batch, relaxation_deficit, relaxation_exponentials
+from fraccomp.suites import run_suite
 
 
 def march_one(p, **kw):
@@ -230,6 +233,30 @@ def test_array_source_is_read_at_time_nodes():
     assert np.array_equal(p.source_at(tg.nodes[3], node_index=3), src[3])
     with pytest.raises(ValueError, match="node_index"):
         p.source_at(0.5 * (tg.nodes[3] + tg.nodes[4]))
+
+
+class TestArraySource:
+    """An array source holds one row per time node and one column per space
+    node or a single column; anything else is refused when the problem is
+    built, so that both routes fail the same way."""
+
+    @pytest.mark.parametrize("bad", [2.0, np.ones((30, 10)), np.ones(41), np.ones((40, 10)),
+                                     np.ones((41, 3)), np.ones((41, 10, 1)), "ones"])
+    def test_a_bad_source_is_refused_when_built(self, bad):
+        # these raised an IndexError, a numpy broadcast ValueError, or solved
+        # on one route only
+        grid, tg, spec = make_problem(n=8, N=40, c0=1.0)
+        with pytest.raises(ValueError, match=r"^source must be .* \(41, 10\) or \(41, 1\), one row"):
+            ProblemSpec(0.5, spec, grid, tg, 1.0, source=bad)
+
+    def test_one_column_solves_as_its_full_spelling(self):
+        grid, tg, spec = make_problem(n=8, N=40, c0=1.0, b=0.3, c=lambda x, t: -0.5 * np.cos(x + t))
+        col = (1.0 + np.sin(3.0 * tg.nodes))[:, None]
+        p_col = ProblemSpec(0.5, spec, grid, tg, 1.0, source=col.tolist())
+        p_full = ProblemSpec(0.5, spec, grid, tg, 1.0, source=col * np.ones(grid.n_nodes))
+        assert p_col.source.dtype == float and p_col.source.shape == (41, 1)
+        for solve in (solve_linear_spectral, solve_linear_l1):
+            assert np.array_equal(solve(p_col).values, solve(p_full).values)
 
 
 class TestBlockedMarch:
@@ -454,8 +481,9 @@ class TestTaylorMoments:
 
 class TestBlockSampledForcing:
     """b / 2, (c0 + c) / 2 and the source are sampled _RELAX_BLOCK step
-    midpoints per call where they broadcast in t, and once per step where
-    they do not."""
+    midpoints per call where the first block's call with a column of times
+    gives (times, nodes), and once per step for the whole march where it
+    does not."""
 
     @staticmethod
     def problem(N=3 * _RELAX_BLOCK, **spec_kw):
@@ -506,13 +534,45 @@ class TestBlockSampledForcing:
     @pytest.mark.parametrize("k_last", [45, 2 * _RELAX_BLOCK + 1])
     def test_restriction_is_exact_past_a_partial_block(self, k_last):
         # the restricted march's last block holds 13 or 1 midpoints; a block
-        # of one is sampled by a call with a scalar t
+        # of one is sampled by a call with a one-time column
         p = self.problem(b=lambda x, t: 0.3 * np.cos(2.0 * x + 0.3 * t),
                          c=lambda x, t: -0.5 * np.sin(3.0 * x) * np.cos(0.5 * t))
         u = solve_linear_spectral(p)
         half = u.restrict_time(k_last)
         u2 = solve_linear_spectral(replace(p, tgrid=half.tgrid))
         assert np.array_equal(half.values, u2.values)
+
+    @pytest.mark.parametrize("role", ["c", "source"])
+    @pytest.mark.parametrize("text", ["1 + x", "sin(t)", "x * exp(-t)"])
+    def test_expressions_are_called_once_per_block(self, text, role):
+        # an expression gives (times, nodes) for a column of times, with or
+        # without x and t in it
+        expr, calls = parse_expression(text), []
+
+        def f(x, t):
+            calls.append(np.shape(t))
+            return expr(x, t)
+
+        p = self.problem(c=f) if role == "c" else replace(self.problem(), source=f)
+        solve_linear_spectral(p)
+        assert calls == [(_RELAX_BLOCK, 1)] * 3
+
+    def test_repo_coefficients_are_sampled_by_column(self, monkeypatch):
+        # the suites' and the benchmark's coefficients take a column of
+        # times; a math.exp in one of them would bring back a call per step
+        kinds = []
+        block = _Sampled.block
+
+        def spy(self, m0, ts):
+            block(self, m0, ts)
+            kinds.extend(self.by_column[s] for s in self.sampled if callable(self.fs[s]))
+
+        monkeypatch.setattr(_Sampled, "block", spy)
+        run_suite("positivity")
+        run_suite("ordering")
+        for drift in (True, False):
+            march_one(random_linear_problem(np.random.default_rng(1), 0.5, n=16, N=40, with_drift=drift))
+        assert kinds and all(kinds)
 
     def test_constant_q_is_not_sampled(self, monkeypatch):
         # without b and c, Q is the constant c0: q_parts is never called and

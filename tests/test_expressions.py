@@ -133,7 +133,13 @@ def _direct(tree, x, t):
 def test_random_trees_match_numpy(tree, data):
     text = _render(tree, lambda opts: data.draw(st.sampled_from(opts)))
     x = np.linspace(-1.5, 2.5, 9)
+    expr = parse_expression(text)
     with np.errstate(all="ignore"):
-        got = parse_expression(text)(x, 0.3)
+        got = expr(x, 0.3)
         want = np.broadcast_to(np.asarray(_direct(tree, x, 0.3), dtype=float), x.shape)
-    assert np.array_equal(got, want, equal_nan=True), text
+        # a column of times gives one row per time, each that time's values
+        rows = expr(x, np.array([[0.3], [1.7]]))
+        late = expr(x, 1.7)
+    assert got.shape == x.shape and np.array_equal(got, want, equal_nan=True), text
+    assert rows.shape == (2, x.size), text
+    assert np.array_equal(rows[0], got, equal_nan=True) and np.array_equal(rows[1], late, equal_nan=True), text

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fraccomp.svgplot import _ticks, write_svg_plot
+from fraccomp.svgplot import _labelled_ticks, _ticks, _widen, write_svg_plot
 
 BIG = 1.7976931348623157e308
 
@@ -34,3 +34,21 @@ def test_near_constant_curve_plots(tmp_path):
     points = path.read_text().split('<polyline points="')[1].split('"')[0]
     coords = [float(c) for p in points.split() for c in p.split(",")]
     assert len(coords) == 6 and all(math.isfinite(c) for c in coords)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (1.0, 1.0 + 1e-7), (1.0, 1.0 + 2e-9), (-2.5, -2.5 + 1e-8), (123456.0, 123456.001),
+    (1e-12, 1.0000001e-12), (1e300, 1.000000002e300), (-7e-200, -6.9999999e-200),
+])
+def test_labels_tell_adjacent_ticks_apart(lo, hi):
+    # six significant digits printed every tick of [1, 1 + 1e-7] as "1"
+    assert _widen(lo, hi) == (lo, hi)
+    ticks, labels = zip(*_labelled_ticks(lo, hi))
+    assert list(ticks) == _ticks(lo, hi) and len(set(labels)) == len(labels)
+    step = ticks[1] - ticks[0]
+    assert all(abs(float(s) - v) < 0.01 * step for s, v in zip(labels, ticks))
+
+
+def test_labels_of_a_plain_range_are_unchanged():
+    assert [s for _, s in _labelled_ticks(0.0, 1.0)] == ["0", "0.2", "0.4", "0.6", "0.8", "1"]
+    assert [s for _, s in _labelled_ticks(-3.0, 7.0)] == ["-2", "0", "2", "4", "6"]
