@@ -14,6 +14,7 @@ from .compare import (
     check_ordering,
     check_positivity,
     coefficient_comparison,
+    comparison_pair,
     example1_lower_bound,
     linear_monotone_sequence,
     monotone_iteration,
@@ -44,6 +45,7 @@ from .evolve_semilinear import (
     builtin_burgers,
     builtin_enzyme,
     solve_semilinear,
+    solve_semilinear_many,
     solve_semilinear_stationary,
 )
 from .fracops import TimeGrid, TimeSeries, caputo_l1, extremum_check, rl_integral

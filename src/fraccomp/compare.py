@@ -39,6 +39,7 @@ __all__ = [
     "check_positivity",
     "check_ordering",
     "example1_lower_bound",
+    "comparison_pair",
     "coefficient_comparison",
     "linear_monotone_sequence",
     "monotone_iteration",
@@ -154,7 +155,7 @@ def _on_nodes(fun, p: ProblemSpec):
     return np.array([fun(x, t) for t in p.tgrid.nodes])
 
 
-def coefficient_comparison(
+def comparison_pair(
     base: ProblemSpec,
     which: str = "c",
     c1=None,
@@ -162,7 +163,9 @@ def coefficient_comparison(
     sigma1=None,
     sigma2=None,
 ):
-    """Solve the problem twice with ordered coefficients and report ordering.
+    """The two problems of coefficient_comparison, the one whose solution
+    is the larger first, and the name of its ordering check; raises
+    HypothesisViolation where the comparison's hypotheses fail.
 
     which = "c": c1 >= c2 pointwise gives u(c1) >= u(c2).
     which = "sigma": needs c < 0 everywhere and sigma2 >= sigma1 >= sigma0 > 0;
@@ -190,7 +193,20 @@ def coefficient_comparison(
         name = "boundary comparison (sigma1 <= sigma2)"
     else:
         raise ValueError("which must be 'c' or 'sigma'")
+    return p1, p2, name
 
+
+def coefficient_comparison(
+    base: ProblemSpec,
+    which: str = "c",
+    c1=None,
+    c2=None,
+    sigma1=None,
+    sigma2=None,
+):
+    """Solve the problem twice with ordered coefficients (see
+    comparison_pair) and report ordering."""
+    p1, p2, name = comparison_pair(base, which, c1, c2, sigma1, sigma2)
     u1 = solve_linear_spectral(p1)
     u2 = solve_linear_spectral(p2)
     return u1, u2, check_ordering(u1, u2, base.alpha, name=name)

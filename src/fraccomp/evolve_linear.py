@@ -29,7 +29,8 @@ that share alpha, the time nodes and the number of space nodes (a Batch)
 are marched as one, with one memory of all their modes and the products of
 the sweeps stacked, so that a short march's numpy overhead is paid once per
 batch.  solve_linear_spectral is a batch of one, and
-solve_linear_spectral_many groups a list of problems into batches.
+solve_linear_spectral_many groups a list of problems into batches
+(_batches; evolve_semilinear.solve_semilinear_many groups the same way).
 
 Both keep the entire memory: there is no semigroup restart in fractional time.
 The spectral route carries it compressed, as one running sum per mode and
@@ -88,7 +89,7 @@ _MOMENTS = 12  # K: Taylor moments per mode that carry the frozen terms (see _Me
 _BAND_LO = (math.factorial(_MOMENTS + 1) * 2.0 ** -53) ** (1.0 / _MOMENTS)
 _BAND_SLACK = 8  # terms the band storage moves or grows by at once
 _START_MAX = 10.0  # largest weight of the sweeps' extrapolated start (see _extrapolation_weights)
-# modes one batched march advances at most (see solve_linear_spectral_many):
+# modes one batched march advances at most (see _batches):
 # a batch holds the band, block samples and history of all its problems at
 # once, and this keeps it to about the memory of one march at n = 128
 _BATCH_MODES = 128
@@ -671,6 +672,22 @@ def _batch_key(p: ProblemSpec):
     return p.alpha, p.tgrid.nodes.tobytes(), p.grid.n_nodes
 
 
+def _batches(problems):
+    """The batches that a list of problems marches in: (positions in the
+    list, Batch) for each.  The problems that share alpha, the time nodes
+    and the number of space nodes are cut into batches of up to
+    _BATCH_MODES modes (or one problem), as even as they come; a Batch
+    names the positions in the list when it holds several problems."""
+    groups = {}
+    for i, p in enumerate(problems):
+        groups.setdefault(_batch_key(p), []).append(i)
+    for group in groups.values():
+        size = max(1, _BATCH_MODES // problems[group[0]].grid.n_nodes)
+        for index in np.array_split(group, -(-len(group) // size)):
+            index = index.tolist()
+            yield index, Batch([problems[i] for i in index], tuple(index) if len(problems) > 1 else None)
+
+
 @dataclass(frozen=True)
 class Batch:
     """Problems that share alpha, the time nodes and the number of space
@@ -754,16 +771,19 @@ def spectral_march(
     c0 and is not sampled.  A problem whose samples of b and c0 + c are all
     zero at a step takes u_m directly.
 
-    nonlinearity(u_nodal, t) -> nodal values is added to the step forcing with
-    the same endpoint-average state treatment as Q u.  state_guard(u, k) may
-    raise to abort (box monitoring).  Both take a batch of one.  Returns the
-    field values, (S, time nodes, space nodes), and per problem and node the
-    number of sweeps (applications of the map; 0 where nothing couples the
-    modes and u_m is taken directly), (S, time steps)."""
+    nonlinearity(u_nodal, t, rows) -> nodal values is added to the step
+    forcing with the same endpoint-average state treatment as Q u: u_nodal
+    holds one row of nodal values for each problem still sweeping, rows
+    their positions in the batch, and each row of the result is that
+    problem's own term (a batch of one has no problem axis).  Under a
+    nonlinearity every problem sweeps at every node.  state_guard(u, k)
+    sees u_k of every problem (same axes) and may raise to abort (box
+    monitoring).  Returns the field values, (S, time nodes, space nodes),
+    and per problem and node the number of sweeps (applications of the map;
+    0 where nothing couples the modes and u_m is taken directly),
+    (S, time steps)."""
     problems = batch.problems
     S = len(problems)
-    if S > 1 and (nonlinearity is not None or state_guard is not None):
-        raise ValueError("a march with a nonlinearity or a state guard takes one problem")
     t = batch.tgrid.nodes
     n_nodes = problems[0].grid.n_nodes
     n_modes = stack.eigs[0].lambdas.size
@@ -829,9 +849,9 @@ def spectral_march(
         if half_b is not None:
             half_b_m, b_active = half_b.at(k)
             any_active = any_active or b_active
-        # in a batch, which problems Q couples at this step
+        # in a batch without a nonlinearity, which problems Q couples at this step
         active = None
-        if S > 1 and any_active:
+        if S > 1 and any_active and nonlinearity is None:
             active = half_c.nonzero[k]
             if half_b is not None:
                 active = active | half_b.nonzero[k]
@@ -853,9 +873,9 @@ def spectral_march(
             if not any_active:  # nothing to sweep for Q
                 half_c_m = half_b_m = None
             rows = (proj, synth, base, w_last, fixed, g_fixed, half_c_m, half_b_m,
-                    start[m] @ uv_hist)
+                    start[m] @ uv_hist, u_prev)
             uv, u_prev, g = _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts,
-                                    u_prev, mids[m - 1])
+                                    mids[m - 1])
         uv_hist[..., m % 4, :] = uv
         if half_b is not None:
             du = uv[..., n_nodes:]
@@ -881,15 +901,15 @@ def _take(rows, live):
     return tuple(None if v is None else v[live] for v in rows)
 
 
-def _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts, u_prev, mid):
+def _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts, mid):
     """The Picard sweeps of node m (see spectral_march), on the rows of the
     march's arrays, one per problem: projector, synthesis, base, w_last,
     fixed forcing and its coefficients, b / 2 and (c0 + c) / 2 (None where Q
-    is not swept) and the start.  Returns u and u' on the nodes, u alone
-    and the forcing's mode coefficients, and enters the sweep counts.  A
-    problem leaves the sweeps at the sweep where it converges; where active
-    marks some problems only, the others take u_m directly."""
-    S, n_nodes = len(batch.problems), u_prev.shape[-1]
+    is not swept), the start and u_{m-1}.  Returns u and u' on the nodes, u
+    alone and the forcing's mode coefficients, and enters the sweep counts.
+    A problem leaves the sweeps at the sweep where it converges; where
+    active marks some problems only, the others take u_m directly."""
+    S, n_nodes = len(batch.problems), rows[-1].shape[-1]
     # the problems still sweeping (None: all of them), and the rows of the
     # others, once there are any
     live = out_uv = out_g = None
@@ -901,14 +921,14 @@ def _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts, u_prev, mi
             raise _first_non_finite(batch, "field", m, out_uv[idle, :n_nodes], out_uv[idle, :n_nodes], idle)
         live = np.flatnonzero(active)
         rows = _take(rows, live)
-    proj, synth, base, w_last, fixed, g_fixed, half_c_m, half_b_m, uv = rows
+    proj, synth, base, w_last, fixed, g_fixed, half_c_m, half_b_m, uv, u_prev = rows
     u_new = uv[..., :n_nodes]
     for it in range(PICARD_MAX):
         swept = 0.0 if half_c_m is None else half_c_m * u_new
         if half_b_m is not None:
             swept += half_b_m * uv[..., n_nodes:]
         if nonlinearity is not None:
-            swept = swept + nonlinearity(0.5 * (u_prev + u_new), mid)
+            swept = swept + nonlinearity(0.5 * (u_prev + u_new), mid, np.arange(S) if live is None else live)
         g = g_fixed + np.matvec(proj, swept)
         uv = np.matvec(synth, base + w_last * g)
         u_next = uv[..., :n_nodes]
@@ -936,8 +956,9 @@ def _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts, u_prev, mi
             out_uv[live[done]], out_g[live[done]] = uv[done], g[done]
             keep = ~done
             live = live[keep]
-            proj, synth, base, w_last, fixed, g_fixed, half_c_m, half_b_m, uv, u_new, change = _take(
-                (proj, synth, base, w_last, fixed, g_fixed, half_c_m, half_b_m, uv, u_new, change), keep)
+            proj, synth, base, w_last, fixed, g_fixed, half_c_m, half_b_m, uv, u_prev, u_new, change = _take(
+                (proj, synth, base, w_last, fixed, g_fixed, half_c_m, half_b_m, uv, u_prev, u_new, change),
+                keep)
     # the first problem still sweeping
     residual = float(np.atleast_2d(change)[0].max())
     raise SolverError(
@@ -975,18 +996,10 @@ def solve_linear_spectral_many(problems) -> list:
     marches are short.  A SolverError names the problem's index in this list
     when it holds several."""
     problems = list(problems)
-    groups = {}
-    for i, p in enumerate(problems):
-        groups.setdefault(_batch_key(p), []).append(i)
     fields = [None] * len(problems)
-    for group in groups.values():
-        # batches of at most _BATCH_MODES modes (or one problem), as even as they come
-        size = max(1, _BATCH_MODES // problems[group[0]].grid.n_nodes)
-        for index in np.array_split(group, -(-len(group) // size)):
-            index = index.tolist()
-            batch = Batch([problems[i] for i in index], tuple(index) if len(problems) > 1 else None)
-            for i, f in zip(index, _march_fields(batch, [None] * len(index))):
-                fields[i] = f
+    for index, batch in _batches(problems):
+        for i, f in zip(index, _march_fields(batch, [None] * len(index))):
+            fields[i] = f
     return fields
 
 

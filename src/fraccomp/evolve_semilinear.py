@@ -3,6 +3,12 @@ marching as the linear solver, with the nonlinearity evaluated nodewise in
 physical space and projected onto the modes each sweep, plus the stationary
 problem A u_inf = f(u_inf) by damped Newton.
 
+solve_semilinear_many marches a list of problems, each with its own term,
+in the batches of solve_linear_spectral_many: each sweep evaluates every
+problem's term on its own row of the batch, and the state is checked per
+problem against the box of a term that declares a finite one.
+solve_semilinear is a batch of one.
+
 Built-in nonlinearities: the saturating enzyme sink -u/(1+|u|) and the
 advective Burgers product -mu(x) u u_x (gradient-dependent, hence excluded
 from comparison-principle checks)."""
@@ -24,7 +30,7 @@ from .elliptic import (
     banded_solve,
     eigendecompose,
 )
-from .evolve_linear import Batch, Field, ModeStack, ProblemSpec, SolverError, spectral_march
+from .evolve_linear import Batch, Field, ModeStack, ProblemSpec, SolverError, _batches, spectral_march
 from .fracops import l1_weight_rows
 
 __all__ = [
@@ -33,6 +39,7 @@ __all__ = [
     "builtin_enzyme",
     "builtin_burgers",
     "solve_semilinear",
+    "solve_semilinear_many",
     "solve_semilinear_stationary",
     "scalar_fractional_ode",
 ]
@@ -107,39 +114,69 @@ def solve_semilinear(
     pointwise on the grid.  Hard-fails when |u| exceeds the declared box
     (the Lipschitz certificate stops there) or when the iteration stalls
     (the contraction is local in time: refine the grid or shrink T)."""
-    op = assemble(p.elliptic, p.grid)
-    if eig is None:
-        eig = eigendecompose(op)
-    x = p.grid.nodes
-
-    def nonlinearity(u, t):
-        if f.depends_on_gradient:
-            return f(x, u, op.derivative(u))
-        return f(x, u)
-
-    box = f.box_m
-
-    def guard(u, node):
-        peak = float(np.max(np.abs(u)))
-        if peak > box:
-            raise BoxExitError(
-                f"|u| = {peak:.3g} left the certified box m = {box:.3g} at node {node}",
-                node=node,
-            )
-
-    a_peak = float(np.max(np.abs(p.initial_values())))
-    if a_peak > box:
-        raise BoxExitError(f"initial value already outside the box m = {box:.3g}", node=0)
-
-    u, counts = spectral_march(
-        Batch((p,)), ModeStack((eig,), (op,)),
-        nonlinearity=nonlinearity,
-        picard_tol=tol,
-        state_guard=guard,
-    )
+    fields, counts = _march_semilinear(Batch((p,)), [f], [eig], tol)
     if info is not None:
         info["picard_counts"] = counts[0]
-    return Field(p.grid, p.tgrid, u[0])
+    return fields[0]
+
+
+def solve_semilinear_many(problems, terms, tol: float = 1e-10) -> list:
+    """solve_semilinear of each problem with its own term, in their order.
+    The problems are batched as by solve_linear_spectral_many, and in a
+    batch each term is evaluated on its own problem's rows.  A SolverError
+    (a BoxExitError too) names the problem's index in this list when it
+    holds several."""
+    problems, terms = list(problems), list(terms)
+    if len(terms) != len(problems):
+        raise ValueError(f"one term per problem: {len(problems)} problems, {len(terms)} terms")
+    fields = [None] * len(problems)
+    for index, batch in _batches(problems):
+        batch_fields, _ = _march_semilinear(batch, [terms[i] for i in index], [None] * len(index), tol)
+        for i, u in zip(index, batch_fields):
+            fields[i] = u
+    return fields
+
+
+def _march_semilinear(batch: Batch, terms, eigs, tol):
+    """The fields of a batch's problems, each with its own term, from one
+    march, and their sweep counts; eigs holds each problem's
+    eigendecomposition or None.  The state is checked against the boxes
+    of the terms that declare a finite one."""
+    problems = batch.problems
+    ops = [assemble(p.elliptic, p.grid) for p in problems]
+    eigs = [eigendecompose(op) if e is None else e for e, op in zip(eigs, ops)]
+
+    def term(s, u):
+        f, x = terms[s], problems[s].grid.nodes
+        if f.depends_on_gradient:
+            return f(x, u, ops[s].derivative(u))
+        return f(x, u)
+
+    def nonlinearity(u, t, rows):
+        if len(problems) == 1:  # no problem axis
+            return term(0, u)
+        return np.stack([term(s, v) for s, v in zip(rows.tolist(), u)])
+
+    boxes = np.array([f.box_m for f in terms])
+    for s, p in enumerate(problems):
+        if float(np.max(np.abs(p.initial_values()))) > boxes[s]:
+            raise BoxExitError(f"initial value already outside the box m = {boxes[s]:.3g}",
+                               node=0, problem=batch.label(s))
+
+    guard = None
+    if np.isfinite(boxes).any():
+        def guard(u, node):
+            peaks = np.max(np.abs(u), axis=-1).reshape(-1)
+            out = np.flatnonzero(peaks > boxes)
+            if out.size:
+                s = int(out[0])
+                raise BoxExitError(
+                    f"|u| = {peaks[s]:.3g} left the certified box m = {boxes[s]:.3g} at node {node}",
+                    node=node, problem=batch.label(s))
+
+    u, counts = spectral_march(batch, ModeStack(eigs, ops), nonlinearity=nonlinearity,
+                               picard_tol=tol, state_guard=guard)
+    return [Field(p.grid, p.tgrid, v) for p, v in zip(problems, u)], counts
 
 
 def solve_semilinear_stationary(

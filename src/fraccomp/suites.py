@@ -21,7 +21,8 @@ from .compare import CheckResult
 from .elliptic import EllipticSpec, Grid1D, assemble, eigendecompose, principal_eigenpair
 from .evolve_linear import (Field, ProblemSpec, solve_linear_l1, solve_linear_spectral,
                             solve_linear_spectral_many)
-from .evolve_semilinear import SemilinearTerm, builtin_enzyme, scalar_fractional_ode, solve_semilinear
+from .evolve_semilinear import (SemilinearTerm, builtin_enzyme, scalar_fractional_ode, solve_semilinear,
+                                solve_semilinear_many)
 from .fracops import TimeGrid, TimeSeries, caputo_l1, extremum_check, rl_integral
 from .randomspec import random_linear_problem, random_nonneg_profile
 
@@ -289,29 +290,21 @@ def suite_positivity(rng):
 
 
 def suite_ordering(rng):
-    rows = []
-    worst = 0.0
-    problems = []
+    # the pairs of all four rows are drawn first, in the order of the rows;
+    # the linear pairs are then solved in one batched call, and the
+    # semilinear pairs in another
+    linear = []
     for _ in range(10):
         p = random_linear_problem(rng, float(rng.choice([0.3, 0.5, 0.7])), n=20, N=64)
         bump = random_nonneg_profile(rng, amplitude=0.3)
-        problems += [replace(p, initial=lambda x, a0=p.initial, b=bump: a0(x) + b(x)), p]
-    fields = solve_linear_spectral_many(problems)
-    for p, u_hi, u_lo in zip(problems[1::2], fields[::2], fields[1::2]):
-        rep = compare.check_ordering(u_hi, u_lo, alpha=p.alpha)
-        worst = max(worst, rep.worst - rep.tolerance)
-    rows.append(CheckResult.of("ordering/data-comparison-10-pairs", worst, 0.0))
-    worst = 0.0
+        linear += [replace(p, initial=lambda x, a0=p.initial, b=bump: a0(x) + b(x)), p]
     for _ in range(10):
         alpha = float(rng.choice([0.3, 0.5, 0.7]))
         p = random_linear_problem(rng, alpha, n=20, N=64, with_drift=True)
         d1 = float(rng.uniform(0.0, 0.6))
         d2 = float(rng.uniform(0.0, 0.6))
         hi, lo = max(d1, d2), min(d1, d2)
-        _, _, rep = compare.coefficient_comparison(p, which="c", c1=-lo, c2=-hi)
-        worst = max(worst, rep.worst - rep.tolerance)
-    rows.append(CheckResult.of("ordering/zeroth-order-comparison-10-pairs", worst, 0.0))
-    worst = 0.0
+        linear += compare.comparison_pair(p, which="c", c1=-lo, c2=-hi)[:2]
     for _ in range(10):
         alpha = float(rng.choice([0.3, 0.5, 0.7]))
         p = random_linear_problem(rng, alpha, n=20, N=64, with_drift=True)
@@ -319,20 +312,25 @@ def suite_ordering(rng):
         p = replace(p, elliptic=replace(p.elliptic, c=c))
         s1 = float(rng.uniform(0.2, 1.5))
         s2 = s1 + float(rng.uniform(0.0, 1.5))
-        _, _, rep = compare.coefficient_comparison(p, which="sigma", sigma1=s1, sigma2=s2)
-        worst = max(worst, rep.worst - rep.tolerance)
-    rows.append(CheckResult.of("ordering/robin-comparison-10-pairs", worst, 0.0))
-    worst = 0.0
+        linear += compare.comparison_pair(p, which="sigma", sigma1=s1, sigma2=s2)[:2]
+    semilinear, terms = [], []
     for _ in range(10):
         alpha = float(rng.choice([0.3, 0.5, 0.7]))
         p = random_linear_problem(rng, alpha, n=16, N=48, with_drift=False)
         f1 = builtin_enzyme()
-        f2 = f1.shifted(-float(rng.uniform(0.05, 0.3)))
-        u1 = solve_semilinear(p, f1)
-        u2 = solve_semilinear(p, f2)
-        rep = compare.check_ordering(u1, u2, alpha=alpha, name="semilinear ordering")
-        worst = max(worst, rep.worst - rep.tolerance)
-    rows.append(CheckResult.of("ordering/semilinear-term-10-pairs", worst, 0.0))
+        semilinear += [p, p]
+        terms += [f1, f1.shifted(-float(rng.uniform(0.05, 0.3)))]
+    # the problem whose solution is the larger comes first in each pair
+    problems = linear + semilinear
+    fields = solve_linear_spectral_many(linear) + solve_semilinear_many(semilinear, terms)
+    rows = []
+    for j, kind in enumerate(("data-comparison", "zeroth-order-comparison", "robin-comparison",
+                              "semilinear-term")):
+        worst = 0.0
+        for k in range(20 * j, 20 * j + 20, 2):
+            rep = compare.check_ordering(fields[k], fields[k + 1], alpha=problems[k].alpha)
+            worst = max(worst, rep.worst - rep.tolerance)
+        rows.append(CheckResult.of(f"ordering/{kind}-10-pairs", worst, 0.0))
     return rows
 
 

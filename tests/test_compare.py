@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fraccomp.compare import (
     check_ordering,
     check_positivity,
     coefficient_comparison,
+    comparison_pair,
     default_tolerance,
     example1_lower_bound,
     linear_monotone_sequence,
@@ -20,7 +22,7 @@ from fraccomp.compare import (
     verify_barrier,
 )
 from fraccomp.elliptic import EllipticSpec, Grid1D, assemble, eigendecompose
-from fraccomp.evolve_linear import Field, ProblemSpec, solve_linear_spectral
+from fraccomp.evolve_linear import Field, ProblemSpec, solve_linear_spectral, solve_linear_spectral_many
 from fraccomp.evolve_semilinear import (
     SemilinearTerm,
     builtin_enzyme,
@@ -157,6 +159,34 @@ class TestCoefficientComparison:
         t3 = p.tgrid.nodes[3]
         with pytest.raises(HypothesisViolation):
             coefficient_comparison(p, which="c", c1=lambda x, t: -1.0 * (t == t3), c2=0.0)
+
+
+class TestComparisonPair:
+    """comparison_pair is coefficient_comparison before its two solves."""
+
+    def test_refuses_what_coefficient_comparison_refuses(self):
+        cases = [
+            (neumann_problem(initial=1.0, c0=1.0), dict(which="c", c1=-1.0, c2=0.0)),
+            (neumann_problem(initial=1.0, c0=1.0, c=0.0), dict(which="sigma", sigma1=1.0, sigma2=2.0)),
+            (neumann_problem(initial=1.0, c0=1.0, c=-1.0), dict(which="sigma", sigma1=2.0, sigma2=1.0)),
+        ]
+        for p, kw in cases:
+            with pytest.raises(HypothesisViolation) as built:
+                comparison_pair(p, **kw)
+            with pytest.raises(HypothesisViolation, match=f"^{re.escape(str(built.value))}$"):
+                coefficient_comparison(p, **kw)
+
+    @pytest.mark.parametrize("which, kw", [("c", dict(c1=0.0, c2=-1.0)),
+                                           ("sigma", dict(sigma1=1.0, sigma2=2.0))])
+    def test_batched_pair_matches_coefficient_comparison(self, which, kw):
+        p = neumann_problem(initial=lambda x: 1 + 0.2 * np.cos(math.pi * x), c0=1.0, c=-1.0,
+                            b=lambda x, t: 0.2 * np.cos(x + t), source=lambda x, t: 0.5 * np.ones_like(x))
+        p1, p2, name = comparison_pair(p, which=which, **kw)
+        batched = solve_linear_spectral_many([p1, p2])
+        u1, u2, rep = coefficient_comparison(p, which=which, **kw)
+        for b, u in zip(batched, (u1, u2)):
+            assert np.max(np.abs(b.values - u.values)) <= 1e-13 * np.max(np.abs(u.values))
+        assert rep.name == name and rep.holds
 
 
 class TestLinearMonotoneSequence:

@@ -35,7 +35,15 @@ from fraccomp.evolve_linear import (
     solve_linear_spectral_many,
     spectral_march,
 )
-from fraccomp.evolve_semilinear import builtin_burgers, solve_semilinear
+from fraccomp.evolve_semilinear import (
+    BoxExitError,
+    SemilinearTerm,
+    _march_semilinear,
+    builtin_burgers,
+    builtin_enzyme,
+    solve_semilinear,
+    solve_semilinear_many,
+)
 from fraccomp.expressions import parse_expression
 from fraccomp.fracops import TimeGrid
 from fraccomp.randomspec import random_linear_problem
@@ -654,13 +662,59 @@ class TestBatch:
         with pytest.raises(SolverError, match=r"^problem 1: non-finite .* at time node 1"):
             spectral_march(Batch(problems[1:]), ModeStack([eigendecompose(op) for op in ops], ops))
 
-    def test_semilinear_march_takes_one_problem(self):
-        grid, tg, spec = make_problem(n=16, N=16, c0=0.5)
-        p = ProblemSpec(0.5, spec, grid, tg, 1.0)
-        op = assemble(spec, grid)
-        eig = eigendecompose(op)
-        with pytest.raises(ValueError, match="one problem"):
-            spectral_march(Batch([p, p]), ModeStack([eig, eig], [op, op]), nonlinearity=lambda u, t: -u)
+    @staticmethod
+    def semilinear_batch(alpha=0.5):
+        """Four problems on one grid, each with its own kind of term."""
+        grid, tg, _ = make_problem(alpha=alpha, n=16, N=48)
+        c = lambda x, t: -0.3 * np.sin(2.0 * x) * np.cos(t)
+        a0 = lambda x: 0.8 + 0.4 * np.cos(math.pi * x)
+        cases = [
+            # drift and c, the enzyme sink
+            (EllipticSpec(b=lambda x, t: 0.3 * np.cos(2.0 * x + t), c=c, c0=0.5), builtin_enzyme()),
+            # a Robin sigma, the shifted sink
+            (EllipticSpec(c=c, c0=0.5, sigma_lo=1.5, sigma_hi=1.5), builtin_enzyme().shifted(-0.2)),
+            # Q inactive and a zero term: the sweeps still run
+            (EllipticSpec(c0=0.0, sigma_lo=1.0, sigma_hi=0.5), SemilinearTerm(eval=lambda x, u: 0.0)),
+            # a constant drift, the Burgers product with its own derivative
+            (EllipticSpec(b=0.3, c0=1.0), builtin_burgers(0.8)),
+        ]
+        return [ProblemSpec(alpha, spec, grid, tg, a0) for spec, _ in cases], [f for _, f in cases]
+
+    def test_semilinear_batch_matches_solo_solves(self):
+        problems, terms = self.semilinear_batch()
+        fields, counts = _march_semilinear(Batch(problems), terms, [None] * 4, 1e-10)
+        for p, f, u, n_sweeps in zip(problems, terms, fields, counts):
+            info = {}
+            solo = solve_semilinear(p, f, info=info)
+            assert np.max(np.abs(u.values - solo.values)) <= 1e-13 * np.max(np.abs(solo.values))
+            assert np.array_equal(n_sweeps, info["picard_counts"])
+        assert np.all(counts >= 1)
+
+    def test_semilinear_many_keeps_the_input_order(self):
+        low, low_terms = self.semilinear_batch(alpha=0.3)
+        high, high_terms = self.semilinear_batch(alpha=0.7)
+        order = [0, 4, 5, 1, 2, 6, 7, 3]
+        problems = [(low + high)[i] for i in order]
+        terms = [(low_terms + high_terms)[i] for i in order]
+        fields = solve_semilinear_many(problems, terms)
+        for p, f, u in zip(problems, terms, fields):
+            solo = solve_semilinear(p, f)
+            assert u.tgrid is p.tgrid
+            assert np.max(np.abs(u.values - solo.values)) <= 1e-13 * np.max(np.abs(solo.values))
+        with pytest.raises(ValueError, match="one term per problem"):
+            solve_semilinear_many(problems, terms[:-1])
+
+    def test_box_exit_names_the_problem(self):
+        problems, terms = self.semilinear_batch()
+        # u grows past the certified box of its term in problem 2 only
+        growth = SemilinearTerm(eval=lambda x, u: 3.0 * u, bound_M=4.5, box_m=1.5)
+        terms = terms[:2] + [growth, replace(terms[0], box_m=10.0)]
+        with pytest.raises(BoxExitError) as solo:
+            solve_semilinear(problems[2], growth)
+        assert solo.value.problem is None and 1 < solo.value.node < 48
+        with pytest.raises(BoxExitError, match=rf"^problem 2: \|u\| = .* at node {solo.value.node}$") as exc:
+            solve_semilinear_many(problems, terms)
+        assert exc.value.problem == 2 and exc.value.node == solo.value.node
 
     def test_batch_shares_alpha_and_grids(self):
         grid, tg, spec = make_problem(n=16, N=16, c0=0.5)

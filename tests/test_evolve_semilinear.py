@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fraccomp.elliptic import EllipticSpec, Grid1D, assemble, eigendecompose
-from fraccomp.evolve_linear import ProblemSpec, SolverError, solve_linear_spectral
+from fraccomp import evolve_semilinear
+from fraccomp.evolve_linear import ProblemSpec, SolverError, solve_linear_spectral, spectral_march
 from fraccomp.evolve_semilinear import (
     BoxExitError,
     SemilinearTerm,
@@ -101,6 +102,22 @@ class TestSolveSemilinear:
         p = ProblemSpec(0.5, spec, grid, tg, 1.0)
         with pytest.raises(BoxExitError):
             solve_semilinear(p, growth)
+
+    def test_state_guard_only_for_a_finite_box(self, monkeypatch):
+        # an infinite box (every built-in term's) can never be left: the
+        # march gets no guard and takes no max|u| per step
+        guards = []
+
+        def spy(batch, stack, **kw):
+            guards.append(kw["state_guard"])
+            return spectral_march(batch, stack, **kw)
+
+        monkeypatch.setattr(evolve_semilinear, "spectral_march", spy)
+        grid = Grid1D(0.0, 1.0, 12)
+        p = ProblemSpec(0.5, EllipticSpec(a=1.0, c0=1.0), grid, TimeGrid.uniform(1.0, 8), 1.0)
+        solve_semilinear(p, builtin_enzyme())
+        solve_semilinear(p, SemilinearTerm(eval=lambda x, u: -u, box_m=5.0))
+        assert guards[0] is None and callable(guards[1])
 
     def test_initial_continuity(self):
         # ||u_a - u_b|| <= C ||a - b|| with C stable under refinement
