@@ -26,9 +26,9 @@ from .elliptic import (
     eigendecompose,
     principal_eigenpair,
 )
-from .evolve_linear import Field, ProblemSpec, SolverError, _l1_march, solve_linear_spectral
+from .evolve_linear import Field, ProblemSpec, SolverError, _L1Steps, _l1_march, solve_linear_spectral
 from .evolve_semilinear import SemilinearTerm, solve_semilinear
-from .fracops import TimeGrid, TimeSeries, caputo_l1_field, l1_weight_rows
+from .fracops import TimeGrid, TimeSeries, caputo_l1_field
 from .special_ml import relaxation_batch
 
 __all__ = [
@@ -212,15 +212,17 @@ def coefficient_comparison(
     return u1, u2, check_ordering(u1, u2, base.alpha, name=name)
 
 
-def _frozen_l1(p: ProblemSpec, c, u, rhs, rows):
-    """One implicit-L1 solve of p with zeroth-order coefficient c and the
-    forcing frozen at the iterate u: rhs(k, u[k]) plus the source on node k.
-    rows are p's L1 weight rows, built once by the chain that calls this."""
-    src = np.empty_like(u)
-    for k, t in enumerate(p.tgrid.nodes):
-        base_f = p.source_at(t, node_index=k)
-        src[k] = rhs(k, u[k]) + (base_f if base_f is not None else 0.0)
-    return _l1_march(replace(p, elliptic=replace(p.elliptic, c=c), source=src), rows)
+def _frozen_l1(p: ProblemSpec, steps: _L1Steps, forcing):
+    """One implicit-L1 solve of a chain on steps, the table of its frozen
+    operator, with the forcing frozen at the iterate (one row per time
+    node) plus p's source."""
+    src = 0.0 if p.source is None else np.array(
+        [p.source_at(t, node_index=k) for k, t in enumerate(p.tgrid.nodes)])
+    return _l1_march(replace(p, source=forcing + src), steps)
+
+
+def _with_c(p: ProblemSpec, c) -> ProblemSpec:
+    return replace(p, elliptic=replace(p.elliptic, c=c))
 
 
 def linear_monotone_sequence(p: ProblemSpec, b0_const, n_max):
@@ -238,10 +240,10 @@ def linear_monotone_sequence(p: ProblemSpec, b0_const, n_max):
         raise HypothesisViolation(f"b0 = {b0_const} below ||c||_inf = {c_max}")
 
     iterates = [Field(p.grid, p.tgrid, np.tile(a0, (p.tgrid.nodes.size, 1)))]
-    rows = tuple(l1_weight_rows(p.tgrid.nodes, p.alpha))
+    steps = _L1Steps(_with_c(p, -float(b0_const)))  # every sweep solves with this operator
+    gain = b0_const + c_vals
     for _ in range(n_max - 1):
-        nxt = _frozen_l1(p, -float(b0_const), iterates[-1].values,
-                         lambda k, uk: (b0_const + c_vals[k]) * uk, rows)
+        nxt = _frozen_l1(p, steps, gain * iterates[-1].values)
         iterates.append(nxt)
         if not np.all(np.isfinite(nxt.values)):
             raise RuntimeError("monotone sequence diverged; b0 too small or grid too coarse")
@@ -256,14 +258,21 @@ class MonotoneIterationResult:
     solution: Field
 
 
+def _shifted(p: ProblemSpec, M) -> ProblemSpec:
+    """p with A + (M+1) I in place of A: c - (M+1) in place of c."""
+    shift = M + 1.0
+    cf = p.elliptic.c_fun()
+    return _with_c(p, -shift if cf is None else (lambda xx, tt: cf(xx, tt) - shift))
+
+
 def _l_map(p: ProblemSpec, f: SemilinearTerm, M, u_field: Field, rows) -> Field:
     """One sweep of the shifted linearisation: solve
-    d_t^alpha (v - a) + A v + (M+1) v = (M+1) u + f(u)."""
-    x = p.grid.nodes
-    cf = p.elliptic.c_fun()
-    shift = M + 1.0
-    c = -shift if cf is None else (lambda xx, tt: cf(xx, tt) - shift)
-    return _frozen_l1(p, c, u_field.values, lambda k, uk: shift * uk + f(x, uk), rows)
+    d_t^alpha (v - a) + A v + (M+1) v = (M+1) u + f(u).
+    rows is the table of _shifted(p, M), which a chain's sweeps share, or
+    p's L1 weight rows, for a sweep that factors its own steps."""
+    steps = rows if isinstance(rows, _L1Steps) else _L1Steps(_shifted(p, M), rows, keep=False)
+    u = u_field.values
+    return _frozen_l1(p, steps, (M + 1.0) * u + f(p.grid.nodes, u))
 
 
 def monotone_iteration(
@@ -287,11 +296,11 @@ def monotone_iteration(
 
     lo_seq = [barriers.lower]
     hi_seq = [barriers.upper]
-    rows = tuple(l1_weight_rows(p.tgrid.nodes, p.alpha))  # both chains share p's grid
+    steps = _L1Steps(_shifted(p, M))  # both chains solve with one operator on p's grid
     for seq, sgn, label in ((lo_seq, 1.0, "lower"), (hi_seq, -1.0, "upper")):
         moved = math.inf
         for _ in range(k_max):
-            nxt = _l_map(p, f, M, seq[-1], rows)
+            nxt = _l_map(p, f, M, seq[-1], steps)
             if np.min(sgn * (nxt.values - seq[-1].values)) < -tol:
                 raise RuntimeError(f"{label} chain lost monotonicity beyond tolerance")
             moved = float(np.max(np.abs(nxt.values - seq[-1].values)))

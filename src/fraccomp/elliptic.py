@@ -352,15 +352,35 @@ def _reaction_vector(spec, grid, t):
     return np.full(grid.n_nodes, spec.c0)
 
 
-_GBSV = get_lapack_funcs("gbsv", (np.empty(0),))  # float64 LAPACK dgbsv
+# float64 LAPACK dgbtrf and dgbtrs: dgbsv is exactly the one and then the other
+_GBTRF, _GBTRS = get_lapack_funcs(("gbtrf", "gbtrs"), (np.empty(0),))
+
+
+def banded_lu(ab):
+    """LU factors of a finite (5, m) band array of DiscreteOperator.bands for
+    banded_lu_solve: (lu, piv, info), with info > 0 where a pivot is exactly
+    zero, that is where the matrix is singular.  lu is the (7, m) array that
+    scipy.linalg.solve_banded builds (two zero rows on top for the pivoting
+    fill-in), factored in place by dgbtrf."""
+    lu = np.zeros((7, ab.shape[1]), order="F")
+    lu[2:] = ab
+    return _GBTRF(lu, 2, 2, overwrite_ab=True)
+
+
+def banded_lu_solve(factors, rhs):
+    """Solve with the factors of banded_lu, which must not be singular: one
+    O(m) dgbtrs, so that a chain of solves with one matrix factors it once."""
+    lu, piv, _ = factors
+    return _GBTRS(lu, 2, 2, rhs, piv)[0]
 
 
 def banded_solve(ab, rhs):
     """Solve with a (5, m) band array of DiscreteOperator.bands: every operator
-    here is pentadiagonal, so this is an O(m) LAPACK gbsv.
+    here is pentadiagonal, so this is an O(m) banded LU, banded_lu and then
+    banded_lu_solve.
 
-    Calls dgbsv directly on the (7, m) array that scipy.linalg.solve_banded
-    builds (two zero rows on top for the pivoting fill-in): the same solution
+    Those are LAPACK's dgbtrf and dgbtrs, the two calls of the dgbsv behind
+    scipy.linalg.solve_banded, on the same (7, m) array: the same solution
     to the last bit and the same errors, without solve_banded's per-call
     validation and dispatch, which cost several times the O(m) solve itself
     at the sizes the L1 oracle and the monotone chains use."""
@@ -368,12 +388,10 @@ def banded_solve(ab, rhs):
     rhs = np.asarray(rhs, dtype=float)
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    lu = np.zeros((7, ab.shape[1]))
-    lu[2:] = ab
-    _, _, x, info = _GBSV(2, 2, lu, rhs, overwrite_ab=True)
-    if info > 0:
+    factors = banded_lu(ab)
+    if factors[2] > 0:
         raise np.linalg.LinAlgError("singular matrix")
-    return x
+    return banded_lu_solve(factors, rhs)
 
 
 def solve_stationary(spec: EllipticSpec, grid: Grid1D, rhs, boundary_rhs=(0.0, 0.0), t=0.0) -> SpaceField:

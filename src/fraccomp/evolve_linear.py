@@ -39,11 +39,14 @@ advanced: the fastest have decayed and are dropped, the slowest share K
 Taylor moments.  A step costs O(modes x band), with a band of 17-43 of the
 rule's 214-339 terms at alpha = 0.3-0.95 on the acceptance grids; the
 relaxation values and masses the step needs are fetched _RELAX_BLOCK nodes
-at a time.  The L1 route sums every past step exactly: it takes the
-grid's L1 weight rows from fracops.l1_weight_rows, built lazily for one
-solve or once for a chain of solves on one grid (compare's monotone
-iterations pass them to _l1_march), and solves each step's pentadiagonal
-system with one direct LAPACK gbsv (elliptic.banded_solve).
+at a time.  The L1 route sums every past step exactly.  Its steps come
+from one table (_L1Steps): node m's weight row from fracops.l1_weight_rows
+and the LAPACK LU factors of its pentadiagonal step matrix
+w_m I + A(t_m) (elliptic.banded_lu), built the first time a march reaches
+the node.  A one-off solve builds each entry as it steps and keeps none;
+compare's monotone iterations, whose sweeps all solve with one frozen
+operator on one grid, keep one table per chain, so a sweep costs one
+dgbtrs solve per node and the chain factors each node once.
 """
 
 from __future__ import annotations
@@ -63,7 +66,8 @@ from .elliptic import (
     SpaceField,
     _node_values,
     assemble,
-    banded_solve,
+    banded_lu,
+    banded_lu_solve,
     eigendecompose,
 )
 from .fracops import TimeGrid, l1_weight_rows
@@ -1005,14 +1009,57 @@ def solve_linear_spectral_many(problems) -> list:
 
 def solve_linear_l1(p: ProblemSpec) -> Field:
     """Implicit L1 stepping of the full operator; the cross-validation oracle."""
-    return _l1_march(p, l1_weight_rows(p.tgrid.nodes, p.alpha))
+    return _l1_march(p, _L1Steps(p, keep=False))
 
 
-def _l1_march(p: ProblemSpec, rows) -> Field:
-    """solve_linear_l1 with the grid's L1 weight rows given: rows yields
-    caputo_l1_weights(t[:m+1], alpha) for m = 1..N in order, either lazily
-    (one solve) or from a tuple that a chain of solves on one grid shares."""
-    op = assemble(p.elliptic, p.grid)
+class _L1Steps:
+    """The implicit L1 steps of one problem's operator A on its time grid:
+    for m = 1..N the weight row w = caputo_l1_weights(t[:m+1], alpha) and the
+    LU factors of w[-1] I + A(t_m) (elliptic.banded_lu), or None where that
+    band array is not finite.
+
+    A node's entry is built the first time a march reaches it: the bands,
+    their finiteness check, then the factorization.  rows yields the weight
+    rows in order, lazily (fracops.l1_weight_rows, the default) or from a
+    tuple.  With keep, the entries stay for the table's lifetime, so that the
+    sweeps of a chain, which share one frozen operator and one grid, factor
+    each node once; without, it keeps none, and a one-off march asks for
+    the nodes 1..N once each, in order."""
+
+    def __init__(self, p: ProblemSpec, rows=None, keep=True):
+        self.op = assemble(p.elliptic, p.grid)
+        self._t = p.tgrid.nodes
+        self._rows = iter(l1_weight_rows(self._t, p.alpha) if rows is None else rows)
+        self._keep = keep
+        self._kept = []
+
+    def at(self, m):
+        """Node m's (w, factors); without keep, m must run 1..N in order."""
+        if m <= len(self._kept):
+            return self._kept[m - 1]
+        w = next(self._rows)
+        ab = self.op.bands(self._t[m], shift=w[-1])
+        entry = (w, banded_lu(ab) if np.isfinite(ab).all() else None)
+        if self._keep:
+            self._kept.append(entry)
+        return entry
+
+
+def _singular(op, t, w, m):
+    """SolverError for an implicit step whose w I + A(t) has a zero pivot,
+    with the step's shift w against the largest diagonal entry of A."""
+    diag = float(np.max(np.abs(op.bands(t)[2])))
+    why = (f"its shift w = {w:.3g} is below the rounding of A's largest diagonal entry {diag:.3g}"
+           if w <= np.finfo(float).eps * diag else
+           f"shift w = {w:.3g}, A's largest diagonal entry {diag:.3g}")
+    return SolverError(f"implicit step {m} is singular: {why}", node=m)
+
+
+def _l1_march(p: ProblemSpec, steps: _L1Steps) -> Field:
+    """The implicit L1 march of p on steps, the weight rows and factors of
+    p's operator: a chain of solves that differ only in their source shares
+    one table."""
+    op = steps.op
     t = p.tgrid.nodes
     N = t.size - 1
     n_nodes = p.grid.n_nodes
@@ -1020,22 +1067,21 @@ def _l1_march(p: ProblemSpec, rows) -> Field:
     u = np.empty((N + 1, n_nodes))
     u[0] = a
     du = np.empty((N, n_nodes))
-    for m, w in enumerate(rows, start=1):
+    for m in range(1, N + 1):
+        f = p.source_at(t[m], node_index=m)
+        w, factors = steps.at(m)
         rhs = w[-1] * u[m - 1]
         if m > 1:
             rhs = rhs - w[: m - 1] @ du[: m - 1]
-        f = p.source_at(t[m], node_index=m)
         if f is not None:
             rhs = rhs + f
-        ab = op.bands(t[m], shift=w[-1])
-        if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(rhs))):
+        if factors is None or not np.isfinite(rhs).all():
             ones_row = op.apply_full(np.ones(n_nodes), t[m])  # row sums locate the bad node
             raise _non_finite("operator or right-hand side", m, p.grid, ones_row + rhs)
-        try:
-            u[m] = banded_solve(ab, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"implicit step {m} is singular", node=m) from exc
-        if not np.all(np.isfinite(u[m])):
+        if factors[2] > 0:
+            raise _singular(op, t[m], w[-1], m)
+        u[m] = banded_lu_solve(factors, rhs)
+        if not np.isfinite(u[m]).all():
             raise SolverError(f"implicit step {m} produced non-finite values", node=m)
         du[m - 1] = u[m] - u[m - 1]
     return Field(p.grid, p.tgrid, u)

@@ -6,8 +6,9 @@ order 2-alpha for smooth data), and the discrete extremum-principle check:
 at an interior-or-right-end minimum the Caputo derivative is nonpositive.
 
 Every L1 user takes its weight rows from l1_weight_rows: the implicit L1
-solvers walk it once per solve, a chain of solves on one grid stores its rows
-for the chain's lifetime, and the extremum check builds only the row it reads.
+solvers walk it once per solve, a chain of solves on one grid keeps its rows,
+with the factors of its step matrices, in one table for the chain's lifetime
+(evolve_linear._L1Steps), and the extremum check builds only the row it reads.
 """
 
 from __future__ import annotations
@@ -144,10 +145,11 @@ def l1_weight_rows(t, alpha):
     m = 1..N, generated one at a time.
 
     Row m holds m weights, so all N rows take N(N+1)/2 floats: a march that
-    runs once walks the generator, and a chain of solves on one grid stores
-    tuple(l1_weight_rows(t, alpha)) for its own lifetime.  No memo keeps rows
-    beyond that: a cache per (grid, alpha) would hold 4.2 MB at N = 1024 for
-    every grid a process has solved on."""
+    runs once walks the generator, and a chain of solves on one grid keeps
+    the rows in its table of steps (evolve_linear._L1Steps), next to each
+    node's LU factors, for its own lifetime.  No memo keeps rows beyond
+    that: a cache per (grid, alpha) would hold 4.2 MB at N = 1024 for every
+    grid a process has solved on."""
     return (caputo_l1_weights(t[: m + 1], alpha) for m in range(1, len(t)))
 
 

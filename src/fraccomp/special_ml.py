@@ -146,25 +146,47 @@ def _asym_term_logs(alpha, beta, x, max_terms):
     Gamma of negative argument goes through the reflection formula so magnitudes
     stay representable for hundreds of terms.  Truncation decisions must use the
     envelope: near alpha = 1 the raw magnitudes dip at pseudo-poles of the
-    reflection sine long after the true optimal index.  The sine comes from
-    whichever of y and k - y is nearer zero, sin(pi y) = (-1)^(k+1) sin(pi (k - y)),
-    so that it keeps its relative accuracy there."""
+    reflection sine long after the true optimal index.  Only -k ln x depends
+    on x: the rest comes from _asym_term_parts, and the signs are returned
+    read-only."""
+    ln_gamma, ln_sin, sign, ln_gamma_small = _asym_term_parts(alpha, beta, max_terms)
+    k = np.arange(1, max_terms + 1, dtype=float)
+    ln_x = math.log(x)
+    base = -k * ln_x + ln_gamma - math.log(math.pi)
+    ln_mag = base + ln_sin
+    ln_env = base
+    small = slice(ln_gamma_small.size)  # Gamma argument >= 1: no reflection needed
+    ln_mag[small] = -k[small] * ln_x - ln_gamma_small
+    ln_env[small] = ln_mag[small]
+    return k, ln_mag, ln_env, sign
+
+
+# a verify pass evaluates the series at 18 (alpha, beta, max_terms), one
+# after another, and each entry holds about 29 kB at the default 1200 terms
+@functools.lru_cache(maxsize=4)
+def _asym_term_parts(alpha, beta, max_terms):
+    """The x-independent parts of _asym_term_logs, as read-only arrays: for
+    k = 1..max_terms and y = alpha k - beta + 1, ln Gamma(y), ln|sin(pi y)|
+    and the term signs, then ln Gamma(1 - y) of the leading terms whose Gamma
+    argument beta - alpha k is >= 1 (y <= 0), which need no reflection.  The
+    sine comes from whichever of y and k - y is nearer zero,
+    sin(pi y) = (-1)^(k+1) sin(pi (k - y)), so that it keeps its relative
+    accuracy there."""
     k = np.arange(1, max_terms + 1, dtype=float)
     y = alpha * k - beta + 1.0  # Gamma(beta - alpha k) = Gamma(1 - y)
     y_c = (1.0 - alpha) * k + (beta - 1.0)  # k - y
     sin_y = np.where(np.abs(y) <= np.abs(y_c), np.sin(np.pi * y),
                      (-1.0) ** (k + 1) * np.sin(np.pi * y_c))
-    base = -k * math.log(x) + gammaln(np.maximum(y, 1e-300)) - math.log(math.pi)
+    ln_gamma = gammaln(np.maximum(y, 1e-300))
     with np.errstate(divide="ignore"):
-        ln_mag = base + np.log(np.abs(sin_y))
-    ln_env = base
+        ln_sin = np.log(np.abs(sin_y))
     sign = (-1.0) ** (k + 1) * np.sign(sin_y)
-    small = y <= 0.0  # Gamma argument >= 1: no reflection needed
-    if small.any():
-        ln_mag[small] = -k[small] * math.log(x) - gammaln(1.0 - y[small])
-        ln_env[small] = ln_mag[small]
-        sign[small] = (-1.0) ** (k[small] + 1)
-    return k, ln_mag, ln_env, sign
+    small = slice(np.count_nonzero(y <= 0.0))  # y rises with k
+    sign[small] = (-1.0) ** (k[small] + 1)
+    parts = (ln_gamma, ln_sin, sign, gammaln(1.0 - y[small]))
+    for a in parts:
+        a.flags.writeable = False
+    return parts
 
 
 def _asymptotic_neg(alpha, beta, x, max_terms=1200):
@@ -175,7 +197,7 @@ def _asymptotic_neg(alpha, beta, x, max_terms=1200):
     head = ln_mag[:k_opt]
     mags = np.where(np.isfinite(head), np.exp(np.minimum(head, 700.0)), 0.0)
     terms = sign[:k_opt] * mags
-    total = math.fsum(terms)
+    total = math.fsum(terms.tolist())  # a list: fsum reads numpy scalars slowly
     est = 2.0 * float(np.exp(min(ln_env[k_opt - 1], 700.0)))
     if alpha < 1.0:
         # the pair of exponential branches zeta = x^(1/alpha) e^(+-i pi/alpha)

@@ -195,6 +195,19 @@ class TestSolve:
         assert "domain" in err and "n_space" in err and "Traceback" not in err
         assert "config error" in read_manifest(tmp_path)["verdict"]
 
+    @pytest.mark.parametrize("setting, shift, diagonal", [("T=1e300", "1.85e-146", "2.18e+03"),
+                                                          ("domain=0,1e-10", "1.85e+04", "2.18e+23")])
+    def test_singular_l1_step_names_its_shift(self, tmp_path, capsys, setting, shift, diagonal):
+        # with zero-flux ends and c = 0 the operator alone is singular, and
+        # the step's shift is lost to rounding in its diagonal
+        code = run_cli(["solve", "--set", setting, "--method", "l1", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert (f"implicit step 1 is singular: its shift w = {shift} is below the rounding "
+                f"of A's largest diagonal entry {diagonal}") in err
+        assert "Traceback" not in err
+        assert "solver failure" in read_manifest(tmp_path)["verdict"]
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tiny_horizon_solves_without_warnings(self, tmp_path):
         # the march formed _BAND_LO / t_m, which overflows at T = 1e-300

@@ -395,6 +395,83 @@ class TestMonotoneIteration:
         assert res.sandwich.holds
 
 
+class TestChainSteps:
+    """A chain's sweeps share one table of L1 steps: each node's weight row
+    and the LU factors of its step matrix are built once per chain."""
+
+    @staticmethod
+    def sandwich(N=32):
+        p = neumann_problem(alpha=0.5, initial=1.0, N=N, c0=0.5, n=12,
+                            b=lambda x, t: 0.3 * np.cos(x + t), c=lambda x, t: -0.2 * np.sin(3 * x + t),
+                            source=lambda x, t: 0.1 * (1.0 + t) * np.ones_like(x))
+        nt = p.tgrid.nodes.size
+        ones = Field(p.grid, p.tgrid, 2.0 * np.ones((nt, p.grid.n_nodes)))
+        zeros = Field(p.grid, p.tgrid, np.zeros((nt, p.grid.n_nodes)))
+        return p, BarrierPair(lower=zeros, upper=ones)
+
+    @staticmethod
+    def linear(N=40):
+        return neumann_problem(initial=lambda x: 1 + np.cos(math.pi * x), N=N, c0=1.0,
+                               c=lambda x, t: -0.3 + 0.2 * np.sin(3 * x + t),
+                               source=lambda x, t: 0.5 + 0.0 * x)
+
+    def test_iterates_match_fresh_tables(self):
+        from fraccomp.compare import _frozen_l1, _l_map, _shifted, _with_c
+        from fraccomp.evolve_linear import _L1Steps
+
+        p, barriers = self.sandwich()
+        f = builtin_enzyme()
+        res = monotone_iteration(p, f, barriers, M=1.0, k_max=25)
+        for seq in (res.from_lower, res.from_upper):
+            assert len(seq) > 2
+            for prev, nxt in zip(seq, seq[1:]):
+                again = _l_map(p, f, 1.0, prev, _L1Steps(_shifted(p, 1.0)))
+                assert np.array_equal(nxt.values, again.values)
+        p = self.linear()
+        b0 = 0.6
+        seq = linear_monotone_sequence(p, b0_const=b0, n_max=4)
+        gain = b0 + np.array([p.elliptic.c_fun()(p.grid.nodes, t) for t in p.tgrid.nodes])
+        for prev, nxt in zip(seq, seq[1:]):
+            again = _frozen_l1(p, _L1Steps(_with_c(p, -b0)), gain * prev.values)
+            assert np.array_equal(nxt.values, again.values)
+
+    def test_one_factorization_per_node(self, monkeypatch):
+        from fraccomp import evolve_linear
+
+        calls = []
+        factor = evolve_linear.banded_lu
+        monkeypatch.setattr(evolve_linear, "banded_lu", lambda ab: calls.append(1) or factor(ab))
+        p, barriers = self.sandwich(N=24)
+        res = monotone_iteration(p, builtin_enzyme(), barriers, M=1.0, k_max=25)
+        assert len(res.from_lower) + len(res.from_upper) > 6
+        assert len(calls) == 24
+        calls.clear()
+        seq = linear_monotone_sequence(self.linear(N=30), b0_const=0.6, n_max=5)
+        assert len(seq) == 5
+        assert len(calls) == 30
+
+    @pytest.mark.parametrize("k", [1, 7, 24])
+    def test_non_finite_forcing_names_its_node(self, k):
+        from dataclasses import replace
+
+        from fraccomp.evolve_linear import SolverError
+
+        message = f"non-finite operator or right-hand side at time node {k} "
+        p, barriers = self.sandwich(N=24)
+        # f is infinite at u = 3, where both barriers sit on node k only
+        f = SemilinearTerm(eval=lambda x, u: -u / (1.0 + np.abs(u)) + np.where(u == 3.0, np.inf, 0.0))
+        lower, upper = barriers.lower.values.copy(), barriers.upper.values.copy()
+        lower[k] = upper[k] = 3.0
+        with pytest.raises(SolverError, match=re.escape(message)):
+            monotone_iteration(p, f, BarrierPair(lower=Field(p.grid, p.tgrid, lower),
+                                                 upper=Field(p.grid, p.tgrid, upper)), M=1.0, k_max=25)
+        p = self.linear(N=24)
+        src = np.full((p.tgrid.nodes.size, p.grid.n_nodes), 0.5)
+        src[k, 3] = np.inf
+        with pytest.raises(SolverError, match=re.escape(message)):
+            linear_monotone_sequence(replace(p, source=src), b0_const=0.6, n_max=3)
+
+
 class TestBarrierBandE3:
     def test_cosine_initial(self):
         alpha = 0.5

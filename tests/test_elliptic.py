@@ -11,6 +11,8 @@ from fraccomp.elliptic import (
     SingularOperatorError,
     SpaceField,
     assemble,
+    banded_lu,
+    banded_lu_solve,
     banded_solve,
     coercivity_form,
     eigendecompose,
@@ -149,6 +151,26 @@ class TestBandedSolve:
         ab[2] = np.sum(np.abs(ab), axis=0) + rng.uniform(0.1, 1.0, m)
         rhs = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3)
         assert np.array_equal(banded_solve(ab, rhs), solve_banded((2, 2), ab, rhs))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_factors_reused_for_many_right_hand_sides(self, seed):
+        # one banded_lu, then a banded_lu_solve per right-hand side: the
+        # bits of a full banded_solve of each
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 200))
+        ab = rng.normal(size=(5, m))
+        ab[2] += rng.choice([-1.0, 1.0], m) * rng.uniform(0.0, 2.0, m)
+        factors = banded_lu(ab)
+        assert factors[2] == 0
+        for _ in range(5):
+            rhs = rng.normal(size=m)
+            assert np.array_equal(banded_lu_solve(factors, rhs), solve_banded((2, 2), ab, rhs))
+
+    def test_singular_factors_report_the_zero_pivot(self):
+        ab = np.zeros((5, 6))
+        ab[2] = 1.0
+        ab[2, 3] = 0.0
+        assert banded_lu(ab)[2] == 4  # LAPACK's 1-based index of the zero pivot
 
     def test_singular_raises_linalg_error(self):
         ab = np.zeros((5, 6))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import erfcx, gamma
+from scipy.special import erfcx, gamma, gammaln
 
 from fraccomp import special_ml
 from fraccomp.special_ml import (
@@ -124,6 +124,53 @@ class TestMLRange:
     def test_overflow_is_rejected(self, alpha, beta, z):
         with pytest.raises(InvalidParameterError, match="overflows the double range"):
             ml(MLQuery(alpha, beta, z))
+
+
+class TestAsymptoticTermMemo:
+    """The x-independent parts of the asymptotic series are kept per
+    (alpha, beta, max_terms) in a bounded memo."""
+
+    @staticmethod
+    def uncached(alpha, beta, x, max_terms):
+        # the series terms formed from scratch, in the memo's operation order
+        k = np.arange(1, max_terms + 1, dtype=float)
+        y = alpha * k - beta + 1.0
+        y_c = (1.0 - alpha) * k + (beta - 1.0)
+        sin_y = np.where(np.abs(y) <= np.abs(y_c), np.sin(np.pi * y),
+                         (-1.0) ** (k + 1) * np.sin(np.pi * y_c))
+        base = -k * math.log(x) + gammaln(np.maximum(y, 1e-300)) - math.log(math.pi)
+        with np.errstate(divide="ignore"):
+            ln_mag = base + np.log(np.abs(sin_y))
+        ln_env = base
+        sign = (-1.0) ** (k + 1) * np.sign(sin_y)
+        small = y <= 0.0
+        if small.any():
+            ln_mag[small] = -k[small] * math.log(x) - gammaln(1.0 - y[small])
+            ln_env[small] = ln_mag[small]
+            sign[small] = (-1.0) ** (k[small] + 1)
+        return k, ln_mag, ln_env, sign
+
+    @pytest.mark.parametrize("alpha, beta", [(0.3, 1.0), (0.5, 0.5), (0.95, 1.0), (0.999, 0.999),
+                                             (1.5, 1.0), (1.5, 0.7), (0.3, 1.7)])
+    def test_values_equal_an_uncached_evaluation(self, alpha, beta):
+        for x in np.geomspace(0.7, 3e3, 25):
+            # twice: the second call reads the memo, and the first must not have changed it
+            for _ in range(2):
+                got = special_ml._asym_term_logs(alpha, beta, float(x), 1200)
+                for a, b in zip(got, self.uncached(alpha, beta, float(x), 1200)):
+                    assert np.array_equal(a, b)
+                got[1][:] = 0.0
+                got[2][:] = 0.0
+
+    def test_memo_is_bounded_and_read_only(self):
+        memo = special_ml._asym_term_parts
+        assert memo.cache_info().maxsize <= 8
+        for alpha in np.linspace(0.1, 0.9, 12):
+            special_ml._asym_term_logs(float(alpha), 1.0, 5.0, 300)
+        assert memo.cache_info().currsize <= memo.cache_info().maxsize
+        for part in memo(0.5, 1.0, 300):
+            assert not part.flags.writeable
+        assert not special_ml._asym_term_logs(0.5, 1.0, 5.0, 300)[3].flags.writeable
 
 
 class TestRelaxation:
