@@ -22,6 +22,7 @@ from .elliptic import (
     EigenDecomposition,
     EllipticSpec,
     SpaceField,
+    _node_values,
     assemble,
     eigendecompose,
     principal_eigenpair,
@@ -141,18 +142,32 @@ def _require_nonnegative_data(p: ProblemSpec):
     a0 = p.initial_values()
     _require_signed(a0, +1, "initial value")
     if p.source is not None:
-        src = [p.source_at(t, node_index=k) for k, t in enumerate(p.tgrid.nodes)]
-        _require_signed(src, +1, "source")
+        _require_signed(_sampled(p.source, p) if callable(p.source) else p.source, +1, "source")
     return a0
 
 
 def _on_nodes(fun, p: ProblemSpec):
-    """A coefficient fun(x, t) on every time node of p, one row per node;
-    zeros for an absent coefficient."""
+    """A coefficient fun(x, t) on every time node of p, one row per node
+    and one call per node; zeros for an absent coefficient."""
     x = p.grid.nodes
     if fun is None:
         return np.zeros((p.tgrid.nodes.size, x.size))
-    return np.array([fun(x, t) for t in p.tgrid.nodes])
+    return np.array([_node_values(fun(x, t), x) for t in p.tgrid.nodes])
+
+
+def _sampled(fun, p: ProblemSpec):
+    """_on_nodes for the hypothesis checks, which hold to a margin: one call
+    fun(x, t) with the column of time nodes where that gives one row per
+    node, as the march samples its coefficients, else one call per node."""
+    x, t = p.grid.nodes, p.tgrid.nodes
+    if fun is not None:
+        try:
+            v = np.asarray(fun(x, t[:, None]), dtype=float)
+        except Exception:  # any error: the per-node calls raise it again at its node
+            v = None
+        if v is not None and v.shape == (t.size, x.size):
+            return v
+    return _on_nodes(fun, p)
 
 
 def comparison_pair(
@@ -176,7 +191,7 @@ def comparison_pair(
     if which == "c":
         s1 = replace(base.elliptic, c=c1)
         s2 = replace(base.elliptic, c=c2)
-        if np.min(_on_nodes(s1.c_fun(), base) - _on_nodes(s2.c_fun(), base)) < -1e-13:
+        if np.min(_sampled(s1.c_fun(), base) - _sampled(s2.c_fun(), base)) < -1e-13:
             raise HypothesisViolation("need c1 >= c2 everywhere")
         p1 = replace(base, elliptic=s1)
         p2 = replace(base, elliptic=s2)
@@ -185,7 +200,7 @@ def comparison_pair(
         cf = base.elliptic.c_fun()
         if cf is None:
             raise HypothesisViolation("sigma comparison needs c < 0; got c = 0")
-        _require_signed(_on_nodes(cf, base), -1, "zeroth-order coefficient c")
+        _require_signed(_sampled(cf, base), -1, "zeroth-order coefficient c")
         if not (sigma2 >= sigma1 > 0.0):
             raise HypothesisViolation("need sigma2 >= sigma1 >= sigma0 > 0")
         p1 = replace(base, elliptic=replace(base.elliptic, sigma_lo=sigma1, sigma_hi=sigma1))

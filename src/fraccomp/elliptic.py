@@ -315,13 +315,12 @@ def eigendecompose(op: DiscreteOperator) -> EigenDecomposition:
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise RuntimeError("tridiagonal eigensolver failed") from exc
     modes = psi / sw[:, None]
-    # deterministic signs: positive weighted mean, falling back to the largest entry
-    for j in range(modes.shape[1]):
-        s = np.sum(w * modes[:, j])
-        if abs(s) < 1e-12:
-            s = modes[np.argmax(np.abs(modes[:, j])), j]
-        if s < 0:
-            modes[:, j] = -modes[:, j]
+    # deterministic signs: positive weighted mean, falling back to the largest
+    # entry (the first of equal ones) where the mean is zero to rounding
+    s = w @ modes
+    weak = np.flatnonzero(np.abs(s) < 1e-12)
+    s[weak] = modes[np.argmax(np.abs(modes[:, weak]), axis=0), weak]
+    modes[:, s < 0] *= -1.0
     return EigenDecomposition(lambdas=lam, modes=modes, weights=w)
 
 

@@ -29,7 +29,8 @@ that share alpha, the time nodes and the number of space nodes (a Batch)
 are marched as one, with one memory of all their modes and the products of
 the sweeps stacked, so that a short march's numpy overhead is paid once per
 batch.  solve_linear_spectral is a batch of one, and
-solve_linear_spectral_many groups a list of problems into batches
+solve_linear_spectral_many groups a list of problems into batches of up to
+_BATCH_MODES modes, which the verify suites' ensembles fill one per alpha
 (_batches; evolve_semilinear.solve_semilinear_many groups the same way).
 
 Both keep the entire memory: there is no semigroup restart in fractional time.
@@ -93,10 +94,14 @@ _MOMENTS = 12  # K: Taylor moments per mode that carry the frozen terms (see _Me
 _BAND_LO = (math.factorial(_MOMENTS + 1) * 2.0 ** -53) ** (1.0 / _MOMENTS)
 _BAND_SLACK = 8  # terms the band storage moves or grows by at once
 _START_MAX = 10.0  # largest weight of the sweeps' extrapolated start (see _extrapolation_weights)
-# modes one batched march advances at most (see _batches):
-# a batch holds the band, block samples and history of all its problems at
-# once, and this keeps it to about the memory of one march at n = 128
-_BATCH_MODES = 128
+# modes one batched march advances at most (see _batches).  A batch holds
+# the band, block samples and history of all its problems at once, about
+# 5 KB per mode at n = 20, N = 64.  At 512 the verify suites' n = 20,
+# N = 64 ensembles march one batch per alpha (16 marches per verify-all
+# pass against 35 at 128), which took verify-all from 1.02 s to 0.79 s
+# (benchmark calibrated_s, medians of four runs); 1024 gained nothing
+# more, and each doubling from 128 cost 0.3-1.1 MB of peak memory
+_BATCH_MODES = 512
 
 
 class SolverError(RuntimeError):
@@ -273,8 +278,8 @@ class _Memory:
     * modes with lam t_m^alpha <= 1e-8 (small modes), which fold nothing.
     Each is formed as in _kernel_masses, to rounding for every lam >= 0.
     E(-lam t_m^alpha) and the current window's masses are fetched for
-    _RELAX_BLOCK nodes by one relaxation_batch call per problem and one
-    relaxation_deficit call, together with the block's fold schedule and,
+    _RELAX_BLOCK nodes by one relaxation_batch and one relaxation_deficit
+    call per problem, together with the block's fold schedule and,
     per node, the flags the fold reads: whether every row folds window
     m - 2 and whether an older window is due.
     At every node m >= 2, window m - 2, which the last step left behind,
@@ -325,7 +330,7 @@ class _Memory:
         self.rates = np.zeros((modes, 0))
         self.weight = np.zeros((modes, 0))
         self.decay_m1 = np.zeros((modes, 0))  # exp(-r dt) - 1 of the last step
-        self.work = np.zeros((modes, 0))  # scratch of the band's shape
+        self._windows(0)
         # the moments A_1..A_K of the folded windows (mom), above the forcing
         # of the window that folds at this node (the last row): one product
         # with [T | T w] (see _fetch) folds it in and moves the moments on.
@@ -334,6 +339,11 @@ class _Memory:
         self.mom, self.next_mom = self.mom_g[:-1], self.next_g[:-1]
         self.frozen_work = np.empty((_MOMENTS, modes))
         self.folded = np.zeros(modes, dtype=int)  # windows k < folded are in sums
+        # what _fetch writes per block: the relaxation values and masses,
+        # the fold schedule and its rows at window k - 2, one row per node
+        block = (min(_RELAX_BLOCK, t.size - 1), modes)
+        self.block_bufs = (np.empty(block), np.empty(block), np.empty(block, dtype=np.int32),
+                           np.empty(block, dtype=bool))
         self.block_start = self.block_stop = 1
         self._edges()
 
@@ -343,31 +353,43 @@ class _Memory:
         transfer matrices of those nodes."""
         t, lam, alpha = self.t, self.lam, self.alpha
         stop = min(m + _RELAX_BLOCK, t.size)
+        B = stop - m
+        # the block's arrays are rewritten in place; the windows folded so
+        # far, a row of the last block's schedule, outlive it
+        self.folded = self.folded.copy()
+        relax, w_cur, fold, fold_last = (buf[:B] for buf in self.block_bufs)
         # scalar powers, like homogeneous_solution's t ** alpha: numpy's
         # vectorised power can differ from them in the last bit
         t_pow = np.array([(t[k] - t[0]) ** alpha for k in range(m, stop)])
         dt_pow = (t[m:stop] - t[m - 1 : stop - 1]) ** alpha
-        x = np.maximum(lam, 0.0) * np.concatenate([t_pow, dt_pow])[:, None]
-        # one relaxation_batch call per problem of a batch, so that its
-        # temporaries, which grow with its input, are those of one march
-        e = np.hstack([relaxation_batch(alpha, part)
-                       for part in np.split(x, 1 if self.shape is None else self.shape[0], axis=1)])
-        # the block's outputs, E(-lam t^alpha) and the masses dt^alpha phi(lam dt^alpha)
-        relax, w_cur = e[: stop - m].copy(), relaxation_deficit(alpha, x[stop - m :], e[stop - m :]) * dt_pow[:, None]
-        del x, e  # before the schedule's arrays come
+        col = np.concatenate([t_pow, dt_pow])[:, None]
+        # the block's outputs, E(-lam t^alpha) and the masses dt^alpha
+        # phi(lam dt^alpha), from one relaxation_batch and one
+        # relaxation_deficit call per problem of a batch, so that their
+        # temporaries, which grow with their input, are those of one march
+        lam0 = np.maximum(lam, 0.0)
+        n_modes = lam.size if self.shape is None else self.shape[-1]
+        for i in range(0, lam.size, n_modes):
+            x = lam0[i : i + n_modes] * col
+            e = relaxation_batch(alpha, x)
+            relax[:, i : i + n_modes] = e[:B]
+            w_cur[:, i : i + n_modes] = relaxation_deficit(alpha, x[B:], e[B:])
+        w_cur *= dt_pow[:, None]
         # the fold schedule: at node k, windows j with age t_k - t_{j+1} >= tau
-        # fold into the sums, up to window k - 2; small rows fold nothing
+        # fold into the sums, up to window k - 2; small rows fold nothing.
+        # A mode with tau below half the block's shortest step reaches window
+        # k - 2 at every node k; only the others are searched
         k = np.arange(m, stop)[:, None]
-        big = lam * t_pow[:, None] > 1e-8
-        # a mode with tau below half the block's shortest step reaches
-        # window k - 2 at every node k; only the others are searched
-        fold = np.repeat(k - 1, lam.size, axis=1)
+        fold[:] = k - 1
         slow = np.flatnonzero(self.tau >= 0.5 * np.min(t[m:stop] - t[m - 1 : stop - 1]))
         if slow.size:
             fold[:, slow] = np.minimum(
                 np.searchsorted(t[1:], t[m:stop, None] - self.tau[slow], side="right"), k - 1)
-        fold[~big] = 0
-        rest = fold < k - 1
+        # lam t^alpha grows with t, so a row small at some node of the block
+        # is small at its first
+        small = np.flatnonzero(lam * t_pow[0] <= 1e-8)
+        if small.size:
+            fold[:, small] *= lam[small] * t_pow[:, None] > 1e-8
         self.block_start, self.block_stop = m, stop
         # per node, ln r of the band's edges, ln(_BAND_LO / tau_k) and
         # ln(_BAND_HI / dt_k), as differences of logs (_BAND_LO / tau_k
@@ -381,7 +403,7 @@ class _Memory:
         # C(q, i) (dt_{k-1} / s)^(q-i) (s' / s)^i.  Row r of `ratios` is node
         # m - 1 + r; the powers 0..K are repeated products, which do not
         # depend on the block's length
-        B, j = stop - m, max(m - 1, 1)  # node 1 folds nothing: row 0 stays 0
+        j = max(m - 1, 1)  # node 1 folds nothing: row 0 stays 0
         tau = t[j - 1 : stop] - t[0]
         ratios = np.zeros((2, B + 1, _MOMENTS + 1))
         ratios[0, j - m + 1 :] = (np.diff(t[j - 1 : stop]) / tau[1:])[:, None]
@@ -396,20 +418,25 @@ class _Memory:
         if self.shape is not None:
             relax, w_cur = relax.reshape((-1,) + self.shape), w_cur.reshape((-1,) + self.shape)
         self.relax, self.w_cur = relax, w_cur
-        self.fold, self.fold_last = fold, fold == k - 1
+        # the rows that fold window k - 2 at node k; the others (fold < k - 1)
+        # are small or have young windows left over
+        self.fold, self.fold_last = fold, np.equal(fold, k - 1, out=fold_last)
         self.fold_all = self.fold_last.all(axis=1).tolist()
-        self.rest, self.rest_any = rest, rest.any(axis=1).tolist()
         # the catch-up is due at node k >= 2 where a window older than k - 2
         # came of age: min(fold, k - 2) passes what node k - 1 folded
-        before = np.concatenate([self.folded[None, :], fold[:-1]])
-        self.late_due = (np.minimum(fold, k - 2) > before).any(axis=1).tolist()
+        late = np.minimum(fold, k - 2, out=fold.copy())
+        self.late_due = [bool((late[0] > self.folded).any())] + (late[1:] > fold[:-1]).any(axis=1).tolist()
 
-    def _band_rows(self, rows, base):
-        """Rates and weights of the band columns of `rows` from term `base` on."""
-        j = base[:, None] + np.arange(self.sums.shape[1])
+    def _band(self):
+        """Rebuild the rates and weights of every row's band columns from its
+        base, gathered from the windows of the band's width (see _windows);
+        the old ones go first."""
+        self.rates = self.weight = None
+        rates = self.log_rho_win[self.base]
+        rates += self.ln_root[:, None]
         with np.errstate(over="ignore"):
-            rates = np.exp(self.ln_root[rows, None] + self.log_rho_pad[j])
-        return rates, self.weight_pad[j]
+            np.exp(rates, out=rates)
+        self.rates, self.weight = rates, self.weight_win[self.base]
 
     def _edges(self):
         """ln r of the highest frozen term and of the lowest term above the
@@ -424,47 +451,55 @@ class _Memory:
 
     def _widen(self, m, width):
         """Widen the band storage; the new columns hold terms above the band
-        of node m - 1, whose sums are zero there."""
+        of node m - 1, whose sums are zero there.  The arrays grow one at a
+        time, and the rates and weights go before they are rebuilt, so that
+        a widening holds one old array of the band at most."""
         old = self.sums.shape[1]
-        pad = ((0, 0), (0, width - old))
-        self.sums = np.pad(self.sums, pad)
-        rates, weight = self._band_rows(slice(None), self.base)
-        self.rates, self.weight = rates, weight
-        decay = np.zeros((self.lam.size, width - old))
+        for name in ("sums", "decay_m1"):
+            grown = np.zeros((self.lam.size, width))
+            grown[:, :old] = getattr(self, name)
+            setattr(self, name, grown)
+        self._windows(width)
+        self._band()
         if m >= 2:
-            decay = np.expm1(rates[:, old:] * -(self.t[m - 1] - self.t[m - 2]))
-        self.decay_m1 = np.concatenate([self.decay_m1, decay], axis=1)
-        self.work = np.empty_like(self.sums)
+            np.expm1(self.rates[:, old:] * -(self.t[m - 1] - self.t[m - 2]), out=self.decay_m1[:, old:])
         self._edges()
+
+    def _windows(self, width):
+        """Row i of log_rho_win and weight_win: the width terms from term i
+        on, views of the padded rule."""
+        self.log_rho_win = np.lib.stride_tricks.sliding_window_view(self.log_rho_pad, width)
+        self.weight_win = np.lib.stride_tricks.sliding_window_view(self.weight_pad, width)
 
     def _shift(self, m, rows, base, moments):
         """Move the band of `rows` down to start at term `base`; the thawed
         terms get their sums at t_{m-1} from the moments at tau_{m-1}."""
         width = self.sums.shape[1]
         lag = self.base[rows] - base
-        src = np.arange(width)[None, :] - lag[:, None]
-        kept = self.sums[rows[:, None], np.maximum(src, 0)]
-        rates, weight = self._band_rows(rows, base)
-        # S_j = sum_p (-1)^(p+1) (r s)^p / p! A_p at s = tau_{m-1}, by Horner
-        # on the leading columns, where the thawed terms have r s < _BAND_LO;
-        # the clip keeps the others, which np.where drops, from overflowing
-        s = self.t[m - 1] - self.t[0]
         # the thawed columns, c < lag of each row, are the leading ones
         n_thawed = min(int(lag.max()), width)
+        src = np.arange(width) - lag[:, None]
+        thaw = src[:, :n_thawed] < 0
+        kept = self.sums[rows[:, None], np.maximum(src, 0, out=src)]
+        del src
+        self.base[rows] = base
+        self._band()
+        # S_j = sum_p (-1)^(p+1) (r s)^p / p! A_p at s = tau_{m-1}, by Horner
+        # on the leading columns, where the thawed terms have r s < _BAND_LO;
+        # the clip keeps the others, which the copy skips, from overflowing
+        s = self.t[m - 1] - self.t[0]
         thawed = np.zeros((rows.size, n_thawed))
         if s > 0.0:  # at node 1 nothing is folded yet
             with np.errstate(over="ignore"):
-                x = np.minimum(rates[:, :n_thawed] * s, _BAND_LO)
+                x = np.minimum(self.rates[rows, :n_thawed] * s, _BAND_LO)
             coef = _TAYLOR[:, None] * moments[:, rows]
             acc = np.repeat(coef[-1][:, None], n_thawed, axis=1)
             for c in coef[-2::-1]:
                 acc *= x
                 acc += c[:, None]
             thawed = acc * x
-        kept[:, :n_thawed] = np.where(src[:, :n_thawed] >= 0, kept[:, :n_thawed], thawed)
+        np.copyto(kept[:, :n_thawed], thawed, where=thaw)
         self.sums[rows] = kept
-        self.rates[rows], self.weight[rows] = rates, weight
-        self.base[rows] = base
         self.ln_a[:, rows] = _ORDERS * self.ln_root[rows] + self.ln_c[:, base]
         self._edges()
 
@@ -532,7 +567,8 @@ class _Memory:
                 g_k[:] = g_hist[m - 2]
             else:
                 np.multiply(g_hist[m - 2], self.fold_last[b], out=g_k)
-            self.sums -= np.multiply(self.decay_m1, g_k[:, None], out=self.work)
+            # the last step's decay is read here for the last time
+            self.sums -= np.multiply(self.decay_m1, g_k[:, None], out=self.decay_m1)
         self.folded = fold_to
         if len(moved):
             # a thaw reads the moments at tau_{m-1}, window m - 2 folded in
@@ -543,14 +579,14 @@ class _Memory:
         self.mom, self.next_mom = self.next_mom, self.mom
         decay_m1 = np.multiply(self.rates, minus_dt, out=self.decay_m1)
         np.expm1(decay_m1, out=decay_m1)
-        self.sums *= np.add(decay_m1, 1.0, out=self.work)
+        self.sums *= decay_m1 + 1.0
 
         # small modes have folded nothing, so their sums and moments are 0
         history = np.einsum("ij,ij->i", self.sums, self.weight) + self._frozen(self.ln_s[b])
         history /= self.lam_div
         # small modes, and young windows fold_to <= k <= m - 2 of the others
-        if self.rest_any[b]:
-            rest = self.rest[b]
+        if not self.fold_all[b]:
+            rest = ~self.fold_last[b]
             q = int(fold_to[rest].min())
             masses = _kernel_masses(alpha, lam[rest], (t[m] - t[q:m]) ** alpha)
             young = np.arange(q, m - 1)[None, :] >= fold_to[rest, None]
@@ -680,8 +716,10 @@ def _batches(problems):
     """The batches that a list of problems marches in: (positions in the
     list, Batch) for each.  The problems that share alpha, the time nodes
     and the number of space nodes are cut into batches of up to
-    _BATCH_MODES modes (or one problem), as even as they come; a Batch
-    names the positions in the list when it holds several problems."""
+    _BATCH_MODES modes (or one problem), as even as they come: up to 23
+    problems at n = 20, so that a verify suite's ensemble marches once per
+    alpha.  A Batch names the positions in the list when it holds several
+    problems."""
     groups = {}
     for i, p in enumerate(problems):
         groups.setdefault(_batch_key(p), []).append(i)
@@ -997,8 +1035,10 @@ def solve_linear_spectral_many(problems) -> list:
     problems that share alpha, the time nodes and the number of space nodes
     are marched together, in batches of up to _BATCH_MODES modes (see
     spectral_march), which costs much less than one march each when the
-    marches are short.  A SolverError names the problem's index in this list
-    when it holds several."""
+    marches are short: a march's numpy overhead is paid once per batch,
+    and a batch's memory is about 5 KB per mode at n = 20, N = 64.  A
+    SolverError names the problem's index in this list when it holds
+    several."""
     problems = list(problems)
     fields = [None] * len(problems)
     for index, batch in _batches(problems):

@@ -176,6 +176,27 @@ class TestComparisonPair:
             with pytest.raises(HypothesisViolation, match=f"^{re.escape(str(built.value))}$"):
                 coefficient_comparison(p, **kw)
 
+    def test_source_checked_on_every_node_with_one_call_or_one_per_node(self):
+        from dataclasses import replace
+
+        p = neumann_problem(initial=1.0, c0=1.0, N=64)
+        t5, calls = p.tgrid.nodes[5], []
+
+        def counted(f):
+            return lambda x, t: calls.append(t) or f(x, t)
+
+        # math.exp takes no column of times: after that call fails, one call per node
+        comparison_pair(replace(p, source=counted(lambda x, t: np.cos(x) ** 2 * math.exp(-t))),
+                        which="c", c1=0.0, c2=-1.0)
+        assert len(calls) == 1 + 65
+        # F < 0 only at the interior node t_5, with and without a column of times
+        for f, n_calls in ((lambda x, t: (np.cos(x) ** 2 - 0.5 * (t == t5)) * math.exp(-t), 1 + 65),
+                           (lambda x, t: np.cos(x) ** 2 - 0.5 * (t == t5), 1)):
+            calls.clear()
+            with pytest.raises(HypothesisViolation, match="^source must be nonnegative$"):
+                comparison_pair(replace(p, source=counted(f)), which="c", c1=0.0, c2=-1.0)
+            assert len(calls) == n_calls
+
     @pytest.mark.parametrize("which, kw", [("c", dict(c1=0.0, c2=-1.0)),
                                            ("sigma", dict(sigma1=1.0, sigma2=2.0))])
     def test_batched_pair_matches_coefficient_comparison(self, which, kw):

@@ -221,6 +221,27 @@ class TestEigen:
         eig = eigendecompose(assemble(EllipticSpec(a=1.0, sigma_lo=1.0, sigma_hi=1.0), g))
         assert eig.lambdas[0] == pytest.approx(ref, abs=1e-4)
 
+    @pytest.mark.parametrize("spec, n", [
+        (EllipticSpec(), 12),  # symmetric: every odd mode has zero mean
+        (EllipticSpec(a=lambda x: 1.0 + 0.5 * np.sin(3.0 * x), c0=0.5, sigma_lo=0.3, sigma_hi=2.0), 40),
+        (EllipticSpec(c0=1.0, sigma_lo=1.5, sigma_hi=1.5), 128),
+    ])
+    def test_signs_match_the_column_loop(self, spec, n):
+        # the per-column rule: positive weighted mean, else positive largest
+        # entry (the first on a tie); it maps -v to the same mode as v
+        eig = eigendecompose(assemble(spec, Grid1D(0.0, 1.0, n)))
+        flips = np.where(np.random.default_rng(n).random(n + 2) < 0.5, -1.0, 1.0)
+        ref = eig.modes * flips
+        for j in range(ref.shape[1]):
+            s = np.sum(eig.weights * ref[:, j])
+            if abs(s) < 1e-12:
+                s = ref[np.argmax(np.abs(ref[:, j])), j]
+            if s < 0:
+                ref[:, j] = -ref[:, j]
+        assert np.array_equal(eig.modes, ref)
+        if spec.sigma_lo == spec.sigma_hi:
+            assert np.sum(np.abs(eig.weights @ eig.modes) < 1e-12) >= n // 2
+
     def test_orthonormality(self):
         g = Grid1D(0.0, 2.0, 60)
         spec = EllipticSpec(a=lambda x: 1.0 + x * x / 4.0, c0=0.3, sigma_lo=0.5, sigma_hi=0.0)

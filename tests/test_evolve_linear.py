@@ -635,15 +635,46 @@ class TestBatch:
         problems = [ProblemSpec(alpha, spec, grid, TimeGrid.graded(1.0, N, 2.0 / alpha),
                                 lambda x, k=k: 1.0 + 0.1 * k * np.cos(math.pi * x), source=src)
                     for k, (alpha, N) in enumerate([(0.5, 64), (0.3, 64), (0.5, 48), (0.5, 64), (0.3, 64)]
-                                                   + [(0.7, 32)] * 7)]
-        # the seven alpha = 0.7 problems take more than _BATCH_MODES modes: two batches
-        assert 7 * problems[-1].grid.n_nodes > _BATCH_MODES
+                                                   + [(0.7, 32)] * 24)]
+        # the 24 alpha = 0.7 problems take more than _BATCH_MODES modes: two batches
+        assert 24 * problems[-1].grid.n_nodes > _BATCH_MODES
         fields = solve_linear_spectral_many(problems)
         assert len(fields) == len(problems)
         for p, f in zip(problems, fields):
             solo = solve_linear_spectral(p)
             assert f.tgrid is p.tgrid and f.values.shape == solo.values.shape
             assert np.max(np.abs(f.values - solo.values)) <= 1e-13 * np.max(np.abs(solo.values))
+
+    def test_large_batch_matches_solo_marches(self):
+        # a positivity-suite ensemble at one alpha, all its modes in one memory
+        rng = np.random.default_rng(3)
+        problems = [random_linear_problem(rng, 0.5, n=20, N=64, T=1.0) for _ in range(20)]
+        ops = [assemble(p.elliptic, p.grid) for p in problems]
+        stack = ModeStack([eigendecompose(op) for op in ops], ops)
+        assert 400 <= stack.lambdas.size <= _BATCH_MODES
+        u, counts = spectral_march(Batch(problems), stack)
+        for j, p in enumerate(problems):
+            solo_u, solo_counts = march_one(p)
+            assert np.max(np.abs(u[j] - solo_u)) <= 1e-13 * np.max(np.abs(solo_u))
+            assert np.array_equal(counts[j], solo_counts)
+
+    def test_positivity_suite_marches_once_per_alpha(self, monkeypatch):
+        import fraccomp.evolve_linear as evolve_linear
+
+        seen = []
+        march = evolve_linear.spectral_march
+
+        def spy(batch, *args, **kw):
+            seen.append((batch.alpha, batch.problems[0].grid.n, len(batch.problems)))
+            return march(batch, *args, **kw)
+
+        monkeypatch.setattr(evolve_linear, "spectral_march", spy)
+        run_suite("positivity", seed=1)
+        # the 50 random specs (n = 20) march once per alpha drawn
+        ensemble = [(alpha, size) for alpha, n, size in seen if n == 20]
+        alphas = [alpha for alpha, _ in ensemble]
+        assert len(alphas) == len(set(alphas)) >= 2
+        assert sum(size for _, size in ensemble) == 50
 
     def test_empty_list(self):
         assert solve_linear_spectral_many([]) == []
