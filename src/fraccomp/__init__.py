@@ -35,7 +35,6 @@ from .evolve_linear import (
     Field,
     ProblemSpec,
     SolverError,
-    homogeneous_solution,
     solve_linear_l1,
     solve_linear_spectral,
     solve_linear_spectral_many,

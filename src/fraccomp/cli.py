@@ -22,7 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, compare, special_ml
-from .elliptic import EllipticSpec, Grid1D, assemble
+from .elliptic import EllipticSpec, Grid1D, NonFiniteError, assemble
 from .evolve_linear import ProblemSpec, SolverError, solve_linear_l1, solve_linear_spectral
 from .evolve_semilinear import builtin_burgers, builtin_enzyme, solve_semilinear
 from .expressions import ExpressionError, parse_expression
@@ -111,15 +111,6 @@ def _number(key, text, kind=float):
     return value
 
 
-def _require_finite(key, expr, x, t):
-    """ConfigError naming the first point (x, t) where a field is not finite."""
-    values = expr(x[None, :], t[:, None])
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        k, i = bad[0]
-        raise ConfigError(f"config key {key!r} is not finite at x = {x[i]:.6g}, t = {t[k]:.6g}")
-
-
 def build_problem(cfg):
     """The problem and semilinear term of a config.  Every number and every
     field is checked here, on the points the solvers sample, so bad input is
@@ -165,21 +156,15 @@ def build_problem(cfg):
             grid = Grid1D(lo, hi, n_space)
         except ValueError as exc:
             raise ConfigError(f"grid (domain, n_space, T, n_time, grading_r): {exc}") from exc
-        # a and the initial value are sampled at t = 0, a also at the cell
-        # midpoints; b, c and the source at the time nodes after t = 0
-        # (L1) and the step midpoints (spectral)
-        x, tn = grid.nodes, tgrid.nodes
-        faces = np.sort(np.concatenate([x, 0.5 * (x[:-1] + x[1:])]))
-        times = np.sort(np.concatenate([tn[1:], 0.5 * (tn[:-1] + tn[1:])]))
-        at_zero = {"a": (faces, np.zeros(1)), "initial": (x, np.zeros(1))}
-        for key, e in expr.items():
-            if e is not None:
-                _require_finite(key, e, *at_zero.get(key, (x, times)))
-        # an Expression is a callable of (x, t = 0.0), the form the specs take
+        # an Expression is a callable of (x, t = 0.0), the form the specs
+        # take; assemble checks a, ProblemSpec the other fields
         try:
             spec = EllipticSpec(a=expr["a"], b=expr["b"], c=expr["c"], c0=c0,
                                 sigma_lo=sigma_lo, sigma_hi=sigma_hi)
             op = assemble(spec, grid)  # rejects a <= 0 on the same points
+            problem = ProblemSpec(alpha, spec, grid, tgrid, expr["initial"], source=expr["source"])
+        except NonFiniteError as exc:
+            raise ConfigError(f"config key {exc}") from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # a very short domain gives diffusion entries that are not finite, or
@@ -190,7 +175,6 @@ def build_problem(cfg):
             raise ConfigError(f"grid (domain, n_space): the assembled operator's largest entry "
                               f"times the {grid.n_nodes} nodes is {scale:.3g}, beyond "
                               f"{_MAX_OPERATOR_SCALE:.3g}; take a longer domain or a smaller n_space")
-    problem = ProblemSpec(alpha, spec, grid, tgrid, expr["initial"], source=expr["source"])
 
     terms = {"": None, "none": None, "enzyme": builtin_enzyme, "burgers": builtin_burgers}
     name = cfg["semilinear"].strip().lower()

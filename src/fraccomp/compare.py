@@ -20,11 +20,8 @@ from scipy.special import gamma
 
 from .elliptic import (
     EigenDecomposition,
-    EllipticSpec,
     SpaceField,
-    _node_values,
     assemble,
-    eigendecompose,
     principal_eigenpair,
 )
 from .evolve_linear import Field, ProblemSpec, SolverError, _L1Steps, _l1_march, solve_linear_spectral
@@ -141,33 +138,15 @@ def _require_nonnegative_data(p: ProblemSpec):
     time node for a >= 0 and F >= 0."""
     a0 = p.initial_values()
     _require_signed(a0, +1, "initial value")
-    if p.source is not None:
-        _require_signed(_sampled(p.source, p) if callable(p.source) else p.source, +1, "source")
+    _require_signed(_on_time_nodes(p, "source", 0.0), +1, "source")
     return a0
 
 
-def _on_nodes(fun, p: ProblemSpec):
-    """A coefficient fun(x, t) on every time node of p, one row per node
-    and one call per node; zeros for an absent coefficient."""
-    x = p.grid.nodes
-    if fun is None:
-        return np.zeros((p.tgrid.nodes.size, x.size))
-    return np.array([_node_values(fun(x, t), x) for t in p.tgrid.nodes])
-
-
-def _sampled(fun, p: ProblemSpec):
-    """_on_nodes for the hypothesis checks, which hold to a margin: one call
-    fun(x, t) with the column of time nodes where that gives one row per
-    node, as the march samples its coefficients, else one call per node."""
-    x, t = p.grid.nodes, p.tgrid.nodes
-    if fun is not None:
-        try:
-            v = np.asarray(fun(x, t[:, None]), dtype=float)
-        except Exception:  # any error: the per-node calls raise it again at its node
-            v = None
-        if v is not None and v.shape == (t.size, x.size):
-            return v
-    return _on_nodes(fun, p)
+def _on_time_nodes(p: ProblemSpec, key, absent=None):
+    """Coefficient key of p on every time node, one row per node or one row
+    for all (see elliptic.Coefficient.values), or absent where it is."""
+    v = p.coefficients[key].values(p.grid.nodes, p.tgrid.nodes)
+    return absent if v is None else v
 
 
 def comparison_pair(
@@ -189,18 +168,15 @@ def comparison_pair(
     _require_nonnegative_data(base)
 
     if which == "c":
-        s1 = replace(base.elliptic, c=c1)
-        s2 = replace(base.elliptic, c=c2)
-        if np.min(_sampled(s1.c_fun(), base) - _sampled(s2.c_fun(), base)) < -1e-13:
+        p1, p2 = _with_c(base, c1), _with_c(base, c2)
+        if np.min(_on_time_nodes(p1, "c", 0.0) - _on_time_nodes(p2, "c", 0.0)) < -1e-13:
             raise HypothesisViolation("need c1 >= c2 everywhere")
-        p1 = replace(base, elliptic=s1)
-        p2 = replace(base, elliptic=s2)
         name = "coefficient comparison (c1 >= c2)"
     elif which == "sigma":
-        cf = base.elliptic.c_fun()
-        if cf is None:
+        c = _on_time_nodes(base, "c")
+        if c is None:
             raise HypothesisViolation("sigma comparison needs c < 0; got c = 0")
-        _require_signed(_sampled(cf, base), -1, "zeroth-order coefficient c")
+        _require_signed(c, -1, "zeroth-order coefficient c")
         if not (sigma2 >= sigma1 > 0.0):
             raise HypothesisViolation("need sigma2 >= sigma1 >= sigma0 > 0")
         p1 = replace(base, elliptic=replace(base.elliptic, sigma_lo=sigma1, sigma_hi=sigma1))
@@ -227,15 +203,6 @@ def coefficient_comparison(
     return u1, u2, check_ordering(u1, u2, base.alpha, name=name)
 
 
-def _frozen_l1(p: ProblemSpec, steps: _L1Steps, forcing):
-    """One implicit-L1 solve of a chain on steps, the table of its frozen
-    operator, with the forcing frozen at the iterate (one row per time
-    node) plus p's source."""
-    src = 0.0 if p.source is None else np.array(
-        [p.source_at(t, node_index=k) for k, t in enumerate(p.tgrid.nodes)])
-    return _l1_march(replace(p, source=forcing + src), steps)
-
-
 def _with_c(p: ProblemSpec, c) -> ProblemSpec:
     return replace(p, elliptic=replace(p.elliptic, c=c))
 
@@ -249,7 +216,7 @@ def linear_monotone_sequence(p: ProblemSpec, b0_const, n_max):
     A1 = -(a u')' - b u' + b0 u.  All iterates stay nonnegative and converge
     geometrically to the direct solution."""
     a0 = _require_nonnegative_data(p)
-    c_vals = _on_nodes(p.elliptic.c_fun(), p)
+    c_vals = _on_time_nodes(p, "c", 0.0)
     c_max = float(np.max(np.abs(c_vals)))
     if b0_const < c_max:
         raise HypothesisViolation(f"b0 = {b0_const} below ||c||_inf = {c_max}")
@@ -258,7 +225,7 @@ def linear_monotone_sequence(p: ProblemSpec, b0_const, n_max):
     steps = _L1Steps(_with_c(p, -float(b0_const)))  # every sweep solves with this operator
     gain = b0_const + c_vals
     for _ in range(n_max - 1):
-        nxt = _frozen_l1(p, steps, gain * iterates[-1].values)
+        nxt = _l1_march(p, steps, gain * iterates[-1].values)
         iterates.append(nxt)
         if not np.all(np.isfinite(nxt.values)):
             raise RuntimeError("monotone sequence diverged; b0 too small or grid too coarse")
@@ -276,8 +243,10 @@ class MonotoneIterationResult:
 def _shifted(p: ProblemSpec, M) -> ProblemSpec:
     """p with A + (M+1) I in place of A: c - (M+1) in place of c."""
     shift = M + 1.0
-    cf = p.elliptic.c_fun()
-    return _with_c(p, -shift if cf is None else (lambda xx, tt: cf(xx, tt) - shift))
+    c = p.elliptic.c
+    if callable(c):
+        return _with_c(p, lambda x, t: c(x, t) - shift)
+    return _with_c(p, -shift if c is None else np.asarray(c, dtype=float) - shift)
 
 
 def _l_map(p: ProblemSpec, f: SemilinearTerm, M, u_field: Field, rows) -> Field:
@@ -287,7 +256,7 @@ def _l_map(p: ProblemSpec, f: SemilinearTerm, M, u_field: Field, rows) -> Field:
     p's L1 weight rows, for a sweep that factors its own steps."""
     steps = rows if isinstance(rows, _L1Steps) else _L1Steps(_shifted(p, M), rows, keep=False)
     u = u_field.values
-    return _frozen_l1(p, steps, (M + 1.0) * u + f(p.grid.nodes, u))
+    return _l1_march(p, steps, (M + 1.0) * u + f(p.grid.nodes, u))
 
 
 def monotone_iteration(
@@ -354,7 +323,7 @@ def verify_barrier(candidate: Field, kind: str, p: ProblemSpec, f=None) -> Check
         rhs = np.zeros_like(x)
         if f is not None:
             rhs = rhs + f(x, v[k])
-        src = p.source_at(tn[k], node_index=k)
+        src = p.source_at(tn[k])
         if src is not None:
             rhs = rhs + src
         resid[k] = cap[k] + op.apply_full(v[k], tn[k]) - rhs

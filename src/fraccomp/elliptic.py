@@ -14,8 +14,10 @@ the one-sided derivative rows, so every implicit solve is pentadiagonal.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -45,33 +47,122 @@ class DegenerateEigenpairError(RuntimeError):
     pass
 
 
-def _node_values(values, x):
-    """values as a writable float array of x's shape: a scalar, a shorter
-    shape or a read-only array is broadcast into a fresh array."""
-    v = np.asarray(values, dtype=float)
-    if v.shape != np.shape(x) or not v.flags.writeable:
-        v = v * np.ones_like(x)
-    return v
+class NonFiniteError(ValueError):
+    """A field that is not finite at a point the solvers sample."""
 
 
-def _as_xfun(f):
-    """Coefficient given as a constant or a callable of x."""
-    if f is None:
-        return None
-    if callable(f):
-        return lambda x: _node_values(f(x), x)
-    c = float(f)
-    return lambda x: np.full_like(np.asarray(x, dtype=float), c)
+def _require_finite(key, values, x, t):
+    """NonFiniteError at the first (x[i], t[k]) where values, one row per
+    time of t or a row, is not finite."""
+    finite = np.isfinite(np.atleast_2d(values))
+    if not finite.all():
+        k, i = np.argwhere(~finite)[0]
+        raise NonFiniteError(f"{key!r} is not finite at x = {x[i]:.6g}, t = {t[k]:.6g}")
 
 
-def _as_xtfun(f):
-    """Coefficient given as a constant or a callable of (x, t)."""
-    if f is None:
-        return None
-    if callable(f):
-        return lambda x, t: _node_values(f(x, t), x)
-    c = float(f)
-    return lambda x, t: np.full_like(np.asarray(x, dtype=float), c)
+ABSENT, CONSTANT, X_ONLY, BROADCASTS, PER_TIME, TIME_NODES = (
+    "absent", "constant", "x-only", "broadcasts", "per time", "time nodes")
+
+
+@dataclass(frozen=True, eq=False)
+class Coefficient:
+    """A coefficient a(x), b(x, t), c(x, t), b0(x, t) or a source F(x, t),
+    of one of six kinds, by what it is and what a callable returns for the
+    nodes and a column of times:
+
+    * absent: None;
+    * constant: a number, never called;
+    * x-only: (nodes,) or (1, nodes), independent of t: kept as that row;
+    * broadcasts: (times, nodes), as numpy expressions: one call per column;
+    * per time: anything else, or a raise: one call per time;
+    * time nodes: an array of one row per time node and one column per node
+      or one, read at a time node and at a step midpoint as the mean of its
+      two ends.
+
+    of takes a callable as per time (a, of x alone, as x-only, called per
+    evaluation); decided settles its kind."""
+
+    key: str
+    f: object
+    kind: str
+    x: Optional[np.ndarray] = field(default=None, repr=False)  # the nodes of row
+    row: Optional[np.ndarray] = field(default=None, repr=False)  # constant and x-only kinds
+    t: Optional[np.ndarray] = field(default=None, repr=False)  # time nodes of the time-nodes kind
+    with_t: bool = True  # called as f(x, t), else as f(x)
+
+    @classmethod
+    def of(cls, key, f, with_t=True):
+        if f is None:
+            return cls(key, None, ABSENT)
+        if callable(f):
+            return cls(key, f, PER_TIME if with_t else X_ONLY, with_t=with_t)
+        if isinstance(f, numbers.Real):
+            return cls(key, float(f), CONSTANT)
+        return cls(key, f, TIME_NODES)
+
+    def decided(self, x, t, times):
+        """This coefficient on the nodes x and time nodes t, its kind
+        decided by one call f(x, times[:, None]) with the times the solvers
+        sample, which is also the finiteness check (NonFiniteError); the
+        samples are not kept.  An array of another shape is a ValueError."""
+        key, f, kind = self.key, self.f, self.kind
+        if kind == TIME_NODES:
+            try:
+                rows = np.asarray(f, dtype=float)
+            except (TypeError, ValueError):
+                rows = None
+            shapes = ((t.size, x.size), (t.size, 1))
+            if rows is None or rows.shape not in shapes:
+                got = type(f).__name__ if rows is None else f"shape {rows.shape}"
+                raise ValueError(f"{key} must be None, a number, a callable of (x, t) or an array of shape "
+                                 f"{shapes[0]} or {shapes[1]}, one row per time node; got {got}")
+            _require_finite(key, rows, x, t)
+            return Coefficient(key, rows, kind, t=t)
+        if kind == ABSENT:
+            return self
+        with np.errstate(all="ignore"):  # non-finite values are reported, not warned about
+            try:
+                v = np.full(x.shape, f) if kind == CONSTANT else np.asarray(f(x, times[:, None]), dtype=float)
+            except Exception:  # any error: the per-time calls raise it again
+                v = np.empty(0)
+            if v.shape in ((x.size,), (1, x.size), (times.size, x.size)):
+                _require_finite(key, v, x, times)
+                if v.shape == (times.size, x.size):
+                    return Coefficient(key, f, BROADCASTS)
+                return Coefficient(key, f, kind if kind == CONSTANT else X_ONLY, x, v.reshape(x.size))
+            per_time = Coefficient(key, f, PER_TIME)
+            for k, tk in enumerate(times):
+                _require_finite(key, per_time.values(x, tk), x, times[k:])
+        return per_time
+
+    def values(self, x, t=0.0):
+        """The values on the nodes x at the time t, (nodes,), or at a 1-D
+        array of times, (times, nodes); the row of the constant and x-only
+        kinds at every t, None for the absent kind."""
+        kind, f = self.kind, self.f
+        if kind == ABSENT or x is self.x:
+            return self.row
+        if kind == CONSTANT:
+            return np.full(np.shape(x), f)
+        if kind == TIME_NODES:
+            return self._on_time_nodes(t)
+        if kind == BROADCASTS and np.ndim(t):
+            return np.asarray(f(x, t[:, None]), dtype=float)
+        if np.ndim(t):
+            return np.array([self.values(x, tk) for tk in t])
+        return np.asarray(f(x, t) if self.with_t else f(x), dtype=float) * np.ones_like(x)
+
+    def _on_time_nodes(self, t):
+        """The time-nodes kind at the times t: time nodes or step midpoints."""
+        nodes, rows, tt = self.t, self.f, np.atleast_1d(t)
+        k = np.minimum(np.searchsorted(nodes, tt), nodes.size - 1)  # the first node at or after tt
+        lo = np.maximum(k, 1) - 1
+        at_node = nodes[k] == tt
+        if not (at_node | (tt == 0.5 * (nodes[lo] + nodes[lo + 1]))).all():
+            raise ValueError(f"{self.key} is an array on the time nodes: it is read at the time nodes "
+                             "and the step midpoints only")
+        v = np.where(at_node[:, None], rows[k], 0.5 * (rows[lo] + rows[lo + 1]))
+        return v if np.ndim(t) else v[0]
 
 
 @dataclass(frozen=True)
@@ -128,9 +219,10 @@ class EllipticSpec:
     """Coefficients of -A u = (a u')' + b u' + c u, the shifted self-adjoint
     part -(a u')' + c0 u, and the Robin data sigma >= 0 at both endpoints.
     b0 > 0 activates the positive-reaction form -(a u')' - b u' + b0 u.
-    The march samples a callable b or c 32 steps per call if it takes the
-    nodes and a column of times and returns (times, nodes), as numpy
-    expressions do; any other callable is called once per time."""
+    a is a number or a callable of x, refused by assemble where it is not
+    finite or not positive.  b, c and b0 are None, a number, a callable of
+    (x, t) or an array on the time nodes, held in coefficients; a
+    ProblemSpec decides the kinds of b and c on its grid (see Coefficient)."""
 
     a: object = 1.0
     b: object = None
@@ -139,30 +231,16 @@ class EllipticSpec:
     sigma_lo: float = 0.0
     sigma_hi: float = 0.0
     b0: object = None
+    coefficients: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.c0 < 0.0:
             raise ValueError("c0 must be >= 0")
         if self.sigma_lo < 0.0 or self.sigma_hi < 0.0:
             raise ValueError("Robin coefficients must be >= 0")
-
-    @cached_property
-    def _funs(self):
-        """The coefficients as callables on node arrays, wrapped once per spec."""
-        return {"a": _as_xfun(self.a), "b": _as_xtfun(self.b),
-                "c": _as_xtfun(self.c), "b0": _as_xtfun(self.b0)}
-
-    def a_fun(self):
-        return self._funs["a"]
-
-    def b_fun(self):
-        return self._funs["b"]
-
-    def c_fun(self):
-        return self._funs["c"]
-
-    def b0_fun(self):
-        return self._funs["b0"]
+        object.__setattr__(self, "coefficients", {
+            "a": Coefficient.of("a", self.a, with_t=False), "b": Coefficient.of("b", self.b),
+            "c": Coefficient.of("c", self.c), "b0": Coefficient.of("b0", self.b0)})
 
 
 @dataclass(frozen=True)
@@ -198,11 +276,9 @@ class DiscreteOperator:
         """Vectors (b, c0 + c) sampled at time t for the splitting
         Q u = b u' + (c0 + c) u."""
         x = self.grid.nodes
-        bf = self.spec.b_fun()
-        cf = self.spec.c_fun()
-        b = bf(x, t) if bf is not None else None
-        c = cf(x, t) if cf is not None else np.zeros_like(x)
-        return b, self.spec.c0 + c
+        coefs = self.spec.coefficients
+        c = coefs["c"].values(x, t)
+        return coefs["b"].values(x, t), self.spec.c0 + (0.0 if c is None else c)
 
     def apply_q(self, v, parts):
         """Q v with parts = q_parts(t), so a time step samples them once."""
@@ -256,21 +332,26 @@ class DiscreteOperator:
     def robin_residual(self, v):
         """Conormal-plus-sigma boundary residuals (left, right) of a field,
         with one-sided second-order derivatives."""
-        x = self.grid.nodes
-        af = self.spec.a_fun()
+        a = self.spec.coefficients["a"].values(self.grid.nodes[[0, -1]])
         dv = self.derivative(v)
-        lo = -float(af(x[:1])[0]) * dv[0] + self.spec.sigma_lo * v[0]
-        hi = float(af(x[-1:])[0]) * dv[-1] + self.spec.sigma_hi * v[-1]
+        lo = -a[0] * dv[0] + self.spec.sigma_lo * v[0]
+        hi = a[1] * dv[-1] + self.spec.sigma_hi * v[-1]
         return lo, hi
 
 
 def assemble(spec: EllipticSpec, grid: Grid1D, t: float = 0.0) -> DiscreteOperator:
-    """Flux-form assembly; rejects non-elliptic a(x)."""
+    """Flux-form assembly.  a is evaluated once on the nodes and the cell
+    midpoints, and refused there where it is not finite (NonFiniteError)
+    or not positive (ValueError)."""
     x = grid.nodes
     h = grid.h
-    af = spec.a_fun()
-    a_mid = af(0.5 * (x[:-1] + x[1:]))
-    if np.min(af(x)) <= 0.0 or np.min(a_mid) <= 0.0:
+    faces = np.empty(2 * x.size - 1)
+    faces[::2], faces[1::2] = x, 0.5 * (x[:-1] + x[1:])
+    with np.errstate(all="ignore"):
+        a_faces = spec.coefficients["a"].values(faces)
+    _require_finite("a", a_faces, faces, np.zeros(1))
+    a_mid = a_faces[1::2]
+    if np.min(a_faces) <= 0.0:
         raise ValueError("ellipticity violated: a(x) must be positive")
     m = grid.n_nodes
     diag = np.zeros(m)
@@ -342,9 +423,8 @@ def principal_eigenpair(eig: EigenDecomposition):
 
 def _reaction_vector(spec, grid, t):
     """b0(x,t) when present, else the c0 shift (the A0 form)."""
-    b0f = spec.b0_fun()
-    if b0f is not None:
-        vec = b0f(grid.nodes, t)
+    vec = spec.coefficients["b0"].values(grid.nodes, t)
+    if vec is not None:
         if np.min(vec) <= 0.0:
             raise ValueError("b0 must be positive")
         return vec

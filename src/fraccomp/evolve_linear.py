@@ -23,15 +23,17 @@ projection and the per-mode update.  The sweeps start from the cubic
 extrapolation of u and u' from the last four nodes, so that they mostly
 stop after 2 sweeps; the march returns the number of sweeps per node.
 The coefficients b, c and the source are sampled at the step midpoints
-_RELAX_BLOCK steps per call where they take a column of times, and once per
-step where they do not.  The march takes a leading problem axis: problems
-that share alpha, the time nodes and the number of space nodes (a Batch)
-are marched as one, with one memory of all their modes and the products of
-the sweeps stacked, so that a short march's numpy overhead is paid once per
-batch.  solve_linear_spectral is a batch of one, and
-solve_linear_spectral_many groups a list of problems into batches of up to
-_BATCH_MODES modes, which the verify suites' ensembles fill one per alpha
-(_batches; evolve_semilinear.solve_semilinear_many groups the same way).
+_RELAX_BLOCK steps per call where they take a column of times, once per
+step where they do not, and never where they do not depend on t, as the
+kinds decided when each problem was built say (elliptic.Coefficient).  The
+march takes a leading problem axis: problems that share alpha, the time
+nodes and the number of space nodes (a Batch) are marched as one, with one
+memory of all their modes and the products of the sweeps stacked, so that
+a short march's numpy overhead is paid once per batch.
+solve_linear_spectral is a batch of one, and solve_linear_spectral_many
+groups a list of problems into batches of up to _BATCH_MODES modes, which
+the verify suites' ensembles fill one per alpha (_batches;
+evolve_semilinear.solve_semilinear_many groups the same way).
 
 Both keep the entire memory: there is no semigroup restart in fractional time.
 The spectral route carries it compressed, as one running sum per mode and
@@ -54,18 +56,23 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln
 
 from .elliptic import (
+    ABSENT,
+    CONSTANT,
+    TIME_NODES,
+    X_ONLY,
+    Coefficient,
     EigenDecomposition,
     EllipticSpec,
     Grid1D,
     SpaceField,
-    _node_values,
+    _require_finite,
     assemble,
     banded_lu,
     banded_lu_solve,
@@ -78,7 +85,6 @@ __all__ = [
     "ProblemSpec",
     "Field",
     "SolverError",
-    "homogeneous_solution",
     "solve_linear_spectral",
     "solve_linear_spectral_many",
     "solve_linear_l1",
@@ -118,53 +124,48 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """The source is None, a callable of (x, t), sampled as EllipticSpec's b
-    and c are, or an array of one row per time node and n_nodes columns or
-    one, kept as a float array; anything else is a ValueError."""
+    """A problem d_t^alpha (u - a) + A u = F.  The source F is None, a
+    number, a callable of (x, t) or an array on the time nodes (kept as a
+    float array), as EllipticSpec's b and c are.  When the problem is
+    built, the kinds of b, c and F are decided (elliptic.Coefficient) on its
+    nodes and the times its solvers sample, the time nodes after t = 0 and
+    the step midpoints, by one call with the column of those times; b, c, F
+    or the initial value not finite there is a ValueError
+    (elliptic.NonFiniteError) naming the key and the first x and t."""
 
     alpha: float
     elliptic: EllipticSpec
     grid: Grid1D
     tgrid: TimeGrid
     initial: object  # SpaceField, array on the nodes, or callable of x
-    source: object = None  # None, callable (x, t) -> values, or array (n_t+1, n_nodes or 1)
+    source: object = None  # None, a number, callable (x, t) -> values, or array (n_t+1, n_nodes or 1)
+    coefficients: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.source is None or callable(self.source):
-            return
-        rows, cols = self.tgrid.nodes.size, self.grid.n_nodes
-        try:
-            src = np.asarray(self.source, dtype=float)
-        except (TypeError, ValueError):
-            src = None
-        if src is None or src.shape not in ((rows, cols), (rows, 1)):
-            got = type(self.source).__name__ if src is None else f"shape {src.shape}"
-            raise ValueError(f"source must be None, a callable of (x, t) or an array of shape "
-                             f"({rows}, {cols}) or ({rows}, 1), one row per time node; got {got}")
-        object.__setattr__(self, "source", src)
+        x, t = self.grid.nodes, self.tgrid.nodes
+        times = np.sort(np.concatenate([t[1:], 0.5 * (t[:-1] + t[1:])]))
+        spec = replace(self.elliptic)  # a copy with b and c decided, which the operators read
+        for key in ("b", "c"):
+            spec.coefficients[key] = spec.coefficients[key].decided(x, t, times)
+        with np.errstate(all="ignore"):
+            _require_finite("initial", self.initial_values(), x, t)
+        source = Coefficient.of("source", self.source).decided(x, t, times)
+        if source.kind == TIME_NODES:
+            object.__setattr__(self, "source", source.f)
+        object.__setattr__(self, "elliptic", spec)
+        object.__setattr__(self, "coefficients", {**spec.coefficients, "source": source})
 
     def initial_values(self):
-        x = self.grid.nodes
-        a = self.initial
-        if isinstance(a, SpaceField):
-            return a.values.copy()
-        if callable(a):
-            return np.asarray(a(x), dtype=float) * np.ones_like(x)
-        return np.asarray(a, dtype=float) * np.ones_like(x)
+        a, x = self.initial, self.grid.nodes
+        v = a.values if isinstance(a, SpaceField) else a(x) if callable(a) else a
+        return np.asarray(v, dtype=float) * np.ones_like(x)
 
     def source_at(self, t, node_index=None):
-        """Source values on the nodes at time t.  Array sources are stored on
-        the time nodes and read at node_index, which they require."""
-        if self.source is None:
-            return None
-        if callable(self.source):
-            x = self.grid.nodes
-            return _node_values(self.source(x, t), x)
-        if node_index is None:
-            raise ValueError("an array source is read at a time node: pass node_index")
-        return self.source[node_index]
+        """Source values on the nodes at time t, or None; an array source is
+        read at a time node or a step midpoint, without node_index."""
+        return self.coefficients["source"].values(self.grid.nodes, t)
 
 
 @dataclass(frozen=True)
@@ -182,15 +183,6 @@ class Field:
     def restrict_time(self, k_last):
         sub = TimeGrid(self.tgrid.nodes[: k_last + 1])
         return Field(self.grid, sub, self.values[: k_last + 1].copy())
-
-
-def homogeneous_solution(a, eig: EigenDecomposition, alpha, t) -> np.ndarray:
-    """S(t) a: the relaxation-damped eigen-expansion of the initial value."""
-    av = a.values if isinstance(a, SpaceField) else np.asarray(a, dtype=float)
-    coef = eig.project(av)
-    # the discrete Neumann ground eigenvalue is zero only to rounding
-    damped = coef * relaxation_batch(alpha, np.maximum(eig.lambdas, 0.0) * t ** alpha)
-    return eig.synthesize(damped)
 
 
 def _kernel_masses(alpha, lambdas, dt_pow):
@@ -358,7 +350,7 @@ class _Memory:
         # far, a row of the last block's schedule, outlive it
         self.folded = self.folded.copy()
         relax, w_cur, fold, fold_last = (buf[:B] for buf in self.block_bufs)
-        # scalar powers, like homogeneous_solution's t ** alpha: numpy's
+        # scalar powers, as the closed form of S(t) a takes them: numpy's
         # vectorised power can differ from them in the last bit
         t_pow = np.array([(t[k] - t[0]) ** alpha for k in range(m, stop)])
         dt_pow = (t[m:stop] - t[m - 1 : stop - 1]) ** alpha
@@ -597,29 +589,21 @@ class _Memory:
 
 
 class _Sampled:
-    """The coefficients f_s(x_s, t) of a batch's problems at the step
-    midpoints, stacked on the problem axis as f_s, or as
-    0.5 (shift_s + f_s) where a shift is given, on each problem's nodes x_s:
-    rows[k, s] holds midpoint k of the block.  A callable f_s is called with
-    x_s and the column of a block's times; if the first block's call gives
-    (times, nodes) it is so sampled each block (and per time in a block
-    whose call fails), else per time for the whole march, as the block
-    begins.  at raises a per-time call's error at its own step.  A number
-    f_s is never called; an array f_s holds values on the time nodes, and a
-    step takes the mean of its two ends.  Where every f_s is a number, a
-    row is one value per problem."""
+    """The coefficients f_s (see elliptic.Coefficient) of a batch's problems
+    at the step midpoints, stacked on the problem axis as f_s, or as
+    0.5 (shift_s + f_s) where a shift is given: rows[k, s] holds midpoint k
+    of the block.  The absent, constant and x-only kinds are written once;
+    the others are read by block."""
 
-    def __init__(self, fs, xs, shift=None):
-        self.fs, self.xs, self.shift = fs, xs, shift
-        self.sampled = [s for s, f in enumerate(fs) if callable(f) or isinstance(f, np.ndarray)]
-        self.by_column = [None] * len(fs)  # per problem, set by the first block
-        self.errors = {}  # step in the block: the error of its per-time call
-        self.rows = np.zeros((_RELAX_BLOCK, len(fs), xs[0].size if self.sampled else 1))
+    def __init__(self, coefs, xs, shift=None):
+        self.coefs, self.xs, self.shift = coefs, xs, shift
+        self.sampled = [s for s, f in enumerate(coefs) if f.kind not in (ABSENT, CONSTANT, X_ONLY)]
+        self.rows = np.zeros((_RELAX_BLOCK, len(coefs), xs[0].size))
         # what at returns: a batch of one drops the problem axis (see spectral_march)
-        self.view = self.rows[:, 0] if len(fs) == 1 else self.rows
-        for s, f in enumerate(fs):
+        self.view = self.rows[:, 0] if len(coefs) == 1 else self.rows
+        for s, f in enumerate(coefs):
             if s not in self.sampled:
-                self._put(self.rows[:, s], s, float(f))
+                self._put(self.rows[:, s], s, 0.0 if f.kind == ABSENT else f.values(xs[s]))
         self._flags()
 
     def _put(self, out, s, v):
@@ -635,38 +619,14 @@ class _Sampled:
         self.nonzero = self.rows.any(axis=2)
         self.any_nonzero = self.nonzero.any(axis=1).tolist()
 
-    def block(self, m0, ts):
-        """Sample the midpoints ts of the steps m0 + 1, m0 + 2, ..."""
-        B = ts.size
+    def block(self, ts):
+        """Sample the midpoints ts of the block's steps."""
         for s in self.sampled:
-            f, x, out = self.fs[s], self.xs[s], self.rows[:B, s]
-            if isinstance(f, np.ndarray):
-                np.add(f[m0 : m0 + B], f[m0 + 1 : m0 + B + 1], out=out)
-                out *= 0.5
-                continue
-            if self.by_column[s] is not False:
-                try:
-                    v = np.asarray(f(x, ts[:, None]), dtype=float)
-                except Exception:  # any error: the per-time calls raise it again at its node
-                    v = None
-                fits = v is not None and v.shape == (B, x.size)
-                if self.by_column[s] is None:
-                    self.by_column[s] = fits
-                if fits:
-                    self._put(out, s, v)
-                    continue
-            for k in range(B):
-                try:
-                    self._put(out[k], s, f(x, ts[k]))
-                except Exception as exc:  # where several fail at step k, the first problem's
-                    self.errors.setdefault(k, exc)
-                    break
+            self._put(self.rows[: ts.size, s], s, self.coefs[s].values(self.xs[s], ts))
         self._flags()
 
     def at(self, k):
         """Row k of the block, and whether it has an entry other than 0."""
-        if k in self.errors:
-            raise self.errors[k]
         return self.view[k], self.any_nonzero[k]
 
 
@@ -779,6 +739,7 @@ class ModeStack:
         object.__setattr__(self, "lambdas", np.concatenate([e.lambdas for e in self.eigs]))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the non-finite checks below report
 def spectral_march(
     batch: Batch,
     stack: ModeStack,
@@ -808,8 +769,8 @@ def spectral_march(
     and, in a batch of several, the problem (see Batch.label).
 
     b / 2, (c0 + c) / 2 and the source are sampled at the step midpoints a
-    block of _RELAX_BLOCK steps at a time, each per block or per time as the
-    first block decides (see _Sampled); without b and c, Q is the constant
+    block of _RELAX_BLOCK steps at a time, each as its kind says (see
+    _Sampled and elliptic.Coefficient); without b and c, Q is the constant
     c0 and is not sampled.  A problem whose samples of b and c0 + c are all
     zero at a step takes u_m directly.
 
@@ -820,10 +781,11 @@ def spectral_march(
     problem's own term (a batch of one has no problem axis).  Under a
     nonlinearity every problem sweeps at every node.  state_guard(u, k)
     sees u_k of every problem (same axes) and may raise to abort (box
-    monitoring).  Returns the field values, (S, time nodes, space nodes),
-    and per problem and node the number of sweeps (applications of the map;
-    0 where nothing couples the modes and u_m is taken directly),
-    (S, time steps)."""
+    monitoring).  Numpy's overflow and invalid-value warnings are off: a
+    step forcing or a field that is not finite ends as a SolverError.
+    Returns the field values, (S, time nodes, space nodes), and per problem
+    and node the number of sweeps (applications of the map; 0 where nothing
+    couples the modes and u_m is taken directly), (S, time steps)."""
     problems = batch.problems
     S = len(problems)
     t = batch.tgrid.nodes
@@ -836,23 +798,20 @@ def spectral_march(
     lead = (S,) if S > 1 else ()
     # first, so that a relaxation table it builds meets none of the arrays below
     memory = _Memory(batch.alpha, stack.lambdas.reshape(lead + (n_modes,)), t)
-    grids = [p.grid for p in problems]
-    xs = [g.nodes for g in grids]
-    a = np.empty((S, n_nodes))
+    xs = [p.grid.nodes for p in problems]
+    u = np.empty((N + 1, S, n_nodes))
+    a = u[0]  # the initial values, finite: checked when each problem was built
     for j, p in enumerate(problems):
         a[j] = p.initial_values()
-        if not np.all(np.isfinite(a[j])):
-            raise _non_finite("initial value", 0, p.grid, a[j], batch.label(j))
     a_coef = np.stack([e.project(v) for e, v in zip(stack.eigs, a)]).reshape(lead + (n_modes,))
     mids = 0.5 * (t[:-1] + t[1:])
-    specs = [p.elliptic for p in problems]
-    half_b = None
-    if any(sp.b is not None for sp in specs):
-        half_b = _Sampled([0.0 if sp.b is None else sp.b for sp in specs], xs, np.zeros(S))
-    half_c = _Sampled([0.0 if sp.c is None else sp.c for sp in specs], xs, [sp.c0 for sp in specs])
-    src = None
-    if any(p.source is not None for p in problems):
-        src = _Sampled([0.0 if p.source is None else p.source for p in problems], xs)
+    coefs = {key: [p.coefficients[key] for p in problems] for key in ("b", "c", "source")}
+    half_b = src = None
+    if any(f.kind != ABSENT for f in coefs["b"]):
+        half_b = _Sampled(coefs["b"], xs, np.zeros(S))
+    half_c = _Sampled(coefs["c"], xs, [p.elliptic.c0 for p in problems])
+    if any(f.kind != ABSENT for f in coefs["source"]):
+        src = _Sampled(coefs["source"], xs)
     sampled = [smp for smp in (half_b, half_c, src) if smp is not None and smp.sampled]
     no_source = np.zeros(lead + (n_nodes,))
     # one product gives the nodal values and, under a drift, their derivative
@@ -862,8 +821,7 @@ def spectral_march(
     proj = np.stack([(e.modes * e.weights[:, None]).T for e in stack.eigs]).reshape(lead + (n_modes, n_nodes))
     start = _extrapolation_weights(t)
 
-    u = np.empty((N + 1,) + lead + (n_nodes,))
-    u[0] = u_prev = a.reshape(lead + (n_nodes,))
+    u_prev = a.reshape(lead + (n_nodes,))
     # u' at the last node, under a drift
     du = None
     if half_b is not None:
@@ -883,7 +841,7 @@ def spectral_march(
         k = (m - 1) % _RELAX_BLOCK
         if k == 0:
             for smp in sampled:
-                smp.block(m - 1, mids[m - 1 : m - 1 + _RELAX_BLOCK])
+                smp.block(mids[m - 1 : m - 1 + _RELAX_BLOCK])
         # the part of the step forcing that u_{m-1} fixes: F + Q u_{m-1} / 2
         fixed = no_source if src is None else src.at(k)[0]
         half_c_m, any_active = half_c.at(k)
@@ -926,7 +884,7 @@ def spectral_march(
             state_guard(u_prev, m)
         g_hist[m - 1] = g
 
-    return u.reshape(N + 1, S, n_nodes).transpose(1, 0, 2), counts.reshape(N, S).T
+    return u.transpose(1, 0, 2), counts.reshape(N, S).T
 
 
 def _first_non_finite(batch, what, m, test, values, rows=None):
@@ -1095,10 +1053,10 @@ def _singular(op, t, w, m):
     return SolverError(f"implicit step {m} is singular: {why}", node=m)
 
 
-def _l1_march(p: ProblemSpec, steps: _L1Steps) -> Field:
+def _l1_march(p: ProblemSpec, steps: _L1Steps, forcing=None) -> Field:
     """The implicit L1 march of p on steps, the weight rows and factors of
-    p's operator: a chain of solves that differ only in their source shares
-    one table."""
+    p's operator, with forcing, one row per time node, added to p's source:
+    a chain of solves that differ only in their forcing shares one table."""
     op = steps.op
     t = p.tgrid.nodes
     N = t.size - 1
@@ -1108,7 +1066,9 @@ def _l1_march(p: ProblemSpec, steps: _L1Steps) -> Field:
     u[0] = a
     du = np.empty((N, n_nodes))
     for m in range(1, N + 1):
-        f = p.source_at(t[m], node_index=m)
+        f = p.source_at(t[m])
+        if forcing is not None:
+            f = forcing[m] + (0.0 if f is None else f)
         w, factors = steps.at(m)
         rhs = w[-1] * u[m - 1]
         if m > 1:

@@ -194,8 +194,8 @@ def solve_semilinear_stationary(
         raise ValueError("stationary solver needs a pointwise nonlinearity")
     if not f.monotone_decreasing:
         raise ValueError("stationary solver requires a monotone decreasing term")
-    cf = spec.c_fun()
-    if cf is not None and np.max(cf(grid.nodes, 0.0)) > 0.0:
+    c = spec.coefficients["c"].values(grid.nodes, 0.0)
+    if c is not None and np.max(c) > 0.0:
         raise ValueError("stationary theory needs c <= 0")
     op = assemble(spec, grid)
     A = op.bands(0.0)

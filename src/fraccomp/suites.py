@@ -64,8 +64,7 @@ def _check_ex1(p, _):
 
 
 EX1 = Experiment(
-    lambda alpha, n, N: (_neumann_problem(alpha, n, N, 1.0, 0.0,
-                                          source=lambda x, t: np.ones_like(x) * np.ones_like(t)), None),
+    lambda alpha, n, N: (_neumann_problem(alpha, n, N, 1.0, 0.0, source=1.0), None),
     _check_ex1, (48, 256), ("t", "min_x_u", "lower_bound"), "power-source lower bound")
 
 
@@ -308,7 +307,7 @@ def suite_ordering(rng):
     for _ in range(10):
         alpha = float(rng.choice([0.3, 0.5, 0.7]))
         p = random_linear_problem(rng, alpha, n=20, N=64, with_drift=True)
-        c = lambda x, t: (-0.2 - 0.3 * np.sin(x) ** 2) * np.ones_like(t)
+        c = lambda x, t: -0.2 - 0.3 * np.sin(x) ** 2
         p = replace(p, elliptic=replace(p.elliptic, c=c))
         s1 = float(rng.uniform(0.2, 1.5))
         s2 = s1 + float(rng.uniform(0.0, 1.5))

@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 
 from fraccomp import special_ml, suites
 from fraccomp.cli import main
+from fraccomp.elliptic import EllipticSpec, Grid1D
+from fraccomp.evolve_linear import ProblemSpec
+from fraccomp.fracops import TimeGrid
 
 
 def run_cli(args):
@@ -262,6 +265,34 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "grading_r = 200 (the default 2/alpha)" in err
         assert "smaller grading_r or time_grading = uniform" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("key, text, as_callable", [
+        ("b", "1/(x-0.5)", lambda x, t: 1.0 / (x - 0.5)),
+        ("c", "x + 1/(t-0.5)", lambda x, t: x + 1.0 / (t - 0.5)),
+        ("source", "x/(t-0.5)", lambda x, t: x / (t - 0.5)),
+    ])
+    def test_non_finite_field_refused_alike_by_both_interfaces(self, tmp_path, capsys, key, text, as_callable):
+        # the command line and a ProblemSpec built from Python refuse the
+        # same field in the same place, with the same text
+        settings = [f"{key}={text}", "n_space=33", "time_grading=uniform", "n_time=4"]
+        assert run_cli(["solve", "--out", str(tmp_path)] + [a for s in settings for a in ("--set", s)]) == 2
+        err = capsys.readouterr().err
+        spec = EllipticSpec(c0=1.0, **({} if key == "source" else {key: as_callable}))
+        with pytest.raises(ValueError) as built:
+            ProblemSpec(0.5, spec, Grid1D(0.0, 1.0, 33), TimeGrid.uniform(1.0, 4), 0.0,
+                        source=as_callable if key == "source" else None)
+        assert str(built.value).startswith(f"{key!r} is not finite at x = ")
+        assert err == f"config error: config key {built.value}\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_march_fails_without_warnings(self, tmp_path, capsys):
+        # Burgers' product overflows in the sweeps of node 1: numpy's
+        # warnings are off in the march, and its non-finite check reports
+        settings = ["alpha=0.9", "T=10", "a=2+sin(t)", "c=-60", "c0=0", "n_space=3", "n_time=2",
+                    "initial=0.5", "source=1", "semilinear=burgers"]
+        assert run_cli(["solve", "--out", str(tmp_path)] + [a for s in settings for a in ("--set", s)]) == 3
+        assert capsys.readouterr().err == "solver failure: non-finite step forcing at time node 1 (first at x = 0)\n"
 
     def test_fields_checked_on_the_grid_only(self, tmp_path):
         # singular at x = 0.1 and t = 0, neither of which the solvers sample

@@ -185,17 +185,49 @@ class TestComparisonPair:
         def counted(f):
             return lambda x, t: calls.append(t) or f(x, t)
 
-        # math.exp takes no column of times: after that call fails, one call per node
-        comparison_pair(replace(p, source=counted(lambda x, t: np.cos(x) ** 2 * math.exp(-t))),
-                        which="c", c1=0.0, c2=-1.0)
-        assert len(calls) == 1 + 65
-        # F < 0 only at the interior node t_5, with and without a column of times
-        for f, n_calls in ((lambda x, t: (np.cos(x) ** 2 - 0.5 * (t == t5)) * math.exp(-t), 1 + 65),
+        # math.exp takes no column of times: a problem built with such a
+        # source probes it once and checks it once per time the solvers
+        # sample (2 x 64), and the check calls it once per node (65); the
+        # pair's two problems are built after the check
+        q = replace(p, source=counted(lambda x, t: np.cos(x) ** 2 * math.exp(-t)))
+        assert len(calls) == 1 + 128
+        calls.clear()
+        comparison_pair(q, which="c", c1=0.0, c2=-1.0)
+        assert len(calls) == 65 + 2 * (1 + 128)
+        # F < 0 only at the interior node t_5, with and without a column of
+        # times: the check makes one call per node or one call
+        for f, n_calls in ((lambda x, t: (np.cos(x) ** 2 - 0.5 * (t == t5)) * math.exp(-t), 65),
                            (lambda x, t: np.cos(x) ** 2 - 0.5 * (t == t5), 1)):
+            q = replace(p, source=counted(f))
             calls.clear()
             with pytest.raises(HypothesisViolation, match="^source must be nonnegative$"):
-                comparison_pair(replace(p, source=counted(f)), which="c", c1=0.0, c2=-1.0)
+                comparison_pair(q, which="c", c1=0.0, c2=-1.0)
             assert len(calls) == n_calls
+
+    def test_constant_c_is_never_evaluated(self, monkeypatch):
+        # c is decided once per problem: a constant is never evaluated, on
+        # the time nodes or per L1 step, and a broadcasting c is called once
+        # when its problem is built and once by the check
+        from fraccomp.elliptic import Coefficient
+        from fraccomp.evolve_linear import solve_linear_l1
+
+        evaluated, values = [], Coefficient.values
+
+        def spy(self, x, t=0.0):
+            v = values(self, x, t)
+            if self.key == "c" and self.kind == "constant" and v is not self.row:
+                evaluated.append(t)
+            return v
+
+        monkeypatch.setattr(Coefficient, "values", spy)
+        p = neumann_problem(initial=1.0, c0=1.0, N=64, source=lambda x, t: 0.5 + 0.0 * x * t)
+        p1, p2, _ = comparison_pair(p, which="c", c1=-0.1, c2=-0.3)
+        solve_linear_l1(p1)
+        assert evaluated == []
+        calls = []
+        c1 = lambda x, t: calls.append(np.shape(t)) or -0.1 + 0.0 * x * t
+        comparison_pair(p, which="c", c1=c1, c2=-0.3)
+        assert calls == [(128, 1), (65, 1)] and evaluated == []
 
     @pytest.mark.parametrize("which, kw", [("c", dict(c1=0.0, c2=-1.0)),
                                            ("sigma", dict(sigma1=1.0, sigma2=2.0))])
@@ -265,7 +297,7 @@ class TestLinearMonotoneSequence:
                             c=lambda x, t: -0.3 + 0.2 * np.sin(3 * x + t))
         b0 = 0.6
         seq = linear_monotone_sequence(p, b0_const=b0, n_max=4)
-        c_vals = np.array([p.elliptic.c_fun()(p.grid.nodes, t) for t in p.tgrid.nodes])
+        c_vals = p.coefficients["c"].values(p.grid.nodes, p.tgrid.nodes)
         frozen = replace(p, elliptic=replace(p.elliptic, c=-b0))
         for prev, nxt in zip(seq, seq[1:]):
             direct = solve_linear_l1(replace(frozen, source=(b0 + c_vals) * prev.values + 0.0))
@@ -437,8 +469,8 @@ class TestChainSteps:
                                source=lambda x, t: 0.5 + 0.0 * x)
 
     def test_iterates_match_fresh_tables(self):
-        from fraccomp.compare import _frozen_l1, _l_map, _shifted, _with_c
-        from fraccomp.evolve_linear import _L1Steps
+        from fraccomp.compare import _l_map, _shifted, _with_c
+        from fraccomp.evolve_linear import _L1Steps, _l1_march
 
         p, barriers = self.sandwich()
         f = builtin_enzyme()
@@ -451,9 +483,9 @@ class TestChainSteps:
         p = self.linear()
         b0 = 0.6
         seq = linear_monotone_sequence(p, b0_const=b0, n_max=4)
-        gain = b0 + np.array([p.elliptic.c_fun()(p.grid.nodes, t) for t in p.tgrid.nodes])
+        gain = b0 + p.coefficients["c"].values(p.grid.nodes, p.tgrid.nodes)
         for prev, nxt in zip(seq, seq[1:]):
-            again = _frozen_l1(p, _L1Steps(_with_c(p, -b0)), gain * prev.values)
+            again = _l1_march(p, _L1Steps(_with_c(p, -b0)), gain * prev.values)
             assert np.array_equal(nxt.values, again.values)
 
     def test_one_factorization_per_node(self, monkeypatch):
@@ -475,6 +507,7 @@ class TestChainSteps:
     def test_non_finite_forcing_names_its_node(self, k):
         from dataclasses import replace
 
+        from fraccomp.elliptic import NonFiniteError
         from fraccomp.evolve_linear import SolverError
 
         message = f"non-finite operator or right-hand side at time node {k} "
@@ -486,11 +519,13 @@ class TestChainSteps:
         with pytest.raises(SolverError, match=re.escape(message)):
             monotone_iteration(p, f, BarrierPair(lower=Field(p.grid, p.tgrid, lower),
                                                  upper=Field(p.grid, p.tgrid, upper)), M=1.0, k_max=25)
+        # a non-finite source is refused where the problem is built
         p = self.linear(N=24)
         src = np.full((p.tgrid.nodes.size, p.grid.n_nodes), 0.5)
         src[k, 3] = np.inf
-        with pytest.raises(SolverError, match=re.escape(message)):
-            linear_monotone_sequence(replace(p, source=src), b0_const=0.6, n_max=3)
+        where = f"'source' is not finite at x = {p.grid.nodes[3]:.6g}, t = {p.tgrid.nodes[k]:.6g}"
+        with pytest.raises(NonFiniteError, match=f"^{re.escape(where)}$"):
+            replace(p, source=src)
 
 
 class TestBarrierBandE3:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -7,9 +8,11 @@ import pytest
 from scipy.special import gamma
 
 from fraccomp.elliptic import (
+    Coefficient,
     DiscreteOperator,
     EllipticSpec,
     Grid1D,
+    NonFiniteError,
     SpaceField,
     assemble,
     eigendecompose,
@@ -26,10 +29,8 @@ from fraccomp.evolve_linear import (
     ProblemSpec,
     SolverError,
     _Memory,
-    _Sampled,
     _extrapolation_weights,
     _kernel_masses,
-    homogeneous_solution,
     solve_linear_l1,
     solve_linear_spectral,
     solve_linear_spectral_many,
@@ -63,6 +64,15 @@ def make_problem(alpha=0.5, n=24, N=64, T=1.0, r=None, **spec_kw):
     tg = TimeGrid.graded(T, N, r if r is not None else 2.0 / alpha)
     spec = EllipticSpec(**spec_kw)
     return grid, tg, spec
+
+
+def homogeneous_solution(a, eig, alpha, t):
+    """S(t) a: the relaxation-damped eigen-expansion of the initial value,
+    the march's oracle without a forcing."""
+    coef = eig.project(np.asarray(a, dtype=float))
+    # the discrete Neumann ground eigenvalue is zero only to rounding
+    damped = coef * relaxation_batch(alpha, np.maximum(eig.lambdas, 0.0) * t ** alpha)
+    return eig.synthesize(damped)
 
 
 class TestHomogeneous:
@@ -234,13 +244,16 @@ def exact_duhamel(p, eig):
 
 
 def test_array_source_is_read_at_time_nodes():
-    # an array source holds one row per time node and is not interpolated
+    # an array source holds one row per time node and is not interpolated:
+    # a step midpoint, where the march samples, reads the mean of its ends
     grid, tg, spec = make_problem(N=8, c0=1.0)
-    src = np.arange(9.0)[:, None] * np.ones(grid.n_nodes)
+    src = np.arange(9.0)[:, None] ** 2 * np.ones(grid.n_nodes)
     p = ProblemSpec(0.5, spec, grid, tg, 1.0, source=src)
     assert np.array_equal(p.source_at(tg.nodes[3], node_index=3), src[3])
-    with pytest.raises(ValueError, match="node_index"):
-        p.source_at(0.5 * (tg.nodes[3] + tg.nodes[4]))
+    assert np.array_equal(p.source_at(tg.nodes[3]), src[3])
+    assert np.array_equal(p.source_at(0.5 * (tg.nodes[3] + tg.nodes[4])), 0.5 * (src[3] + src[4]))
+    with pytest.raises(ValueError, match="read at the time nodes and the step midpoints only"):
+        p.source_at(0.25 * tg.nodes[3] + 0.75 * tg.nodes[4])
 
 
 class TestArraySource:
@@ -248,7 +261,7 @@ class TestArraySource:
     node or a single column; anything else is refused when the problem is
     built, so that both routes fail the same way."""
 
-    @pytest.mark.parametrize("bad", [2.0, np.ones((30, 10)), np.ones(41), np.ones((40, 10)),
+    @pytest.mark.parametrize("bad", [[[1.0, 2.0], [1.0]], np.ones((30, 10)), np.ones(41), np.ones((40, 10)),
                                      np.ones((41, 3)), np.ones((41, 10, 1)), "ones"])
     def test_a_bad_source_is_refused_when_built(self, bad):
         # these raised an IndexError, a numpy broadcast ValueError, or solved
@@ -256,6 +269,17 @@ class TestArraySource:
         grid, tg, spec = make_problem(n=8, N=40, c0=1.0)
         with pytest.raises(ValueError, match=r"^source must be .* \(41, 10\) or \(41, 1\), one row"):
             ProblemSpec(0.5, spec, grid, tg, 1.0, source=bad)
+
+    @pytest.mark.parametrize("number", [2.0, np.float64(-0.5), 3])
+    def test_a_number_is_a_constant_source(self, number):
+        # a number was refused as an array of the wrong shape; it is the
+        # constant kind, as a number b or c is, and solves as its callable
+        grid, tg, spec = make_problem(n=8, N=40, c0=1.0, c=lambda x, t: -0.5 * np.cos(x + t))
+        p = ProblemSpec(0.5, spec, grid, tg, 1.0, source=number)
+        assert p.coefficients["source"].kind == "constant"
+        same = replace(p, source=lambda x, t: float(number) * np.ones_like(x) * np.ones_like(t))
+        for solve in (solve_linear_spectral, solve_linear_l1):
+            assert np.array_equal(solve(p).values, solve(same).values)
 
     def test_one_column_solves_as_its_full_spelling(self):
         grid, tg, spec = make_problem(n=8, N=40, c0=1.0, b=0.3, c=lambda x, t: -0.5 * np.cos(x + t))
@@ -489,9 +513,9 @@ class TestTaylorMoments:
 
 class TestBlockSampledForcing:
     """b / 2, (c0 + c) / 2 and the source are sampled _RELAX_BLOCK step
-    midpoints per call where the first block's call with a column of times
-    gives (times, nodes), and once per step for the whole march where it
-    does not."""
+    midpoints per call where the problem's build-time call with the column
+    of its sampled times gives (times, nodes), and once per step for the
+    whole march where it does not."""
 
     @staticmethod
     def problem(N=3 * _RELAX_BLOCK, **spec_kw):
@@ -514,30 +538,35 @@ class TestBlockSampledForcing:
         b_numpy = lambda x, t: 0.3 * np.sin(x) * np.cos(t)
         u1 = solve_linear_spectral(self.problem(b=b_math, c=step_c)).values
         u2 = solve_linear_spectral(self.problem(b=b_numpy, c=where_c)).values
-        # one failed block call, then one call per step; one call per block
-        assert calls == {"scalar": 1 + 3 * _RELAX_BLOCK, "array": 3}
+        # when the problem is built, one failed call with the column of the
+        # 2N sampled times and one call per time, then one call per step;
+        # one call with that column, then one per block
+        N = 3 * _RELAX_BLOCK
+        assert calls == {"scalar": 1 + 2 * N + N, "array": 1 + 3}
         # math.cos and numpy's cos may differ in the last bit
         assert np.max(np.abs(u1 - u2)) <= 1e-14 * np.max(np.abs(u2))
         u3 = solve_linear_spectral(self.problem(b=b_numpy, c=step_c)).values
         assert np.array_equal(u2, u3)
 
     def test_a_coefficient_raises_at_its_own_node(self):
-        # the midpoint of step 40 (node 40, in the second block) is the first
-        # past t_bad; nodes 1..39 are reached and guarded first
+        # the midpoint of step 40 is the first sampled time past t_bad: the
+        # problem's build calls c once per time up to it, and raises there
         p = self.problem()
         t = p.tgrid.nodes
         t_bad = t[39]
+        seen = []
 
         def c(x, t):
+            seen.append(t)
             if np.any(np.asarray(t) > t_bad):
                 raise ValueError("c is undefined past t_bad")
             return -0.5 * np.ones_like(x) * np.ones_like(t)
 
-        p = replace(p, elliptic=replace(p.elliptic, c=c))
-        reached = []
         with pytest.raises(ValueError, match="past t_bad"):
-            march_one(p, state_guard=lambda u, k: reached.append(k))
-        assert reached == list(range(1, 40))
+            replace(p, elliptic=replace(p.elliptic, c=c))
+        times = np.sort(np.concatenate([t[1:40], 0.5 * (t[:40] + t[1:41])]))
+        assert np.shape(seen[0]) == (2 * (t.size - 1), 1)
+        assert np.array_equal(seen[1:], times)
 
     @pytest.mark.parametrize("k_last", [45, 2 * _RELAX_BLOCK + 1])
     def test_restriction_is_exact_past_a_partial_block(self, k_last):
@@ -563,24 +592,28 @@ class TestBlockSampledForcing:
 
         p = self.problem(c=f) if role == "c" else replace(self.problem(), source=f)
         solve_linear_spectral(p)
-        assert calls == [(_RELAX_BLOCK, 1)] * 3
+        # one call with the column of the 2N sampled times when p is built
+        assert calls == [(6 * _RELAX_BLOCK, 1)] + [(_RELAX_BLOCK, 1)] * 3
 
     def test_repo_coefficients_are_sampled_by_column(self, monkeypatch):
         # the suites' and the benchmark's coefficients take a column of
-        # times; a math.exp in one of them would bring back a call per step
+        # times, or do not depend on t; a math.exp in one of them would
+        # bring back a call per step
         kinds = []
-        block = _Sampled.block
+        decided = Coefficient.decided
 
-        def spy(self, m0, ts):
-            block(self, m0, ts)
-            kinds.extend(self.by_column[s] for s in self.sampled if callable(self.fs[s]))
+        def spy(self, x, t, times):
+            coef = decided(self, x, t, times)
+            if callable(coef.f):
+                kinds.append(coef.kind)
+            return coef
 
-        monkeypatch.setattr(_Sampled, "block", spy)
+        monkeypatch.setattr(Coefficient, "decided", spy)
         run_suite("positivity")
         run_suite("ordering")
         for drift in (True, False):
             march_one(random_linear_problem(np.random.default_rng(1), 0.5, n=16, N=40, with_drift=drift))
-        assert kinds and all(kinds)
+        assert "broadcasts" in kinds and set(kinds) <= {"broadcasts", "x-only"}
 
     def test_constant_q_is_not_sampled(self, monkeypatch):
         # without b and c, Q is the constant c0: q_parts is never called and
@@ -681,7 +714,8 @@ class TestBatch:
 
     def test_solver_error_names_the_problem(self):
         grid, tg, spec = make_problem(n=24, N=16, c0=0.5, c=lambda x, t: -0.2 * np.cos(x))
-        bad = replace(spec, c=lambda x, t: np.where(x < 0.5, np.nan, 0.0) + 0.0 * t)
+        # finite when the problem is built: the sweeps of node 1 overflow
+        bad = replace(spec, c=lambda x, t: np.where(x < 0.5, 1e300, 0.0) + 0.0 * t)
         problems = [ProblemSpec(0.5, bad if j == 2 else spec, grid, tg, 1.0,
                                 source=lambda x, t: np.ones_like(x)) for j in range(5)]
         message = r"^problem 2: non-finite .* at time node 1 \(first at x = 0\)"
@@ -759,10 +793,22 @@ class TestBatch:
 @pytest.mark.parametrize("solve", [solve_linear_spectral, solve_linear_l1])
 def test_nan_coefficient_solver_error(solve):
     # nan > 0 is False: the spectral route used to find no active Q and
-    # return a finite field; both routes now fail at node 1
+    # return a finite field; the problem is now refused when it is built,
+    # at the first time sampled, the midpoint of step 1, for both routes
     grid, tg, spec = make_problem(n=24, N=16, c0=0.0, c=lambda x, t: np.where(x < 0.5, np.nan, 0.0))
-    p = ProblemSpec(0.5, spec, grid, tg, 1.0, source=lambda x, t: np.ones_like(x))
-    with pytest.raises(SolverError, match=r"non-finite .* at time node 1 \(first at x = 0\)"):
+    where = f"'c' is not finite at x = 0, t = {0.5 * tg.nodes[1]:.6g}"
+    with pytest.raises(NonFiniteError, match=f"^{re.escape(where)}$"):
+        solve(ProblemSpec(0.5, spec, grid, tg, 1.0, source=lambda x, t: np.ones_like(x)))
+
+
+@pytest.mark.parametrize("solve", [solve_linear_spectral, solve_linear_l1])
+def test_non_finite_a_is_refused_by_assemble(solve):
+    # np.min of a NaN compares False, so a NaN a passed the ellipticity
+    # check: the spectral route failed in scipy's eigensolver with its own
+    # ValueError, the L1 route with a SolverError at node 1
+    grid, tg, spec = make_problem(n=16, N=8, a=lambda x: np.where(x < 0.5, np.nan, 1.0))
+    p = ProblemSpec(0.5, spec, grid, tg, 1.0)
+    with pytest.raises(NonFiniteError, match=r"^'a' is not finite at x = 0, t = 0$"):
         solve(p)
 
 
@@ -867,15 +913,15 @@ class TestL1Solver:
 
 
 @pytest.mark.parametrize("solve", [solve_linear_spectral, solve_linear_l1])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_coefficient_solver_error(solve):
-    # c = 1/(x - 0.5) is infinite on the node x = 0.5; the command line rejects
-    # it when the problem is built, a ProblemSpec built directly reaches the
-    # solver, which must fail with a SolverError naming the node
+    # c = 1/(x - 0.5) is infinite on the node x = 0.5: a ProblemSpec refuses
+    # it when it is built, as the command line does, naming the node, so
+    # that neither solver meets it
     grid, tg, spec = make_problem(n=33, N=16, c0=1.0, c=lambda x, t: 1.0 / (x - 0.5))
-    p = ProblemSpec(0.5, spec, grid, tg, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(SolverError, match=r"non-finite .* at time node 1 \(first at x = 0\.5\)"):
-            solve(p)
+    where = f"'c' is not finite at x = 0.5, t = {0.5 * tg.nodes[1]:.6g}"
+    with pytest.raises(NonFiniteError, match=f"^{re.escape(where)}$"):
+        solve(ProblemSpec(0.5, spec, grid, tg, 0.0))
 
 
 class TestCrossOracle:
