@@ -24,12 +24,9 @@ from .elliptic import (
     EigenDecomposition,
     EllipticSpec,
     Grid1D,
-    SpaceField,
     assemble,
-    coercivity_form,
     eigendecompose,
     principal_eigenpair,
-    solve_stationary,
 )
 from .evolve_linear import (
     Field,
@@ -45,7 +42,6 @@ from .evolve_semilinear import (
     builtin_enzyme,
     solve_semilinear,
     solve_semilinear_many,
-    solve_semilinear_stationary,
 )
 from .fracops import TimeGrid, TimeSeries, caputo_l1, extremum_check, rl_integral
 from .special_ml import (

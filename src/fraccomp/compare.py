@@ -18,12 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import gamma
 
-from .elliptic import (
-    EigenDecomposition,
-    SpaceField,
-    assemble,
-    principal_eigenpair,
-)
+from .elliptic import EigenDecomposition, assemble, principal_eigenpair
 from .evolve_linear import Field, ProblemSpec, SolverError, _L1Steps, _l1_march, solve_linear_spectral
 from .evolve_semilinear import SemilinearTerm, solve_semilinear
 from .fracops import TimeGrid, TimeSeries, caputo_l1_field
@@ -209,7 +204,7 @@ def _with_c(p: ProblemSpec, c) -> ProblemSpec:
 
 def linear_monotone_sequence(p: ProblemSpec, b0_const, n_max):
     """The inductive linearisation: freeze the zeroth-order feedback at the
-    previous iterate, keep the positive-reaction operator on the left.
+    previous iterate, keep A1 (the spec with c = -b0) on the left.
 
     u_1 = a; each successor solves
     d_t^alpha (u_{j+1} - a) + A1 u_{j+1} = (b0 + c) u_j + F with
@@ -463,7 +458,7 @@ def asymptotic_decay_check(u: Field, u_inf, eig: EigenDecomposition, alpha) -> D
     lam1, phi1 = principal_eigenpair(eig)
     if float(np.min(np.abs(phi1))) < 1e-12:
         raise RuntimeError("ground mode vanishes on the grid: discretisation fault")
-    ui = u_inf.values if isinstance(u_inf, SpaceField) else np.asarray(u_inf, dtype=float)
+    ui = np.asarray(u_inf, dtype=float)
     tn = u.tgrid.nodes
     T = tn[-1]
     dev = np.abs(u.values - ui[None, :])

@@ -28,19 +28,11 @@ __all__ = [
     "EllipticSpec",
     "DiscreteOperator",
     "EigenDecomposition",
-    "SpaceField",
-    "SingularOperatorError",
     "DegenerateEigenpairError",
     "assemble",
     "eigendecompose",
     "principal_eigenpair",
-    "solve_stationary",
-    "coercivity_form",
 ]
-
-
-class SingularOperatorError(np.linalg.LinAlgError):
-    pass
 
 
 class DegenerateEigenpairError(RuntimeError):
@@ -66,7 +58,7 @@ ABSENT, CONSTANT, X_ONLY, BROADCASTS, PER_TIME, TIME_NODES = (
 
 @dataclass(frozen=True, eq=False)
 class Coefficient:
-    """A coefficient a(x), b(x, t), c(x, t), b0(x, t) or a source F(x, t),
+    """A coefficient a(x), b(x, t), c(x, t) or a source F(x, t),
     of one of six kinds, by what it is and what a callable returns for the
     nodes and a column of times:
 
@@ -201,26 +193,12 @@ class Grid1D:
 
 
 @dataclass(frozen=True)
-class SpaceField:
-    grid: Grid1D
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.shape != (self.grid.n_nodes,):
-            raise ValueError("values must live on all grid nodes")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field values must be finite")
-
-
-@dataclass(frozen=True)
 class EllipticSpec:
     """Coefficients of -A u = (a u')' + b u' + c u, the shifted self-adjoint
     part -(a u')' + c0 u, and the Robin data sigma >= 0 at both endpoints.
-    b0 > 0 activates the positive-reaction form -(a u')' - b u' + b0 u.
+    A1 = -(a u')' - b u' + b0 u with b0 > 0 is the spec with c = -b0.
     a is a number or a callable of x, refused by assemble where it is not
-    finite or not positive.  b, c and b0 are None, a number, a callable of
+    finite or not positive.  b and c are None, a number, a callable of
     (x, t) or an array on the time nodes, held in coefficients; a
     ProblemSpec decides the kinds of b and c on its grid (see Coefficient)."""
 
@@ -230,7 +208,6 @@ class EllipticSpec:
     c0: float = 0.0
     sigma_lo: float = 0.0
     sigma_hi: float = 0.0
-    b0: object = None
     coefficients: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -240,7 +217,7 @@ class EllipticSpec:
             raise ValueError("Robin coefficients must be >= 0")
         object.__setattr__(self, "coefficients", {
             "a": Coefficient.of("a", self.a, with_t=False), "b": Coefficient.of("b", self.b),
-            "c": Coefficient.of("c", self.c), "b0": Coefficient.of("b0", self.b0)})
+            "c": Coefficient.of("c", self.c)})
 
 
 @dataclass(frozen=True)
@@ -288,27 +265,19 @@ class DiscreteOperator:
             out = out + b * self.derivative(v)
         return out
 
-    def apply_full(self, v, t=0.0, reaction=None):
-        """A v = A0 v - Q v = -(a v')' - b v' - c v (c0 cancels); a reaction
-        vector r gives the stationary form -(a v')' - b v' + r v, as in bands."""
-        b, czero = self.q_parts(t)
-        if reaction is not None:
-            czero = self.spec.c0 - reaction
-        return self.apply_sym(v) - self.apply_q(v, (b, czero))
+    def apply_full(self, v, t=0.0):
+        """A v = A0 v - Q v = -(a v')' - b v' - c v (c0 cancels)."""
+        return self.apply_sym(v) - self.apply_q(v, self.q_parts(t))
 
-    def bands(self, t=0.0, shift=0.0, reaction=None):
+    def bands(self, t=0.0, shift=0.0):
         """LAPACK (2, 2) band array, shape (5, m), of shift I + A(t): row r
-        holds the diagonal at offset 2 - r.  A reaction vector r replaces the
-        zeroth-order part c0 - c, giving the stationary form -(a u')' - b u' + r u."""
+        holds the diagonal at offset 2 - r."""
         h = self.grid.h
         ab = np.zeros((5, self.grid.n_nodes))
         ab[1, 1:] = self.flux_off / self.volumes[:-1]
         ab[3, :-1] = self.flux_off / self.volumes[1:]
         b, czero = self.q_parts(t)
-        if reaction is None:
-            ab[2] = self.flux_diag / self.volumes + self.spec.c0 - czero
-        else:
-            ab[2] = self.flux_diag / self.volumes + reaction
+        ab[2] = self.flux_diag / self.volumes + self.spec.c0 - czero
         if b is not None:
             # minus b times the stencil of derivative(), one band at a time
             ab[1, 2:] -= b[1:-1] * (0.5 / h)
@@ -339,7 +308,7 @@ class DiscreteOperator:
         return lo, hi
 
 
-def assemble(spec: EllipticSpec, grid: Grid1D, t: float = 0.0) -> DiscreteOperator:
+def assemble(spec: EllipticSpec, grid: Grid1D) -> DiscreteOperator:
     """Flux-form assembly.  a is evaluated once on the nodes and the cell
     midpoints, and refused there where it is not finite (NonFiniteError)
     or not positive (ValueError)."""
@@ -421,17 +390,9 @@ def principal_eigenpair(eig: EigenDecomposition):
     return float(lam[0]), phi
 
 
-def _reaction_vector(spec, grid, t):
-    """b0(x,t) when present, else the c0 shift (the A0 form)."""
-    vec = spec.coefficients["b0"].values(grid.nodes, t)
-    if vec is not None:
-        if np.min(vec) <= 0.0:
-            raise ValueError("b0 must be positive")
-        return vec
-    return np.full(grid.n_nodes, spec.c0)
-
-
-# float64 LAPACK dgbtrf and dgbtrs: dgbsv is exactly the one and then the other
+# float64 LAPACK dgbtrf and dgbtrs: dgbsv is exactly the one and then the other,
+# so a solve has scipy.linalg.solve_banded's bits without its per-call validation
+# and dispatch, which cost several times the O(m) solve at the L1 steps' sizes
 _GBTRF, _GBTRS = get_lapack_funcs(("gbtrf", "gbtrs"), (np.empty(0),))
 
 
@@ -451,65 +412,3 @@ def banded_lu_solve(factors, rhs):
     O(m) dgbtrs, so that a chain of solves with one matrix factors it once."""
     lu, piv, _ = factors
     return _GBTRS(lu, 2, 2, rhs, piv)[0]
-
-
-def banded_solve(ab, rhs):
-    """Solve with a (5, m) band array of DiscreteOperator.bands: every operator
-    here is pentadiagonal, so this is an O(m) banded LU, banded_lu and then
-    banded_lu_solve.
-
-    Those are LAPACK's dgbtrf and dgbtrs, the two calls of the dgbsv behind
-    scipy.linalg.solve_banded, on the same (7, m) array: the same solution
-    to the last bit and the same errors, without solve_banded's per-call
-    validation and dispatch, which cost several times the O(m) solve itself
-    at the sizes the L1 oracle and the monotone chains use."""
-    ab = np.asarray(ab, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    factors = banded_lu(ab)
-    if factors[2] > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    return banded_lu_solve(factors, rhs)
-
-
-def solve_stationary(spec: EllipticSpec, grid: Grid1D, rhs, boundary_rhs=(0.0, 0.0), t=0.0) -> SpaceField:
-    """Solve A1 psi = rhs (or A0 psi = rhs when b0 is absent) with possibly
-    inhomogeneous Robin data a psi' nu + sigma psi = g at the endpoints."""
-    op = assemble(spec, grid, t)
-    reaction = _reaction_vector(spec, grid, t)
-    ab = op.bands(t, reaction=reaction)
-    f = np.asarray(rhs.values if isinstance(rhs, SpaceField) else rhs, dtype=float).copy()
-    g_lo, g_hi = boundary_rhs
-    f[0] += g_lo / op.volumes[0]
-    f[-1] += g_hi / op.volumes[-1]
-    try:
-        sol = banded_solve(ab, f)
-    except np.linalg.LinAlgError as exc:
-        raise SingularOperatorError("stationary operator is singular") from exc
-    res = np.max(np.abs(op.apply_full(sol, t, reaction) - f))
-    scale = np.max(np.abs(f)) + np.max(np.abs(sol)) + 1e-30
-    if not np.all(np.isfinite(sol)) or res > 1e-10 * scale:
-        raise SingularOperatorError(
-            f"stationary solve failed: relative residual {res / scale:.2e}"
-        )
-    return SpaceField(grid, sol)
-
-
-def coercivity_form(op: DiscreteOperator, v, t: float = 0.0) -> float:
-    """Discrete (A1 v, v)_h including the boundary sigma terms.
-
-    Compare against kappa1 (||v||_h^2 + ||v'||_h^2); see h1_norm_sq."""
-    vv = np.asarray(v.values if isinstance(v, SpaceField) else v, dtype=float)
-    reaction = _reaction_vector(op.spec, op.grid, t)
-    return float(np.sum(op.volumes * vv * op.apply_full(vv, t, reaction)))
-
-
-def h1_norm_sq(grid: Grid1D, v) -> tuple:
-    """(||v||_h^2, ||v'||_h^2) with midpoint differences for the gradient."""
-    vv = np.asarray(v.values if isinstance(v, SpaceField) else v, dtype=float)
-    w = grid.volumes
-    l2 = float(np.sum(w * vv * vv))
-    dv = np.diff(vv) / grid.h
-    h1 = float(np.sum(grid.h * dv * dv))
-    return l2, h1

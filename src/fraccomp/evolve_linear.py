@@ -71,7 +71,6 @@ from .elliptic import (
     EigenDecomposition,
     EllipticSpec,
     Grid1D,
-    SpaceField,
     _require_finite,
     assemble,
     banded_lu,
@@ -137,7 +136,7 @@ class ProblemSpec:
     elliptic: EllipticSpec
     grid: Grid1D
     tgrid: TimeGrid
-    initial: object  # SpaceField, array on the nodes, or callable of x
+    initial: object  # a number, an array on the nodes, or a callable of x
     source: object = None  # None, a number, callable (x, t) -> values, or array (n_t+1, n_nodes or 1)
     coefficients: dict = field(init=False, repr=False, compare=False)
 
@@ -159,7 +158,7 @@ class ProblemSpec:
 
     def initial_values(self):
         a, x = self.initial, self.grid.nodes
-        v = a.values if isinstance(a, SpaceField) else a(x) if callable(a) else a
+        v = a(x) if callable(a) else a
         return np.asarray(v, dtype=float) * np.ones_like(x)
 
     def source_at(self, t, node_index=None):
@@ -1053,6 +1052,7 @@ def _singular(op, t, w, m):
     return SolverError(f"implicit step {m} is singular: {why}", node=m)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the non-finite checks below report
 def _l1_march(p: ProblemSpec, steps: _L1Steps, forcing=None) -> Field:
     """The implicit L1 march of p on steps, the weight rows and factors of
     p's operator, with forcing, one row per time node, added to p's source:

@@ -1,7 +1,6 @@
 """Semilinear evolution d_t^alpha (u - a) + A u = f(u) by the same fixed-point
 marching as the linear solver, with the nonlinearity evaluated nodewise in
-physical space and projected onto the modes each sweep, plus the stationary
-problem A u_inf = f(u_inf) by damped Newton.
+physical space and projected onto the modes each sweep.
 
 solve_semilinear_many marches a list of problems, each with its own term,
 in the batches of solve_linear_spectral_many: each sweep evaluates every
@@ -21,15 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .elliptic import (
-    EigenDecomposition,
-    EllipticSpec,
-    Grid1D,
-    SpaceField,
-    assemble,
-    banded_solve,
-    eigendecompose,
-)
+from .elliptic import EigenDecomposition, assemble, eigendecompose
 from .evolve_linear import Batch, Field, ModeStack, ProblemSpec, SolverError, _batches, spectral_march
 from .fracops import l1_weight_rows
 
@@ -40,7 +31,6 @@ __all__ = [
     "builtin_burgers",
     "solve_semilinear",
     "solve_semilinear_many",
-    "solve_semilinear_stationary",
     "scalar_fractional_ode",
 ]
 
@@ -60,7 +50,6 @@ class SemilinearTerm:
     eval: Callable
     deriv_u: Optional[Callable] = None
     bound_M: float = 1.0
-    monotone_decreasing: bool = False
     depends_on_gradient: bool = False
     box_m: float = math.inf
 
@@ -77,7 +66,6 @@ class SemilinearTerm:
             eval=lambda x, u: self.eval(x, u) + delta,
             deriv_u=self.deriv_u,
             bound_M=self.bound_M + abs(delta),
-            monotone_decreasing=self.monotone_decreasing,
             box_m=self.box_m,
         )
 
@@ -88,7 +76,6 @@ def builtin_enzyme() -> SemilinearTerm:
         eval=lambda x, u: -u / (1.0 + np.abs(u)),
         deriv_u=lambda x, u: -1.0 / (1.0 + np.abs(u)) ** 2,
         bound_M=1.0,
-        monotone_decreasing=True,
     )
 
 
@@ -177,62 +164,6 @@ def _march_semilinear(batch: Batch, terms, eigs, tol):
     u, counts = spectral_march(batch, ModeStack(eigs, ops), nonlinearity=nonlinearity,
                                picard_tol=tol, state_guard=guard)
     return [Field(p.grid, p.tgrid, v) for p, v in zip(problems, u)], counts
-
-
-def solve_semilinear_stationary(
-    spec: EllipticSpec,
-    grid: Grid1D,
-    f: SemilinearTerm,
-    max_steps: int = 100,
-    tol: float = 1e-10,
-) -> SpaceField:
-    """Damped Newton for A u = f(u) with the Robin closure, from u = 0.
-
-    Needs a decreasing f (the long-time theory's hypothesis) and a zeroth-order
-    coefficient c <= 0 so that A - f'(u) stays invertible."""
-    if f.depends_on_gradient:
-        raise ValueError("stationary solver needs a pointwise nonlinearity")
-    if not f.monotone_decreasing:
-        raise ValueError("stationary solver requires a monotone decreasing term")
-    c = spec.coefficients["c"].values(grid.nodes, 0.0)
-    if c is not None and np.max(c) > 0.0:
-        raise ValueError("stationary theory needs c <= 0")
-    op = assemble(spec, grid)
-    A = op.bands(0.0)
-    x = grid.nodes
-    u = np.zeros(grid.n_nodes)
-
-    def residual(v):
-        return op.apply_full(v) - f(x, v)
-
-    r = residual(u)
-    scale = max(1.0, float(np.max(np.abs(f(x, u)))))
-    for _ in range(max_steps):
-        rn = float(np.max(np.abs(r)))
-        if rn <= tol * scale:
-            break
-        J = A.copy()
-        if f.deriv_u is not None:
-            J[2] -= f.deriv_u(x, u) * np.ones_like(u)
-        try:
-            step = banded_solve(J, -r)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("Newton linearisation is singular") from exc
-        lam = 1.0
-        for _ in range(40):
-            trial = u + lam * step
-            rt = residual(trial)
-            if float(np.max(np.abs(rt))) < rn:
-                u, r = trial, rt
-                break
-            lam *= 0.5
-        else:
-            raise SolverError("Newton damping failed to reduce the residual")
-    else:
-        raise SolverError(f"Newton did not converge in {max_steps} damped steps")
-    if float(np.max(np.abs(u))) > f.box_m:
-        raise BoxExitError("stationary state left the certified box")
-    return SpaceField(grid, u)
 
 
 def scalar_fractional_ode(tgrid, alpha, y0, rhs, rhs_du=None, newton_tol=1e-12):

@@ -65,14 +65,6 @@ class TimeGrid:
         return cls(float(T) * (k / n_steps) ** float(r))
 
     @property
-    def horizon(self):
-        return float(self.nodes[-1])
-
-    @property
-    def n_steps(self):
-        return self.nodes.size - 1
-
-    @property
     def steps(self):
         return np.diff(self.nodes)
 

@@ -3,10 +3,12 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from collections import OrderedDict
 
 import numpy as np
@@ -286,13 +288,18 @@ class TestSolve:
         assert err == f"config error: config key {built.value}\n"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_march_fails_without_warnings(self, tmp_path, capsys):
-        # Burgers' product overflows in the sweeps of node 1: numpy's
-        # warnings are off in the march, and its non-finite check reports
-        settings = ["alpha=0.9", "T=10", "a=2+sin(t)", "c=-60", "c0=0", "n_space=3", "n_time=2",
-                    "initial=0.5", "source=1", "semilinear=burgers"]
-        assert run_cli(["solve", "--out", str(tmp_path)] + [a for s in settings for a in ("--set", s)]) == 3
-        assert capsys.readouterr().err == "solver failure: non-finite step forcing at time node 1 (first at x = 0)\n"
+    @pytest.mark.parametrize("method, settings, cause", [
+        # Burgers' product overflows in the sweeps of node 1
+        ("spectral", ["alpha=0.9", "T=10", "a=2+sin(t)", "c=-60", "c0=0", "n_space=3", "n_time=2",
+                      "initial=0.5", "source=1", "semilinear=burgers"], "non-finite step forcing"),
+        # w u_0 overflows in the right-hand side of step 1
+        ("l1", ["n_space=8", "n_time=8", "initial=1e308"], "non-finite operator or right-hand side"),
+    ], ids=["spectral-burgers", "l1"])
+    def test_overflowing_march_fails_without_warnings(self, tmp_path, capsys, method, settings, cause):
+        # numpy's warnings are off in both marches, and their non-finite checks report
+        args = ["solve", "--method", method, "--out", str(tmp_path)] + [a for s in settings for a in ("--set", s)]
+        assert run_cli(args) == 3
+        assert capsys.readouterr().err == f"solver failure: {cause} at time node 1 (first at x = 0)\n"
 
     def test_fields_checked_on_the_grid_only(self, tmp_path):
         # singular at x = 0.1 and t = 0, neither of which the solvers sample
@@ -374,6 +381,46 @@ def test_solve_exit_contract(cfg, method):
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
         assert read_manifest(out)["verdict"]
+
+
+class TestSemilinearFuzz:
+    """Seeded configs from a value grid of hard cases, semilinear on the
+    spectral route: each run ends with exit 0 or with one solver-failure
+    line and exit 3, with no warning and no traceback."""
+
+    GRID = {
+        "alpha": ("0.05", "0.3", "0.5", "0.9", "0.99"),
+        "T": ("1e-6", "0.01", "1", "10", "1e6"),
+        "a": ("1", "1+x^2", "1e-6", "1e6", "2+sin(t)"),
+        "b": ("none", "0.3", "5", "-30"),
+        "c": ("none", "-1", "60", "-60", "sin(t)"),
+        "c0": ("0", "0.5", "1", "100"),
+        "sigma": ("0", "1", "100"),
+        "n_space": ("3", "8", "16"),
+        "n_time": ("2", "8", "32"),
+        "semilinear": ("enzyme", "burgers"),
+    }
+
+    def test_exit_0_or_3_without_warnings(self, tmp_path):
+        rng = random.Random(11)
+        codes = []
+        for _ in range(30):
+            cfg = {key: rng.choice(values) for key, values in self.GRID.items()}
+            sigma = cfg.pop("sigma")
+            cfg.update(sigma_lo=sigma, sigma_hi=sigma, initial="0.5", source="1")
+            args = ["solve", "--out", str(tmp_path)] + [a for k, v in cfg.items() for a in ("--set", f"{k}={v}")]
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                code = run_cli(args)
+            lines = err.getvalue().splitlines()
+            assert not caught, (cfg, [str(w.message) for w in caught])
+            assert (code, lines) == (0, []) or (code == 3 and len(lines) == 1
+                                                and lines[0].startswith("solver failure: ")), (cfg, code, lines)
+            codes.append(code)
+        # both outcomes occur on the list (17 and 13 of the 30)
+        assert set(codes) == {0, 3}
 
 
 class TestVerify:

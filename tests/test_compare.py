@@ -28,7 +28,6 @@ from fraccomp.evolve_semilinear import (
     builtin_enzyme,
     scalar_fractional_ode,
     solve_semilinear,
-    solve_semilinear_stationary,
 )
 from fraccomp.fracops import TimeGrid
 from fraccomp.special_ml import ml_relaxation
@@ -377,8 +376,7 @@ class TestMonotoneIteration:
         # f = 0: barriers equal to the solution stay fixed under the map
         p = neumann_problem(initial=lambda x: 1 + 0.3 * np.cos(math.pi * x),
                             N=48, c0=1.0, c=-1.0)
-        zero = SemilinearTerm(eval=lambda x, u: np.zeros_like(u), bound_M=0.0,
-                              monotone_decreasing=True)
+        zero = SemilinearTerm(eval=lambda x, u: np.zeros_like(u), bound_M=0.0)
         u = solve_semilinear(p, zero)
         barriers = BarrierPair(lower=u, upper=u)
         res = monotone_iteration(p, zero, barriers, M=0.5, k_max=25)
@@ -425,21 +423,22 @@ class TestMonotoneIteration:
                 assert np.array_equal(nxt.values, again.values)
 
     def test_ground_mode_barriers(self):
-        # stationary-state barriers u_inf +- M1 E(-lam1 t^alpha) phi1
+        # stationary-state barriers u_inf +- M1 E(-lam1 t^alpha) phi1, about
+        # the enzyme's stationary root u_inf = 0
         alpha = 0.5
         grid = Grid1D(0.0, 1.0, 16)
         tg = TimeGrid.graded(2.0, 64, 4.0)
         spec = EllipticSpec(a=1.0, c0=1.0, c=-1.0)
         f = builtin_enzyme()
-        u_inf = solve_semilinear_stationary(spec, grid, f)
+        u_inf = np.zeros(grid.n_nodes)
         eig = eigendecompose(assemble(spec, grid))
         from fraccomp.elliptic import principal_eigenpair
         lam1, phi1 = principal_eigenpair(eig)
         a0 = 0.4 + 0.2 * np.cos(math.pi * grid.nodes)
-        m1 = float(np.max(np.abs(a0 - u_inf.values)) / np.min(phi1)) * 1.05
+        m1 = float(np.max(np.abs(a0 - u_inf)) / np.min(phi1)) * 1.05
         relax = np.array([ml_relaxation(alpha, lam1, t) for t in tg.nodes])
-        upper = u_inf.values[None, :] + m1 * relax[:, None] * phi1[None, :]
-        lower = u_inf.values[None, :] - m1 * relax[:, None] * phi1[None, :]
+        upper = u_inf[None, :] + m1 * relax[:, None] * phi1[None, :]
+        lower = u_inf[None, :] - m1 * relax[:, None] * phi1[None, :]
         p = ProblemSpec(alpha, spec, grid, tg, a0)
         barriers = BarrierPair(lower=Field(grid, tg, lower), upper=Field(grid, tg, upper))
         assert verify_barrier(barriers.upper, "upper", p, f=f).holds
@@ -560,7 +559,7 @@ class TestBarrierBandE3:
 class TestBarrierBandE4:
     def test_degenerate_zero_term(self):
         f = SemilinearTerm(eval=lambda x, u: np.zeros_like(u), deriv_u=lambda x, u: np.zeros_like(u),
-                           bound_M=0.1, monotone_decreasing=False)
+                           bound_M=0.1)
         p = neumann_problem(initial=1.0, N=64, c0=0.0)
         band = barrier_bounds_e4(p, f, epsilon=0.1, delta1=0.8)
         assert band.report.holds

@@ -13,7 +13,6 @@ from fraccomp.elliptic import (
     EllipticSpec,
     Grid1D,
     NonFiniteError,
-    SpaceField,
     assemble,
     eigendecompose,
 )
@@ -366,7 +365,7 @@ class TestModeSpaceSweeps:
         tg = TimeGrid(np.concatenate([[0.0], np.cumsum(10.0 ** rng.uniform(-9.0, -1.0, 96))]))
         grid, spec = Grid1D(0.0, L, 24), EllipticSpec(c0=0.0)
         eig = eigendecompose(assemble(spec, grid))
-        assert eig.lambdas[0] * tg.horizon ** alpha <= 1e-8
+        assert eig.lambdas[0] * tg.nodes[-1] ** alpha <= 1e-8
         folded = []
         fold = _Memory._fold
 

@@ -13,7 +13,6 @@ from fraccomp.evolve_semilinear import (
     builtin_enzyme,
     scalar_fractional_ode,
     solve_semilinear,
-    solve_semilinear_stationary,
 )
 from fraccomp.fracops import TimeGrid
 
@@ -35,7 +34,6 @@ class TestBuiltinTerms:
         assert np.all(np.abs(vals) <= f.bound_M)
         assert np.all(np.abs(ders) <= f.bound_M)
         assert np.all(ders <= 0.0)
-        assert f.monotone_decreasing
 
     def test_enzyme_lipschitz_certificate(self):
         f = builtin_enzyme()
@@ -147,47 +145,6 @@ class TestSolveSemilinear:
         solve_semilinear(p_coarse, builtin_enzyme(), info=i1)
         solve_semilinear(p_fine, builtin_enzyme(), info=i2)
         assert np.mean(i2["picard_counts"]) <= np.mean(i1["picard_counts"])
-
-
-class TestStationary:
-    def test_zero_term_zero_solution(self):
-        grid = Grid1D(0.0, 1.0, 16)
-        spec = EllipticSpec(a=1.0, c=-1.0)
-        zero = SemilinearTerm(eval=lambda x, u: np.zeros_like(u), bound_M=0.0,
-                              monotone_decreasing=True)
-        u = solve_semilinear_stationary(spec, grid, zero)
-        assert np.max(np.abs(u.values)) < 1e-12
-
-    def test_manufactured_solution(self):
-        # f(u) = -u + g with g = A w + w converges to w
-        grid = Grid1D(0.0, 1.0, 32)
-        spec = EllipticSpec(a=1.0, c=-0.5)
-        op = assemble(spec, grid)
-        w = np.cos(math.pi * grid.nodes)
-        g = op.full_matrix(0.0) @ w + w
-        f = SemilinearTerm(eval=lambda x, u: -u + g, deriv_u=lambda x, u: -np.ones_like(u),
-                           bound_M=np.max(np.abs(g)) + 1.0, monotone_decreasing=True)
-        u = solve_semilinear_stationary(spec, grid, f)
-        assert np.max(np.abs(u.values - w)) < 1e-9
-
-    def test_enzyme_zero_root(self):
-        grid = Grid1D(0.0, 1.0, 16)
-        spec = EllipticSpec(a=1.0, c=-1.0)
-        u = solve_semilinear_stationary(spec, grid, builtin_enzyme())
-        assert np.max(np.abs(u.values)) < 1e-11
-
-    def test_rejects_increasing_term(self):
-        grid = Grid1D(0.0, 1.0, 8)
-        spec = EllipticSpec(a=1.0, c=-1.0)
-        up = SemilinearTerm(eval=lambda x, u: u, bound_M=1.0)
-        with pytest.raises(ValueError):
-            solve_semilinear_stationary(spec, grid, up)
-
-    def test_rejects_positive_c(self):
-        grid = Grid1D(0.0, 1.0, 8)
-        spec = EllipticSpec(a=1.0, c=0.5)
-        with pytest.raises(ValueError):
-            solve_semilinear_stationary(spec, grid, builtin_enzyme())
 
 
 class TestScalarOracle:

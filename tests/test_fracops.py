@@ -25,8 +25,8 @@ def series(grid, f):
 class TestTimeGrid:
     def test_uniform(self):
         g = TimeGrid.uniform(2.0, 8)
-        assert g.horizon == 2.0
-        assert g.n_steps == 8
+        assert g.nodes[-1] == 2.0
+        assert g.nodes.size - 1 == 8
         assert np.allclose(g.steps, 0.25)
 
     def test_graded(self):
