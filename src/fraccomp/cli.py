@@ -57,9 +57,13 @@ _DEFAULTS = {
 
 # (n_space + 2) * max(n_space + 2, 2 * n_time) values: 128 MiB per float64 array
 MAX_GRID_VALUES = 2 ** 24
-# largest n_nodes * max |entry| of the assembled diffusion operator: past
-# about sqrt(max float) / 1.7 (measured for 5 to 502 nodes) LAPACK's
-# tridiagonal eigensolver fails or gives NaN modes
+# largest n_nodes * max |entry| of the assembled diffusion operator.  LAPACK's
+# bisection for tridiagonal eigenvalues (stebz) fails from about 0.6 times
+# sqrt(max float) (measured for 5 to 502 nodes); the divide-and-conquer
+# solver that eigendecompose calls (stevd) scales the matrix first and stays
+# finite to at least 30 times that.  The bound keeps a margin of 2.4 below
+# where bisection fails, so that the configs accepted do not depend on the
+# eigensolver's driver, and far below where the entries overflow
 _MAX_OPERATOR_SCALE = math.sqrt(np.finfo(float).max) / 4.0
 
 

@@ -354,14 +354,16 @@ class EigenDecomposition:
 def eigendecompose(op: DiscreteOperator) -> EigenDecomposition:
     """All eigenpairs of the symmetric part in ascending order, orthonormal
     under the cell weights; only the self-adjoint A0 enters (drift is handled
-    by splitting)."""
+    by splitting).  They come from one call of LAPACK's divide-and-conquer
+    solver for symmetric tridiagonal matrices (stevd), O(n^2) for all of
+    them; the driver is named, so that a change of scipy's default cannot
+    move the results."""
     w = op.volumes
     sw = np.sqrt(w)
     d = op.flux_diag / w + op.spec.c0
     e = op.flux_off / (sw[:-1] * sw[1:])
-    m = op.grid.n_nodes
     try:
-        lam, psi = eigh_tridiagonal(d, e, select="i", select_range=(0, m - 1))
+        lam, psi = eigh_tridiagonal(d, e, lapack_driver="stevd")
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise RuntimeError("tridiagonal eigensolver failed") from exc
     modes = psi / sw[:, None]

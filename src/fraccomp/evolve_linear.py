@@ -23,7 +23,7 @@ projection and the per-mode update.  The sweeps start from the cubic
 extrapolation of u and u' from the last four nodes, so that they mostly
 stop after 2 sweeps; the march returns the number of sweeps per node.
 The coefficients b, c and the source are sampled at the step midpoints
-_RELAX_BLOCK steps per call where they take a column of times, once per
+a block of steps per call where they take a column of times, once per
 step where they do not, and never where they do not depend on t, as the
 kinds decided when each problem was built say (elliptic.Coefficient).  The
 march takes a leading problem axis: problems that share alpha, the time
@@ -41,8 +41,10 @@ exponential (see _Memory).  Per mode only a live band of the exponentials is
 advanced: the fastest have decayed and are dropped, the slowest share K
 Taylor moments.  A step costs O(modes x band), with a band of 17-43 of the
 rule's 214-339 terms at alpha = 0.3-0.95 on the acceptance grids; the
-relaxation values and masses the step needs are fetched _RELAX_BLOCK nodes
-at a time.  The L1 route sums every past step exactly.  Its steps come
+relaxation values and masses the step needs are fetched a block of
+max(_RELAX_BLOCK, _FETCH_POINTS // modes) nodes at a time, so that a
+batch of few modes fetches few, long blocks.
+The L1 route sums every past step exactly.  Its steps come
 from one table (_L1Steps): node m's weight row from fracops.l1_weight_rows
 and the LAPACK LU factors of its pentadiagonal step matrix
 w_m I + A(t_m) (elliptic.banded_lu), built the first time a march reaches
@@ -90,7 +92,14 @@ __all__ = [
 ]
 
 PICARD_MAX = 50  # Picard sweeps per time node before the march reports a stall
-_RELAX_BLOCK = 32  # time nodes whose relaxation values the march fetches in one call
+_RELAX_BLOCK = 32  # fewest time nodes whose relaxation values the march fetches at once
+# modes x nodes that one fetch of relaxation values covers: a march's block
+# spans max(_RELAX_BLOCK, _FETCH_POINTS // modes) nodes, and each relaxation
+# call of a block takes _FETCH_POINTS // block columns of the batch's modes.
+# That is 63 nodes and one call per block for a spec at n = 128, 32 nodes
+# and two calls for a verify ensemble of 462 modes, and the whole march for
+# a single verify solve; the calls' temporaries grow with their input
+_FETCH_POINTS = 8192
 # edges of the live band of exponential terms (see _Memory)
 _BAND_HI = 40.0  # r dt_{m-1} above this: the running sum is below e^-40 of its input
 _MOMENTS = 12  # K: Taylor moments per mode that carry the frozen terms (see _Memory)
@@ -268,9 +277,10 @@ class _Memory:
       they join the sums when they are old enough;
     * modes with lam t_m^alpha <= 1e-8 (small modes), which fold nothing.
     Each is formed as in _kernel_masses, to rounding for every lam >= 0.
-    E(-lam t_m^alpha) and the current window's masses are fetched for
-    _RELAX_BLOCK nodes by one relaxation_batch and one relaxation_deficit
-    call per problem, together with the block's fold schedule and,
+    E(-lam t_m^alpha) and the current window's masses are fetched for a
+    block of nodes (block, at least _RELAX_BLOCK) by one relaxation_batch
+    and one relaxation_deficit call per _FETCH_POINTS // block modes of the
+    batch, together with the block's fold schedule and,
     per node, the flags the fold reads: whether every row folds window
     m - 2 and whether an older window is due.
     At every node m >= 2, window m - 2, which the last step left behind,
@@ -330,9 +340,12 @@ class _Memory:
         self.mom, self.next_mom = self.mom_g[:-1], self.next_g[:-1]
         self.frozen_work = np.empty((_MOMENTS, modes))
         self.folded = np.zeros(modes, dtype=int)  # windows k < folded are in sums
+        # the nodes of a block: at least _RELAX_BLOCK, more where the batch
+        # has few modes, and at most the march
+        self.block = min(max(_RELAX_BLOCK, _FETCH_POINTS // modes), t.size - 1)
         # what _fetch writes per block: the relaxation values and masses,
         # the fold schedule and its rows at window k - 2, one row per node
-        block = (min(_RELAX_BLOCK, t.size - 1), modes)
+        block = (self.block, modes)
         self.block_bufs = (np.empty(block), np.empty(block), np.empty(block, dtype=np.int32),
                            np.empty(block, dtype=bool))
         self.block_start = self.block_stop = 1
@@ -340,10 +353,10 @@ class _Memory:
 
     def _fetch(self, m):
         """Relaxation values and current-window masses of the nodes
-        m .. m + _RELAX_BLOCK - 1, and the moments' fold weights and
-        transfer matrices of those nodes."""
+        m .. m + block - 1, and the moments' fold weights and transfer
+        matrices of those nodes."""
         t, lam, alpha = self.t, self.lam, self.alpha
-        stop = min(m + _RELAX_BLOCK, t.size)
+        stop = min(m + self.block, t.size)
         B = stop - m
         # the block's arrays are rewritten in place; the windows folded so
         # far, a row of the last block's schedule, outlive it
@@ -356,15 +369,16 @@ class _Memory:
         col = np.concatenate([t_pow, dt_pow])[:, None]
         # the block's outputs, E(-lam t^alpha) and the masses dt^alpha
         # phi(lam dt^alpha), from one relaxation_batch and one
-        # relaxation_deficit call per problem of a batch, so that their
-        # temporaries, which grow with their input, are those of one march
+        # relaxation_deficit call per _FETCH_POINTS // block modes of the
+        # batch, whichever problems they belong to.  Both are pointwise, so
+        # the values do not depend on the split
         lam0 = np.maximum(lam, 0.0)
-        n_modes = lam.size if self.shape is None else self.shape[-1]
-        for i in range(0, lam.size, n_modes):
-            x = lam0[i : i + n_modes] * col
+        cols = _FETCH_POINTS // self.block
+        for i in range(0, lam.size, cols):
+            x = lam0[i : i + cols] * col
             e = relaxation_batch(alpha, x)
-            relax[:, i : i + n_modes] = e[:B]
-            w_cur[:, i : i + n_modes] = relaxation_deficit(alpha, x[B:], e[B:])
+            relax[:, i : i + cols] = e[:B]
+            w_cur[:, i : i + cols] = relaxation_deficit(alpha, x[B:], e[B:])
         w_cur *= dt_pow[:, None]
         # the fold schedule: at node k, windows j with age t_k - t_{j+1} >= tau
         # fold into the sums, up to window k - 2; small rows fold nothing.
@@ -591,13 +605,13 @@ class _Sampled:
     """The coefficients f_s (see elliptic.Coefficient) of a batch's problems
     at the step midpoints, stacked on the problem axis as f_s, or as
     0.5 (shift_s + f_s) where a shift is given: rows[k, s] holds midpoint k
-    of the block.  The absent, constant and x-only kinds are written once;
-    the others are read by block."""
+    of the block, which spans up to `block` steps.  The absent, constant and
+    x-only kinds are written once; the others are read by block."""
 
-    def __init__(self, coefs, xs, shift=None):
+    def __init__(self, coefs, xs, block, shift=None):
         self.coefs, self.xs, self.shift = coefs, xs, shift
         self.sampled = [s for s, f in enumerate(coefs) if f.kind not in (ABSENT, CONSTANT, X_ONLY)]
-        self.rows = np.zeros((_RELAX_BLOCK, len(coefs), xs[0].size))
+        self.rows = np.zeros((block, len(coefs), xs[0].size))
         # what at returns: a batch of one drops the problem axis (see spectral_march)
         self.view = self.rows[:, 0] if len(coefs) == 1 else self.rows
         for s, f in enumerate(coefs):
@@ -767,8 +781,8 @@ def spectral_march(
     moves of the shared memory (see _Memory).  A SolverError names the node
     and, in a batch of several, the problem (see Batch.label).
 
-    b / 2, (c0 + c) / 2 and the source are sampled at the step midpoints a
-    block of _RELAX_BLOCK steps at a time, each as its kind says (see
+    b / 2, (c0 + c) / 2 and the source are sampled at the step midpoints
+    one block of the memory's fetches at a time, each as its kind says (see
     _Sampled and elliptic.Coefficient); without b and c, Q is the constant
     c0 and is not sampled.  A problem whose samples of b and c0 + c are all
     zero at a step takes u_m directly.
@@ -797,6 +811,7 @@ def spectral_march(
     lead = (S,) if S > 1 else ()
     # first, so that a relaxation table it builds meets none of the arrays below
     memory = _Memory(batch.alpha, stack.lambdas.reshape(lead + (n_modes,)), t)
+    block = memory.block  # the nodes of the memory's fetches and of the samples
     xs = [p.grid.nodes for p in problems]
     u = np.empty((N + 1, S, n_nodes))
     a = u[0]  # the initial values, finite: checked when each problem was built
@@ -807,10 +822,10 @@ def spectral_march(
     coefs = {key: [p.coefficients[key] for p in problems] for key in ("b", "c", "source")}
     half_b = src = None
     if any(f.kind != ABSENT for f in coefs["b"]):
-        half_b = _Sampled(coefs["b"], xs, np.zeros(S))
-    half_c = _Sampled(coefs["c"], xs, [p.elliptic.c0 for p in problems])
+        half_b = _Sampled(coefs["b"], xs, block, np.zeros(S))
+    half_c = _Sampled(coefs["c"], xs, block, [p.elliptic.c0 for p in problems])
     if any(f.kind != ABSENT for f in coefs["source"]):
-        src = _Sampled(coefs["source"], xs)
+        src = _Sampled(coefs["source"], xs, block)
     sampled = [smp for smp in (half_b, half_c, src) if smp is not None and smp.sampled]
     no_source = np.zeros(lead + (n_nodes,))
     # one product gives the nodal values and, under a drift, their derivative
@@ -837,10 +852,10 @@ def spectral_march(
     for m in range(1, N + 1):
         relax, history, w_last = memory.advance(m, g_rows)
         base = a_coef * relax + history
-        k = (m - 1) % _RELAX_BLOCK
+        k = (m - 1) % block
         if k == 0:
             for smp in sampled:
-                smp.block(mids[m - 1 : m - 1 + _RELAX_BLOCK])
+                smp.block(mids[m - 1 : m - 1 + block])
         # the part of the step forcing that u_{m-1} fixes: F + Q u_{m-1} / 2
         fixed = no_source if src is None else src.at(k)[0]
         half_c_m, any_active = half_c.at(k)

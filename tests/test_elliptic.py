@@ -3,8 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
+import fraccomp.elliptic as elliptic
 from fraccomp.elliptic import (
     DegenerateEigenpairError,
     EllipticSpec,
@@ -216,6 +217,43 @@ class TestEigen:
         assert np.array_equal(eig.modes, ref)
         if spec.sigma_lo == spec.sigma_hi:
             assert np.sum(np.abs(eig.weights @ eig.modes) < 1e-12) >= n // 2
+
+    @pytest.mark.parametrize("spec, n", [(EllipticSpec(c0=c0), n) for n in (3, 20, 128, 512) for c0 in (0.0, 0.5)]
+                             + [(EllipticSpec(a=lambda x: 1.0 + 0.5 * np.sin(3.0 * x), c0=0.5,
+                                              sigma_lo=0.3, sigma_hi=2.0), 128)])
+    def test_all_eigenpairs_from_one_stevd_call(self, spec, n, monkeypatch):
+        calls = []
+
+        def spy(d, e, **kw):
+            calls.append(kw)
+            return eigh_tridiagonal(d, e, **kw)
+
+        monkeypatch.setattr(elliptic, "eigh_tridiagonal", spy)
+        op = assemble(spec, Grid1D(0.0, 1.0, n))
+        eig = eigendecompose(op)
+        assert calls == [{"lapack_driver": "stevd"}]
+        lam, modes, w = eig.lambdas, eig.modes, eig.weights
+        assert lam.size == n + 2 and np.all(np.diff(lam) > 0.0)
+        gram = modes.T @ (w[:, None] * modes)
+        assert np.max(np.abs(gram - np.eye(n + 2))) <= 1e-13
+        # (K + c0 W) phi = lam W phi, with K the flux matrix and W the
+        # weights, in the symmetric scaling, where the modes have unit norm
+        k_phi = op.flux_diag[:, None] * modes
+        k_phi[:-1] += op.flux_off[:, None] * modes[1:]
+        k_phi[1:] += op.flux_off[:, None] * modes[:-1]
+        residual = (k_phi + (spec.c0 - lam) * w[:, None] * modes) / np.sqrt(w)[:, None]
+        assert np.max(np.abs(residual)) <= 1e-14 * np.max(np.abs(lam))
+        # the signs: positive weighted mean, else positive largest entry
+        mean = w @ modes
+        weak = np.abs(mean) < 1e-12
+        largest = modes[np.argmax(np.abs(modes), axis=0), np.arange(n + 2)]
+        assert np.all(np.where(weak, largest, mean) > 0.0)
+        # the eigenvalues of bisection and inverse iteration on the same
+        # matrix, to rounding in the spectrum's scale
+        sw = np.sqrt(w)
+        ref = eigh_tridiagonal(op.flux_diag / w + spec.c0, op.flux_off / (sw[:-1] * sw[1:]),
+                               select="i", select_range=(0, n + 1), eigvals_only=True)
+        assert np.max(np.abs(lam - ref)) <= 1e-11 * np.max(np.abs(ref))
 
     def test_orthonormality(self):
         g = Grid1D(0.0, 2.0, 60)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
+import fraccomp.evolve_linear as evolve_linear
 from fraccomp.elliptic import (
     Coefficient,
     DiscreteOperator,
@@ -56,6 +57,32 @@ def march_one(p, **kw):
     op = assemble(p.elliptic, p.grid)
     u, counts = spectral_march(Batch((p,)), ModeStack((eigendecompose(op),), (op,)), **kw)
     return u[0], counts[0]
+
+
+def block_lengths(N, modes):
+    """The nodes of each block of a march of N steps over `modes` modes: at
+    least _RELAX_BLOCK a block, _FETCH_POINTS // modes where that is more,
+    and at most the march."""
+    block = min(max(_RELAX_BLOCK, evolve_linear._FETCH_POINTS // modes), N)
+    return [min(block, N - s) for s in range(0, N, block)]
+
+
+@pytest.fixture
+def fetches(monkeypatch):
+    """A fetch budget of _RELAX_BLOCK points, under which every block of a
+    march of several modes spans _RELAX_BLOCK nodes and each relaxation call
+    takes one mode; returns the list of the nodes at which each memory
+    fetched."""
+    monkeypatch.setattr(evolve_linear, "_FETCH_POINTS", _RELAX_BLOCK)
+    starts = []
+    fetch = _Memory._fetch
+
+    def spy(self, m):
+        starts.append(m)
+        fetch(self, m)
+
+    monkeypatch.setattr(_Memory, "_fetch", spy)
+    return starts
 
 
 def make_problem(alpha=0.5, n=24, N=64, T=1.0, r=None, **spec_kw):
@@ -291,7 +318,7 @@ class TestArraySource:
 
 
 class TestBlockedMarch:
-    """The march fetches relaxation values _RELAX_BLOCK nodes at a time and
+    """The march fetches relaxation values a block of nodes at a time and
     advances only the live band of exponential terms of each mode."""
 
     def test_relaxation_batch_is_pointwise(self):
@@ -306,16 +333,17 @@ class TestBlockedMarch:
             assert np.array_equal(relaxation_batch(alpha, x.reshape(5, 81)).ravel(), batch)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.95])
-    def test_several_blocks_match_exact_duhamel_sum(self, alpha):
+    def test_several_blocks_match_exact_duhamel_sum(self, alpha, fetches):
         grid, tg, spec = make_problem(alpha=alpha, n=24, N=2 * _RELAX_BLOCK + 5, c0=1e-6, c=-1e-6)
         eig = eigendecompose(assemble(spec, grid))
         src = lambda x, t: (1.0 + np.sin(3.0 * x)) * np.cos(4.0 * t) + t
         p = ProblemSpec(alpha, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x), source=src)
         u = solve_linear_spectral(p, eig).values
+        assert fetches == [1, 1 + _RELAX_BLOCK, 1 + 2 * _RELAX_BLOCK]
         ref = exact_duhamel(p, eig)
         assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
 
-    def test_restriction_inside_a_block_is_exact(self):
+    def test_restriction_inside_a_block_is_exact(self, fetches):
         # node 45 lies inside the second block of nodes; q is active, so the
         # Picard sweeps and the running sums both enter
         grid, tg, spec = make_problem(alpha=0.4, N=3 * _RELAX_BLOCK, c0=1.0, b=0.3, c=-0.5)
@@ -325,6 +353,7 @@ class TestBlockedMarch:
         half = u.restrict_time(45)
         u2 = solve_linear_spectral(ProblemSpec(0.4, spec, grid, half.tgrid, p.initial, source=p.source))
         assert np.array_equal(half.values, u2.values)
+        assert fetches == [1, 33, 65] + [1, 33]
 
     def test_memory_holds_only_the_band(self):
         # the rule has 1392 terms at alpha = 0.05; no modes x terms array is kept
@@ -340,6 +369,69 @@ class TestBlockedMarch:
         assert max(a.size for a in arrays) < lam.size * n_terms // 4
         per_mode = [a for a in arrays if a.ndim == 2 and a.shape[0] == lam.size]
         assert per_mode and all(a.shape[1] < n_terms // 4 for a in per_mode)
+
+
+class TestFetchBudget:
+    """A block spans max(_RELAX_BLOCK, _FETCH_POINTS // modes) nodes of the
+    march, and each relaxation call of a block takes _FETCH_POINTS // block
+    columns of the batch's modes.  Both functions are pointwise, so the
+    fields do not depend on the split."""
+
+    @pytest.mark.parametrize("modes, N, block", [
+        (130, 1024, 63),  # a criterion-5 spec, n = 128
+        (462, 64, _RELAX_BLOCK),  # a verify ensemble of 21 problems at n = 20
+        (22, 256, 256),  # a single verify solve: the whole march
+        (22, 40, 40),
+    ])
+    def test_block_nodes(self, modes, N, block):
+        t = TimeGrid.graded(1.0, N, 4.0).nodes
+        assert _Memory(0.5, np.ones(modes), t).block == block == block_lengths(N, modes)[0]
+
+    @staticmethod
+    def fields(problems, monkeypatch, budget=None):
+        """The fields and sweep counts of one march of the batch, under the
+        given fetch budget (default: the module's), and the shapes of the
+        relaxation_batch calls it made."""
+        shapes = []
+
+        def spy(alpha, x):
+            shapes.append(x.shape)
+            return relaxation_batch(alpha, x)
+
+        with monkeypatch.context() as mp:
+            if budget is not None:
+                mp.setattr(evolve_linear, "_FETCH_POINTS", budget)
+            mp.setattr(evolve_linear, "relaxation_batch", spy)
+            ops = [assemble(p.elliptic, p.grid) for p in problems]
+            u, counts = spectral_march(Batch(problems), ModeStack([eigendecompose(op) for op in ops], ops))
+        return u, counts, shapes
+
+    @staticmethod
+    def problems(alpha, S):
+        grid, tg, _ = make_problem(alpha=alpha, n=24, N=100)
+        specs = [
+            EllipticSpec(b=lambda x, t: 0.3 * np.cos(2.0 * x + t), c=lambda x, t: -0.5 * np.sin(3.0 * x) * t,
+                         c0=0.5),
+            EllipticSpec(c=-0.3, c0=1.0, sigma_lo=1.5, sigma_hi=0.5),
+            EllipticSpec(b=0.2, c0=0.0),
+        ]
+        src = lambda x, t: np.sin(2.0 * x) + np.cos(3.0 * t)
+        return [ProblemSpec(alpha, spec, grid, tg, lambda x: 1.0 + 0.5 * np.cos(math.pi * x), source=src)
+                for spec in specs[:S]]
+
+    @pytest.mark.parametrize("S", [1, 3])
+    @pytest.mark.parametrize("alpha", [0.3, 0.95])
+    def test_fields_do_not_depend_on_the_budget(self, alpha, S, monkeypatch):
+        problems = self.problems(alpha, S)
+        modes = problems[0].grid.n_nodes
+        u, counts, shapes = self.fields(problems, monkeypatch)
+        # the default budget: one block of the whole march, one call for the batch
+        assert shapes == [(200, S * modes)]
+        # 32-node blocks and one problem's modes per call
+        u32, counts32, shapes32 = self.fields(problems, monkeypatch, _RELAX_BLOCK * modes)
+        assert shapes32 == [(2 * _RELAX_BLOCK, modes)] * 3 * S + [(8, modes)] * S
+        assert np.array_equal(u, u32) and np.array_equal(counts, counts32)
+        assert counts[0].any()
 
 
 class TestModeSpaceSweeps:
@@ -511,7 +603,7 @@ class TestTaylorMoments:
 
 
 class TestBlockSampledForcing:
-    """b / 2, (c0 + c) / 2 and the source are sampled _RELAX_BLOCK step
+    """b / 2, (c0 + c) / 2 and the source are sampled a block of step
     midpoints per call where the problem's build-time call with the column
     of its sampled times gives (times, nodes), and once per step for the
     whole march where it does not."""
@@ -541,7 +633,8 @@ class TestBlockSampledForcing:
         # 2N sampled times and one call per time, then one call per step;
         # one call with that column, then one per block
         N = 3 * _RELAX_BLOCK
-        assert calls == {"scalar": 1 + 2 * N + N, "array": 1 + 3}
+        n_blocks = len(block_lengths(N, self.problem().grid.n_nodes))
+        assert calls == {"scalar": 1 + 2 * N + N, "array": 1 + n_blocks}
         # math.cos and numpy's cos may differ in the last bit
         assert np.max(np.abs(u1 - u2)) <= 1e-14 * np.max(np.abs(u2))
         u3 = solve_linear_spectral(self.problem(b=b_numpy, c=step_c)).values
@@ -568,7 +661,7 @@ class TestBlockSampledForcing:
         assert np.array_equal(seen[1:], times)
 
     @pytest.mark.parametrize("k_last", [45, 2 * _RELAX_BLOCK + 1])
-    def test_restriction_is_exact_past_a_partial_block(self, k_last):
+    def test_restriction_is_exact_past_a_partial_block(self, k_last, fetches):
         # the restricted march's last block holds 13 or 1 midpoints; a block
         # of one is sampled by a call with a one-time column
         p = self.problem(b=lambda x, t: 0.3 * np.cos(2.0 * x + 0.3 * t),
@@ -577,6 +670,7 @@ class TestBlockSampledForcing:
         half = u.restrict_time(k_last)
         u2 = solve_linear_spectral(replace(p, tgrid=half.tgrid))
         assert np.array_equal(half.values, u2.values)
+        assert fetches == [1, 33, 65] + list(range(1, k_last + 1, _RELAX_BLOCK))
 
     @pytest.mark.parametrize("role", ["c", "source"])
     @pytest.mark.parametrize("text", ["1 + x", "sin(t)", "x * exp(-t)"])
@@ -592,7 +686,8 @@ class TestBlockSampledForcing:
         p = self.problem(c=f) if role == "c" else replace(self.problem(), source=f)
         solve_linear_spectral(p)
         # one call with the column of the 2N sampled times when p is built
-        assert calls == [(6 * _RELAX_BLOCK, 1)] + [(_RELAX_BLOCK, 1)] * 3
+        blocks = block_lengths(3 * _RELAX_BLOCK, p.grid.n_nodes)
+        assert calls == [(6 * _RELAX_BLOCK, 1)] + [(b, 1) for b in blocks]
 
     def test_repo_coefficients_are_sampled_by_column(self, monkeypatch):
         # the suites' and the benchmark's coefficients take a column of
