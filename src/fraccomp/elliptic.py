@@ -232,26 +232,28 @@ class DiscreteOperator:
     volumes: np.ndarray = field(repr=False)
 
     def apply_sym(self, v):
-        """Pointwise A0 v = (-(a v')' + c0 v) with the Robin closure."""
+        """Pointwise A0 v = (-(a v')' + c0 v) with the Robin closure, along
+        the last axis of v."""
         v = np.asarray(v, dtype=float)
         out = self.flux_diag * v
-        out[:-1] += self.flux_off * v[1:]
-        out[1:] += self.flux_off * v[:-1]
+        out[..., :-1] += self.flux_off * v[..., 1:]
+        out[..., 1:] += self.flux_off * v[..., :-1]
         return out / self.volumes + self.spec.c0 * v
 
     def derivative(self, v):
-        """d/dx v, centred inside, one-sided second order at the endpoints."""
+        """d/dx v along the last axis of v, centred inside, one-sided second
+        order at the endpoints."""
         v = np.asarray(v, dtype=float)
         d = np.empty_like(v)
-        np.subtract(v[2:], v[:-2], out=d[1:-1])
-        d[0] = 4.0 * v[1] - 3.0 * v[0] - v[2]
-        d[-1] = 3.0 * v[-1] - 4.0 * v[-2] + v[-3]
+        np.subtract(v[..., 2:], v[..., :-2], out=d[..., 1:-1])
+        d[..., 0] = 4.0 * v[..., 1] - 3.0 * v[..., 0] - v[..., 2]
+        d[..., -1] = 3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]
         d *= 0.5 / self.grid.h
         return d
 
     def q_parts(self, t):
-        """Vectors (b, c0 + c) sampled at time t for the splitting
-        Q u = b u' + (c0 + c) u."""
+        """Vectors (b, c0 + c) sampled at time t, or rows of them at a 1-D
+        array of times, for the splitting Q u = b u' + (c0 + c) u."""
         x = self.grid.nodes
         coefs = self.spec.coefficients
         c = coefs["c"].values(x, t)
@@ -266,7 +268,8 @@ class DiscreteOperator:
         return out
 
     def apply_full(self, v, t=0.0):
-        """A v = A0 v - Q v = -(a v')' - b v' - c v (c0 cancels)."""
+        """A v = A0 v - Q v = -(a v')' - b v' - c v (c0 cancels); v may hold
+        one row per time of a 1-D array t."""
         return self.apply_sym(v) - self.apply_q(v, self.q_parts(t))
 
     def bands(self, t=0.0, shift=0.0):
@@ -300,11 +303,12 @@ class DiscreteOperator:
 
     def robin_residual(self, v):
         """Conormal-plus-sigma boundary residuals (left, right) of a field,
-        with one-sided second-order derivatives."""
+        or of each row of an array of them, with one-sided second-order
+        derivatives."""
         a = self.spec.coefficients["a"].values(self.grid.nodes[[0, -1]])
         dv = self.derivative(v)
-        lo = -a[0] * dv[0] + self.spec.sigma_lo * v[0]
-        hi = a[1] * dv[-1] + self.spec.sigma_hi * v[-1]
+        lo = -a[0] * dv[..., 0] + self.spec.sigma_lo * v[..., 0]
+        hi = a[1] * dv[..., -1] + self.spec.sigma_hi * v[..., -1]
         return lo, hi
 
 

@@ -19,9 +19,11 @@ Two independent routes:
 On the spectral route u at node m is the fixed point of the step map, found
 by Picard sweeps on its mode coefficients (see spectral_march): a sweep is
 one product giving u and u' on the nodes, the nodal forcing, one weighted
-projection and the per-mode update.  The sweeps start from the cubic
-extrapolation of u and u' from the last four nodes, so that they mostly
-stop after 2 sweeps; the march returns the number of sweeps per node.
+projection and the per-mode update.  The projection takes the whole step
+forcing, the half that u_{m-1} fixes with the swept half, so that a swept
+step projects once per sweep and at no other time.  The sweeps start from
+the cubic extrapolation of u and u' from the last four nodes, so that they
+mostly stop after 2 sweeps; the march returns the number of sweeps per node.
 The coefficients b, c and the source are sampled at the step midpoints
 a block of steps per call where they take a column of times, once per
 step where they do not, and never where they do not depend on t, as the
@@ -171,8 +173,9 @@ class ProblemSpec:
         return np.asarray(v, dtype=float) * np.ones_like(x)
 
     def source_at(self, t, node_index=None):
-        """Source values on the nodes at time t, or None; an array source is
-        read at a time node or a step midpoint, without node_index."""
+        """Source values on the nodes at time t, or one row per time of a
+        1-D array t, or None; an array source is read at the time nodes and
+        the step midpoints, without node_index."""
         return self.coefficients["source"].values(self.grid.nodes, t)
 
 
@@ -250,6 +253,9 @@ class _Memory:
     rate, S_j = sum_k exp(-r_j (t_m - t_{k+1})) (1 - exp(-r_j dt_k)) g_k,
     which moves to the next node in O(rates):
     S(m) = exp(-r dt_{m-1}) [S(m-1) + (1 - exp(-r dt_{m-2})) g_{m-2}].
+    The history is sum_j (w_j / lam) S_j: the division by lam (by 1 where
+    lam <= 0) is folded into the band's weights and the frozen sum's logs,
+    so that a step divides nothing.
 
     Only a live band of rates is advanced per mode:
     * above it, r_j dt_{m-1} > _BAND_HI: every window is at least dt_{m-1}
@@ -318,14 +324,15 @@ class _Memory:
         self.weight_pad = np.concatenate([soe.weight, np.zeros(n_terms + _BAND_SLACK)])
         self.log_rho_at = np.append(soe.log_rho, np.inf)  # +inf past the rule
         self.ln_c = _prefix_logs(alpha)
+        # what the history is divided by, through the weights and ln_a
+        self.lam_div = np.where(self.lam > 0.0, self.lam, 1.0)
         with np.errstate(divide="ignore", over="ignore"):
             # lam <= 0 gets rate 0 and tau inf; such modes stay small
             self.ln_root = np.log(np.maximum(self.lam, 0.0)) / alpha  # ln lam^(1/alpha)
             self.tau = soe.sigma_lo * np.exp(-self.ln_root)
-            # ln (sum_{j < base} w_j r_j^p) / p!, p = 1..K
-            self.ln_a = _ORDERS * self.ln_root + self.ln_c[:, n_terms, None]
+            # ln (sum_{j < base} w_j r_j^p) / (p! lam), p = 1..K
+            self.ln_a = _ORDERS * self.ln_root + self.ln_c[:, n_terms, None] - np.log(self.lam_div)
         modes = self.lam.size
-        self.lam_div = np.where(self.lam > 0.0, self.lam, 1.0)
         self.base = np.full(modes, n_terms)  # term held in column 0 of each row
         self.sums = np.zeros((modes, 0))  # S_j at the previous node, band columns
         self.rates = np.zeros((modes, 0))
@@ -441,7 +448,9 @@ class _Memory:
         rates += self.ln_root[:, None]
         with np.errstate(over="ignore"):
             np.exp(rates, out=rates)
-        self.rates, self.weight = rates, self.weight_win[self.base]
+        weight = self.weight_win[self.base]
+        weight /= self.lam_div[:, None]
+        self.rates, self.weight = rates, weight
 
     def _edges(self):
         """ln r of the highest frozen term and of the lowest term above the
@@ -505,7 +514,7 @@ class _Memory:
             thawed = acc * x
         np.copyto(kept[:, :n_thawed], thawed, where=thaw)
         self.sums[rows] = kept
-        self.ln_a[:, rows] = _ORDERS * self.ln_root[rows] + self.ln_c[:, base]
+        self.ln_a[:, rows] = _ORDERS * self.ln_root[rows] + self.ln_c[:, base] - np.log(self.lam_div[rows])
         self._edges()
 
     def _fold(self, m, g_hist, late):
@@ -526,18 +535,20 @@ class _Memory:
             self.mom += (ages[0] - ages[1])[:, None] * (g_hist[k] * sel)
 
     def _frozen(self, ln_s):
-        """sum_{j < base} w_j S_j per mode at the node whose p ln tau is ln_s:
-        sum_p (-1)^(p+1) (sum_{j < base} w_j r_j^p) tau^p / p! A_p, every
-        factor of which is at most sum_j w_j _BAND_LO^p."""
+        """sum_{j < base} (w_j / lam) S_j per mode at the node whose p ln tau
+        is ln_s: sum_p (-1)^(p+1) (sum_{j < base} w_j r_j^p) tau^p / (p! lam)
+        A_p, every factor of which, times lam, is at most
+        sum_j w_j _BAND_LO^p."""
         e = np.exp(np.add(self.ln_a, ln_s, out=self.frozen_work), out=self.frozen_work)
         e *= self.mom
         return _SIGNS @ e
 
     def advance(self, m, g_hist):
-        """Move to node m; returns E(-lam t_m^alpha) per mode, the history
-        term and the current window's masses, each in the shape of lambdas.
-        g_hist[k] holds the mode coefficients of the forcing on window k,
-        flat (k <= m - 2 are read)."""
+        """Move to node m; returns the history term and the current window's
+        masses, each in the shape of lambdas.  E(-lam t^alpha) of the
+        block's nodes is in relax after the fetch, which advance does not
+        read.  g_hist[k] holds the mode coefficients of the forcing on
+        window k, flat (k <= m - 2 are read)."""
         t, lam, alpha = self.t, self.lam, self.alpha
         if m >= self.block_stop:
             self._fetch(m)
@@ -587,8 +598,7 @@ class _Memory:
         self.sums *= decay_m1 + 1.0
 
         # small modes have folded nothing, so their sums and moments are 0
-        history = np.einsum("ij,ij->i", self.sums, self.weight) + self._frozen(self.ln_s[b])
-        history /= self.lam_div
+        history = np.vecdot(self.sums, self.weight) + self._frozen(self.ln_s[b])
         # small modes, and young windows fold_to <= k <= m - 2 of the others
         if not self.fold_all[b]:
             rest = ~self.fold_last[b]
@@ -598,7 +608,7 @@ class _Memory:
             history[rest] += (masses * young * g_hist[q : m - 1, rest].T).sum(axis=1)
         if self.shape is not None:
             history = history.reshape(self.shape)
-        return self.relax[b], history, self.w_cur[b]
+        return history, self.w_cur[b]
 
 
 class _Sampled:
@@ -766,9 +776,11 @@ def spectral_march(
     average of u_{m-1} and u_m, is frozen on the window, and the mode
     coefficients v of u_m are the fixed point of v -> base + w_last * P g,
     P the weighted projection.  The Picard sweeps run on v: the half of
-    Q u_rep that u_{m-1} fixes (with the u' its last sweep gave) is projected
-    once per step, and a sweep is one product giving u and u' on the nodes,
-    the other half plus f, one projection and the update.  They start from
+    Q u_rep that u_{m-1} fixes (with the u' its last sweep gave) is formed
+    on the nodes once per step, with F, and a sweep is one product giving u
+    and u' on the nodes, the other half plus f, one projection of the whole
+    step forcing and the update.  P is linear, so projecting the fixed half
+    apart would only cost a second product.  They start from
     the cubic extrapolation of u and u' from the last four nodes (see
     _extrapolation_weights) and stop when u_m moves by at most picard_tol on
     the nodes.  The memory keeps the forcing of the last sweep, so u_m is
@@ -785,7 +797,7 @@ def spectral_march(
     one block of the memory's fetches at a time, each as its kind says (see
     _Sampled and elliptic.Coefficient); without b and c, Q is the constant
     c0 and is not sampled.  A problem whose samples of b and c0 + c are all
-    zero at a step takes u_m directly.
+    zero at a step takes u_m directly, from P F.
 
     nonlinearity(u_nodal, t, rows) -> nodal values is added to the step
     forcing with the same endpoint-average state treatment as Q u: u_nodal
@@ -829,7 +841,7 @@ def spectral_march(
     sampled = [smp for smp in (half_b, half_c, src) if smp is not None and smp.sampled]
     no_source = np.zeros(lead + (n_nodes,))
     # one product gives the nodal values and, under a drift, their derivative
-    synth = np.stack([np.vstack([e.modes, op.derivative(e.modes)]) if half_b is not None else e.modes
+    synth = np.stack([np.vstack([e.modes, op.derivative(e.modes.T).T]) if half_b is not None else e.modes
                       for e, op in zip(stack.eigs, stack.ops)])
     synth = synth.reshape(lead + synth.shape[1:])
     proj = np.stack([(e.modes * e.weights[:, None]).T for e in stack.eigs]).reshape(lead + (n_modes, n_nodes))
@@ -850,12 +862,15 @@ def spectral_march(
     uv_hist[..., 0, :] = np.matvec(synth, a_coef)
 
     for m in range(1, N + 1):
-        relax, history, w_last = memory.advance(m, g_rows)
-        base = a_coef * relax + history
+        history, w_last = memory.advance(m, g_rows)
         k = (m - 1) % block
         if k == 0:
+            # S(t) a on the nodes of the block the memory fetched, in place
+            # of the relaxation values, which the memory does not read again
+            free = np.multiply(memory.relax, a_coef, out=memory.relax)
             for smp in sampled:
                 smp.block(mids[m - 1 : m - 1 + block])
+        base = free[k] + history
         # the part of the step forcing that u_{m-1} fixes: F + Q u_{m-1} / 2
         fixed = no_source if src is None else src.at(k)[0]
         half_c_m, any_active = half_c.at(k)
@@ -873,23 +888,18 @@ def spectral_march(
             fixed = fixed + half_c_m * u_prev
             if half_b_m is not None:
                 fixed += half_b_m * du
-        g_fixed = np.matvec(proj, fixed)
-        if not np.isfinite(g_fixed).all():
-            raise _first_non_finite(batch, "step forcing", m, g_fixed, fixed)
 
         if not (any_active or nonlinearity is not None):
-            g = g_fixed
+            g = np.matvec(proj, fixed)
             uv = np.matvec(synth, base + w_last * g)
             u_prev = uv[..., :n_nodes]
             if not np.isfinite(u_prev).all():
-                raise _first_non_finite(batch, "field", m, u_prev, u_prev)
+                raise _non_finite_direct(batch, m, g, fixed, u_prev)
         else:
             if not any_active:  # nothing to sweep for Q
                 half_c_m = half_b_m = None
-            rows = (proj, synth, base, w_last, fixed, g_fixed, half_c_m, half_b_m,
-                    start[m] @ uv_hist, u_prev)
-            uv, u_prev, g = _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts,
-                                    mids[m - 1])
+            rows = (proj, synth, base, w_last, fixed, half_c_m, half_b_m, start[m] @ uv_hist, u_prev)
+            uv, u_prev, g = _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts, mids[m - 1])
         uv_hist[..., m % 4, :] = uv
         if half_b is not None:
             du = uv[..., n_nodes:]
@@ -911,6 +921,15 @@ def _first_non_finite(batch, what, m, test, values, rows=None):
     return _non_finite(what, m, batch.problems[s].grid, values[j], batch.label(s))
 
 
+def _non_finite_direct(batch, m, g, fixed, u, rows=None):
+    """The SolverError of a step whose u_m, taken directly from the step
+    forcing fixed and its mode coefficients g, is not finite: the step
+    forcing where g is not finite, else the field."""
+    if not np.isfinite(g).all():
+        return _first_non_finite(batch, "step forcing", m, g, fixed)
+    return _first_non_finite(batch, "field", m, u, u, rows)
+
+
 def _take(rows, live):
     return tuple(None if v is None else v[live] for v in rows)
 
@@ -918,32 +937,40 @@ def _take(rows, live):
 def _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts, mid):
     """The Picard sweeps of node m (see spectral_march), on the rows of the
     march's arrays, one per problem: projector, synthesis, base, w_last,
-    fixed forcing and its coefficients, b / 2 and (c0 + c) / 2 (None where Q
-    is not swept), the start and u_{m-1}.  Returns u and u' on the nodes, u
-    alone and the forcing's mode coefficients, and enters the sweep counts.
-    A problem leaves the sweeps at the sweep where it converges; where
-    active marks some problems only, the others take u_m directly."""
+    fixed forcing, b / 2 and (c0 + c) / 2 (None where Q is not swept), the
+    start and u_{m-1}.  Each sweep projects the fixed forcing and the swept
+    one in one product.  Returns u and u' on the nodes, u alone and the
+    forcing's mode coefficients, and enters the sweep counts.  A problem
+    leaves the sweeps at the sweep where it converges; where active marks
+    some problems only, the others take u_m directly from the projection of
+    their fixed forcing."""
     S, n_nodes = len(batch.problems), rows[-1].shape[-1]
     # the problems still sweeping (None: all of them), and the rows of the
     # others, once there are any
     live = out_uv = out_g = None
     if active is not None and not active.all():
-        proj, synth, base, w_last, _, g_fixed = rows[:6]
-        out_uv, out_g = np.matvec(synth, base + w_last * g_fixed), g_fixed.copy()
-        if not np.isfinite(out_uv[~active, :n_nodes]).all():
-            idle = np.flatnonzero(~active)
-            raise _first_non_finite(batch, "field", m, out_uv[idle, :n_nodes], out_uv[idle, :n_nodes], idle)
+        proj, synth, base, w_last, fixed = rows[:5]
+        out_g = np.matvec(proj, fixed)
+        out_uv = np.matvec(synth, base + w_last * out_g)
+        idle = np.flatnonzero(~active)
+        if not np.isfinite(out_uv[idle, :n_nodes]).all():
+            raise _non_finite_direct(batch, m, out_g, fixed, out_uv[idle, :n_nodes], idle)
         live = np.flatnonzero(active)
         rows = _take(rows, live)
-    proj, synth, base, w_last, fixed, g_fixed, half_c_m, half_b_m, uv, u_prev = rows
+    proj, synth, base, w_last, fixed, half_c_m, half_b_m, uv, u_prev = rows
     u_new = uv[..., :n_nodes]
     for it in range(PICARD_MAX):
-        swept = 0.0 if half_c_m is None else half_c_m * u_new
-        if half_b_m is not None:
-            swept += half_b_m * uv[..., n_nodes:]
+        # the step forcing, fixed + swept
+        if half_c_m is None:
+            forcing = fixed
+        else:
+            forcing = half_c_m * u_new
+            if half_b_m is not None:
+                forcing += half_b_m * uv[..., n_nodes:]
+            forcing += fixed
         if nonlinearity is not None:
-            swept = swept + nonlinearity(0.5 * (u_prev + u_new), mid, np.arange(S) if live is None else live)
-        g = g_fixed + np.matvec(proj, swept)
+            forcing = forcing + nonlinearity(0.5 * (u_prev + u_new), mid, np.arange(S) if live is None else live)
+        g = np.matvec(proj, forcing)
         uv = np.matvec(synth, base + w_last * g)
         u_next = uv[..., :n_nodes]
         change = np.abs(u_next - u_new)
@@ -956,7 +983,7 @@ def _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts, mid):
             out_uv[live], out_g[live] = uv, g
             return out_uv, out_uv[:, :n_nodes], out_g
         if not math.isfinite(residual):
-            raise _first_non_finite(batch, "step forcing", m, change, fixed + swept, live)
+            raise _first_non_finite(batch, "step forcing", m, change, forcing, live)
         u_new = u_next
         if S == 1:
             continue
@@ -970,9 +997,8 @@ def _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts, mid):
             out_uv[live[done]], out_g[live[done]] = uv[done], g[done]
             keep = ~done
             live = live[keep]
-            proj, synth, base, w_last, fixed, g_fixed, half_c_m, half_b_m, uv, u_prev, u_new, change = _take(
-                (proj, synth, base, w_last, fixed, g_fixed, half_c_m, half_b_m, uv, u_prev, u_new, change),
-                keep)
+            proj, synth, base, w_last, fixed, half_c_m, half_b_m, uv, u_prev, u_new, change = _take(
+                (proj, synth, base, w_last, fixed, half_c_m, half_b_m, uv, u_prev, u_new, change), keep)
     # the first problem still sweeping
     residual = float(np.atleast_2d(change)[0].max())
     raise SolverError(

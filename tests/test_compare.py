@@ -29,7 +29,7 @@ from fraccomp.evolve_semilinear import (
     scalar_fractional_ode,
     solve_semilinear,
 )
-from fraccomp.fracops import TimeGrid
+from fraccomp.fracops import TimeGrid, caputo_l1_field
 from fraccomp.special_ml import ml_relaxation
 
 
@@ -361,6 +361,34 @@ class TestVerifyBarrier:
         band_long = a0[None, :] + p_long.tgrid.nodes[:, None] ** (alpha - eps)
         raw = verify_barrier(Field(p_long.grid, p_long.tgrid, band_long), "upper", p_long, f=f)
         assert raw.worst > 1e-6
+
+    def test_all_times_at_once(self):
+        # b, c and the source are called once, with the column of the time
+        # nodes after t = 0, and the worst residual has the bits of the
+        # residuals taken one time node at a time
+        calls = []
+
+        def counted(f):
+            def g(x, t):
+                calls.append(np.shape(t))
+                return f(x, t)
+            return g
+
+        p = neumann_problem(N=32, initial=1.0, c0=0.5, sigma_lo=1.0,
+                            b=counted(lambda x, t: 0.3 * np.cos(2.0 * x + t)),
+                            c=counted(lambda x, t: -0.3 * np.sin(2.0 * x) * np.cos(t)),
+                            source=counted(lambda x, t: np.sin(3.0 * x) + t))
+        t, x = p.tgrid.nodes, p.grid.nodes
+        v = 1.0 + 0.3 * np.outer(t ** 0.5, np.sin(2.0 * x))
+        calls.clear()
+        rep = verify_barrier(Field(p.grid, p.tgrid, v), "upper", p)
+        assert sorted(calls) == [(32, 1)] * 3
+        op = assemble(p.elliptic, p.grid)
+        cap = caputo_l1_field(p.tgrid, v, p.alpha)
+        resid = [cap[k] + op.apply_full(v[k], t[k]) - p.source_at(t[k]) for k in range(1, t.size)]
+        robin = [op.robin_residual(v[k]) for k in range(1, t.size)]
+        worst = max(float(np.max(-np.array(resid))), float(np.max(np.abs(robin))), 0.0)
+        assert worst > 0.0 and rep.worst == worst
 
     def test_non_barrier_flagged(self):
         # too-shallow power growth is *not* an upper solution for a positive source

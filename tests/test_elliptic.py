@@ -7,6 +7,7 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 
 import fraccomp.elliptic as elliptic
 from fraccomp.elliptic import (
+    BROADCASTS,
     DegenerateEigenpairError,
     EllipticSpec,
     Grid1D,
@@ -16,6 +17,8 @@ from fraccomp.elliptic import (
     eigendecompose,
     principal_eigenpair,
 )
+from fraccomp.evolve_linear import ProblemSpec
+from fraccomp.fracops import TimeGrid
 
 
 def robin_lambda1(sigma):
@@ -124,6 +127,24 @@ def test_banded_operator(drift, sigma, n):
         sol = banded_lu_solve(banded_lu(o.bands(t, shift)), v)
         res = shift * sol + o.apply_full(sol, t) - v
         assert np.max(np.abs(res)) <= 1e-13 * (shift + norm) * np.max(np.abs(sol))
+
+
+def test_operators_act_along_the_last_axis():
+    # an array of fields, one row per time of a column of times, gives the
+    # bits of one field at a time, also where b and c broadcast in t
+    g = Grid1D(-0.5, 1.5, 20)
+    spec = EllipticSpec(a=lambda x: 1.0 + 0.5 * x * x, b=lambda x, t: np.sin(3.0 * x) + t,
+                        c=lambda x, t: -0.5 + 0.2 * np.cos(x + t), c0=1.0, sigma_lo=1.5, sigma_hi=3.0)
+    p = ProblemSpec(0.5, spec, g, TimeGrid.graded(1.0, 8, 4.0), 1.0)
+    assert p.elliptic.coefficients["b"].kind == BROADCASTS
+    op = assemble(p.elliptic, g)
+    t = p.tgrid.nodes[1:]
+    v = np.random.default_rng(3).normal(size=(t.size, g.n_nodes))
+    rows = [(op.apply_sym(v[k]), op.derivative(v[k]), op.apply_full(v[k], t[k]), op.robin_residual(v[k]))
+            for k in range(t.size)]
+    for whole, one in zip((op.apply_sym(v), op.derivative(v), op.apply_full(v, t)), zip(*rows)):
+        assert np.array_equal(whole, np.array(one))
+    assert np.array_equal(np.array(op.robin_residual(v)).T, np.array([r[3] for r in rows]))
 
 
 class TestBandedSolve:

@@ -509,6 +509,76 @@ class TestModeSpaceSweeps:
         assert np.array_equal(half.values, u2.values)
 
 
+class TestStepForcing:
+    """Each sweep projects the whole step forcing, the half that u_{m-1}
+    fixes with the swept half, in one product."""
+
+    def test_one_projection_per_sweep(self, monkeypatch):
+        grid, tg, spec = make_problem(n=24, N=48, c0=0.5, b=lambda x, t: 0.3 * np.cos(2.0 * x + t),
+                                      c=lambda x, t: -0.3 * np.sin(2.0 * x) * np.cos(t))
+        p = ProblemSpec(0.5, spec, grid, tg, lambda x: 1.0 + 0.5 * np.cos(math.pi * x),
+                        source=lambda x, t: np.sin(3.0 * x) + t)
+        op = assemble(p.elliptic, p.grid)
+        eig = eigendecompose(op)
+        proj = (eig.modes * eig.weights[:, None]).T
+        products = []
+        matvec = np.matvec
+
+        def spy(a, v):
+            if np.shape(a) == proj.shape and np.array_equal(a, proj):
+                products.append(v.shape)
+            return matvec(a, v)
+
+        monkeypatch.setattr(np, "matvec", spy)
+        _, counts = spectral_march(Batch((p,)), ModeStack((eig,), (op,)))
+        # every step sweeps: one product per sweep, none for the fixed half
+        assert counts.min() >= 1
+        assert len(products) == counts.sum()
+
+    @staticmethod
+    def overflowing(m_bad, **spec_kw):
+        """A problem on n = 24, N = 16 whose source and c jump to 1.5e308 for
+        x > 0.5 from the midpoint of step m_bad on: finite at every time it
+        is sampled, but F + (c0 + c) u_{m-1} / 2 overflows at node m_bad,
+        first at the node x = 0.52."""
+        grid, tg, _ = make_problem(n=24, N=16)
+        t_on = tg.nodes[m_bad - 1]
+        huge = lambda x, t, v: np.where((x > 0.5) & (t > t_on), 1.5e308, v)
+        spec = EllipticSpec(c0=0.5, c=lambda x, t: huge(x, t, -0.2 * np.cos(x)), **spec_kw)
+        return ProblemSpec(0.5, spec, grid, tg, 1.0, source=lambda x, t: huge(x, t, 1.0))
+
+    def test_overflowing_fixed_forcing_solo(self):
+        with pytest.raises(SolverError, match=r"^non-finite step forcing at time node 6 \(first at x = 0\.52\)$") as exc:
+            march_one(self.overflowing(6))
+        assert exc.value.node == 6 and exc.value.problem is None
+
+    def test_overflowing_fixed_forcing_in_a_batch(self):
+        grid, tg, spec = make_problem(n=24, N=16, c0=0.5, c=lambda x, t: -0.2 * np.cos(x))
+        problems = [self.overflowing(5, b=0.3) if j == 2 else ProblemSpec(0.5, spec, grid, tg, 1.0, source=1.0)
+                    for j in range(5)]
+        message = r"^problem 2: non-finite step forcing at time node 5 \(first at x = 0\.52\)$"
+        with pytest.raises(SolverError, match=message) as exc:
+            solve_linear_spectral_many(problems)
+        assert exc.value.problem == 2 and exc.value.node == 5
+
+    def test_overflowing_fixed_forcing_beside_idle_problems(self):
+        # problems 0 and 1 have no b, c or c0: nothing couples their modes,
+        # so at every step they take u_m directly while 2 and 3 sweep
+        grid, tg, spec = make_problem(n=24, N=16, c0=0.5, c=lambda x, t: -0.2 * np.cos(x))
+        idle = ProblemSpec(0.5, EllipticSpec(), grid, tg, 1.0, source=1.0)
+        problems = [idle, idle, self.overflowing(7), ProblemSpec(0.5, spec, grid, tg, 1.0, source=1.0)]
+        message = r"^problem 2: non-finite step forcing at time node 7 \(first at x = 0\.52\)$"
+        with pytest.raises(SolverError, match=message) as exc:
+            solve_linear_spectral_many(problems)
+        assert exc.value.problem == 2 and exc.value.node == 7
+        # the same batch without the overflow marches, the idle ones without sweeps
+        problems[2] = problems[3]
+        ops = [assemble(p.elliptic, p.grid) for p in problems]
+        u, counts = spectral_march(Batch(problems), ModeStack([eigendecompose(op) for op in ops], ops))
+        assert np.all(np.isfinite(u))
+        assert not counts[:2].any() and np.all(counts[2:] >= 1)
+
+
 class TestTaylorMoments:
     """The frozen terms of _Memory, r t_m < _BAND_LO, live in K Taylor
     moments per mode; a term that thaws gets its sum back from them."""
@@ -551,7 +621,8 @@ class TestTaylorMoments:
         assert np.all(r[rows, base - 1] * tau < _BAND_LO)
 
         def frozen_error(top):
-            frozen = memory._frozen(math.log(tau) * _ORDERS)
+            # the frozen sum comes divided by lam, as the band's weights do
+            frozen = lam * memory._frozen(math.log(tau) * _ORDERS)
             ref = np.array([math.fsum(w[: top[i]] * sums[i, : top[i]]) for i in rows])
             return np.max(np.abs(frozen - ref) / ref)
 
