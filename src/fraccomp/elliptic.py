@@ -69,7 +69,7 @@ class Coefficient:
     * per time: anything else, or a raise: one call per time;
     * time nodes: an array of one row per time node and one column per node
       or one, read at a time node and at a step midpoint as the mean of its
-      two ends.
+      two ends, and refused where a row or such a mean is not finite.
 
     of takes a callable as per time (a, of x alone, as x-only, called per
     evaluation); decided settles its kind."""
@@ -109,6 +109,9 @@ class Coefficient:
                 raise ValueError(f"{key} must be None, a number, a callable of (x, t) or an array of shape "
                                  f"{shapes[0]} or {shapes[1]}, one row per time node; got {got}")
             _require_finite(key, rows, x, t)
+            with np.errstate(over="ignore"):  # read as _on_time_nodes reads a step midpoint
+                mid = 0.5 * (rows[:-1] + rows[1:])
+            _require_finite(key, mid, x, 0.5 * (t[:-1] + t[1:]))
             return Coefficient(key, rows, kind, t=t)
         if kind == ABSENT:
             return self

@@ -316,6 +316,19 @@ class TestArraySource:
         for solve in (solve_linear_spectral, solve_linear_l1):
             assert np.array_equal(solve(p_col).values, solve(p_full).values)
 
+    def test_an_overflowing_step_midpoint_is_refused_when_built(self):
+        # rows 3 and 4 are finite, but their mean, read at the midpoint of
+        # step 4, overflows: this built, and the spectral route failed with
+        # "non-finite step forcing at time node 4", the L1 route at step 3
+        F = np.ones((9, 10))
+        F[3:5, 4] = 1e308
+        tg = TimeGrid.graded(1.0, 8, 4.0)
+        where = f"'source' is not finite at x = {4 / 9:.6g}, t = {0.5 * (tg.nodes[3] + tg.nodes[4]):.6g}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=f"^{re.escape(where)}$"):
+                ProblemSpec(0.5, EllipticSpec(c0=0.5), Grid1D(0.0, 1.0, 8), tg, 1.0, source=F)
+
 
 class TestBlockedMarch:
     """The march fetches relaxation values a block of nodes at a time and

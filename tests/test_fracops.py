@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gamma
+from scipy.special import gamma, gammaln
 
+from fraccomp import fracops
 from fraccomp.fracops import (
     NotApplicableError,
     TimeGrid,
     TimeSeries,
     caputo_l1,
+    caputo_l1_field,
     caputo_l1_weights,
     extremum_check,
     l1_weight_rows,
@@ -177,6 +179,64 @@ def test_l1_weight_rows():
     assert len(rows) == 40
     for m, w in enumerate(rows, start=1):
         assert np.array_equal(w, caputo_l1_weights(t[: m + 1], 0.4))
+
+
+class TestWeightBlocks:
+    """caputo_l1_field and rl_integral build their weights a block of output
+    nodes at a time; every row keeps the bits of the row-by-row formula."""
+
+    GRIDS = {
+        "uniform": TimeGrid.uniform(2.0, 149).nodes,
+        "graded": TimeGrid.graded(2.0, 149, 2.5).nodes,
+        # t ~ k^30: the first steps are unresolvable against later nodes, so
+        # those rows take the degenerate branch
+        "k^30": TimeGrid.graded(1.0, 149, 30.0).nodes,
+    }
+
+    @pytest.mark.parametrize("block", [1, 7, 1000, 1 << 14])
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_l1_field_equals_row_by_row(self, monkeypatch, grid, block):
+        # a small block makes the 150-node grid span many blocks
+        monkeypatch.setattr(fracops, "_BLOCK_FLOATS", block)
+        t = self.GRIDS[grid]
+        g = TimeGrid(t)
+        rng = np.random.default_rng(block)
+        if grid == "k^30":  # some step is 0 as seen from some later node
+            assert any(np.any((t[m] - t[:m]) - (t[m] - t[1 : m + 1]) <= 0.0) for m in range(1, t.size))
+        for v in (np.sin(5.0 * t) + t, rng.standard_normal((t.size, 4))):
+            dv = np.diff(v, axis=0)
+            ref = np.zeros_like(v)
+            for m, w in enumerate(l1_weight_rows(t, 0.35), start=1):
+                ref[m] = w @ dv[:m]
+            assert np.array_equal(caputo_l1_field(g, v, 0.35), ref)
+
+    @staticmethod
+    def rl_row_by_row(y, beta):
+        # the formula of rl_integral before its weights were built in blocks
+        t, v = y.grid.nodes, y.values
+        inv_g1 = np.exp(-gammaln(beta + 1.0))
+        inv_g2 = np.exp(-gammaln(beta + 2.0))
+        out = np.zeros(t.size)
+        for m in range(1, t.size):
+            a = t[m] - t[:m]
+            b = t[m] - t[1 : m + 1]
+            tau = a - b
+            pa = a ** beta
+            pb = b ** beta
+            i0 = (pa - pb) * inv_g1
+            i1 = a * (pa - pb) * inv_g1 - (a ** (beta + 1.0) - b ** (beta + 1.0)) * beta * inv_g2
+            slope = (v[1 : m + 1] - v[:m]) / tau
+            out[m] = np.dot(v[:m], i0) + np.dot(slope, i1)
+        return out
+
+    @pytest.mark.parametrize("beta", [0.2, 0.6, 1.0, 1.45, 2.0])
+    @pytest.mark.parametrize("grid", ["uniform", "graded"])
+    def test_rl_integral_equals_row_by_row(self, monkeypatch, grid, beta):
+        y = series(TimeGrid(self.GRIDS[grid]), lambda t: np.cos(3.0 * t) + t * t)
+        ref = self.rl_row_by_row(y, beta)
+        for block in (7, 1000, 1 << 14):
+            monkeypatch.setattr(fracops, "_BLOCK_FLOATS", block)
+            assert np.array_equal(rl_integral(y, beta).values, ref)
 
 
 class TestExtremumCheck:

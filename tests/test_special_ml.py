@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import erfcx, gamma, gammaln
+from scipy.special import erfcx, gamma, gammaln, rgamma
 
 from fraccomp import special_ml
 from fraccomp.special_ml import (
@@ -171,6 +171,81 @@ class TestAsymptoticTermMemo:
         for part in memo(0.5, 1.0, 300):
             assert not part.flags.writeable
         assert not special_ml._asym_term_logs(0.5, 1.0, 5.0, 300)[3].flags.writeable
+
+
+class TestSeriesTermsOnce:
+    """_series reads ln Gamma(alpha k + beta) from a bounded memo of rows,
+    and _asymptotic_neg hands fsum only the terms that did not underflow;
+    both keep the values and estimates of the term-by-term formulas."""
+
+    @staticmethod
+    def series_term_by_term(alpha, beta, z, max_terms=600):
+        # _series with one scalar gammaln call per term
+        total = comp = abs_sum = max_abs = 0.0
+        lz = math.log(abs(z)) if z != 0.0 else -math.inf
+        term = rgamma(beta)
+        k = 0
+        while True:
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            abs_sum += abs(term)
+            max_abs = max(max_abs, abs(term))
+            k += 1
+            if k >= max_terms:
+                break
+            term = math.copysign(1.0, z) ** k * math.exp(k * lz - gammaln(alpha * k + beta)) if z != 0.0 else 0.0
+            if abs(term) < 1e-17 * (max_abs + 1.0) and k > 4:
+                break
+        return total, abs(term) + 2.0 * special_ml._EPS * abs_sum + 1e-13 * max_abs
+
+    @staticmethod
+    def asymptotic_all_terms(alpha, beta, x, max_terms=1200):
+        # _asymptotic_neg with fsum over all k_opt terms, underflowed or not
+        k, ln_mag, ln_env, sign = special_ml._asym_term_logs(alpha, beta, x, max_terms)
+        k_opt = int(np.argmin(ln_env)) + 1
+        head = ln_mag[:k_opt]
+        mags = np.where(np.isfinite(head), np.exp(np.minimum(head, 700.0)), 0.0)
+        terms = sign[:k_opt] * mags
+        total = math.fsum(terms.tolist())
+        est = 2.0 * float(np.exp(min(ln_env[k_opt - 1], 700.0)))
+        if alpha < 1.0:
+            theta, root = math.pi * (1.0 / alpha - 1.0), special_ml._units(x, alpha)
+            est += (2.0 / alpha) * erfcx(theta * math.sqrt(0.5 * root)) * math.exp(
+                (1.0 - beta) / alpha * math.log(x) + root * (math.cos(math.pi / alpha) - 0.5 * theta * theta))
+        kx = k[:k_opt] * math.log(x)
+        parts = np.where(np.isfinite(head), np.abs(kx) + np.abs(head + kx), 0.0)
+        rounding = special_ml._EPS * float(np.sum(np.abs(terms) * (1.0 + parts))) + 0.5 * math.ulp(total)
+        return total, est + rounding
+
+    def test_values_and_estimates_equal_the_term_by_term_formulas(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        points = []
+        for _ in range(2000):
+            alpha = float(rng.uniform(0.1, 0.99)) if rng.random() < 0.8 else float(rng.uniform(1.01, 1.7))
+            beta = float(rng.choice([0.5, 0.9, 1.0, 1.6]))
+            if alpha > 1.0:  # the series or the asymptotic regime, not mpmath's series in between
+                x = float(10.0 ** rng.uniform(-6.0, -1.0) if rng.random() < 0.5 else 10.0 ** rng.uniform(3.0, 6.0))
+            else:
+                x = float(10.0 ** rng.uniform(-6.0, 6.0))
+            if rng.random() < 0.1:  # z > 0: the series of 2000 terms, below overflow
+                x = -float(10.0 ** rng.uniform(-6.0, 0.0))
+            points.append((alpha, beta, -x))
+        got = [ml(MLQuery(*p)) for p in points]
+        monkeypatch.setattr(special_ml, "_series", self.series_term_by_term)
+        monkeypatch.setattr(special_ml, "_asymptotic_neg", self.asymptotic_all_terms)
+        ref = [ml(MLQuery(*p)) for p in points]
+        assert {r.regime for r in ref} == {"series", "integral", "asymptotic"}
+        assert [(r.value, r.est_abs_error, r.regime) for r in got] == \
+            [(r.value, r.est_abs_error, r.regime) for r in ref]
+
+    def test_ln_gamma_memo_is_bounded(self):
+        memo = special_ml._series_ln_gamma
+        assert memo.cache_info().maxsize is not None and memo.cache_info().maxsize <= 64
+        for alpha in np.linspace(0.1, 0.9, 80):
+            ml(MLQuery(float(alpha), 1.0, -0.5))
+        assert memo.cache_info().currsize <= memo.cache_info().maxsize
 
 
 class TestRelaxation:
