@@ -5,15 +5,12 @@ data), Caputo derivatives by the classical L1 scheme (exact for affine data,
 order 2-alpha for smooth data), and the discrete extremum-principle check:
 at an interior-or-right-end minimum the Caputo derivative is nonpositive.
 
-An L1 weight row takes one power per row, (t_m - t)^(1-alpha), both ends of
-each step read from it.  The implicit L1 solvers walk l1_weight_rows once per
-solve, and a chain of solves on one grid keeps its rows, with the factors of
-its step matrices, in one table for the chain's lifetime
-(evolve_linear._L1Steps).  caputo_l1_field and rl_integral build their
-weights a block of output nodes at a time, one power of a (rows x nodes)
-array of distances per block, and keep one product per row, so that their
-rows have the bits of the row-by-row formulas.  The extremum check builds
-only the row it reads.
+Every L1 user takes its weight rows from l1_weight_rows: the implicit L1
+solvers walk it once per solve, a chain of solves on one grid keeps its rows,
+with the factors of its step matrices, in one table for the chain's lifetime
+(evolve_linear._L1Steps), and the extremum check builds only the row it reads.
+A row takes one power, (t_m - t)^(1-alpha), and both ends of each step read
+from it; rl_integral's rows likewise take two powers, not four.
 """
 
 from __future__ import annotations
@@ -35,12 +32,6 @@ __all__ = [
     "extremum_check",
     "ExtremumReport",
 ]
-
-# caputo_l1_field and rl_integral build their weights for a block of output
-# nodes at once, about this many floats (128 kB) per temporary array: small
-# enough that a block's eight temporaries stay in cache (2^16 and 2^17 took
-# 1.2-2.3x as long on the verify suites' grids)
-_BLOCK_FLOATS = 1 << 14
 
 
 class NotApplicableError(ValueError):
@@ -99,61 +90,30 @@ def rl_integral(y: TimeSeries, beta: float) -> TimeSeries:
     """Riemann-Liouville integral J^beta y with piecewise-linear y.
 
     Exact for y linear in t; the quadrature weights are nonnegative, so
-    nonnegative input gives nonnegative output identically.  The weights
-    are built a block of output nodes at a time (_distance_blocks), two
-    powers per block; each node keeps its own two dot products.
+    nonnegative input gives nonnegative output identically.  Row m takes
+    the powers beta and beta + 1 of t_m - t_j, j = 0..m, once each.
     """
     if not (0.0 < beta <= 2.0):
         raise ValueError(f"beta must lie in (0, 2], got {beta}")
     t = y.grid.nodes
     v = y.values
+    n = t.size
     dv = v[1:] - v[:-1]
     inv_g1 = np.exp(-gammaln(beta + 1.0))
     inv_g2 = np.exp(-gammaln(beta + 2.0))
-    out = np.zeros(t.size)
-    for m0, d in _distance_blocks(t):
-        a = d[:, :-1]  # row m: distances to left step ends, descending
-        tau = a - d[:, 1:]
-        p = d ** beta
-        q = d ** (beta + 1.0)
-        dp = p[:, :-1] - p[:, 1:]
+    out = np.zeros(n)
+    for m in range(1, n):
+        c = t[m] - t[: m + 1]
+        a = c[:-1]             # distances to left step ends, descending
+        tau = a - c[1:]
+        p = c ** beta
+        q = c ** (beta + 1.0)
         # exact moments of (t-s)^(beta-1)/Gamma(beta): against 1 and (s - t_k)
-        i0 = dp * inv_g1
-        i1 = a * dp * inv_g1 - (q[:, :-1] - q[:, 1:]) * beta * inv_g2
-        slope = dv[: tau.shape[1]] / tau
-        for r, m in enumerate(range(m0, m0 + d.shape[0])):
-            out[m] = np.dot(v[:m], i0[r, :m]) + np.dot(slope[r, :m], i1[r, :m])
+        i0 = (p[:-1] - p[1:]) * inv_g1
+        i1 = a * (p[:-1] - p[1:]) * inv_g1 - (q[:-1] - q[1:]) * beta * inv_g2
+        slope = dv[:m] / tau
+        out[m] = np.dot(v[:m], i0) + np.dot(slope, i1)
     return TimeSeries(y.grid, out)
-
-
-def _distance_blocks(t):
-    """(m0, d) for blocks of output nodes m = m0, m0 + 1, ... of t (m >= 1),
-    about _BLOCK_FLOATS entries each: d[r, j] = |t[m0 + r] - t[j]| for the
-    nodes j up to the block's last output node.  Entries j <= m are the
-    distances t_m - t_j; the rest are mirrored so that their powers stay
-    finite, and no caller reads them."""
-    step = max(1, _BLOCK_FLOATS // t.size)
-    for m0 in range(1, t.size, step):
-        m1 = min(m0 + step, t.size)
-        yield m0, np.abs(t[m0:m1, None] - t[:m1])
-
-
-def _l1_weights(c, alpha, m=None):
-    """L1 weights from the distances c = t_m - t_j, j = 0..m, along the last
-    axis: one power per row.  With m (one per row) set, only entries k < m
-    of each row are weights, and only those are checked for degeneracy."""
-    p = c ** (1.0 - alpha)
-    a = c[..., :-1]
-    tau = a - c[..., 1:]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w = np.exp(-gammaln(2.0 - alpha)) * (p[..., :-1] - p[..., 1:]) / tau
-    degenerate = ~(tau > 0.0) | ~np.isfinite(w)
-    if m is not None:
-        degenerate &= np.arange(tau.shape[-1]) < m
-    if degenerate.any():
-        inv_g1a = np.exp(-gammaln(1.0 - alpha))
-        w = np.where(degenerate, inv_g1a * np.maximum(a, 1e-300) ** -alpha, w)
-    return w
 
 
 def caputo_l1_weights(t, alpha):
@@ -163,14 +123,24 @@ def caputo_l1_weights(t, alpha):
     Increasing in k on any grid, which is what makes the implicit scheme order
     preserving.  On strongly graded grids early steps can be unresolvable
     against t_m in float64; the mean then degenerates to the kernel value.
-    Both ends of a step take their power from one array, (t_m - t)^(1-alpha)."""
-    return _l1_weights(t[-1] - t, alpha)
+    Both ends of a step read their power from one array, (t_m - t)^(1-alpha)."""
+    inv_g2a = np.exp(-gammaln(2.0 - alpha))
+    c = t[-1] - t
+    p = c ** (1.0 - alpha)
+    a = c[:-1]
+    tau = a - c[1:]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = inv_g2a * (p[:-1] - p[1:]) / tau
+    degenerate = ~(tau > 0.0) | ~np.isfinite(w)
+    if degenerate.any():
+        inv_g1a = np.exp(-gammaln(1.0 - alpha))
+        w = np.where(degenerate, inv_g1a * np.maximum(a, 1e-300) ** -alpha, w)
+    return w
 
 
 def l1_weight_rows(t, alpha):
     """The L1 weight rows of a grid, caputo_l1_weights(t[:m+1], alpha) for
-    m = 1..N, generated one at a time, one power per row.  caputo_l1_field
-    makes the same rows a block at a time instead.
+    m = 1..N, generated one at a time, one power per row.
 
     Row m holds m weights, so all N rows take N(N+1)/2 floats: a march that
     runs once walks the generator, and a chain of solves on one grid keeps
@@ -190,12 +160,7 @@ def caputo_l1(y: TimeSeries, alpha: float) -> TimeSeries:
 
 
 def caputo_l1_field(tgrid: TimeGrid, values: np.ndarray, alpha: float) -> np.ndarray:
-    """L1 Caputo derivative applied along axis 0 of a (time, space) array.
-
-    The weight rows are those of l1_weight_rows, built a block of rows at a
-    time (_distance_blocks, one power per block); each row keeps its own
-    product with the differences, so every row has the bits of
-    caputo_l1_weights(t[:m+1], alpha) @ diff(values)[:m]."""
+    """L1 Caputo derivative applied along axis 0 of a (time, space) array."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     t = tgrid.nodes
@@ -204,10 +169,8 @@ def caputo_l1_field(tgrid: TimeGrid, values: np.ndarray, alpha: float) -> np.nda
         raise ValueError("axis 0 must match the time grid")
     out = np.zeros_like(v)
     dv = np.diff(v, axis=0)
-    for m0, d in _distance_blocks(t):
-        w = _l1_weights(d, alpha, np.arange(m0, m0 + d.shape[0])[:, None])
-        for r, m in enumerate(range(m0, m0 + d.shape[0])):
-            out[m] = w[r, :m] @ dv[:m]
+    for m, w in enumerate(l1_weight_rows(t, alpha), start=1):
+        out[m] = w @ dv[:m]
     return out
 
 

@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma, gammaln
 
-from fraccomp import fracops
 from fraccomp.fracops import (
     NotApplicableError,
     TimeGrid,
     TimeSeries,
     caputo_l1,
-    caputo_l1_field,
     caputo_l1_weights,
     extremum_check,
     l1_weight_rows,
@@ -181,9 +179,10 @@ def test_l1_weight_rows():
         assert np.array_equal(w, caputo_l1_weights(t[: m + 1], 0.4))
 
 
-class TestWeightBlocks:
-    """caputo_l1_field and rl_integral build their weights a block of output
-    nodes at a time; every row keeps the bits of the row-by-row formula."""
+class TestOnePowerPerRow:
+    """caputo_l1_weights and rl_integral take each power of t_m - t once per
+    row; every row keeps the bits of the formulas that took it at both ends
+    of every step."""
 
     GRIDS = {
         "uniform": TimeGrid.uniform(2.0, 149).nodes,
@@ -193,26 +192,31 @@ class TestWeightBlocks:
         "k^30": TimeGrid.graded(1.0, 149, 30.0).nodes,
     }
 
-    @pytest.mark.parametrize("block", [1, 7, 1000, 1 << 14])
+    @staticmethod
+    def l1_two_powers(t, alpha):
+        # caputo_l1_weights before its two ends shared one power
+        a = t[-1] - t[:-1]
+        b = t[-1] - t[1:]
+        tau = a - b
+        with np.errstate(invalid="ignore", divide="ignore"):
+            w = np.exp(-gammaln(2.0 - alpha)) * (a ** (1.0 - alpha) - b ** (1.0 - alpha)) / tau
+        degenerate = ~(tau > 0.0) | ~np.isfinite(w)
+        if degenerate.any():
+            w = np.where(degenerate, np.exp(-gammaln(1.0 - alpha)) * np.maximum(a, 1e-300) ** -alpha, w)
+        return w
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.35, 0.7, 0.95])
     @pytest.mark.parametrize("grid", GRIDS)
-    def test_l1_field_equals_row_by_row(self, monkeypatch, grid, block):
-        # a small block makes the 150-node grid span many blocks
-        monkeypatch.setattr(fracops, "_BLOCK_FLOATS", block)
+    def test_l1_rows_equal_two_power_formula(self, grid, alpha):
         t = self.GRIDS[grid]
-        g = TimeGrid(t)
-        rng = np.random.default_rng(block)
         if grid == "k^30":  # some step is 0 as seen from some later node
             assert any(np.any((t[m] - t[:m]) - (t[m] - t[1 : m + 1]) <= 0.0) for m in range(1, t.size))
-        for v in (np.sin(5.0 * t) + t, rng.standard_normal((t.size, 4))):
-            dv = np.diff(v, axis=0)
-            ref = np.zeros_like(v)
-            for m, w in enumerate(l1_weight_rows(t, 0.35), start=1):
-                ref[m] = w @ dv[:m]
-            assert np.array_equal(caputo_l1_field(g, v, 0.35), ref)
+        for m, w in enumerate(l1_weight_rows(t, alpha), start=1):
+            assert np.array_equal(w, self.l1_two_powers(t[: m + 1], alpha))
 
     @staticmethod
-    def rl_row_by_row(y, beta):
-        # the formula of rl_integral before its weights were built in blocks
+    def rl_four_powers(y, beta):
+        # the formula of rl_integral before each row took its powers once
         t, v = y.grid.nodes, y.values
         inv_g1 = np.exp(-gammaln(beta + 1.0))
         inv_g2 = np.exp(-gammaln(beta + 2.0))
@@ -231,12 +235,9 @@ class TestWeightBlocks:
 
     @pytest.mark.parametrize("beta", [0.2, 0.6, 1.0, 1.45, 2.0])
     @pytest.mark.parametrize("grid", ["uniform", "graded"])
-    def test_rl_integral_equals_row_by_row(self, monkeypatch, grid, beta):
+    def test_rl_integral_equals_four_power_formula(self, grid, beta):
         y = series(TimeGrid(self.GRIDS[grid]), lambda t: np.cos(3.0 * t) + t * t)
-        ref = self.rl_row_by_row(y, beta)
-        for block in (7, 1000, 1 << 14):
-            monkeypatch.setattr(fracops, "_BLOCK_FLOATS", block)
-            assert np.array_equal(rl_integral(y, beta).values, ref)
+        assert np.array_equal(rl_integral(y, beta).values, self.rl_four_powers(y, beta))
 
 
 class TestExtremumCheck:
