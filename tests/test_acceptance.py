@@ -13,6 +13,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erfcx, gamma
 
+from references import DIGEST_RTOL, digest, digest_gap
+from references import load as load_references
+
 from fraccomp import compare, special_ml
 from fraccomp.elliptic import (
     EllipticSpec,
@@ -191,6 +194,7 @@ def cross_oracle_runs():
     rng = np.random.default_rng(77)
     diffs = []
     problems = []
+    digests = {"spectral": [], "l1": []}  # see references.py
     for j in range(20):
         alpha = (0.3, 0.5, 0.7)[j % 3]
         p = random_linear_problem(rng, alpha, n=128, N=1024, T=1.0)
@@ -198,18 +202,20 @@ def cross_oracle_runs():
         ul = solve_linear_l1(p)
         diffs.append(float(np.max(np.abs(us.values - ul.values))))
         problems.append(p)
-    return problems, diffs
+        digests["spectral"].append(digest(us.values))
+        digests["l1"].append(digest(ul.values))
+    return problems, diffs, digests
 
 
 class TestCriterion5CrossOracle:
     def test_agreement_at_stated_resolution(self, cross_oracle_runs):
-        _, diffs = cross_oracle_runs
+        _, diffs, _ = cross_oracle_runs
         worst = max(diffs)
         report(5, "spectral vs L1 on 20 random specs at (n=128, N=1024)", worst <= 1e-3,
                f"worst sup-difference {worst:.2e} <= 1e-3")
 
     def test_refinement_rate(self, cross_oracle_runs):
-        problems, _ = cross_oracle_runs
+        problems, _, _ = cross_oracle_runs
         ok = True
         details = []
         for p in problems[:3]:
@@ -225,6 +231,14 @@ class TestCriterion5CrossOracle:
             ok = ok and min(rates) >= 1.0 and errs[-1] < errs[0]
         report(5, "cross-oracle difference decreasing at rate >= 1", ok,
                "rates " + "; ".join(details))
+
+    @pytest.mark.parametrize("route", ["spectral", "l1"])
+    def test_fields_match_references(self, cross_oracle_runs, route):
+        # the 20 fields against references.json (see references.py)
+        _, _, digests = cross_oracle_runs
+        refs = load_references()["criterion5"][route]
+        gaps = [digest_gap(got, ref) for got, ref in zip(digests[route], refs, strict=True)]
+        assert max(gaps) <= DIGEST_RTOL, gaps
 
 
 class TestCriterion6Positivity:
