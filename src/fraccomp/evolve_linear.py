@@ -22,8 +22,10 @@ one product giving u and u' on the nodes, the nodal forcing, one weighted
 projection and the per-mode update.  The projection takes the whole step
 forcing, the half that u_{m-1} fixes with the swept half, so that a swept
 step projects once per sweep and at no other time.  The sweeps start from
-the cubic extrapolation of u and u' from the last four nodes, so that they
-mostly stop after 2 sweeps; the march returns the number of sweeps per node.
+the extrapolation of u and u' by a polynomial in t^alpha through the last
+nodes, up to the quintic through six, so that they mostly stop after one
+sweep; a step that stalls from there starts once more from u_{m-1}.  The
+march returns the number of sweeps per node.
 The coefficients b, c and the source are sampled at the step midpoints
 a block of steps per call where they take a column of times, once per
 step where they do not, and never where they do not depend on t, as the
@@ -109,7 +111,9 @@ _MOMENTS = 12  # K: Taylor moments per mode that carry the frozen terms (see _Me
 # rounding, the remainder (r s)^(K+1)/(K+1)! below 2^-53 r s
 _BAND_LO = (math.factorial(_MOMENTS + 1) * 2.0 ** -53) ** (1.0 / _MOMENTS)
 _BAND_SLACK = 8  # terms the band storage moves or grows by at once
-_START_MAX = 10.0  # largest weight of the sweeps' extrapolated start (see _extrapolation_weights)
+# largest weight of the sweeps' extrapolated start (see _extrapolation_weights):
+# the quintic on uniform steps in tau has weights up to 20
+_START_MAX = 32.0
 # modes one batched march advances at most (see _batches).  A batch holds
 # the band, block samples and history of all its problems at once, about
 # 5 KB per mode at n = 20, N = 64.  At 512 the verify suites' n = 20,
@@ -653,40 +657,36 @@ class _Sampled:
         return self.view[k], self.any_nonzero[k]
 
 
-def _extrapolation_weights(t):
-    """Weights of the start of the Picard sweeps at each node m: the cubic
-    through nodes m - 1, m - 2, m - 3 and m - 4, evaluated at t_m.  Row m
-    holds the weight of node k in column k % 4, where the march keeps node
-    k.  The Lagrange weights are written as ratios of steps: on a strongly
-    graded grid (t_k = (k/N)^100) products of the first steps underflow.
-    There the ratios are huge instead, and the start's rounding alone would
-    cost sweeps, so a row whose weights exceed _START_MAX drops to the
-    quadratic through m - 1, m - 2 and m - 3, to the line through m - 1 and
-    m - 2, or failing those to node m - 1 itself (as does m = 1)."""
-    h = np.diff(t)
-    rows = np.arange(t.size)
-    col = [(rows - d) % 4 for d in (1, 2, 3, 4)]  # nodes m - 1, ..., m - 4
-    w = np.zeros((t.size, 4))
-    w[rows[1:], col[0][1:]] = 1.0
-    with np.errstate(over="ignore"):  # a huge ratio is rejected below
-        r = h[1:] / h[:-1]  # (t_m - t_{m-1}) / (t_{m-1} - t_{m-2}) at m = 2..N
-        h1, h2, h3 = h[2:], h[1:-1], h[:-2]  # t_m - t_{m-1}, ... at m = 3..N
-        quad = np.stack([((h1 + h2) / h2) * ((h1 + h2 + h3) / (h2 + h3)),
-                         -(h1 / h2) * ((h1 + h2 + h3) / h3),
-                         (h1 / h3) * ((h1 + h2) / (h2 + h3))])
-        # d_a = t_m - t_{m-a}; the weight of node m - a is the product over
-        # b != a of d_b / (d_b - d_a), each a ratio of sums of steps
-        h1, h2, h3, h4 = h[3:], h[2:-1], h[1:-2], h[:-3]  # at m = 4..N
-        d1, d2, d3, d4 = h1, h1 + h2, h1 + h2 + h3, h1 + h2 + h3 + h4
-        cubic = np.stack([(d2 / h2) * (d3 / (h2 + h3)) * (d4 / (h2 + h3 + h4)),
-                          -(d1 / h2) * (d3 / h3) * (d4 / (h3 + h4)),
-                          (d1 / (h2 + h3)) * (d2 / h3) * (d4 / h4),
-                          -(d1 / (h2 + h3 + h4)) * (d2 / (h3 + h4)) * (d3 / h4)])
-    for start, lagrange in ((2, np.stack([1.0 + r, -r])), (3, quad), (4, cubic)):
-        m = np.flatnonzero(np.abs(lagrange).max(axis=0) <= _START_MAX) + start
-        for d, weight in enumerate(lagrange):
-            w[m, col[d][m]] = weight[m - start]
-    return w
+def _extrapolation_weights(tau):
+    """Weights of the start of the Picard sweeps at each node m: the
+    polynomial in tau = (t - t_0)^alpha through the last nodes, evaluated at
+    tau_m.  The fields grow like a + c t^alpha + O(t^(2 alpha)), so that a
+    polynomial in tau follows them where one in t cannot.  Row m holds the
+    weight of node k in column k % 6, where the march keeps node k.  The
+    Lagrange weights are written as ratios of sums of steps: on a strongly
+    graded grid products of the first steps underflow.  There the ratios are
+    huge instead, and the start's rounding alone would cost sweeps, so row m
+    takes the highest degree, up to the quintic through m - 1, ..., m - 6,
+    whose weights are finite and at most _START_MAX, and failing all of them
+    node m - 1 itself (as does m = 1)."""
+    n = tau.size
+    # d[a, m] = tau_m - tau_{m-1-a}, NaN where node m - 1 - a does not exist,
+    # so that those rows fail the test below
+    d = tau - np.stack([np.concatenate([np.full(a + 1, np.nan), tau])[:n] for a in range(6)])
+    w = np.zeros((n, 6))  # the weight of node m - 1 - a in column a
+    w[1:, 0] = 1.0
+    lagrange = np.ones((1, n))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # rejected below
+        for p in range(1, 6):
+            # add node m - 1 - p: the weight of node m - 1 - a is the product
+            # over b != a of d_b / (d_b - d_a), and d_p - d_a is the sum of
+            # the steps between nodes m - 1 - p and m - 1 - a
+            gaps = d[p] - d[:p]
+            lagrange = np.vstack([lagrange * (d[p] / gaps), np.prod(-d[:p] / gaps, axis=0)])
+            m = np.flatnonzero(np.abs(lagrange).max(axis=0) <= _START_MAX)
+            w[m, : p + 1] = lagrange[:, m].T
+    # node m - 1 - a to column (m - 1 - a) % 6
+    return np.take_along_axis(w, (np.arange(n)[:, None] - 1 - np.arange(6)) % 6, axis=1)
 
 
 def _batch_key(p: ProblemSpec):
@@ -780,11 +780,13 @@ def spectral_march(
     on the nodes once per step, with F, and a sweep is one product giving u
     and u' on the nodes, the other half plus f, one projection of the whole
     step forcing and the update.  P is linear, so projecting the fixed half
-    apart would only cost a second product.  They start from
-    the cubic extrapolation of u and u' from the last four nodes (see
-    _extrapolation_weights) and stop when u_m moves by at most picard_tol on
-    the nodes.  The memory keeps the forcing of the last sweep, so u_m is
-    exactly its Duhamel image.
+    apart would only cost a second product.  They start from the
+    extrapolation of u and u' by a polynomial in tau = (t - t_0)^alpha, up
+    to the quintic through the last six nodes (see _extrapolation_weights),
+    and stop when u_m moves by at most picard_tol on the nodes; the
+    problems still sweeping after PICARD_MAX sweeps start once more from
+    u_{m-1}, and only a second stall is reported.  The memory keeps the
+    forcing of the last sweep, so u_m is exactly its Duhamel image.
 
     The problems of the batch share one _Memory of all their modes, and
     each product is one stack of S matrix-vector products.  A problem stops
@@ -845,7 +847,7 @@ def spectral_march(
                       for e, op in zip(stack.eigs, stack.ops)])
     synth = synth.reshape(lead + synth.shape[1:])
     proj = np.stack([(e.modes * e.weights[:, None]).T for e in stack.eigs]).reshape(lead + (n_modes, n_nodes))
-    start = _extrapolation_weights(t)
+    start = _extrapolation_weights((t - t[0]) ** batch.alpha)
 
     u_prev = a.reshape(lead + (n_nodes,))
     # u' at the last node, under a drift
@@ -857,8 +859,8 @@ def spectral_march(
     g_hist = np.zeros((N,) + lead + (n_modes,))
     g_rows = g_hist.reshape(N, -1)
     counts = np.zeros((N,) + lead, dtype=int)
-    # u (and u') on the nodes at node k in row k % 4, for the sweeps' start
-    uv_hist = np.zeros(lead + (4, synth.shape[-2]))
+    # u (and u') on the nodes at node k in row k % 6, for the sweeps' start
+    uv_hist = np.zeros(lead + (6, synth.shape[-2]))
     uv_hist[..., 0, :] = np.matvec(synth, a_coef)
 
     for m in range(1, N + 1):
@@ -898,9 +900,10 @@ def spectral_march(
         else:
             if not any_active:  # nothing to sweep for Q
                 half_c_m = half_b_m = None
-            rows = (proj, synth, base, w_last, fixed, half_c_m, half_b_m, start[m] @ uv_hist, u_prev)
+            rows = (proj, synth, base, w_last, fixed, half_c_m, half_b_m, start[m] @ uv_hist,
+                    uv_hist[..., (m - 1) % 6, :], u_prev)
             uv, u_prev, g = _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts, mids[m - 1])
-        uv_hist[..., m % 4, :] = uv
+        uv_hist[..., m % 6, :] = uv
         if half_b is not None:
             du = uv[..., n_nodes:]
         u[m] = u_prev
@@ -937,13 +940,16 @@ def _take(rows, live):
 def _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts, mid):
     """The Picard sweeps of node m (see spectral_march), on the rows of the
     march's arrays, one per problem: projector, synthesis, base, w_last,
-    fixed forcing, b / 2 and (c0 + c) / 2 (None where Q is not swept), the
-    start and u_{m-1}.  Each sweep projects the fixed forcing and the swept
-    one in one product.  Returns u and u' on the nodes, u alone and the
-    forcing's mode coefficients, and enters the sweep counts.  A problem
-    leaves the sweeps at the sweep where it converges; where active marks
-    some problems only, the others take u_m directly from the projection of
-    their fixed forcing."""
+    fixed forcing, b / 2 and (c0 + c) / 2 (None where Q is not swept), u
+    and u' on the nodes at the start and at node m - 1, and u_{m-1}.  Each
+    sweep projects the fixed forcing and the swept one in one product.
+    Returns u and u' on the nodes, u alone and the forcing's mode
+    coefficients, and enters the sweep counts.  A problem leaves the sweeps
+    at the sweep where it converges; where active marks some problems only,
+    the others take u_m directly from the projection of their fixed forcing.
+    The problems still sweeping after PICARD_MAX sweeps start once more from
+    u_{m-1}, and a stall is reported only when they reach PICARD_MAX sweeps
+    again."""
     S, n_nodes = len(batch.problems), rows[-1].shape[-1]
     # the problems still sweeping (None: all of them), and the rows of the
     # others, once there are any
@@ -957,9 +963,12 @@ def _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts, mid):
             raise _non_finite_direct(batch, m, out_g, fixed, out_uv[idle, :n_nodes], idle)
         live = np.flatnonzero(active)
         rows = _take(rows, live)
-    proj, synth, base, w_last, fixed, half_c_m, half_b_m, uv, u_prev = rows
+    proj, synth, base, w_last, fixed, half_c_m, half_b_m, uv, uv_prev, u_prev = rows
     u_new = uv[..., :n_nodes]
-    for it in range(PICARD_MAX):
+    for it in range(2 * PICARD_MAX):
+        if it == PICARD_MAX:  # stalled from the extrapolated start
+            uv = uv_prev
+            u_new = uv[..., :n_nodes]
         # the step forcing, fixed + swept
         if half_c_m is None:
             forcing = fixed
@@ -974,7 +983,9 @@ def _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts, mid):
         uv = np.matvec(synth, base + w_last * g)
         u_next = uv[..., :n_nodes]
         change = np.abs(u_next - u_new)
-        residual = float(change.max())
+        # one reduction per sweep: per problem in a batch, whose largest is the residual
+        row_max = change.max(axis=-1)
+        residual = float(row_max if S == 1 else row_max.max())
         if residual <= picard_tol:
             if live is None:
                 counts[m - 1] = it + 1
@@ -987,7 +998,7 @@ def _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts, mid):
         u_new = u_next
         if S == 1:
             continue
-        done = change.max(axis=1) <= picard_tol
+        done = row_max <= picard_tol
         if done.any():
             # the converged problems keep this iterate and leave the sweeps
             if live is None:
@@ -997,10 +1008,10 @@ def _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts, mid):
             out_uv[live[done]], out_g[live[done]] = uv[done], g[done]
             keep = ~done
             live = live[keep]
-            proj, synth, base, w_last, fixed, half_c_m, half_b_m, uv, u_prev, u_new, change = _take(
-                (proj, synth, base, w_last, fixed, half_c_m, half_b_m, uv, u_prev, u_new, change), keep)
+            proj, synth, base, w_last, fixed, half_c_m, half_b_m, uv, uv_prev, u_prev, u_new, row_max = _take(
+                (proj, synth, base, w_last, fixed, half_c_m, half_b_m, uv, uv_prev, u_prev, u_new, row_max), keep)
     # the first problem still sweeping
-    residual = float(np.atleast_2d(change)[0].max())
+    residual = float(np.atleast_1d(row_max)[0])
     raise SolverError(
         f"Picard iteration stalled at node {m} (residual {residual:.3e}); "
         "refine the time grid or reduce the coefficients",

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from fraccomp import special_ml, suites
 from fraccomp.cli import main
 from fraccomp.elliptic import EllipticSpec, Grid1D
-from fraccomp.evolve_linear import ProblemSpec
+from fraccomp.evolve_linear import PICARD_MAX, ProblemSpec, _sweeps
 from fraccomp.fracops import TimeGrid
 
 
@@ -423,6 +424,44 @@ class TestSemilinearFuzz:
         # each config's exit code is pinned (17 exit 0, 13 exit 3), so that a
         # change to the sweeps that flips one shows here
         assert codes == self.CODES
+
+
+class TestStallRestart:
+    """A step whose sweeps from the extrapolated start stall starts once more
+    from u_{m-1}; only a second stall ends the solve."""
+
+    @staticmethod
+    def solve(tmp_path, monkeypatch, cfg):
+        sweeps = []
+
+        def spy(batch, m, rows, active, nonlinearity, picard_tol, counts, mid):
+            uv, u, g = _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts, mid)
+            sweeps.append(int(counts[m - 1]))
+            return uv, u, g
+
+        monkeypatch.setattr("fraccomp.evolve_linear._sweeps", spy)
+        args = ["solve", "--out", str(tmp_path)] + [a for k, v in cfg.items() for a in ("--set", f"{k}={v}")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run_cli(args)
+        return code, err.getvalue().splitlines(), sweeps
+
+    def test_restart_converges(self, tmp_path, monkeypatch):
+        # node 2 stalls from the quintic start and converges from u_1 in 47
+        # sweeps, as it does from the cubic start in t
+        cfg = dict(alpha="0.5", T="1", a="1+x^2", b="-30", c0="100", sigma_lo="100", sigma_hi="100",
+                   n_space="16", n_time="2", semilinear="burgers", initial="0.5", source="1")
+        code, lines, sweeps = self.solve(tmp_path, monkeypatch, cfg)
+        assert (code, lines) == (0, [])
+        assert sweeps[0] < PICARD_MAX < sweeps[1] < 2 * PICARD_MAX
+
+    def test_second_stall_exits_3(self, tmp_path, monkeypatch):
+        # the second config of TestSemilinearFuzz's list
+        cfg = dict(alpha="0.05", T="10", a="1e-6", b="0.3", c="none", c0="0", sigma_lo="100", sigma_hi="100",
+                   n_space="8", n_time="8", semilinear="enzyme", initial="0.5", source="1")
+        code, lines, _ = self.solve(tmp_path, monkeypatch, cfg)
+        assert code == 3 and len(lines) == 1
+        assert re.match(r"solver failure: Picard iteration stalled at node \d+ ", lines[0]), lines
 
 
 class TestVerify:

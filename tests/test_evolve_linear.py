@@ -993,38 +993,34 @@ def test_non_finite_a_is_refused_by_assemble(solve):
 class TestExtrapolatedStart:
     def test_weights_are_finite_on_a_steeply_graded_grid(self):
         # alpha = 0.02 grades by 100: the first steps are ~1e-181 apart, and
-        # products of three of them underflow
-        w = _extrapolation_weights(TimeGrid.graded(1.0, 64, 100.0).nodes)
-        assert np.all(np.isfinite(w))
-        assert np.all(np.abs(w) <= _START_MAX)
-        assert np.allclose(w[1:].sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+        # products of three of them underflow; in tau = t^0.02 the grid is
+        # graded by 2
+        t = TimeGrid.graded(1.0, 64, 100.0).nodes
+        for tau in (t, t ** 0.02):
+            w = _extrapolation_weights(tau)
+            assert np.all(np.isfinite(w))
+            assert np.all(np.abs(w) <= _START_MAX)
+            assert np.allclose(w[1:].sum(axis=1), 1.0, rtol=0.0, atol=1e-13)
 
     def test_polynomials_are_extrapolated_exactly(self):
-        t = TimeGrid.graded(2.0, 50, 2.5).nodes
-        w = _extrapolation_weights(t)
-        order = np.count_nonzero(w, axis=1)
-        assert order[0] == 0 and order[1] == 1
-        # the first steps of a graded grid grow fast: their rows fall back
-        assert set(order[1:11]) == {1, 2, 3} and np.all(order[11:] == 4)
-        q = 1.0 + 2.0 * t - 3.0 * t * t + 0.5 * t ** 3
-        for m in range(1, t.size):
-            ring = np.zeros(4)
-            for k in range(max(m - 4, 0), m):
-                ring[k % 4] = q[k]
-            if order[m] == 4:
-                assert w[m] @ ring == pytest.approx(q[m], rel=1e-11, abs=1e-11)
-            elif order[m] == 3:  # the quadratic through the last three nodes
-                tq, qq = t[m - 3 : m], q[m - 3 : m]
-                quad = np.polyval(np.polyfit(tq, qq, 2), t[m])
-                assert w[m] @ ring == pytest.approx(quad, rel=1e-9, abs=1e-12)
-            elif order[m] == 2:  # the line through the last two nodes
-                slope = (q[m - 1] - q[m - 2]) / (t[m - 1] - t[m - 2])
-                assert w[m] @ ring == pytest.approx(q[m - 1] + slope * (t[m] - t[m - 1]), rel=1e-12)
-            else:
-                assert w[m] @ ring == q[m - 1]
-        # on a uniform grid the cubic's weights are 4, -6, 4, -1
+        # graded by 2.5 in t, by 1 in tau = t^0.4
+        for alpha in (0.4, 1.0):
+            tau = TimeGrid.graded(2.0, 50, 2.5).nodes ** alpha
+            w = _extrapolation_weights(tau)
+            order = np.count_nonzero(w, axis=1)
+            assert order[0] == 0 and order[1] == 1 and np.all(order <= 6)
+            if alpha == 0.4:  # uniform in tau: the quintic wherever six nodes exist
+                assert np.all(order[6:] == 6)
+            for degree in range(6):
+                q = np.polyval([0.1, -0.2, 0.5, -3.0, 2.0, 1.0][5 - degree :], tau)
+                for m in np.flatnonzero(order > degree):
+                    ring = np.zeros(6)
+                    for k in range(max(m - 6, 0), m):
+                        ring[k % 6] = q[k]
+                    assert w[m] @ ring == pytest.approx(q[m], rel=1e-10, abs=1e-10 * np.abs(q).max())
+        # uniform steps in tau: the quintic's weights are 6, -15, 20, -15, 6, -1
         u = _extrapolation_weights(np.linspace(0.0, 1.0, 11))
-        assert np.allclose(u[7, [2, 1, 0, 3]], [4.0, -6.0, 4.0, -1.0], rtol=0.0, atol=1e-14)
+        assert np.allclose(u[7, [0, 5, 4, 3, 2, 1]], [6.0, -15.0, 20.0, -15.0, 6.0, -1.0], rtol=0.0, atol=1e-13)
 
     def test_steepest_grid_does_not_stall(self):
         # alpha = 0.01 grades by 200: the quadratic's weights at node 3 are
@@ -1034,9 +1030,11 @@ class TestExtrapolatedStart:
         u, counts = march_one(p)
         assert np.all(np.isfinite(u)) and counts.max() < 10
 
-    def test_cubic_start_and_narrow_band(self):
-        # the first criterion-5 spec (seed 77, alpha = 0.3): the quadratic
-        # start took 3070 sweeps and the two-moment band 9945 entries per step
+    def test_quintic_start_and_narrow_band(self):
+        # the first criterion-5 spec (seed 77, alpha = 0.3): the start from
+        # the last two nodes took 4251 sweeps, the quadratic in t 3070, the
+        # cubic in t about 2.5 per step, and the two-moment band 9945
+        # entries per step
         p = random_linear_problem(np.random.default_rng(77), 0.3, n=128, N=1024, T=1.0)
         entries = []
 
@@ -1049,16 +1047,9 @@ class TestExtrapolatedStart:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("fraccomp.evolve_linear._Memory", Spy)
             _, counts = march_one(p)
-        assert counts.sum() < 2600
-        assert np.mean(entries) < 6000
-
-    def test_sweeps_below_the_linear_start(self):
-        # the first criterion-5 spec (seed 77, alpha = 0.3): the start from
-        # the last two nodes took 4251 sweeps
-        p = random_linear_problem(np.random.default_rng(77), 0.3, n=128, N=1024, T=1.0)
-        _, counts = march_one(p)
         assert np.all(counts >= 1)
-        assert counts.sum() < 4251
+        assert counts.mean() <= 1.2
+        assert np.mean(entries) < 6000
 
 
 class TestL1Solver:
