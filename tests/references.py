@@ -22,6 +22,10 @@ import tempfile
 
 import numpy as np
 
+from fraccomp.cli import main
+from fraccomp.evolve_linear import solve_linear_l1, solve_linear_spectral
+from fraccomp.randomspec import random_linear_problem
+
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "references.json")
 VERIFY_SEEDS = (0, 1, 7)
 SPECTRAL_LONG_ALPHAS = (0.3, 0.5, 0.7, 0.95)
@@ -56,8 +60,6 @@ def digest_gap(got, ref):
 def verify_rows(seed):
     """The rows of `fraccomp verify --suite all --seed seed`, as the manifest
     holds them: name, holds, worst and tolerance."""
-    from fraccomp.cli import main
-
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
         main(["verify", "--suite", "all", "--seed", str(seed), "--out", out])
         with open(os.path.join(out, "manifest.json")) as fh:
@@ -66,23 +68,17 @@ def verify_rows(seed):
 
 def criterion5_problems():
     """The 20 specs of test_acceptance's cross_oracle_runs fixture, in its order."""
-    from fraccomp.randomspec import random_linear_problem
-
     rng = np.random.default_rng(77)
     return [random_linear_problem(rng, (0.3, 0.5, 0.7)[j % 3], n=128, N=1024, T=1.0) for j in range(20)]
 
 
 def spectral_long_problems():
     """The seed-1 spectral-long specs of perfbench/workloads.py."""
-    from fraccomp.randomspec import random_linear_problem
-
     rng = np.random.default_rng(1)
     return [random_linear_problem(rng, a, n=128, N=1024, T=1.0, with_drift=True) for a in SPECTRAL_LONG_ALPHAS]
 
 
 def _rewrite(groups):
-    from fraccomp.evolve_linear import solve_linear_l1, solve_linear_spectral
-
     refs = load() if os.path.exists(PATH) else {}
     if "verify" in groups:
         refs["verify"] = {str(s): verify_rows(s) for s in VERIFY_SEEDS}

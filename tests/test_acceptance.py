@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erfcx, gamma
 
-from references import DIGEST_RTOL, digest, digest_gap
+from references import DIGEST_RTOL, criterion5_problems, digest, digest_gap
 from references import load as load_references
 
 from fraccomp import compare, special_ml
@@ -191,17 +191,14 @@ class TestCriterion4Eigensolver:
 
 @pytest.fixture(scope="module")
 def cross_oracle_runs():
-    rng = np.random.default_rng(77)
+    # 20 random specs at (n=128, N=1024), seed 77
+    problems = criterion5_problems()
     diffs = []
-    problems = []
     digests = {"spectral": [], "l1": []}  # see references.py
-    for j in range(20):
-        alpha = (0.3, 0.5, 0.7)[j % 3]
-        p = random_linear_problem(rng, alpha, n=128, N=1024, T=1.0)
+    for p in problems:
         us = solve_linear_spectral(p)
         ul = solve_linear_l1(p)
         diffs.append(float(np.max(np.abs(us.values - ul.values))))
-        problems.append(p)
         digests["spectral"].append(digest(us.values))
         digests["l1"].append(digest(ul.values))
     return problems, diffs, digests
