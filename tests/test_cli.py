@@ -432,12 +432,17 @@ class TestStallRestart:
 
     @staticmethod
     def solve(tmp_path, monkeypatch, cfg):
+        # the sweeps of each node, counted by the semilinear term's calls (one per sweep)
         sweeps = []
 
         def spy(batch, m, rows, active, nonlinearity, picard_tol, counts, mid):
-            uv, u, g = _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts, mid)
-            sweeps.append(int(counts[m - 1]))
-            return uv, u, g
+            sweeps.append(0)
+
+            def term(*args):
+                sweeps[-1] += 1
+                return nonlinearity(*args)
+
+            return _sweeps(batch, m, rows, active, term, picard_tol, counts, mid)
 
         monkeypatch.setattr("fraccomp.evolve_linear._sweeps", spy)
         args = ["solve", "--out", str(tmp_path)] + [a for k, v in cfg.items() for a in ("--set", f"{k}={v}")]
@@ -459,9 +464,10 @@ class TestStallRestart:
         # the second config of TestSemilinearFuzz's list
         cfg = dict(alpha="0.05", T="10", a="1e-6", b="0.3", c="none", c0="0", sigma_lo="100", sigma_hi="100",
                    n_space="8", n_time="8", semilinear="enzyme", initial="0.5", source="1")
-        code, lines, _ = self.solve(tmp_path, monkeypatch, cfg)
+        code, lines, sweeps = self.solve(tmp_path, monkeypatch, cfg)
         assert code == 3 and len(lines) == 1
-        assert re.match(r"solver failure: Picard iteration stalled at node \d+ ", lines[0]), lines
+        assert re.match(rf"solver failure: Picard iteration stalled at node {len(sweeps)} ", lines[0]), lines
+        assert sweeps[-1] == 2 * PICARD_MAX
 
 
 class TestVerify:
