@@ -241,15 +241,13 @@ def _shifted(p: ProblemSpec, M) -> ProblemSpec:
     c = p.elliptic.c
     if callable(c):
         return _with_c(p, lambda x, t: c(x, t) - shift)
-    return _with_c(p, -shift if c is None else np.asarray(c, dtype=float) - shift)
+    return _with_c(p, -shift if c is None else float(c) - shift)
 
 
-def _l_map(p: ProblemSpec, f: SemilinearTerm, M, u_field: Field, rows) -> Field:
+def _l_map(p: ProblemSpec, f: SemilinearTerm, M, u_field: Field, steps: _L1Steps) -> Field:
     """One sweep of the shifted linearisation: solve
-    d_t^alpha (v - a) + A v + (M+1) v = (M+1) u + f(u).
-    rows is the table of _shifted(p, M), which a chain's sweeps share, or
-    p's L1 weight rows, for a sweep that factors its own steps."""
-    steps = rows if isinstance(rows, _L1Steps) else _L1Steps(_shifted(p, M), rows, keep=False)
+    d_t^alpha (v - a) + A v + (M+1) v = (M+1) u + f(u)
+    on steps, the table of _shifted(p, M) that a chain's sweeps share."""
     u = u_field.values
     return _l1_march(p, steps, (M + 1.0) * u + f(p.grid.nodes, u))
 

@@ -14,6 +14,7 @@ the one-sided derivative rows, so every implicit solve is pentadiagonal.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -52,34 +53,30 @@ def _require_finite(key, values, x, t):
         raise NonFiniteError(f"{key!r} is not finite at x = {x[i]:.6g}, t = {t[k]:.6g}")
 
 
-ABSENT, CONSTANT, X_ONLY, BROADCASTS, PER_TIME, TIME_NODES = (
-    "absent", "constant", "x-only", "broadcasts", "per time", "time nodes")
+ABSENT, CONSTANT, X_ONLY, BROADCASTS, PER_TIME = "absent", "constant", "x-only", "broadcasts", "per time"
 
 
 @dataclass(frozen=True, eq=False)
 class Coefficient:
     """A coefficient a(x), b(x, t), c(x, t) or a source F(x, t),
-    of one of six kinds, by what it is and what a callable returns for the
+    of one of five kinds, by what it is and what a callable returns for the
     nodes and a column of times:
 
     * absent: None;
     * constant: a number, never called;
     * x-only: (nodes,) or (1, nodes), independent of t: kept as that row;
     * broadcasts: (times, nodes), as numpy expressions: one call per column;
-    * per time: anything else, or a raise: one call per time;
-    * time nodes: an array of one row per time node and one column per node
-      or one, read at a time node and at a step midpoint as the mean of its
-      two ends, and refused where a row or such a mean is not finite.
+    * per time: anything else, or a raise: one call per time.
 
     of takes a callable as per time (a, of x alone, as x-only, called per
-    evaluation); decided settles its kind."""
+    evaluation) and refuses anything that is not None, a number or a
+    callable (ValueError); decided settles its kind."""
 
     key: str
     f: object
     kind: str
     x: Optional[np.ndarray] = field(default=None, repr=False)  # the nodes of row
     row: Optional[np.ndarray] = field(default=None, repr=False)  # constant and x-only kinds
-    t: Optional[np.ndarray] = field(default=None, repr=False)  # time nodes of the time-nodes kind
     with_t: bool = True  # called as f(x, t), else as f(x)
 
     @classmethod
@@ -90,29 +87,15 @@ class Coefficient:
             return cls(key, f, PER_TIME if with_t else X_ONLY, with_t=with_t)
         if isinstance(f, numbers.Real):
             return cls(key, float(f), CONSTANT)
-        return cls(key, f, TIME_NODES)
+        raise ValueError(f"{key} must be None, a number or a callable of {'(x, t)' if with_t else 'x'}; "
+                         f"got {type(f).__name__}")
 
-    def decided(self, x, t, times):
-        """This coefficient on the nodes x and time nodes t, its kind
-        decided by one call f(x, times[:, None]) with the times the solvers
-        sample, which is also the finiteness check (NonFiniteError); the
-        samples are not kept.  An array of another shape is a ValueError."""
+    def decided(self, x, times):
+        """This coefficient on the nodes x, its kind decided by one call
+        f(x, times[:, None]) with the times the solvers sample, which is
+        also the finiteness check (NonFiniteError); the samples are not
+        kept."""
         key, f, kind = self.key, self.f, self.kind
-        if kind == TIME_NODES:
-            try:
-                rows = np.asarray(f, dtype=float)
-            except (TypeError, ValueError):
-                rows = None
-            shapes = ((t.size, x.size), (t.size, 1))
-            if rows is None or rows.shape not in shapes:
-                got = type(f).__name__ if rows is None else f"shape {rows.shape}"
-                raise ValueError(f"{key} must be None, a number, a callable of (x, t) or an array of shape "
-                                 f"{shapes[0]} or {shapes[1]}, one row per time node; got {got}")
-            _require_finite(key, rows, x, t)
-            with np.errstate(over="ignore"):  # read as _on_time_nodes reads a step midpoint
-                mid = 0.5 * (rows[:-1] + rows[1:])
-            _require_finite(key, mid, x, 0.5 * (t[:-1] + t[1:]))
-            return Coefficient(key, rows, kind, t=t)
         if kind == ABSENT:
             return self
         with np.errstate(all="ignore"):  # non-finite values are reported, not warned about
@@ -139,25 +122,11 @@ class Coefficient:
             return self.row
         if kind == CONSTANT:
             return np.full(np.shape(x), f)
-        if kind == TIME_NODES:
-            return self._on_time_nodes(t)
         if kind == BROADCASTS and np.ndim(t):
             return np.asarray(f(x, t[:, None]), dtype=float)
         if np.ndim(t):
             return np.array([self.values(x, tk) for tk in t])
         return np.asarray(f(x, t) if self.with_t else f(x), dtype=float) * np.ones_like(x)
-
-    def _on_time_nodes(self, t):
-        """The time-nodes kind at the times t: time nodes or step midpoints."""
-        nodes, rows, tt = self.t, self.f, np.atleast_1d(t)
-        k = np.minimum(np.searchsorted(nodes, tt), nodes.size - 1)  # the first node at or after tt
-        lo = np.maximum(k, 1) - 1
-        at_node = nodes[k] == tt
-        if not (at_node | (tt == 0.5 * (nodes[lo] + nodes[lo + 1]))).all():
-            raise ValueError(f"{self.key} is an array on the time nodes: it is read at the time nodes "
-                             "and the step midpoints only")
-        v = np.where(at_node[:, None], rows[k], 0.5 * (rows[lo] + rows[lo + 1]))
-        return v if np.ndim(t) else v[0]
 
 
 @dataclass(frozen=True)
@@ -171,6 +140,8 @@ class Grid1D:
             raise ValueError("need x_lo < x_hi")
         if self.n < 3:
             raise ValueError("need at least 3 interior nodes")
+        if not math.isfinite(self.h):  # also where an end is infinite
+            raise ValueError(f"need finite ends and a finite step (x_hi - x_lo) / (n + 1); got {self.h:g}")
 
     @property
     def h(self):
@@ -201,9 +172,11 @@ class EllipticSpec:
     part -(a u')' + c0 u, and the Robin data sigma >= 0 at both endpoints.
     A1 = -(a u')' - b u' + b0 u with b0 > 0 is the spec with c = -b0.
     a is a number or a callable of x, refused by assemble where it is not
-    finite or not positive.  b and c are None, a number, a callable of
-    (x, t) or an array on the time nodes, held in coefficients; a
-    ProblemSpec decides the kinds of b and c on its grid (see Coefficient)."""
+    finite or not positive.  b and c are None, a number or a callable of
+    (x, t), held in coefficients; a ProblemSpec decides the kinds of b and
+    c on its grid (see Coefficient).  c0, sigma_lo and sigma_hi must be
+    finite and nonnegative; anything else is refused when the spec is
+    built (ValueError)."""
 
     a: object = 1.0
     b: object = None
@@ -214,10 +187,11 @@ class EllipticSpec:
     coefficients: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.c0 < 0.0:
-            raise ValueError("c0 must be >= 0")
-        if self.sigma_lo < 0.0 or self.sigma_hi < 0.0:
-            raise ValueError("Robin coefficients must be >= 0")
+        if not 0.0 <= self.c0 < math.inf:
+            raise ValueError(f"c0 must be finite and >= 0, got {self.c0}")
+        if not (0.0 <= self.sigma_lo < math.inf and 0.0 <= self.sigma_hi < math.inf):
+            raise ValueError(f"Robin coefficients must be finite and >= 0, "
+                             f"got sigma_lo = {self.sigma_lo}, sigma_hi = {self.sigma_hi}")
         object.__setattr__(self, "coefficients", {
             "a": Coefficient.of("a", self.a, with_t=False), "b": Coefficient.of("b", self.b),
             "c": Coefficient.of("c", self.c)})

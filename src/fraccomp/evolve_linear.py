@@ -71,7 +71,6 @@ from scipy.special import gammaln
 from .elliptic import (
     ABSENT,
     CONSTANT,
-    TIME_NODES,
     X_ONLY,
     Coefficient,
     EigenDecomposition,
@@ -96,6 +95,7 @@ __all__ = [
 ]
 
 PICARD_MAX = 50  # Picard sweeps per time node before the march reports a stall
+PICARD_TOL = 1e-10  # a sweep that moves u_m by at most this on the nodes ends the step's sweeps
 _RELAX_BLOCK = 32  # fewest time nodes whose relaxation values the march fetches at once
 # modes x nodes that one fetch of relaxation values covers: a march's block
 # spans max(_RELAX_BLOCK, _FETCH_POINTS // modes) nodes, and each relaxation
@@ -139,8 +139,8 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class ProblemSpec:
     """A problem d_t^alpha (u - a) + A u = F.  The source F is None, a
-    number, a callable of (x, t) or an array on the time nodes (kept as a
-    float array), as EllipticSpec's b and c are.  When the problem is
+    number or a callable of (x, t), as EllipticSpec's b and c are, and
+    anything else is refused (ValueError).  When the problem is
     built, the kinds of b, c and F are decided (elliptic.Coefficient) on its
     nodes and the times its solvers sample, the time nodes after t = 0 and
     the step midpoints, by one call with the column of those times; b, c, F
@@ -152,7 +152,7 @@ class ProblemSpec:
     grid: Grid1D
     tgrid: TimeGrid
     initial: object  # a number, an array on the nodes, or a callable of x
-    source: object = None  # None, a number, callable (x, t) -> values, or array (n_t+1, n_nodes or 1)
+    source: object = None  # None, a number, or a callable (x, t) -> values
     coefficients: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -162,12 +162,10 @@ class ProblemSpec:
         times = np.sort(np.concatenate([t[1:], 0.5 * (t[:-1] + t[1:])]))
         spec = replace(self.elliptic)  # a copy with b and c decided, which the operators read
         for key in ("b", "c"):
-            spec.coefficients[key] = spec.coefficients[key].decided(x, t, times)
+            spec.coefficients[key] = spec.coefficients[key].decided(x, times)
         with np.errstate(all="ignore"):
             _require_finite("initial", self.initial_values(), x, t)
-        source = Coefficient.of("source", self.source).decided(x, t, times)
-        if source.kind == TIME_NODES:
-            object.__setattr__(self, "source", source.f)
+        source = Coefficient.of("source", self.source).decided(x, times)
         object.__setattr__(self, "elliptic", spec)
         object.__setattr__(self, "coefficients", {**spec.coefficients, "source": source})
 
@@ -178,8 +176,8 @@ class ProblemSpec:
 
     def source_at(self, t, node_index=None):
         """Source values on the nodes at time t, or one row per time of a
-        1-D array t, or None; an array source is read at the time nodes and
-        the step midpoints, without node_index."""
+        1-D array t, or None.  node_index is ignored; it is kept for the
+        benchmark's callers (perfbench/)."""
         return self.coefficients["source"].values(self.grid.nodes, t)
 
 
@@ -767,7 +765,6 @@ def spectral_march(
     batch: Batch,
     stack: ModeStack,
     nonlinearity=None,
-    picard_tol=1e-10,
     state_guard=None,
 ):
     """Shared marching loop of the fixed-point solvers, for S problems at once.
@@ -783,7 +780,7 @@ def spectral_march(
     apart would only cost a second product.  They start from the
     extrapolation of u and u' by a polynomial in tau = (t - t_0)^alpha, up
     to the quintic through the last six nodes (see _extrapolation_weights),
-    and stop when u_m moves by at most picard_tol on the nodes; the
+    and stop when u_m moves by at most PICARD_TOL on the nodes; the
     problems still sweeping after PICARD_MAX sweeps start once more from
     u_{m-1}, and only a second stall is reported.  The memory keeps the
     forcing of the last sweep, so u_m is exactly its Duhamel image.
@@ -902,7 +899,7 @@ def spectral_march(
                 half_c_m = half_b_m = None
             rows = (proj, synth, base, w_last, fixed, half_c_m, half_b_m, start[m] @ uv_hist,
                     uv_hist[..., (m - 1) % 6, :], u_prev)
-            uv, u_prev, g = _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts, mids[m - 1])
+            uv, u_prev, g = _sweeps(batch, m, rows, active, nonlinearity, counts, mids[m - 1])
         uv_hist[..., m % 6, :] = uv
         if half_b is not None:
             du = uv[..., n_nodes:]
@@ -937,7 +934,7 @@ def _take(rows, live):
     return tuple(None if v is None else v[live] for v in rows)
 
 
-def _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts, mid):
+def _sweeps(batch, m, rows, active, nonlinearity, counts, mid):
     """The Picard sweeps of node m (see spectral_march), on the rows of the
     march's arrays, one per problem: projector, synthesis, base, w_last,
     fixed forcing, b / 2 and (c0 + c) / 2 (None where Q is not swept), u
@@ -945,7 +942,8 @@ def _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts, mid):
     sweep projects the fixed forcing and the swept one in one product.
     Returns u and u' on the nodes, u alone and the forcing's mode
     coefficients, and enters the sweep counts.  A problem leaves the sweeps
-    at the sweep where it converges; where active marks some problems only,
+    at the sweep where it converges, moving u_m by at most PICARD_TOL on
+    the nodes; where active marks some problems only,
     the others take u_m directly from the projection of their fixed forcing.
     The problems still sweeping after PICARD_MAX sweeps start once more from
     u_{m-1}, and a stall is reported only when they reach PICARD_MAX sweeps
@@ -986,7 +984,7 @@ def _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts, mid):
         # one reduction per sweep: per problem in a batch, whose largest is the residual
         row_max = change.max(axis=-1)
         residual = float(row_max if S == 1 else row_max.max())
-        if residual <= picard_tol:
+        if residual <= PICARD_TOL:
             if live is None:
                 counts[m - 1] = it + 1
                 return uv, u_next, g
@@ -998,7 +996,7 @@ def _sweeps(batch, m, rows, active, nonlinearity, picard_tol, counts, mid):
         u_new = u_next
         if S == 1:
             continue
-        done = row_max <= picard_tol
+        done = row_max <= PICARD_TOL
         if done.any():
             # the converged problems keep this iterate and leave the sweeps
             if live is None:
@@ -1067,18 +1065,18 @@ class _L1Steps:
     LU factors of w[-1] I + A(t_m) (elliptic.banded_lu), or None where that
     band array is not finite.
 
-    A node's entry is built the first time a march reaches it: the bands,
-    their finiteness check, then the factorization.  rows yields the weight
-    rows in order, lazily (fracops.l1_weight_rows, the default) or from a
-    tuple.  With keep, the entries stay for the table's lifetime, so that the
+    A node's entry is built the first time a march reaches it: the weight
+    row, drawn lazily from fracops.l1_weight_rows, the bands, their
+    finiteness check, then the factorization.  With keep, the entries stay
+    for the table's lifetime, so that the
     sweeps of a chain, which share one frozen operator and one grid, factor
     each node once; without, it keeps none, and a one-off march asks for
     the nodes 1..N once each, in order."""
 
-    def __init__(self, p: ProblemSpec, rows=None, keep=True):
+    def __init__(self, p: ProblemSpec, keep=True):
         self.op = assemble(p.elliptic, p.grid)
         self._t = p.tgrid.nodes
-        self._rows = iter(l1_weight_rows(self._t, p.alpha) if rows is None else rows)
+        self._rows = l1_weight_rows(self._t, p.alpha)
         self._keep = keep
         self._kept = []
 

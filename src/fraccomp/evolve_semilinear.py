@@ -9,7 +9,7 @@ problem against the box of a term that declares a finite one.
 solve_semilinear is a batch of one.
 
 Built-in nonlinearities: the saturating enzyme sink -u/(1+|u|) and the
-advective Burgers product -mu(x) u u_x (gradient-dependent, hence excluded
+advective Burgers product -mu u u_x (gradient-dependent, hence excluded
 from comparison-principle checks)."""
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ __all__ = [
     "solve_semilinear_many",
     "scalar_fractional_ode",
 ]
+
+
+_NEWTON_TOL = 1e-12  # relative update that ends a step of scalar_fractional_ode
 
 
 class BoxExitError(SolverError):
@@ -80,10 +83,10 @@ def builtin_enzyme() -> SemilinearTerm:
 
 
 def builtin_burgers(mu=1.0) -> SemilinearTerm:
-    """Advective product -mu(x) u u_x of the fractional Burgers equation."""
-    mu_fun = mu if callable(mu) else (lambda x: mu * np.ones_like(x))
+    """Advective product -mu u u_x of the fractional Burgers equation, mu a
+    number."""
     return SemilinearTerm(
-        eval=lambda x, u, ux: -np.asarray(mu_fun(x), dtype=float) * u * ux,
+        eval=lambda x, u, ux: -mu * u * ux,
         deriv_u=None,
         bound_M=math.inf,
         depends_on_gradient=True,
@@ -94,20 +97,16 @@ def solve_semilinear(
     p: ProblemSpec,
     f: SemilinearTerm,
     eig: Optional[EigenDecomposition] = None,
-    tol: float = 1e-10,
-    info: Optional[dict] = None,
 ) -> Field:
     """Per-node Picard iteration on the fixed-point map with f evaluated
-    pointwise on the grid.  Hard-fails when |u| exceeds the declared box
-    (the Lipschitz certificate stops there) or when the iteration stalls
-    (the contraction is local in time: refine the grid or shrink T)."""
-    fields, counts = _march_semilinear(Batch((p,)), [f], [eig], tol)
-    if info is not None:
-        info["picard_counts"] = counts[0]
-    return fields[0]
+    pointwise on the grid, to evolve_linear.PICARD_TOL.  Hard-fails when
+    |u| exceeds the declared box (the Lipschitz certificate stops there) or
+    when the iteration stalls (the contraction is local in time: refine the
+    grid or shrink T).  _march_semilinear also returns the sweep counts."""
+    return _march_semilinear(Batch((p,)), [f], [eig])[0][0]
 
 
-def solve_semilinear_many(problems, terms, tol: float = 1e-10) -> list:
+def solve_semilinear_many(problems, terms) -> list:
     """solve_semilinear of each problem with its own term, in their order.
     The problems are batched as by solve_linear_spectral_many, and in a
     batch each term is evaluated on its own problem's rows.  A SolverError
@@ -118,13 +117,13 @@ def solve_semilinear_many(problems, terms, tol: float = 1e-10) -> list:
         raise ValueError(f"one term per problem: {len(problems)} problems, {len(terms)} terms")
     fields = [None] * len(problems)
     for index, batch in _batches(problems):
-        batch_fields, _ = _march_semilinear(batch, [terms[i] for i in index], [None] * len(index), tol)
+        batch_fields, _ = _march_semilinear(batch, [terms[i] for i in index], [None] * len(index))
         for i, u in zip(index, batch_fields):
             fields[i] = u
     return fields
 
 
-def _march_semilinear(batch: Batch, terms, eigs, tol):
+def _march_semilinear(batch: Batch, terms, eigs):
     """The fields of a batch's problems, each with its own term, from one
     march, and their sweep counts; eigs holds each problem's
     eigendecomposition or None.  The state is checked against the boxes
@@ -161,15 +160,15 @@ def _march_semilinear(batch: Batch, terms, eigs, tol):
                     f"|u| = {peaks[s]:.3g} left the certified box m = {boxes[s]:.3g} at node {node}",
                     node=node, problem=batch.label(s))
 
-    u, counts = spectral_march(batch, ModeStack(eigs, ops), nonlinearity=nonlinearity,
-                               picard_tol=tol, state_guard=guard)
+    u, counts = spectral_march(batch, ModeStack(eigs, ops), nonlinearity=nonlinearity, state_guard=guard)
     return [Field(p.grid, p.tgrid, v) for p, v in zip(problems, u)], counts
 
 
-def scalar_fractional_ode(tgrid, alpha, y0, rhs, rhs_du=None, newton_tol=1e-12):
+def scalar_fractional_ode(tgrid, alpha, y0, rhs, rhs_du=None):
     """Implicit L1 marching of d_t^alpha (y - y0) = rhs(y) (brute-force oracle
     for spatially flat problems).  rhs_du enables Newton; otherwise damped
-    fixed point with numerical slope.  Raises SolverError naming the node
+    fixed point with numerical slope.  A step stops when its update is at
+    most _NEWTON_TOL (1 + |y|).  Raises SolverError naming the node
     where rhs gives a non-finite value or where 100 steps do not settle."""
     t = tgrid.nodes
     y = np.empty(t.size)
@@ -189,7 +188,7 @@ def scalar_fractional_ode(tgrid, alpha, y0, rhs, rhs_du=None, newton_tol=1e-12):
             slope = d - (rhs_du(ym) if rhs_du is not None else (rhs(ym + 1e-7) - rhs(ym - 1e-7)) / 2e-7)
             step = -g / slope
             ym += step
-            if abs(step) <= newton_tol * (1.0 + abs(ym)):
+            if abs(step) <= _NEWTON_TOL * (1.0 + abs(ym)):
                 break
         else:
             raise SolverError(

@@ -40,7 +40,7 @@ class NotApplicableError(ValueError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing nodes t_0 = 0 < t_1 < ... < t_N = T."""
+    """Strictly increasing finite nodes t_0 = 0 < t_1 < ... < t_N = T."""
 
     nodes: np.ndarray
 
@@ -53,6 +53,8 @@ class TimeGrid:
             raise ValueError("grid must start at t = 0")
         if not np.all(np.diff(nodes) > 0.0):
             raise ValueError("nodes must be strictly increasing")
+        if not np.isfinite(nodes[-1]):
+            raise ValueError(f"nodes must be finite, got T = {nodes[-1]:g}")
 
     @classmethod
     def uniform(cls, T, n_steps):

@@ -13,14 +13,17 @@ from .fracops import TimeGrid
 __all__ = ["random_linear_problem", "random_nonneg_profile"]
 
 
-def random_nonneg_profile(rng, amplitude=1.0, floor=0.05):
+_FLOOR = 0.05  # least value of random_nonneg_profile before scaling
+
+
+def random_nonneg_profile(rng, amplitude=1.0):
     """Smooth nonnegative function of x on (0, 1) with zero-flux-compatible
-    cosine modes, normalised to sup <= amplitude (the harness tolerances are
-    absolute and presume unit-scale data)."""
+    cosine modes, at least _FLOOR before it is normalised to sup <= amplitude
+    (the harness tolerances are absolute and presume unit-scale data)."""
     c = rng.normal(0.0, 1.0, 3)
-    shift = abs(min(0.0, c[0] - abs(c[1]) - abs(c[2]))) + floor
+    shift = abs(min(0.0, c[0] - abs(c[1]) - abs(c[2]))) + _FLOOR
     peak = shift + c[0] + abs(c[1]) + abs(c[2])
-    scale = amplitude / max(peak, floor)
+    scale = amplitude / max(peak, _FLOOR)
 
     def f(x):
         return scale * (shift + c[0] + c[1] * np.cos(math.pi * x) + c[2] * np.cos(2 * math.pi * x))

@@ -262,6 +262,18 @@ class TestSolve:
         assert message in err and "Traceback" not in err
         assert "config error" in read_manifest(tmp_path)["verdict"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["spectral", "l1"])
+    def test_overflowing_node_spacing_exit_2(self, tmp_path, capsys, method):
+        # hi - lo overflows to inf: both routes refuse the grid before they solve
+        settings = ["domain=-1e308,1e308", "n_space=4", "n_time=4"]
+        code = run_cli(["solve", "--method", method, "--out", str(tmp_path)]
+                       + [a for s in settings for a in ("--set", s)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("config error: grid (domain, n_space, T, n_time, grading_r): "
+                                                   "need finite ends and a finite step")
+
     def test_default_grading_named_at_small_alpha(self, tmp_path, capsys):
         # r = 2/alpha = 200 underflows T (1/N)^r: the default grading is the cause
         assert run_cli(["solve", "--set", "alpha=0.01", "--out", str(tmp_path)]) == 2
@@ -435,14 +447,14 @@ class TestStallRestart:
         # the sweeps of each node, counted by the semilinear term's calls (one per sweep)
         sweeps = []
 
-        def spy(batch, m, rows, active, nonlinearity, picard_tol, counts, mid):
+        def spy(batch, m, rows, active, nonlinearity, counts, mid):
             sweeps.append(0)
 
             def term(*args):
                 sweeps[-1] += 1
                 return nonlinearity(*args)
 
-            return _sweeps(batch, m, rows, active, term, picard_tol, counts, mid)
+            return _sweeps(batch, m, rows, active, term, counts, mid)
 
         monkeypatch.setattr("fraccomp.evolve_linear._sweeps", spy)
         args = ["solve", "--out", str(tmp_path)] + [a for k, v in cfg.items() for a in ("--set", f"{k}={v}")]

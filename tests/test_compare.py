@@ -287,10 +287,10 @@ class TestLinearMonotoneSequence:
 
     def test_shared_rows_match_direct_solves(self):
         # the chain builds its L1 weight rows once; every iterate must be the
-        # public one-off solve of its frozen problem, bit for bit
+        # one-off solve of its frozen problem on a fresh table, bit for bit
         from dataclasses import replace
 
-        from fraccomp.evolve_linear import solve_linear_l1
+        from fraccomp.evolve_linear import _L1Steps, _l1_march
 
         p = neumann_problem(initial=lambda x: 1 + np.cos(math.pi * x), N=40, c0=1.0,
                             c=lambda x, t: -0.3 + 0.2 * np.sin(3 * x + t))
@@ -299,7 +299,7 @@ class TestLinearMonotoneSequence:
         c_vals = p.coefficients["c"].values(p.grid.nodes, p.tgrid.nodes)
         frozen = replace(p, elliptic=replace(p.elliptic, c=-b0))
         for prev, nxt in zip(seq, seq[1:]):
-            direct = solve_linear_l1(replace(frozen, source=(b0 + c_vals) * prev.values + 0.0))
+            direct = _l1_march(frozen, _L1Steps(frozen, keep=False), (b0 + c_vals) * prev.values)
             assert np.array_equal(nxt.values, direct.values)
 
     def test_rejects_small_b0(self):
@@ -312,8 +312,8 @@ class TestLinearMonotoneSequence:
         from dataclasses import replace
 
         p = neumann_problem(initial=1.0, c0=1.0, c=-0.2, N=64)
-        src = np.ones((p.tgrid.nodes.size, p.grid.n_nodes))
-        src[3] = -1.0
+        t3 = p.tgrid.nodes[3]
+        src = lambda x, t: np.where(t == t3, -1.0, 1.0) * np.ones_like(x)
         with pytest.raises(HypothesisViolation):
             linear_monotone_sequence(replace(p, source=src), b0_const=0.5, n_max=2)
 
@@ -433,10 +433,10 @@ class TestMonotoneIteration:
         assert np.max(np.abs(res.solution.values[:, 5] - y)) < 5e-3
 
     def test_shared_rows_match_per_sweep_rows(self):
-        # both chains share one tuple of L1 weight rows; each sweep must equal
-        # the same sweep with its rows generated afresh, as a one-off solve does
-        from fraccomp.compare import _l_map
-        from fraccomp.fracops import l1_weight_rows
+        # both chains share one table of L1 steps; each sweep must equal the
+        # same sweep on a fresh table that keeps nothing, as a one-off solve's
+        from fraccomp.compare import _l_map, _shifted
+        from fraccomp.evolve_linear import _L1Steps
 
         p = neumann_problem(alpha=0.5, initial=1.0, N=32, c0=0.0, n=12)
         nt = p.tgrid.nodes.size
@@ -447,7 +447,7 @@ class TestMonotoneIteration:
         for seq in (res.from_lower, res.from_upper):
             assert len(seq) > 2
             for prev, nxt in zip(seq, seq[1:]):
-                again = _l_map(p, f, 1.0, prev, l1_weight_rows(p.tgrid.nodes, p.alpha))
+                again = _l_map(p, f, 1.0, prev, _L1Steps(_shifted(p, 1.0), keep=False))
                 assert np.array_equal(nxt.values, again.values)
 
     def test_ground_mode_barriers(self):
@@ -548,8 +548,8 @@ class TestChainSteps:
                                                  upper=Field(p.grid, p.tgrid, upper)), M=1.0, k_max=25)
         # a non-finite source is refused where the problem is built
         p = self.linear(N=24)
-        src = np.full((p.tgrid.nodes.size, p.grid.n_nodes), 0.5)
-        src[k, 3] = np.inf
+        t_k, x_3 = p.tgrid.nodes[k], p.grid.nodes[3]
+        src = lambda x, t: np.where((t == t_k) & (x == x_3), np.inf, 0.5)
         where = f"'source' is not finite at x = {p.grid.nodes[3]:.6g}, t = {p.tgrid.nodes[k]:.6g}"
         with pytest.raises(NonFiniteError, match=f"^{re.escape(where)}$"):
             replace(p, source=src)

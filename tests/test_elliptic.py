@@ -96,6 +96,18 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble(EllipticSpec(a=lambda x: x - 0.5), g)
 
+    @pytest.mark.parametrize("key", ["c0", "sigma_lo", "sigma_hi"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_shift_and_robin_data(self, key, value):
+        # nan < 0 is false: the check refuses what is not finite as well
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            EllipticSpec(**{key: value})
+
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 0.0), (0.0, math.inf), (-1e308, 1e308)])
+    def test_grid_rejects_non_finite_ends_or_step(self, lo, hi):
+        with pytest.raises(ValueError, match="need finite ends and a finite step"):
+            Grid1D(lo, hi, 4)
+
 
 @pytest.mark.parametrize("n", [3, 20, 128])
 @pytest.mark.parametrize("sigma", [0.0, 1.5], ids=["neumann", "robin"])

@@ -269,32 +269,26 @@ def exact_duhamel(p, eig):
     return ref
 
 
-def test_array_source_is_read_at_time_nodes():
-    # an array source holds one row per time node and is not interpolated:
-    # a step midpoint, where the march samples, reads the mean of its ends
-    grid, tg, spec = make_problem(N=8, c0=1.0)
-    src = np.arange(9.0)[:, None] ** 2 * np.ones(grid.n_nodes)
-    p = ProblemSpec(0.5, spec, grid, tg, 1.0, source=src)
-    assert np.array_equal(p.source_at(tg.nodes[3], node_index=3), src[3])
-    assert np.array_equal(p.source_at(tg.nodes[3]), src[3])
-    assert np.array_equal(p.source_at(0.5 * (tg.nodes[3] + tg.nodes[4])), 0.5 * (src[3] + src[4]))
-    with pytest.raises(ValueError, match="read at the time nodes and the step midpoints only"):
-        p.source_at(0.25 * tg.nodes[3] + 0.75 * tg.nodes[4])
-
-
 class TestArraySource:
-    """An array source holds one row per time node and one column per space
-    node or a single column; anything else is refused when the problem is
-    built, so that both routes fail the same way."""
+    """A source, a, b or c is None, a number or a callable; an array, a list
+    or a string is refused, with its key, when the spec or the problem is
+    built."""
 
     @pytest.mark.parametrize("bad", [[[1.0, 2.0], [1.0]], np.ones((30, 10)), np.ones(41), np.ones((40, 10)),
                                      np.ones((41, 3)), np.ones((41, 10, 1)), "ones"])
     def test_a_bad_source_is_refused_when_built(self, bad):
-        # these raised an IndexError, a numpy broadcast ValueError, or solved
-        # on one route only
         grid, tg, spec = make_problem(n=8, N=40, c0=1.0)
-        with pytest.raises(ValueError, match=r"^source must be .* \(41, 10\) or \(41, 1\), one row"):
+        with pytest.raises(ValueError, match=r"^source must be None, a number or a callable of \(x, t\); "
+                                             r"got (list|ndarray|str)$"):
             ProblemSpec(0.5, spec, grid, tg, 1.0, source=bad)
+
+    @pytest.mark.parametrize("key", ["a", "b", "c"])
+    @pytest.mark.parametrize("bad", [[1.0, 2.0], np.ones((41, 10)), "ones"])
+    def test_a_bad_coefficient_is_refused_when_built(self, key, bad):
+        args = "x" if key == "a" else r"\(x, t\)"
+        with pytest.raises(ValueError, match=rf"^{key} must be None, a number or a callable of {args}; "
+                                             rf"got {type(bad).__name__}$"):
+            EllipticSpec(**{key: bad})
 
     @pytest.mark.parametrize("number", [2.0, np.float64(-0.5), 3])
     def test_a_number_is_a_constant_source(self, number):
@@ -306,28 +300,6 @@ class TestArraySource:
         same = replace(p, source=lambda x, t: float(number) * np.ones_like(x) * np.ones_like(t))
         for solve in (solve_linear_spectral, solve_linear_l1):
             assert np.array_equal(solve(p).values, solve(same).values)
-
-    def test_one_column_solves_as_its_full_spelling(self):
-        grid, tg, spec = make_problem(n=8, N=40, c0=1.0, b=0.3, c=lambda x, t: -0.5 * np.cos(x + t))
-        col = (1.0 + np.sin(3.0 * tg.nodes))[:, None]
-        p_col = ProblemSpec(0.5, spec, grid, tg, 1.0, source=col.tolist())
-        p_full = ProblemSpec(0.5, spec, grid, tg, 1.0, source=col * np.ones(grid.n_nodes))
-        assert p_col.source.dtype == float and p_col.source.shape == (41, 1)
-        for solve in (solve_linear_spectral, solve_linear_l1):
-            assert np.array_equal(solve(p_col).values, solve(p_full).values)
-
-    def test_an_overflowing_step_midpoint_is_refused_when_built(self):
-        # rows 3 and 4 are finite, but their mean, read at the midpoint of
-        # step 4, overflows: this built, and the spectral route failed with
-        # "non-finite step forcing at time node 4", the L1 route at step 3
-        F = np.ones((9, 10))
-        F[3:5, 4] = 1e308
-        tg = TimeGrid.graded(1.0, 8, 4.0)
-        where = f"'source' is not finite at x = {4 / 9:.6g}, t = {0.5 * (tg.nodes[3] + tg.nodes[4]):.6g}"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonFiniteError, match=f"^{re.escape(where)}$"):
-                ProblemSpec(0.5, EllipticSpec(c0=0.5), Grid1D(0.0, 1.0, 8), tg, 1.0, source=F)
 
 
 class TestBlockedMarch:
@@ -513,9 +485,8 @@ class TestModeSpaceSweeps:
         # reads t[0..m] only, so a restricted solve repeats the longer one
         grid, tg, spec = make_problem(alpha=0.6, n=24, N=48, c0=1.0, b=0.3, c=-0.5)
         p = ProblemSpec(0.6, spec, grid, tg, lambda x: 1.0 + 0.5 * np.cos(math.pi * x))
-        info = {}
-        u = solve_semilinear(p, builtin_burgers(0.8), info=info)
-        assert np.all(info["picard_counts"] >= 1)
+        (u,), (counts,) = _march_semilinear(Batch((p,)), [builtin_burgers(0.8)], [None])
+        assert np.all(counts >= 1)
         assert np.all(np.isfinite(u.values))
         half = u.restrict_time(30)
         u2 = solve_semilinear(ProblemSpec(0.6, spec, grid, half.tgrid, p.initial), builtin_burgers(0.8))
@@ -780,8 +751,8 @@ class TestBlockSampledForcing:
         kinds = []
         decided = Coefficient.decided
 
-        def spy(self, x, t, times):
-            coef = decided(self, x, t, times)
+        def spy(self, x, times):
+            coef = decided(self, x, times)
             if callable(coef.f):
                 kinds.append(coef.kind)
             return coef
@@ -811,15 +782,14 @@ class TestBatch:
     def mixed_batch(N=64):
         alpha, n = 0.5, 24
         grid, tg, _ = make_problem(alpha=alpha, n=n, N=N)
-        x, t = grid.nodes, tg.nodes
         c = lambda x, t: -0.3 * np.sin(2.0 * x) * np.cos(t)
         a0 = lambda x: 1.0 + 0.5 * np.cos(math.pi * x)
         specs = [
             # drift, no source
             (EllipticSpec(b=lambda x, t: 0.3 * np.cos(2.0 * x + t), c=c, c0=0.5), None),
-            # no drift, a Robin sigma and an array source
+            # no drift, a Robin sigma and a source of x only
             (EllipticSpec(c=c, c0=0.5, sigma_lo=1.5, sigma_hi=1.5),
-             np.outer(np.exp(-t), 1.0 + np.sin(x))),
+             lambda x, t: 1.0 + np.sin(x)),
             # c = None with c0 = 0: Q is inactive; a source that takes a scalar t only
             (EllipticSpec(c0=0.0, sigma_lo=1.0, sigma_hi=0.5),
              lambda x, t: np.cos(x) * math.exp(-t)),
@@ -925,12 +895,11 @@ class TestBatch:
 
     def test_semilinear_batch_matches_solo_solves(self):
         problems, terms = self.semilinear_batch()
-        fields, counts = _march_semilinear(Batch(problems), terms, [None] * 4, 1e-10)
+        fields, counts = _march_semilinear(Batch(problems), terms, [None] * 4)
         for p, f, u, n_sweeps in zip(problems, terms, fields, counts):
-            info = {}
-            solo = solve_semilinear(p, f, info=info)
+            (solo,), (solo_sweeps,) = _march_semilinear(Batch((p,)), [f], [None])
             assert np.max(np.abs(u.values - solo.values)) <= 1e-13 * np.max(np.abs(solo.values))
-            assert np.array_equal(n_sweeps, info["picard_counts"])
+            assert np.array_equal(n_sweeps, solo_sweeps)
         assert np.all(counts >= 1)
 
     def test_semilinear_many_keeps_the_input_order(self):
@@ -1074,8 +1043,7 @@ class TestL1Solver:
         # spatially flat data: d_t^alpha y + y = 1, y(0) = 0, solution 1 - E(-t^a)
         alpha = 0.6
         grid, tg, spec = make_problem(alpha=alpha, N=512, c0=1.0, c=-1.0, b=None)
-        srcmat = np.ones((tg.nodes.size, grid.n_nodes))
-        p = ProblemSpec(alpha, spec, grid, tg, 0.0, source=srcmat)
+        p = ProblemSpec(alpha, spec, grid, tg, 0.0, source=1.0)
         u = solve_linear_l1(p)
         ref = np.array([1.0 - ml_relaxation(alpha, 1.0, t) for t in tg.nodes])
         assert np.max(np.abs(u.values[:, 5] - ref)) < 2e-3

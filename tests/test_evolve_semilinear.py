@@ -5,10 +5,11 @@ import pytest
 
 from fraccomp.elliptic import EllipticSpec, Grid1D, assemble, eigendecompose
 from fraccomp import evolve_semilinear
-from fraccomp.evolve_linear import ProblemSpec, SolverError, solve_linear_spectral, spectral_march
+from fraccomp.evolve_linear import Batch, ProblemSpec, SolverError, solve_linear_spectral, spectral_march
 from fraccomp.evolve_semilinear import (
     BoxExitError,
     SemilinearTerm,
+    _march_semilinear,
     builtin_burgers,
     builtin_enzyme,
     scalar_fractional_ode,
@@ -75,7 +76,7 @@ class TestSolveSemilinear:
         tg = TimeGrid.graded(1.0, 512, 2.0 / alpha)
         spec = EllipticSpec(a=1.0, c0=0.0)
         p = ProblemSpec(alpha, spec, grid, tg, 1.0)
-        u = solve_semilinear(p, builtin_enzyme(), tol=1e-12)
+        u = solve_semilinear(p, builtin_enzyme())
         y = scalar_fractional_ode(tg, alpha, 1.0, lambda v: -v / (1.0 + abs(v)),
                                   rhs_du=lambda v: -1.0 / (1.0 + abs(v)) ** 2)
         assert np.max(np.std(u.values, axis=1)) < 1e-10  # stays flat
@@ -86,9 +87,7 @@ class TestSolveSemilinear:
         tg = TimeGrid.graded(0.5, 32, 4.0)
         spec = EllipticSpec(a=1.0, c0=1.0, c=-1.0)
         p = ProblemSpec(0.5, spec, grid, tg, 0.5)
-        info = {}
-        solve_semilinear(p, builtin_enzyme(), info=info)
-        counts = info["picard_counts"]
+        _, (counts,) = _march_semilinear(Batch((p,)), [builtin_enzyme()], [None])
         assert counts.shape == (32,)
         assert np.all(counts >= 1)
 
@@ -141,10 +140,9 @@ class TestSolveSemilinear:
         spec = EllipticSpec(a=1.0, c0=1.0, c=-1.0)
         p_coarse = ProblemSpec(0.5, spec, grid, TimeGrid.uniform(1.0, 16), 1.0)
         p_fine = ProblemSpec(0.5, spec, grid, TimeGrid.uniform(1.0, 128), 1.0)
-        i1, i2 = {}, {}
-        solve_semilinear(p_coarse, builtin_enzyme(), info=i1)
-        solve_semilinear(p_fine, builtin_enzyme(), info=i2)
-        assert np.mean(i2["picard_counts"]) <= np.mean(i1["picard_counts"])
+        _, (c1,) = _march_semilinear(Batch((p_coarse,)), [builtin_enzyme()], [None])
+        _, (c2,) = _march_semilinear(Batch((p_fine,)), [builtin_enzyme()], [None])
+        assert np.mean(c2) <= np.mean(c1)
 
 
 class TestScalarOracle:

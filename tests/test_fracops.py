@@ -42,6 +42,8 @@ class TestTimeGrid:
             TimeGrid(np.array([0.1, 0.5, 1.0]))
         with pytest.raises(ValueError):
             TimeGrid(np.array([0.0, 0.5, 0.5, 1.0]))
+        with pytest.raises(ValueError, match="nodes must be finite"):
+            TimeGrid(np.array([0.0, 0.5, 1.0, np.inf]))
 
 
 class TestRLIntegral:
