@@ -46,7 +46,6 @@ _DEFAULTS = {
     "a": "1",
     "b": "",
     "c": "",
-    "c0": "1.0",
     "sigma_lo": "0",
     "sigma_hi": "0",
     "initial": "0",
@@ -89,7 +88,9 @@ def parse_config(path=None, overrides=()):
             raise ConfigError(f"{where}expected key = value, got {item!r}")
         key, val = (s.strip() for s in item.split("=", 1))
         if key not in cfg:
-            raise ConfigError(f"{where}unknown key {key!r}")
+            # c0, the spectral route's splitting shift, was a key once
+            why = ": the spectral route derives its splitting shift from c" if key == "c0" else ""
+            raise ConfigError(f"{where}unknown key {key!r}{why}")
         cfg[key] = val
     return cfg
 
@@ -134,7 +135,7 @@ def build_problem(cfg):
     horizon = _number("T", cfg["T"])
     if not horizon > 0.0:
         raise ConfigError(f"T must be positive, got {horizon:g}")
-    c0, sigma_lo, sigma_hi = (_number(key, cfg[key]) for key in ("c0", "sigma_lo", "sigma_hi"))
+    sigma_lo, sigma_hi = (_number(key, cfg[key]) for key in ("sigma_lo", "sigma_hi"))
     grading = cfg["time_grading"].strip().lower()
     if grading not in ("uniform", "graded"):
         raise ConfigError(f"time_grading must be uniform or graded, got {grading!r}")
@@ -163,8 +164,7 @@ def build_problem(cfg):
         # an Expression is a callable of (x, t = 0.0), the form the specs
         # take; assemble checks a, ProblemSpec the other fields
         try:
-            spec = EllipticSpec(a=expr["a"], b=expr["b"], c=expr["c"], c0=c0,
-                                sigma_lo=sigma_lo, sigma_hi=sigma_hi)
+            spec = EllipticSpec(a=expr["a"], b=expr["b"], c=expr["c"], sigma_lo=sigma_lo, sigma_hi=sigma_hi)
             op = assemble(spec, grid)  # rejects a <= 0 on the same points
             problem = ProblemSpec(alpha, spec, grid, tgrid, expr["initial"], source=expr["source"])
         except NonFiniteError as exc:

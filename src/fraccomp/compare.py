@@ -450,10 +450,12 @@ class DecayReport:
 
 
 def asymptotic_decay_check(u: Field, u_inf, eig: EigenDecomposition, alpha) -> DecayReport:
-    """Fit |u - u_inf| <= C E_{alpha,1}(-lambda_1 t^alpha) phi_1 and call the
-    decay confirmed when the fitted constant is finite and stable (within 10%)
-    when refitted on the last half of the window.  Early transients carry
-    higher modes, so the first quarter is discarded."""
+    """Fit |u - u_inf| <= C E_{alpha,1}(-lambda_1 t^alpha) phi_1, with
+    (lambda_1, phi_1) the principal pair of eig, which holds A's eigenpairs
+    (for a constant c, T0's from elliptic.eigendecompose shifted by -c), and
+    call the decay confirmed when the fitted constant is finite and stable
+    (within 10%) when refitted on the last half of the window.  Early
+    transients carry higher modes, so the first quarter is discarded."""
     lam1, phi1 = principal_eigenpair(eig)
     if float(np.min(np.abs(phi1))) < 1e-12:
         raise RuntimeError("ground mode vanishes on the grid: discretisation fault")

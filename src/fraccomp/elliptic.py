@@ -1,22 +1,24 @@
 """Second-order elliptic operators on a 1D interval with Neumann/Robin closure.
 
-The self-adjoint part -(a u')' + c0 u is discretised in flux (finite-volume)
+The self-adjoint part T0 u = -(a u')' is discretised in flux (finite-volume)
 form on a grid that carries both endpoints as unknowns: half cells at the
 boundary, ghost-free Robin closure through the conormal flux a u' nu + sigma u.
 This makes the stiffness matrix exactly symmetric, so the eigenproblem is a
 weighted symmetric tridiagonal one, second order in h including the boundary.
 
-Drift terms b(x,t) d/dx and zeroth-order terms never enter the eigenproblem;
-they are sampled as vectors and routed through the solvers' splitting.  The
-full operator exists only as bands: tridiagonal flux plus the offsets +-2 of
-the one-sided derivative rows, so every implicit solve is pentadiagonal.
+Drift terms b(x,t) d/dx and zeroth-order terms c(x,t) never enter the
+eigenproblem; they are sampled as vectors and routed through the solvers'
+splitting; the spectral route shifts T0 by an amount of its own choosing
+(see evolve_linear.spectral_march).  The full operator exists only as
+bands: tridiagonal flux plus the offsets +-2 of the one-sided derivative
+rows, so every implicit solve is pentadiagonal.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -70,7 +72,8 @@ class Coefficient:
 
     of takes a callable as per time (a, of x alone, as x-only, called per
     evaluation) and refuses anything that is not None, a number or a
-    callable (ValueError); decided settles its kind."""
+    callable (ValueError); decided settles its kind and keeps the range of
+    the values it sampled."""
 
     key: str
     f: object
@@ -78,6 +81,7 @@ class Coefficient:
     x: Optional[np.ndarray] = field(default=None, repr=False)  # the nodes of row
     row: Optional[np.ndarray] = field(default=None, repr=False)  # constant and x-only kinds
     with_t: bool = True  # called as f(x, t), else as f(x)
+    span: tuple = (0.0, 0.0)  # least and largest value decided sampled; 0 where absent
 
     @classmethod
     def of(cls, key, f, with_t=True):
@@ -93,8 +97,8 @@ class Coefficient:
     def decided(self, x, times):
         """This coefficient on the nodes x, its kind decided by one call
         f(x, times[:, None]) with the times the solvers sample, which is
-        also the finiteness check (NonFiniteError); the samples are not
-        kept."""
+        also the finiteness check (NonFiniteError); of the samples only
+        their least and largest value are kept (span)."""
         key, f, kind = self.key, self.f, self.kind
         if kind == ABSENT:
             return self
@@ -105,13 +109,17 @@ class Coefficient:
                 v = np.empty(0)
             if v.shape in ((x.size,), (1, x.size), (times.size, x.size)):
                 _require_finite(key, v, x, times)
+                span = (float(v.min()), float(v.max()))
                 if v.shape == (times.size, x.size):
-                    return Coefficient(key, f, BROADCASTS)
-                return Coefficient(key, f, kind if kind == CONSTANT else X_ONLY, x, v.reshape(x.size))
+                    return Coefficient(key, f, BROADCASTS, span=span)
+                return Coefficient(key, f, kind if kind == CONSTANT else X_ONLY, x, v.reshape(x.size), span=span)
             per_time = Coefficient(key, f, PER_TIME)
+            lo, hi = math.inf, -math.inf
             for k, tk in enumerate(times):
-                _require_finite(key, per_time.values(x, tk), x, times[k:])
-        return per_time
+                v = per_time.values(x, tk)
+                _require_finite(key, v, x, times[k:])
+                lo, hi = min(lo, float(v.min())), max(hi, float(v.max()))
+        return replace(per_time, span=(lo, hi))
 
     def values(self, x, t=0.0):
         """The values on the nodes x at the time t, (nodes,), or at a 1-D
@@ -168,27 +176,24 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class EllipticSpec:
-    """Coefficients of -A u = (a u')' + b u' + c u, the shifted self-adjoint
-    part -(a u')' + c0 u, and the Robin data sigma >= 0 at both endpoints.
+    """Coefficients of -A u = (a u')' + b u' + c u and the Robin data
+    sigma >= 0 at both endpoints; the self-adjoint part is T0 u = -(a u')'.
     A1 = -(a u')' - b u' + b0 u with b0 > 0 is the spec with c = -b0.
     a is a number or a callable of x, refused by assemble where it is not
     finite or not positive.  b and c are None, a number or a callable of
     (x, t), held in coefficients; a ProblemSpec decides the kinds of b and
-    c on its grid (see Coefficient).  c0, sigma_lo and sigma_hi must be
-    finite and nonnegative; anything else is refused when the spec is
-    built (ValueError)."""
+    c on its grid (see Coefficient).  sigma_lo and sigma_hi must be finite
+    and nonnegative; anything else is refused when the spec is built
+    (ValueError)."""
 
     a: object = 1.0
     b: object = None
     c: object = None
-    c0: float = 0.0
     sigma_lo: float = 0.0
     sigma_hi: float = 0.0
     coefficients: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.c0 < math.inf:
-            raise ValueError(f"c0 must be finite and >= 0, got {self.c0}")
         if not (0.0 <= self.sigma_lo < math.inf and 0.0 <= self.sigma_hi < math.inf):
             raise ValueError(f"Robin coefficients must be finite and >= 0, "
                              f"got sigma_lo = {self.sigma_lo}, sigma_hi = {self.sigma_hi}")
@@ -204,18 +209,18 @@ class DiscreteOperator:
 
     grid: Grid1D
     spec: EllipticSpec
-    flux_diag: np.ndarray = field(repr=False)      # T0 main diagonal (no c0 yet)
+    flux_diag: np.ndarray = field(repr=False)      # T0 main diagonal
     flux_off: np.ndarray = field(repr=False)       # T0 off diagonal
     volumes: np.ndarray = field(repr=False)
 
     def apply_sym(self, v):
-        """Pointwise A0 v = (-(a v')' + c0 v) with the Robin closure, along
-        the last axis of v."""
+        """Pointwise T0 v = -(a v')' with the Robin closure, along the last
+        axis of v."""
         v = np.asarray(v, dtype=float)
         out = self.flux_diag * v
         out[..., :-1] += self.flux_off * v[..., 1:]
         out[..., 1:] += self.flux_off * v[..., :-1]
-        return out / self.volumes + self.spec.c0 * v
+        return out / self.volumes
 
     def derivative(self, v):
         """d/dx v along the last axis of v, centred inside, one-sided second
@@ -229,24 +234,25 @@ class DiscreteOperator:
         return d
 
     def q_parts(self, t):
-        """Vectors (b, c0 + c) sampled at time t, or rows of them at a 1-D
-        array of times, for the splitting Q u = b u' + (c0 + c) u."""
+        """(b, c) sampled at time t, or rows of them at a 1-D array of
+        times: b None where absent, c 0 where absent."""
         x = self.grid.nodes
         coefs = self.spec.coefficients
         c = coefs["c"].values(x, t)
-        return coefs["b"].values(x, t), self.spec.c0 + (0.0 if c is None else c)
+        return coefs["b"].values(x, t), 0.0 if c is None else c
 
     def apply_q(self, v, parts):
-        """Q v with parts = q_parts(t), so a time step samples them once."""
-        b, czero = parts
-        out = czero * v
+        """b v' + c v with parts = q_parts(t), so a time step samples them
+        once."""
+        b, c = parts
+        out = c * v
         if b is not None:
             out = out + b * self.derivative(v)
         return out
 
     def apply_full(self, v, t=0.0):
-        """A v = A0 v - Q v = -(a v')' - b v' - c v (c0 cancels); v may hold
-        one row per time of a 1-D array t."""
+        """A v = -(a v')' - b v' - c v; v may hold one row per time of a
+        1-D array t."""
         return self.apply_sym(v) - self.apply_q(v, self.q_parts(t))
 
     def bands(self, t=0.0, shift=0.0):
@@ -256,8 +262,8 @@ class DiscreteOperator:
         ab = np.zeros((5, self.grid.n_nodes))
         ab[1, 1:] = self.flux_off / self.volumes[:-1]
         ab[3, :-1] = self.flux_off / self.volumes[1:]
-        b, czero = self.q_parts(t)
-        ab[2] = self.flux_diag / self.volumes + self.spec.c0 - czero
+        b, c = self.q_parts(t)
+        ab[2] = self.flux_diag / self.volumes - c
         if b is not None:
             # minus b times the stencil of derivative(), one band at a time
             ab[1, 2:] -= b[1:-1] * (0.5 / h)
@@ -296,7 +302,7 @@ def assemble(spec: EllipticSpec, grid: Grid1D) -> DiscreteOperator:
     x = grid.nodes
     h = grid.h
     faces = np.empty(2 * x.size - 1)
-    faces[::2], faces[1::2] = x, 0.5 * (x[:-1] + x[1:])
+    faces[::2], faces[1::2] = x, 0.5 * x[:-1] + 0.5 * x[1:]  # halves first: no overflow
     with np.errstate(all="ignore"):
         a_faces = spec.coefficients["a"].values(faces)
     _require_finite("a", a_faces, faces, np.zeros(1))
@@ -333,15 +339,15 @@ class EigenDecomposition:
 
 
 def eigendecompose(op: DiscreteOperator) -> EigenDecomposition:
-    """All eigenpairs of the symmetric part in ascending order, orthonormal
-    under the cell weights; only the self-adjoint A0 enters (drift is handled
-    by splitting).  They come from one call of LAPACK's divide-and-conquer
+    """All eigenpairs of the symmetric part T0 in ascending order, orthonormal
+    under the cell weights; drift and c do not enter (they are handled by
+    splitting).  They come from one call of LAPACK's divide-and-conquer
     solver for symmetric tridiagonal matrices (stevd), O(n^2) for all of
     them; the driver is named, so that a change of scipy's default cannot
     move the results."""
     w = op.volumes
     sw = np.sqrt(w)
-    d = op.flux_diag / w + op.spec.c0
+    d = op.flux_diag / w
     e = op.flux_off / (sw[:-1] * sw[1:])
     try:
         lam, psi = eigh_tridiagonal(d, e, lapack_driver="stevd")

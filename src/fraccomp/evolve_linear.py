@@ -3,9 +3,10 @@
 Two independent routes:
 
 * a spectral exponential integrator: the problem is split as
-  d_t^alpha (u - a) + A0 u = F + Q u with Q u = b u' + (c0 + c) u, and the
-  equivalent fixed-point form u(t) = S(t) a + int K(t-s) (F + Q u)(s) ds is
-  marched node by node.  Per mode the Duhamel integral of piecewise-constant
+  d_t^alpha (u - a) + (T0 + s) u = F + Q u with T0 u = -(a u')',
+  Q u = b u' + (c + s) u and a shift s that the march derives from c and
+  the time grid (see _shifts), and the equivalent fixed-point form
+  u(t) = S(t) a + int K(t-s) (F + Q u)(s) ds is marched node by node.  Per mode the Duhamel integral of piecewise-constant
   data has a closed form through differences of the relaxation profile, so
   the only time error is the piecewise-constant treatment of F + Q u
   (midpoint samples of the coefficients, endpoint-average state);
@@ -104,6 +105,11 @@ _RELAX_BLOCK = 32  # fewest time nodes whose relaxation values the march fetches
 # and two calls for a verify ensemble of 462 modes, and the whole march for
 # a single verify solve; the calls' temporaries grow with their input
 _FETCH_POINTS = 8192
+_SMALL = 1e-8  # lam t^alpha at most this: a small mode, whose masses are exact (see _Memory)
+# the largest shift floor (see _shift_floor): the floor times a field of
+# moderate size stays far inside the float range, where a horizon near the
+# least float would ask for more than the largest float
+_FLOOR_MAX = math.sqrt(np.finfo(float).max)
 # edges of the live band of exponential terms (see _Memory)
 _BAND_HI = 40.0  # r dt_{m-1} above this: the running sum is below e^-40 of its input
 _MOMENTS = 12  # K: Taylor moments per mode that carry the frozen terms (see _Memory)
@@ -159,7 +165,7 @@ class ProblemSpec:
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         x, t = self.grid.nodes, self.tgrid.nodes
-        times = np.sort(np.concatenate([t[1:], 0.5 * (t[:-1] + t[1:])]))
+        times = np.sort(np.concatenate([t[1:], 0.5 * t[:-1] + 0.5 * t[1:]]))
         spec = replace(self.elliptic)  # a copy with b and c decided, which the operators read
         for key in ("b", "c"):
             spec.coefficients[key] = spec.coefficients[key].decided(x, times)
@@ -205,7 +211,8 @@ def _kernel_masses(alpha, lambdas, dt_pow):
     value); returns the matrix of int_{t_k}^{t_{k+1}} K ds >= 0, one row per
     mode, as differences of s phi(lam s) over s = dt_pow (see
     special_ml.relaxation_deficit), to rounding for every lam >= 0; a
-    negative lam, a Neumann ground eigenvalue off zero by rounding, is 0."""
+    negative lam, a Neumann ground eigenvalue below zero by rounding where
+    the shift floor is smaller still, is 0."""
     lam = np.maximum(np.asarray(lambdas, dtype=float), 0.0)
     g = dt_pow * relaxation_deficit(alpha, lam[:, None] * dt_pow)
     return np.maximum(g[:, :-1] - g[:, 1:], 0.0)
@@ -242,6 +249,39 @@ def _prefix_logs(alpha):
     ln_c -= gammaln(_ORDERS + 1.0)
     ln_c.flags.writeable = False
     return ln_c
+
+
+def _rule(alpha):
+    """The exponential-sum rule of alpha (special_ml.relaxation_exponentials);
+    a relaxation table that does not build is a SolverError."""
+    try:
+        return relaxation_exponentials(alpha)
+    except RuntimeError as exc:
+        raise SolverError(str(exc)) from exc
+
+
+def _shift_floor(alpha, t):
+    """The least eigenvalue that has left both exact-mass paths of _Memory
+    by node 4 of the time nodes t (or by the last): lam (t_4 - t_0)^alpha is
+    twice _SMALL, and the young-window edge sigma_lo / lam^(1/alpha) of the
+    rule is t_4 - t_3, the age of window 2 at node 4; at most _FLOOR_MAX."""
+    k = min(4, t.size - 1)
+    floor = max(2.0 * _SMALL / (t[k] - t[0]) ** alpha, (_rule(alpha).sigma_lo / (t[k] - t[k - 1])) ** alpha)
+    return min(floor, _FLOOR_MAX)
+
+
+def _shifts(problems, t, alpha):
+    """The splitting shift s of each problem marched on the time nodes t:
+    s = max(_shift_floor, -(min c + max c) / 2) over the values of c that
+    the problem's build sampled (Coefficient.span, 0 where c is absent), so
+    that Q = b u' + (c + s) u is 0 for every constant c <= -_shift_floor
+    and otherwise the least a constant shift makes it (on choosing the
+    linear part of an exponential integrator, see Hochbruck and Ostermann,
+    Acta Numerica 19 (2010) 209).  With the floor a zero eigenvalue of T0,
+    the Neumann ground mode, costs what any other mode costs from node 4
+    on."""
+    floor = _shift_floor(alpha, t)
+    return np.array([max(floor, -(0.5 * lo + 0.5 * hi)) for lo, hi in (p.coefficients["c"].span for p in problems)])
 
 
 class _Memory:
@@ -283,7 +323,7 @@ class _Memory:
     * the current window, whose mass the Picard sweeps need;
     * windows younger than sigma_lo / lam^(1/alpha), below the rule's range;
       they join the sums when they are old enough;
-    * modes with lam t_m^alpha <= 1e-8 (small modes), which fold nothing.
+    * modes with lam t_m^alpha <= _SMALL (small modes), which fold nothing.
     Each is formed as in _kernel_masses, to rounding for every lam >= 0.
     E(-lam t_m^alpha) and the current window's masses are fetched for a
     block of nodes (block, at least _RELAX_BLOCK) by one relaxation_batch
@@ -315,10 +355,7 @@ class _Memory:
         self.shape = np.shape(lambdas) if np.ndim(lambdas) > 1 else None
         self.lam = np.ravel(np.asarray(lambdas, dtype=float))
         self.t = t
-        try:
-            soe = relaxation_exponentials(alpha)
-        except RuntimeError as exc:  # the relaxation table of alpha did not build
-            raise SolverError(str(exc)) from exc
+        soe = _rule(alpha)
         n_terms = soe.log_rho.size
         self.log_rho = soe.log_rho
         # band columns past the rule read rate 0 and weight 0
@@ -401,9 +438,9 @@ class _Memory:
                 np.searchsorted(t[1:], t[m:stop, None] - self.tau[slow], side="right"), k - 1)
         # lam t^alpha grows with t, so a row small at some node of the block
         # is small at its first
-        small = np.flatnonzero(lam * t_pow[0] <= 1e-8)
+        small = np.flatnonzero(lam * t_pow[0] <= _SMALL)
         if small.size:
-            fold[:, small] *= lam[small] * t_pow[:, None] > 1e-8
+            fold[:, small] *= lam[small] * t_pow[:, None] > _SMALL
         self.block_start, self.block_stop = m, stop
         # per node, ln r of the band's edges, ln(_BAND_LO / tau_k) and
         # ln(_BAND_HI / dt_k), as differences of logs (_BAND_LO / tau_k
@@ -792,11 +829,14 @@ def spectral_march(
     moves of the shared memory (see _Memory).  A SolverError names the node
     and, in a batch of several, the problem (see Batch.label).
 
-    b / 2, (c0 + c) / 2 and the source are sampled at the step midpoints
+    The modes are T0's eigenpairs (stack), each problem's eigenvalues
+    shifted by its splitting shift s (see _shifts), and Q u = b u' + (c + s) u.
+    b / 2, (c + s) / 2 and the source are sampled at the step midpoints
     one block of the memory's fetches at a time, each as its kind says (see
-    _Sampled and elliptic.Coefficient); without b and c, Q is the constant
-    c0 and is not sampled.  A problem whose samples of b and c0 + c are all
-    zero at a step takes u_m directly, from P F.
+    _Sampled and elliptic.Coefficient); without b, and with a constant or
+    absent c, Q is the constant c + s and is not sampled.  A problem whose
+    samples of b and c + s are all zero at a step, as for a constant
+    c <= -s without b, takes u_m directly, from P F.
 
     nonlinearity(u_nodal, t, rows) -> nodal values is added to the step
     forcing with the same endpoint-average state treatment as Q u: u_nodal
@@ -820,8 +860,10 @@ def spectral_march(
     # elementwise loops and reductions cost more on (1, n) views than on
     # (n,) vectors, and a short march is made of little else
     lead = (S,) if S > 1 else ()
-    # first, so that a relaxation table it builds meets none of the arrays below
-    memory = _Memory(batch.alpha, stack.lambdas.reshape(lead + (n_modes,)), t)
+    # first, so that a relaxation table they build meets none of the arrays below
+    shifts = _shifts(problems, t, batch.alpha)
+    lambdas = stack.lambdas.reshape(S, n_modes) + shifts[:, None]
+    memory = _Memory(batch.alpha, lambdas.reshape(lead + (n_modes,)), t)
     block = memory.block  # the nodes of the memory's fetches and of the samples
     xs = [p.grid.nodes for p in problems]
     u = np.empty((N + 1, S, n_nodes))
@@ -829,12 +871,12 @@ def spectral_march(
     for j, p in enumerate(problems):
         a[j] = p.initial_values()
     a_coef = np.stack([e.project(v) for e, v in zip(stack.eigs, a)]).reshape(lead + (n_modes,))
-    mids = 0.5 * (t[:-1] + t[1:])
+    mids = 0.5 * t[:-1] + 0.5 * t[1:]
     coefs = {key: [p.coefficients[key] for p in problems] for key in ("b", "c", "source")}
     half_b = src = None
     if any(f.kind != ABSENT for f in coefs["b"]):
         half_b = _Sampled(coefs["b"], xs, block, np.zeros(S))
-    half_c = _Sampled(coefs["c"], xs, block, [p.elliptic.c0 for p in problems])
+    half_c = _Sampled(coefs["c"], xs, block, shifts)
     if any(f.kind != ABSENT for f in coefs["source"]):
         src = _Sampled(coefs["source"], xs, block)
     sampled = [smp for smp in (half_b, half_c, src) if smp is not None and smp.sampled]
@@ -937,7 +979,7 @@ def _take(rows, live):
 def _sweeps(batch, m, rows, active, nonlinearity, counts, mid):
     """The Picard sweeps of node m (see spectral_march), on the rows of the
     march's arrays, one per problem: projector, synthesis, base, w_last,
-    fixed forcing, b / 2 and (c0 + c) / 2 (None where Q is not swept), u
+    fixed forcing, b / 2 and (c + s) / 2 (None where Q is not swept), u
     and u' on the nodes at the start and at node m - 1, and u_{m-1}.  Each
     sweep projects the fixed forcing and the swept one in one product.
     Returns u and u' on the nodes, u alone and the forcing's mode
@@ -1032,8 +1074,10 @@ def solve_linear_spectral(
     p: ProblemSpec,
     eig: Optional[EigenDecomposition] = None,
 ) -> Field:
-    """March the fixed-point representation; with no drift and c = -c0 the
-    result is the pure eigen-expansion without iteration."""
+    """March the fixed-point representation; eig, T0's eigendecomposition,
+    is computed where it is not given.  With no drift and a constant
+    c <= -_shift_floor Q is 0, and the result is the eigen-expansion
+    of A = T0 - c without iteration."""
     return _march_fields(Batch((p,)), [eig])[0]
 
 

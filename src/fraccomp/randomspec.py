@@ -54,7 +54,6 @@ def random_linear_problem(
         a=lambda x: 1.0 + a_diff_c * np.sin(x + a_diff_p),
         b=(lambda x, t: b_amp * np.cos(2.0 * x + 0.3 * t)) if b_amp else None,
         c=lambda x, t: c_amp * np.sin(c_freq * x) * np.cos(0.5 * t),
-        c0=0.5,
         sigma_lo=sigma,
         sigma_hi=sigma,
     )

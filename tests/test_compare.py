@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,20 +44,20 @@ def neumann_problem(alpha=0.5, n=20, N=64, T=1.0, initial=None, source=None, **s
 
 class TestPositivity:
     def test_nonnegative_initial(self):
-        p = neumann_problem(initial=lambda x: np.sin(math.pi * x), c0=1.0, c=-1.0)
+        p = neumann_problem(initial=lambda x: np.sin(math.pi * x), c=-1.0)
         u = solve_linear_spectral(p)
         rep = check_positivity(u, alpha=p.alpha)
         assert rep.holds
 
     def test_zero_data_zero_solution(self):
-        p = neumann_problem(initial=0.0, c0=1.0, c=-1.0)
+        p = neumann_problem(initial=0.0, c=-1.0)
         u = solve_linear_spectral(p)
         rep = check_positivity(u, alpha=p.alpha)
         assert rep.holds
         assert rep.worst == 0.0
 
     def test_constant_preserved(self):
-        p = neumann_problem(initial=1.0, c0=0.0)
+        p = neumann_problem(initial=1.0)
         u = solve_linear_spectral(p)
         rep = check_positivity(u, alpha=p.alpha)
         assert rep.holds
@@ -65,19 +66,19 @@ class TestPositivity:
 
 class TestOrdering:
     def test_reflexive(self):
-        p = neumann_problem(initial=lambda x: 1 + np.cos(math.pi * x), c0=1.0, c=-0.5)
+        p = neumann_problem(initial=lambda x: 1 + np.cos(math.pi * x), c=-0.5)
         u = solve_linear_spectral(p)
         rep = check_ordering(u, u, alpha=p.alpha)
         assert rep.holds and rep.worst == 0.0
 
     def test_shifted_initial(self):
-        p2 = neumann_problem(initial=lambda x: 1 + np.cos(math.pi * x), c0=1.0, c=-0.5, b=0.2)
-        p1 = neumann_problem(initial=lambda x: 1.1 + np.cos(math.pi * x), c0=1.0, c=-0.5, b=0.2)
+        p2 = neumann_problem(initial=lambda x: 1 + np.cos(math.pi * x), c=-0.5, b=0.2)
+        p1 = neumann_problem(initial=lambda x: 1.1 + np.cos(math.pi * x), c=-0.5, b=0.2)
         u1, u2 = solve_linear_spectral(p1), solve_linear_spectral(p2)
         assert check_ordering(u1, u2, alpha=0.5).holds
 
     def test_transitive_at_double_tolerance(self):
-        base = dict(c0=1.0, c=-0.3)
+        base = dict(c=-0.3)
         u1 = solve_linear_spectral(neumann_problem(initial=lambda x: 2 + np.sin(x), **base))
         u2 = solve_linear_spectral(neumann_problem(initial=lambda x: 1 + np.sin(x), **base))
         u3 = solve_linear_spectral(neumann_problem(initial=lambda x: 0.5 + np.sin(x), **base))
@@ -89,7 +90,7 @@ class TestOrdering:
     def test_semilinear_term_ordering(self):
         f1 = builtin_enzyme()
         f2 = f1.shifted(-0.1)
-        p = neumann_problem(initial=lambda x: 1 + 0.3 * np.cos(math.pi * x), c0=1.0, c=-1.0)
+        p = neumann_problem(initial=lambda x: 1 + 0.3 * np.cos(math.pi * x), c=-1.0)
         u1 = solve_semilinear(p, f1)
         u2 = solve_semilinear(p, f2)
         assert check_ordering(u1, u2, alpha=p.alpha).holds
@@ -115,7 +116,7 @@ class TestExample1Bound:
     def test_solution_respects_bound(self):
         # F = 1, a = 0, zeroth-order-free Neumann operator
         alpha = 0.5
-        p = neumann_problem(alpha=alpha, N=128, c0=0.0, source=lambda x, t: np.ones_like(x))
+        p = neumann_problem(alpha=alpha, N=128, source=lambda x, t: np.ones_like(x))
         u = solve_linear_spectral(p)
         bound = example1_lower_bound(alpha, 0.0, 1.0, p.tgrid)
         slack = np.min(u.values, axis=1) - bound.values
@@ -124,37 +125,35 @@ class TestExample1Bound:
 
 class TestCoefficientComparison:
     def test_equal_coefficients(self):
-        p = neumann_problem(initial=lambda x: 1 + np.sin(2 * x), c0=1.0,
-                            source=lambda x, t: np.ones_like(x))
+        p = neumann_problem(initial=lambda x: 1 + np.sin(2 * x), source=lambda x, t: np.ones_like(x))
         u1, u2, rep = coefficient_comparison(p, which="c", c1=-0.5, c2=-0.5)
         assert rep.holds
         assert np.max(np.abs(u1.values - u2.values)) < 1e-12
 
     def test_ordered_c(self):
-        p = neumann_problem(initial=lambda x: 1 + np.sin(2 * x) ** 2, c0=1.0,
-                            source=lambda x, t: np.ones_like(x))
+        p = neumann_problem(initial=lambda x: 1 + np.sin(2 * x) ** 2, source=lambda x, t: np.ones_like(x))
         u1, u2, rep = coefficient_comparison(p, which="c", c1=0.0, c2=-1.0)
         assert rep.holds
 
     def test_ordered_sigma_under_negative_c(self):
-        p = neumann_problem(initial=lambda x: 1 + 0.2 * np.cos(math.pi * x), c0=1.0, c=-1.0,
+        p = neumann_problem(initial=lambda x: 1 + 0.2 * np.cos(math.pi * x), c=-1.0,
                             source=lambda x, t: 0.5 * np.ones_like(x))
         u1, u2, rep = coefficient_comparison(p, which="sigma", sigma1=1.0, sigma2=2.0)
         assert rep.holds
 
     def test_sigma_refused_without_negative_c(self):
-        p = neumann_problem(initial=1.0, c0=1.0, c=0.0)
+        p = neumann_problem(initial=1.0, c=0.0)
         with pytest.raises(HypothesisViolation):
             coefficient_comparison(p, which="sigma", sigma1=1.0, sigma2=2.0)
 
     def test_rejects_unordered_c(self):
-        p = neumann_problem(initial=1.0, c0=1.0)
+        p = neumann_problem(initial=1.0)
         with pytest.raises(HypothesisViolation):
             coefficient_comparison(p, which="c", c1=-1.0, c2=0.0)
 
     def test_rejects_c_unordered_at_a_single_node(self):
         # c1 < c2 only at t_3 of 64 steps: the hypothesis is checked on every node
-        p = neumann_problem(initial=1.0, c0=1.0, N=64)
+        p = neumann_problem(initial=1.0, N=64)
         t3 = p.tgrid.nodes[3]
         with pytest.raises(HypothesisViolation):
             coefficient_comparison(p, which="c", c1=lambda x, t: -1.0 * (t == t3), c2=0.0)
@@ -165,9 +164,9 @@ class TestComparisonPair:
 
     def test_refuses_what_coefficient_comparison_refuses(self):
         cases = [
-            (neumann_problem(initial=1.0, c0=1.0), dict(which="c", c1=-1.0, c2=0.0)),
-            (neumann_problem(initial=1.0, c0=1.0, c=0.0), dict(which="sigma", sigma1=1.0, sigma2=2.0)),
-            (neumann_problem(initial=1.0, c0=1.0, c=-1.0), dict(which="sigma", sigma1=2.0, sigma2=1.0)),
+            (neumann_problem(initial=1.0), dict(which="c", c1=-1.0, c2=0.0)),
+            (neumann_problem(initial=1.0, c=0.0), dict(which="sigma", sigma1=1.0, sigma2=2.0)),
+            (neumann_problem(initial=1.0, c=-1.0), dict(which="sigma", sigma1=2.0, sigma2=1.0)),
         ]
         for p, kw in cases:
             with pytest.raises(HypothesisViolation) as built:
@@ -178,7 +177,7 @@ class TestComparisonPair:
     def test_source_checked_on_every_node_with_one_call_or_one_per_node(self):
         from dataclasses import replace
 
-        p = neumann_problem(initial=1.0, c0=1.0, N=64)
+        p = neumann_problem(initial=1.0, N=64)
         t5, calls = p.tgrid.nodes[5], []
 
         def counted(f):
@@ -219,7 +218,7 @@ class TestComparisonPair:
             return v
 
         monkeypatch.setattr(Coefficient, "values", spy)
-        p = neumann_problem(initial=1.0, c0=1.0, N=64, source=lambda x, t: 0.5 + 0.0 * x * t)
+        p = neumann_problem(initial=1.0, N=64, source=lambda x, t: 0.5 + 0.0 * x * t)
         p1, p2, _ = comparison_pair(p, which="c", c1=-0.1, c2=-0.3)
         solve_linear_l1(p1)
         assert evaluated == []
@@ -231,7 +230,7 @@ class TestComparisonPair:
     @pytest.mark.parametrize("which, kw", [("c", dict(c1=0.0, c2=-1.0)),
                                            ("sigma", dict(sigma1=1.0, sigma2=2.0))])
     def test_batched_pair_matches_coefficient_comparison(self, which, kw):
-        p = neumann_problem(initial=lambda x: 1 + 0.2 * np.cos(math.pi * x), c0=1.0, c=-1.0,
+        p = neumann_problem(initial=lambda x: 1 + 0.2 * np.cos(math.pi * x), c=-1.0,
                             b=lambda x, t: 0.2 * np.cos(x + t), source=lambda x, t: 0.5 * np.ones_like(x))
         p1, p2, name = comparison_pair(p, which=which, **kw)
         batched = solve_linear_spectral_many([p1, p2])
@@ -243,7 +242,7 @@ class TestComparisonPair:
 
 class TestLinearMonotoneSequence:
     def test_zero_data_zero_iterates(self):
-        p = neumann_problem(initial=0.0, c0=1.0, c=0.0)
+        p = neumann_problem(initial=0.0, c=0.0)
         seq = linear_monotone_sequence(p, b0_const=0.5, n_max=4)
         for it in seq:
             assert np.max(np.abs(it.values)) == 0.0
@@ -254,7 +253,7 @@ class TestLinearMonotoneSequence:
         from dataclasses import replace
 
         p = neumann_problem(initial=lambda x: 1 + 0.5 * np.cos(math.pi * x),
-                            N=96, c0=1.0, source=lambda x, t: np.ones_like(x))
+                            N=96, source=lambda x, t: np.ones_like(x))
         b0 = 0.8
         seq = linear_monotone_sequence(p, b0_const=b0, n_max=2)
         a0 = p.initial_values()
@@ -267,8 +266,7 @@ class TestLinearMonotoneSequence:
         from fraccomp.evolve_linear import solve_linear_l1
 
         p = neumann_problem(initial=lambda x: 1 + np.cos(math.pi * x),
-                            alpha=0.5, N=96, T=0.75, c0=1.0,
-                            c=lambda x, t: -0.3 + 0.2 * np.sin(3 * x))
+                            alpha=0.5, N=96, T=0.75, c=lambda x, t: -0.3 + 0.2 * np.sin(3 * x))
         seq = linear_monotone_sequence(p, b0_const=0.6, n_max=8)
         tol = default_tolerance(p.grid, p.tgrid, p.alpha, 2.0)
         # the iteration's fixed point is the direct implicit-L1 solution
@@ -292,7 +290,7 @@ class TestLinearMonotoneSequence:
 
         from fraccomp.evolve_linear import _L1Steps, _l1_march
 
-        p = neumann_problem(initial=lambda x: 1 + np.cos(math.pi * x), N=40, c0=1.0,
+        p = neumann_problem(initial=lambda x: 1 + np.cos(math.pi * x), N=40,
                             c=lambda x, t: -0.3 + 0.2 * np.sin(3 * x + t))
         b0 = 0.6
         seq = linear_monotone_sequence(p, b0_const=b0, n_max=4)
@@ -303,7 +301,7 @@ class TestLinearMonotoneSequence:
             assert np.array_equal(nxt.values, direct.values)
 
     def test_rejects_small_b0(self):
-        p = neumann_problem(initial=1.0, c0=1.0, c=-2.0)
+        p = neumann_problem(initial=1.0, c=-2.0)
         with pytest.raises(HypothesisViolation):
             linear_monotone_sequence(p, b0_const=0.5, n_max=3)
 
@@ -311,7 +309,7 @@ class TestLinearMonotoneSequence:
         # F < 0 only at t_3 of 64 steps: the hypothesis is checked on every node
         from dataclasses import replace
 
-        p = neumann_problem(initial=1.0, c0=1.0, c=-0.2, N=64)
+        p = neumann_problem(initial=1.0, c=-0.2, N=64)
         t3 = p.tgrid.nodes[3]
         src = lambda x, t: np.where(t == t3, -1.0, 1.0) * np.ones_like(x)
         with pytest.raises(HypothesisViolation):
@@ -322,13 +320,13 @@ class TestVerifyBarrier:
     def test_gradient_term_refused(self):
         from fraccomp.evolve_semilinear import builtin_burgers
 
-        p = neumann_problem(initial=1.0, c0=0.0, N=16)
+        p = neumann_problem(initial=1.0, N=16)
         ones = Field(p.grid, p.tgrid, np.ones((p.tgrid.nodes.size, p.grid.n_nodes)))
         with pytest.raises(HypothesisViolation):
             verify_barrier(ones, "upper", p, f=builtin_burgers())
 
     def test_zero_lower_barrier_exact(self):
-        p = neumann_problem(initial=lambda x: 1 + np.cos(math.pi * x), c0=0.0, N=32)
+        p = neumann_problem(initial=lambda x: 1 + np.cos(math.pi * x), N=32)
         zeros = Field(p.grid, p.tgrid, np.zeros((p.tgrid.nodes.size, p.grid.n_nodes)))
         rep = verify_barrier(zeros, "lower", p, f=builtin_enzyme())
         assert rep.holds
@@ -337,7 +335,7 @@ class TestVerifyBarrier:
     def test_power_upper_barrier(self):
         # a + rho t^alpha with rho >= max Delta_h a / Gamma(1+alpha)
         alpha = 0.5
-        p = neumann_problem(alpha=alpha, initial=lambda x: 1 + np.cos(math.pi * x), c0=0.0, N=64)
+        p = neumann_problem(alpha=alpha, initial=lambda x: 1 + np.cos(math.pi * x), N=64)
         a0 = p.initial_values()
         op = assemble(p.elliptic, p.grid)
         rho = float(np.max(-op.apply_full(a0, 0.0))) / gamma(1 + alpha)
@@ -351,13 +349,13 @@ class TestVerifyBarrier:
         alpha, eps = 0.5, 0.1
         f = SemilinearTerm(eval=lambda x, u: u, deriv_u=lambda x, u: np.ones_like(u),
                            bound_M=10.0)
-        p = neumann_problem(alpha=alpha, initial=1.0, c0=0.0, N=64, T=0.015)
+        p = neumann_problem(alpha=alpha, initial=1.0, N=64, T=0.015)
         a0 = p.initial_values()
         band = a0[None, :] + p.tgrid.nodes[:, None] ** (alpha - eps)
         rep = verify_barrier(Field(p.grid, p.tgrid, band), "upper", p, f=f)
         assert rep.holds
         # and past the window the residual really does change sign
-        p_long = neumann_problem(alpha=alpha, initial=1.0, c0=0.0, N=64, T=2.0)
+        p_long = neumann_problem(alpha=alpha, initial=1.0, N=64, T=2.0)
         band_long = a0[None, :] + p_long.tgrid.nodes[:, None] ** (alpha - eps)
         raw = verify_barrier(Field(p_long.grid, p_long.tgrid, band_long), "upper", p_long, f=f)
         assert raw.worst > 1e-6
@@ -374,7 +372,7 @@ class TestVerifyBarrier:
                 return f(x, t)
             return g
 
-        p = neumann_problem(N=32, initial=1.0, c0=0.5, sigma_lo=1.0,
+        p = neumann_problem(N=32, initial=1.0, sigma_lo=1.0,
                             b=counted(lambda x, t: 0.3 * np.cos(2.0 * x + t)),
                             c=counted(lambda x, t: -0.3 * np.sin(2.0 * x) * np.cos(t)),
                             source=counted(lambda x, t: np.sin(3.0 * x) + t))
@@ -392,7 +390,7 @@ class TestVerifyBarrier:
 
     def test_non_barrier_flagged(self):
         # too-shallow power growth is *not* an upper solution for a positive source
-        p = neumann_problem(initial=0.0, c0=0.0, N=32, source=lambda x, t: np.ones_like(x))
+        p = neumann_problem(initial=0.0, N=32, source=lambda x, t: np.ones_like(x))
         shallow = Field(p.grid, p.tgrid,
                         0.01 * p.tgrid.nodes[:, None] ** 0.5 * np.ones((1, p.grid.n_nodes)))
         rep = verify_barrier(shallow, "upper", p)
@@ -403,7 +401,7 @@ class TestMonotoneIteration:
     def test_exact_solution_fixed_point(self):
         # f = 0: barriers equal to the solution stay fixed under the map
         p = neumann_problem(initial=lambda x: 1 + 0.3 * np.cos(math.pi * x),
-                            N=48, c0=1.0, c=-1.0)
+                            N=48, c=-1.0)
         zero = SemilinearTerm(eval=lambda x, u: np.zeros_like(u), bound_M=0.0)
         u = solve_semilinear(p, zero)
         barriers = BarrierPair(lower=u, upper=u)
@@ -417,7 +415,7 @@ class TestMonotoneIteration:
         # constant data 1, barriers 0 and 1; chains monotone, sandwich holds,
         # scalar oracle cross-check
         alpha = 0.5
-        p = neumann_problem(alpha=alpha, initial=1.0, N=64, c0=0.0, n=12)
+        p = neumann_problem(alpha=alpha, initial=1.0, N=64, n=12)
         nt = p.tgrid.nodes.size
         ones = Field(p.grid, p.tgrid, np.ones((nt, p.grid.n_nodes)))
         zeros = Field(p.grid, p.tgrid, np.zeros((nt, p.grid.n_nodes)))
@@ -438,7 +436,7 @@ class TestMonotoneIteration:
         from fraccomp.compare import _l_map, _shifted
         from fraccomp.evolve_linear import _L1Steps
 
-        p = neumann_problem(alpha=0.5, initial=1.0, N=32, c0=0.0, n=12)
+        p = neumann_problem(alpha=0.5, initial=1.0, N=32, n=12)
         nt = p.tgrid.nodes.size
         ones = Field(p.grid, p.tgrid, np.ones((nt, p.grid.n_nodes)))
         zeros = Field(p.grid, p.tgrid, np.zeros((nt, p.grid.n_nodes)))
@@ -456,12 +454,13 @@ class TestMonotoneIteration:
         alpha = 0.5
         grid = Grid1D(0.0, 1.0, 16)
         tg = TimeGrid.graded(2.0, 64, 4.0)
-        spec = EllipticSpec(a=1.0, c0=1.0, c=-1.0)
+        spec = EllipticSpec(a=1.0, c=-1.0)
         f = builtin_enzyme()
         u_inf = np.zeros(grid.n_nodes)
         eig = eigendecompose(assemble(spec, grid))
         from fraccomp.elliptic import principal_eigenpair
         lam1, phi1 = principal_eigenpair(eig)
+        lam1 += 1.0  # A = T0 + 1
         a0 = 0.4 + 0.2 * np.cos(math.pi * grid.nodes)
         m1 = float(np.max(np.abs(a0 - u_inf)) / np.min(phi1)) * 1.05
         relax = np.array([ml_relaxation(alpha, lam1, t) for t in tg.nodes])
@@ -481,7 +480,7 @@ class TestChainSteps:
 
     @staticmethod
     def sandwich(N=32):
-        p = neumann_problem(alpha=0.5, initial=1.0, N=N, c0=0.5, n=12,
+        p = neumann_problem(alpha=0.5, initial=1.0, N=N, n=12,
                             b=lambda x, t: 0.3 * np.cos(x + t), c=lambda x, t: -0.2 * np.sin(3 * x + t),
                             source=lambda x, t: 0.1 * (1.0 + t) * np.ones_like(x))
         nt = p.tgrid.nodes.size
@@ -491,7 +490,7 @@ class TestChainSteps:
 
     @staticmethod
     def linear(N=40):
-        return neumann_problem(initial=lambda x: 1 + np.cos(math.pi * x), N=N, c0=1.0,
+        return neumann_problem(initial=lambda x: 1 + np.cos(math.pi * x), N=N,
                                c=lambda x, t: -0.3 + 0.2 * np.sin(3 * x + t),
                                source=lambda x, t: 0.5 + 0.0 * x)
 
@@ -559,13 +558,13 @@ class TestBarrierBandE3:
     def test_cosine_initial(self):
         alpha = 0.5
         p = neumann_problem(alpha=alpha, initial=lambda x: 1 + np.cos(math.pi * x),
-                            n=48, N=96, c0=0.0)
+                            n=48, N=96)
         band = barrier_bounds_e3(p)
         assert band.report.holds
         assert band.rho == pytest.approx(math.pi ** 2 / gamma(1.5), rel=2e-3)
 
     def test_flat_initial_degenerates(self):
-        p = neumann_problem(initial=1.0, N=64, c0=0.0)
+        p = neumann_problem(initial=1.0, N=64)
         band = barrier_bounds_e3(p)
         assert band.rho == pytest.approx(1e-12)
         assert band.report.holds  # u <= a within tolerance, and u >= 0
@@ -573,13 +572,13 @@ class TestBarrierBandE3:
         assert np.min(band.solution.values[-1] - 1.0) < 0.0
 
     def test_zero_initial_trivial(self):
-        p = neumann_problem(initial=0.0, N=32, c0=0.0)
+        p = neumann_problem(initial=0.0, N=32)
         band = barrier_bounds_e3(p)
         assert band.report.holds
         assert np.max(np.abs(band.solution.values)) < 1e-12
 
     def test_rejects_flux_violating_initial(self):
-        p = neumann_problem(initial=lambda x: x, N=16, c0=0.0)
+        p = neumann_problem(initial=lambda x: x, N=16)
         with pytest.raises(HypothesisViolation):
             barrier_bounds_e3(p)
 
@@ -588,14 +587,14 @@ class TestBarrierBandE4:
     def test_degenerate_zero_term(self):
         f = SemilinearTerm(eval=lambda x, u: np.zeros_like(u), deriv_u=lambda x, u: np.zeros_like(u),
                            bound_M=0.1)
-        p = neumann_problem(initial=1.0, N=64, c0=0.0)
+        p = neumann_problem(initial=1.0, N=64)
         band = barrier_bounds_e4(p, f, epsilon=0.1, delta1=0.8)
         assert band.report.holds
         assert band.T1 > 10.0  # flat homogeneous case admits a huge window
 
     def test_linear_growth_term(self):
         f = SemilinearTerm(eval=lambda x, u: u, deriv_u=lambda x, u: np.ones_like(u), bound_M=10.0)
-        p = neumann_problem(initial=1.0, N=96, T=0.5, c0=0.0)
+        p = neumann_problem(initial=1.0, N=96, T=0.5)
         band = barrier_bounds_e4(p, f, epsilon=0.1, delta1=1.0)
         assert band.report.holds
         assert 0.0 < band.T1
@@ -606,7 +605,7 @@ class TestBarrierBandE4:
 
     def test_rejects_small_initial(self):
         f = SemilinearTerm(eval=lambda x, u: u, bound_M=10.0)
-        p = neumann_problem(initial=0.1, N=16, c0=0.0)
+        p = neumann_problem(initial=0.1, N=16)
         with pytest.raises(HypothesisViolation):
             barrier_bounds_e4(p, f, epsilon=0.1, delta1=0.5)
 
@@ -616,12 +615,13 @@ class TestDecay:
         alpha = 0.5
         grid = Grid1D(0.0, 1.0, 20)
         tg = TimeGrid.graded(50.0, 128, 4.0)
-        spec = EllipticSpec(a=1.0, c0=1.0, c=-1.0)
+        spec = EllipticSpec(a=1.0, c=-1.0)
         eig = eigendecompose(assemble(spec, grid))
         phi1 = eig.modes[:, 0]
         p = ProblemSpec(alpha, spec, grid, tg, 0.7 * phi1)
         u = solve_linear_spectral(p, eig)
-        rep = asymptotic_decay_check(u, np.zeros(grid.n_nodes), eig, alpha)
+        # A = T0 + 1: its pairs are T0's with lambda + 1
+        rep = asymptotic_decay_check(u, np.zeros(grid.n_nodes), replace(eig, lambdas=eig.lambdas + 1.0), alpha)
         assert rep.holds
         assert rep.fitted_C == pytest.approx(0.7, rel=1e-8)
         assert rep.fitted_C_tail == pytest.approx(0.7, rel=1e-8)
@@ -630,12 +630,13 @@ class TestDecay:
         alpha = 0.5
         grid = Grid1D(0.0, 1.0, 20)
         tg = TimeGrid.graded(80.0, 160, 4.0)
-        spec = EllipticSpec(a=1.0, c0=1.0, c=-1.0)
+        spec = EllipticSpec(a=1.0, c=-1.0)
         eig = eigendecompose(assemble(spec, grid))
         a0 = eig.modes[:, 0] + 0.5 * eig.modes[:, 1]
         p = ProblemSpec(alpha, spec, grid, tg, a0)
         u = solve_linear_spectral(p, eig)
-        rep = asymptotic_decay_check(u, np.zeros(grid.n_nodes), eig, alpha)
+        # A = T0 + 1: its pairs are T0's with lambda + 1
+        rep = asymptotic_decay_check(u, np.zeros(grid.n_nodes), replace(eig, lambdas=eig.lambdas + 1.0), alpha)
         assert rep.holds
         assert np.isfinite(rep.fitted_C)
 
@@ -643,9 +644,10 @@ class TestDecay:
         alpha = 0.5
         grid = Grid1D(0.0, 1.0, 16)
         tg = TimeGrid.graded(400.0, 256, 4.0)
-        spec = EllipticSpec(a=1.0, c0=1.0, c=-1.0)
+        spec = EllipticSpec(a=1.0, c=-1.0)
         eig = eigendecompose(assemble(spec, grid))
         p = ProblemSpec(alpha, spec, grid, tg, lambda x: 0.5 + 0.3 * np.cos(math.pi * x))
         u = solve_semilinear(p, builtin_enzyme(), eig)
-        rep = asymptotic_decay_check(u, np.zeros(grid.n_nodes), eig, alpha)
+        # A = T0 + 1: its pairs are T0's with lambda + 1
+        rep = asymptotic_decay_check(u, np.zeros(grid.n_nodes), replace(eig, lambdas=eig.lambdas + 1.0), alpha)
         assert rep.holds

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
 import fraccomp.elliptic as elliptic
@@ -42,7 +44,7 @@ def robin_lambda1(sigma):
 class TestAssemble:
     def test_neumann_row_sums_zero(self):
         g = Grid1D(0.0, 1.0, 3)
-        op = assemble(EllipticSpec(a=1.0, c0=0.0), g)
+        op = assemble(EllipticSpec(a=1.0), g)
         for i in range(g.n_nodes):
             e = np.zeros(g.n_nodes)
             e[i] = 1.0
@@ -51,10 +53,11 @@ class TestAssemble:
         assert np.allclose(op.apply_sym(ones), 0.0, atol=1e-13)
 
     def test_constant_preserved_with_shift(self):
+        # c = -1: A = T0 + 1 maps the constant 1 to itself
         g = Grid1D(0.0, 1.0, 17)
-        op = assemble(EllipticSpec(a=1.0, c0=1.0), g)
+        op = assemble(EllipticSpec(a=1.0, c=-1.0), g)
         ones = np.ones(g.n_nodes)
-        assert np.allclose(op.apply_sym(ones), 1.0, atol=1e-13)
+        assert np.allclose(op.apply_full(ones), 1.0, atol=1e-13)
 
     def test_hand_assembled_oracle(self):
         # a(x) = 1 + x, sigma = 1 on (0,1), n = 3: build the 5x5 flux matrix
@@ -81,8 +84,8 @@ class TestAssemble:
 
     def test_symmetry_exact(self):
         g = Grid1D(-1.0, 2.0, 40)
-        op = assemble(EllipticSpec(a=lambda x: 1.0 + 0.3 * np.sin(x), sigma_lo=0.7, sigma_hi=2.0, c0=0.5), g)
-        # weighted operator W A0 is the symmetric flux matrix
+        op = assemble(EllipticSpec(a=lambda x: 1.0 + 0.3 * np.sin(x), sigma_lo=0.7, sigma_hi=2.0), g)
+        # weighted operator W T0 is the symmetric flux matrix
         m = g.n_nodes
         M = np.zeros((m, m))
         for i in range(m):
@@ -96,7 +99,7 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble(EllipticSpec(a=lambda x: x - 0.5), g)
 
-    @pytest.mark.parametrize("key", ["c0", "sigma_lo", "sigma_hi"])
+    @pytest.mark.parametrize("key", ["sigma_lo", "sigma_hi"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_rejects_bad_shift_and_robin_data(self, key, value):
         # nan < 0 is false: the check refuses what is not finite as well
@@ -108,6 +111,19 @@ class TestAssemble:
         with pytest.raises(ValueError, match="need finite ends and a finite step"):
             Grid1D(lo, hi, 4)
 
+    def test_faces_of_a_grid_near_the_largest_float(self):
+        # x[i] + x[i + 1] overflows here; the halves are summed instead
+        seen = []
+        assemble(EllipticSpec(a=lambda x: seen.append(x) or np.ones_like(x)), Grid1D(1e308, 1.7e308, 4))
+        assert np.isfinite(seen[0]).all() and np.all(np.diff(seen[0]) > 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.floats(-1e6, 1e6), span=st.floats(1e-6, 1e6), n=st.integers(3, 64))
+    def test_halves_first_midpoints_are_the_halved_sums(self, lo, span, n):
+        # halving is exact, so 0.5 x + 0.5 y is 0.5 (x + y) where x + y is finite
+        x = Grid1D(lo, lo + span, n).nodes
+        assert np.array_equal(0.5 * x[:-1] + 0.5 * x[1:], 0.5 * (x[:-1] + x[1:]))
+
 
 @pytest.mark.parametrize("n", [3, 20, 128])
 @pytest.mark.parametrize("sigma", [0.0, 1.5], ids=["neumann", "robin"])
@@ -118,7 +134,6 @@ def test_banded_operator(drift, sigma, n):
         a=lambda x: 1.0 + 0.5 * x * x,
         b=(lambda x, t: np.sin(3.0 * x) + t) if drift else None,
         c=lambda x, t: -0.5 + 0.2 * np.cos(x + t),
-        c0=1.0,
         sigma_lo=sigma,
         sigma_hi=2.0 * sigma,
     )
@@ -146,7 +161,7 @@ def test_operators_act_along_the_last_axis():
     # bits of one field at a time, also where b and c broadcast in t
     g = Grid1D(-0.5, 1.5, 20)
     spec = EllipticSpec(a=lambda x: 1.0 + 0.5 * x * x, b=lambda x, t: np.sin(3.0 * x) + t,
-                        c=lambda x, t: -0.5 + 0.2 * np.cos(x + t), c0=1.0, sigma_lo=1.5, sigma_hi=3.0)
+                        c=lambda x, t: -0.5 + 0.2 * np.cos(x + t), sigma_lo=1.5, sigma_hi=3.0)
     p = ProblemSpec(0.5, spec, g, TimeGrid.graded(1.0, 8, 4.0), 1.0)
     assert p.elliptic.coefficients["b"].kind == BROADCASTS
     op = assemble(p.elliptic, g)
@@ -167,7 +182,7 @@ class TestBandedSolve:
     def test_operator_bands_match_solve_banded(self, n):
         g = Grid1D(0.0, 1.0, n)
         spec = EllipticSpec(a=lambda x: 1.0 + x, b=lambda x, t: 4.0 * np.cos(5.0 * x) - t,
-                            c=lambda x, t: 0.3 * np.sin(x), c0=0.5, sigma_hi=1.0)
+                            c=lambda x, t: 0.3 * np.sin(x), sigma_hi=1.0)
         op = assemble(spec, g)
         rhs = np.random.default_rng(n).normal(size=g.n_nodes)
         for t, shift in ((0.0, 0.0), (0.4, 3.7), (1.0, 250.0)):
@@ -206,21 +221,22 @@ class TestBandedSolve:
 
 class TestEigen:
     def test_neumann_spectrum_second_order(self):
-        # lambda_n = 1 + (n-1)^2 pi^2 under c0 = 1, order-2 convergence in h
+        # lambda_n = (n-1)^2 pi^2, order-2 convergence in h; the spectrum of
+        # T0 + 1 keeps the ground mode in the relative error
         exact = 1.0 + np.arange(10) ** 2 * math.pi ** 2
         errs = []
         for n in (32, 64, 128):
             g = Grid1D(0.0, 1.0, n)
-            eig = eigendecompose(assemble(EllipticSpec(a=1.0, c0=1.0), g))
-            errs.append(np.max(np.abs(eig.lambdas[:10] - exact) / exact))
+            eig = eigendecompose(assemble(EllipticSpec(a=1.0), g))
+            errs.append(np.max(np.abs(1.0 + eig.lambdas[:10] - exact) / exact))
         assert math.log2(errs[0] / errs[1]) > 1.9
         assert math.log2(errs[1] / errs[2]) > 1.9
 
     def test_neumann_ground_mode_constant(self):
         g = Grid1D(0.0, 1.0, 32)
-        eig = eigendecompose(assemble(EllipticSpec(a=1.0, c0=1.0), g))
+        eig = eigendecompose(assemble(EllipticSpec(a=1.0), g))
         lam, phi = principal_eigenpair(eig)
-        assert lam == pytest.approx(1.0, abs=1e-12)
+        assert lam == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(phi, phi[0], rtol=1e-10)
 
     def test_robin_lambda1_oracle(self):
@@ -232,8 +248,8 @@ class TestEigen:
 
     @pytest.mark.parametrize("spec, n", [
         (EllipticSpec(), 12),  # symmetric: every odd mode has zero mean
-        (EllipticSpec(a=lambda x: 1.0 + 0.5 * np.sin(3.0 * x), c0=0.5, sigma_lo=0.3, sigma_hi=2.0), 40),
-        (EllipticSpec(c0=1.0, sigma_lo=1.5, sigma_hi=1.5), 128),
+        (EllipticSpec(a=lambda x: 1.0 + 0.5 * np.sin(3.0 * x), sigma_lo=0.3, sigma_hi=2.0), 40),
+        (EllipticSpec(sigma_lo=1.5, sigma_hi=1.5), 128),
     ])
     def test_signs_match_the_column_loop(self, spec, n):
         # the per-column rule: positive weighted mean, else positive largest
@@ -251,8 +267,9 @@ class TestEigen:
         if spec.sigma_lo == spec.sigma_hi:
             assert np.sum(np.abs(eig.weights @ eig.modes) < 1e-12) >= n // 2
 
-    @pytest.mark.parametrize("spec, n", [(EllipticSpec(c0=c0), n) for n in (3, 20, 128, 512) for c0 in (0.0, 0.5)]
-                             + [(EllipticSpec(a=lambda x: 1.0 + 0.5 * np.sin(3.0 * x), c0=0.5,
+    @pytest.mark.parametrize("spec, n", [(EllipticSpec(sigma_lo=sig, sigma_hi=sig), n)
+                                         for n in (3, 20, 128, 512) for sig in (0.0, 0.5)]
+                             + [(EllipticSpec(a=lambda x: 1.0 + 0.5 * np.sin(3.0 * x),
                                               sigma_lo=0.3, sigma_hi=2.0), 128)])
     def test_all_eigenpairs_from_one_stevd_call(self, spec, n, monkeypatch):
         calls = []
@@ -269,12 +286,12 @@ class TestEigen:
         assert lam.size == n + 2 and np.all(np.diff(lam) > 0.0)
         gram = modes.T @ (w[:, None] * modes)
         assert np.max(np.abs(gram - np.eye(n + 2))) <= 1e-13
-        # (K + c0 W) phi = lam W phi, with K the flux matrix and W the
+        # K phi = lam W phi, with K the flux matrix and W the
         # weights, in the symmetric scaling, where the modes have unit norm
         k_phi = op.flux_diag[:, None] * modes
         k_phi[:-1] += op.flux_off[:, None] * modes[1:]
         k_phi[1:] += op.flux_off[:, None] * modes[:-1]
-        residual = (k_phi + (spec.c0 - lam) * w[:, None] * modes) / np.sqrt(w)[:, None]
+        residual = (k_phi - lam * w[:, None] * modes) / np.sqrt(w)[:, None]
         assert np.max(np.abs(residual)) <= 1e-14 * np.max(np.abs(lam))
         # the signs: positive weighted mean, else positive largest entry
         mean = w @ modes
@@ -284,33 +301,34 @@ class TestEigen:
         # the eigenvalues of bisection and inverse iteration on the same
         # matrix, to rounding in the spectrum's scale
         sw = np.sqrt(w)
-        ref = eigh_tridiagonal(op.flux_diag / w + spec.c0, op.flux_off / (sw[:-1] * sw[1:]),
+        ref = eigh_tridiagonal(op.flux_diag / w, op.flux_off / (sw[:-1] * sw[1:]),
                                select="i", select_range=(0, n + 1), eigvals_only=True)
         assert np.max(np.abs(lam - ref)) <= 1e-11 * np.max(np.abs(ref))
 
     def test_orthonormality(self):
         g = Grid1D(0.0, 2.0, 60)
-        spec = EllipticSpec(a=lambda x: 1.0 + x * x / 4.0, c0=0.3, sigma_lo=0.5, sigma_hi=0.0)
+        spec = EllipticSpec(a=lambda x: 1.0 + x * x / 4.0, sigma_lo=0.5, sigma_hi=0.0)
         eig = eigendecompose(assemble(spec, g))
         gram = eig.modes.T @ (eig.weights[:, None] * eig.modes)
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-10
 
     def test_ground_mode_positive(self):
         for spec in (
-            EllipticSpec(a=1.0, c0=1.0),
+            EllipticSpec(a=1.0),
             EllipticSpec(a=lambda x: 1.0 + x, sigma_lo=1.0, sigma_hi=2.0),
-            EllipticSpec(a=2.0, c0=0.4, sigma_lo=0.0, sigma_hi=3.0),
+            EllipticSpec(a=2.0, sigma_lo=0.0, sigma_hi=3.0),
         ):
             g = Grid1D(0.0, 1.0, 48)
             lam, phi = principal_eigenpair(eigendecompose(assemble(spec, g)))
             assert np.min(phi) > 0.0
 
     def test_positivity_threshold(self):
-        # with sigma >= 0 and c0 >= 1 the ground eigenvalue stays positive
+        # with sigma >= 0 the ground eigenvalue of T0 is nonnegative, to
+        # rounding where sigma = 0
         for sig in (0.0, 0.5, 2.0):
             g = Grid1D(0.0, 1.0, 24)
-            eig = eigendecompose(assemble(EllipticSpec(a=1.0, c0=1.0, sigma_lo=sig, sigma_hi=sig), g))
-            assert eig.lambdas[0] >= 1.0 - 1e-12
+            eig = eigendecompose(assemble(EllipticSpec(a=1.0, sigma_lo=sig, sigma_hi=sig), g))
+            assert eig.lambdas[0] >= -1e-12
 
 
 def solve_a1(op, rhs, boundary_rhs=(0.0, 0.0)):
@@ -348,7 +366,7 @@ class TestStationary:
         b0 = 2.0
         op = assemble(EllipticSpec(a=1.0, b=0.3, sigma_lo=1.0, sigma_hi=1.0, c=-b0), g)
         psi = solve_a1(op, np.ones(g.n_nodes), boundary_rhs=(1.0, 1.0))
-        interior = op.apply_sym(psi) - op.spec.c0 * psi - 0.3 * op.derivative(psi) + b0 * psi
+        interior = op.apply_sym(psi) - 0.3 * op.derivative(psi) + b0 * psi
         # interior residual (away from the boundary closure rows)
         assert np.max(np.abs(interior[1:-1] - 1.0)) < 1e-9
         lo, hi = op.robin_residual(psi)
@@ -366,11 +384,11 @@ class TestCoercivity:
         assert np.sum(op.volumes * v * op.apply_full(v)) == pytest.approx(1.0, rel=1e-12)
 
     def test_eigenpair_identity(self):
-        # c = -c0: A is the self-adjoint part -(u')' + c0 u itself
+        # c = -1: A = T0 + 1, whose principal pair is T0's shifted by 1
         g = Grid1D(0.0, 1.0, 48)
-        op = assemble(EllipticSpec(a=1.0, c0=1.0, c=-1.0), g)
+        op = assemble(EllipticSpec(a=1.0, c=-1.0), g)
         lam, phi = principal_eigenpair(eigendecompose(op))
-        assert np.sum(op.volumes * phi * op.apply_full(phi)) == pytest.approx(lam, rel=1e-10)
+        assert np.sum(op.volumes * phi * op.apply_full(phi)) == pytest.approx(lam + 1.0, rel=1e-10)
 
     def test_random_fields_bounded_below(self):
         # b0 = 10, |b| <= 1: form >= 0.1 (||v||^2 + ||v'||^2) sampled, with

@@ -92,6 +92,18 @@ def make_problem(alpha=0.5, n=24, N=64, T=1.0, r=None, **spec_kw):
     return grid, tg, spec
 
 
+def at_the_floor(alpha, tg, **spec_kw):
+    """EllipticSpec(c = -s, **spec_kw) with s the least splitting shift of
+    the time grid tg (evolve_linear._shift_floor): Q is 0, and T0's zero
+    mode, the Neumann ground mode, marches at the floor itself."""
+    return EllipticSpec(c=-evolve_linear._shift_floor(alpha, tg.nodes), **spec_kw)
+
+
+def shifted(eig, c):
+    """A's eigendecomposition for a constant c: T0's with lambdas - c."""
+    return replace(eig, lambdas=eig.lambdas - c)
+
+
 def homogeneous_solution(a, eig, alpha, t):
     """S(t) a: the relaxation-damped eigen-expansion of the initial value,
     the march's oracle without a forcing."""
@@ -103,7 +115,7 @@ def homogeneous_solution(a, eig, alpha, t):
 
 class TestHomogeneous:
     def test_single_mode_decay(self):
-        grid, tg, spec = make_problem(c0=1.0)
+        grid, tg, spec = make_problem()
         eig = eigendecompose(assemble(spec, grid))
         phi2 = eig.modes[:, 2]
         for t in (0.0, 0.3, 1.0):
@@ -112,7 +124,7 @@ class TestHomogeneous:
             assert np.allclose(got, ref, atol=1e-12)
 
     def test_time_zero_identity(self):
-        grid, tg, spec = make_problem(c0=2.0, sigma_lo=1.0, sigma_hi=0.5)
+        grid, tg, spec = make_problem(sigma_lo=1.0, sigma_hi=0.5)
         eig = eigendecompose(assemble(spec, grid))
         a = np.sin(2.5 * grid.nodes) + 1.0
         got = homogeneous_solution(a, eig, 0.4, 0.0)
@@ -120,7 +132,7 @@ class TestHomogeneous:
 
     def test_classical_heat_limit(self):
         # alpha -> 1 relaxation equals the exponential
-        grid, tg, spec = make_problem(c0=1.0)
+        grid, tg, spec = make_problem()
         eig = eigendecompose(assemble(spec, grid))
         phi = eig.modes[:, 1]
         got = homogeneous_solution(phi, eig, 0.999999, 0.7)
@@ -133,16 +145,17 @@ class TestDuhamelStep:
     the step's age s and phi from special_ml.relaxation_deficit."""
 
     def test_first_step_constant_mode(self):
-        grid, tg, spec = make_problem(c0=1.0)
-        lam = eigendecompose(assemble(spec, grid)).lambdas
+        # the eigenvalues of A = T0 + 1 (c = -1), all positive
+        grid, tg, spec = make_problem(c=-1.0)
+        lam = shifted(eigendecompose(assemble(spec, grid)), spec.c).lambdas
         tau = 0.25
         masses = _kernel_masses(0.5, lam, np.array([tau ** 0.5, 0.0]))[:, 0]
         ref = (1.0 - np.array([ml_relaxation(0.5, l, tau) for l in lam])) / lam
         assert np.allclose(masses, ref, rtol=1e-12, atol=0.0)
 
     def test_exponential_case(self):
-        grid, tg, spec = make_problem(c0=1.0)
-        lam1 = eigendecompose(assemble(spec, grid)).lambdas[0]
+        grid, tg, spec = make_problem(c=-1.0)
+        lam1 = shifted(eigendecompose(assemble(spec, grid)), spec.c).lambdas[0]
         tau, alpha = 0.5, 0.999999
         mass = tau ** alpha * relaxation_deficit(alpha, lam1 * tau ** alpha)
         assert abs(mass - (1.0 - math.exp(-lam1 * tau)) / lam1) < 1e-5
@@ -152,38 +165,45 @@ class TestDuhamelStep:
 
 class TestSpectralSolver:
     def test_decoupled_mode_exact(self):
-        # b=0, c=-c0: no iteration, each mode decays by its relaxation profile
-        grid, tg, spec = make_problem(alpha=0.5, c0=1.0, c=-1.0)
+        # b = 0, c = -1: the shift 1 leaves Q = 0, no step sweeps, and each
+        # mode decays by its relaxation profile at A's eigenvalue lambda + 1
+        grid, tg, spec = make_problem(alpha=0.5, c=-1.0)
         eig = eigendecompose(assemble(spec, grid))
         phi1 = eig.modes[:, 0]
-        p = ProblemSpec(0.5, spec, grid, tg, phi1)
-        u = solve_linear_spectral(p, eig)
+        u, counts = march_one(ProblemSpec(0.5, spec, grid, tg, phi1))
+        assert not counts.any()
         for k in (0, 5, 32, 64):
             t = tg.nodes[k]
-            ref = ml_relaxation(0.5, eig.lambdas[0], t) * phi1
-            assert np.allclose(u.values[k], ref, atol=1e-11)
+            ref = ml_relaxation(0.5, eig.lambdas[0] + 1.0, t) * phi1
+            assert np.allclose(u[k], ref, atol=1e-11)
 
     def test_pure_neumann_constant_source(self):
-        # c = 0, c0 = 0 (lambda_1 = 0 branch): d_t^alpha u = 1 spatially constant,
-        # exact solution t^alpha / Gamma(1 + alpha)
+        # c = -s at the shift floor s: Q = 0 and the ground mode is lambda = s;
+        # d_t^alpha u + s u = 1 spatially constant, exact solution
+        # t^alpha phi(s t^alpha).  Past node 4 the mode's history is in the
+        # exponential sums, held to the bound of the exact Duhamel sums below
         alpha = 0.5
-        grid, tg, spec = make_problem(alpha=alpha, c0=0.0)
+        grid, tg, _ = make_problem(alpha=alpha)
+        spec = at_the_floor(alpha, tg)
         p = ProblemSpec(alpha, spec, grid, tg, 0.0, source=lambda x, t: np.ones_like(x))
         u = solve_linear_spectral(p)
-        ref = tg.nodes ** alpha / gamma(1.0 + alpha)
+        tau = tg.nodes ** alpha
+        ref = tau * relaxation_deficit(alpha, -spec.c * tau)
+        assert ref[-1] == pytest.approx(1.0 / gamma(1.0 + alpha), rel=1e-4)
         got = u.values[:, grid.n_nodes // 2]
-        assert np.max(np.abs(got - ref)) < 1e-12
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(ref)
         # spatially constant
         assert np.max(np.std(u.values, axis=1)) < 1e-12
 
     def test_constants_preserved(self):
-        grid, tg, spec = make_problem(alpha=0.6, c0=0.0)
+        # without c, Q = s u with the shift floor s: the constant is still the fixed point
+        grid, tg, spec = make_problem(alpha=0.6)
         p = ProblemSpec(0.6, spec, grid, tg, 1.0)
         u = solve_linear_spectral(p)
         assert np.max(np.abs(u.values - 1.0)) < 1e-12
 
     def test_linearity(self):
-        grid, tg, spec = make_problem(alpha=0.5, c0=1.0, b=0.2, c=-0.3)
+        grid, tg, spec = make_problem(alpha=0.5, b=0.2, c=-0.3)
         a1 = np.cos(math.pi * grid.nodes)
         a2 = 0.5 + 0.1 * grid.nodes
         f1 = lambda x, t: np.sin(x) * (1 + t)
@@ -198,7 +218,7 @@ class TestSpectralSolver:
 
     def test_memory_consistency(self):
         # restriction of a solve equals solving on the restricted grid
-        grid, tg, spec = make_problem(alpha=0.4, N=40, c0=1.0, b=0.3, c=-0.5)
+        grid, tg, spec = make_problem(alpha=0.4, N=40, b=0.3, c=-0.5)
         p = ProblemSpec(0.4, spec, grid, tg, lambda x: 1 + np.cos(math.pi * x))
         u = solve_linear_spectral(p)
         half = u.restrict_time(20)
@@ -206,30 +226,49 @@ class TestSpectralSolver:
         u2 = solve_linear_spectral(p2)
         assert np.max(np.abs(half.values - u2.values)) < 1e-12
 
-    @pytest.mark.parametrize("alpha, T, c0", [
-        pytest.param(0.3, 1.0, 1e-6, id="0.3"),
-        pytest.param(0.5, 1.0, 1e-6, id="0.5"),
-        pytest.param(0.95, 1.0, 1e-6, id="0.95"),
-        pytest.param(0.3, 1e4, 1e-9, id="0.3-T=1e4-c0=1e-9"),
-        pytest.param(0.5, 1e4, 1e-9, id="0.5-T=1e4-c0=1e-9"),
-        pytest.param(0.5, 1.0, 0.0, id="0.5-c0=0"),
+    @pytest.mark.parametrize("alpha, T, r, sigma", [
+        pytest.param(0.3, 1.0, None, 0.0, id="0.3"),
+        pytest.param(0.5, 1.0, None, 0.0, id="0.5"),
+        pytest.param(0.95, 1.0, None, 0.0, id="0.95"),
+        pytest.param(0.3, 1e4, None, 0.0, id="0.3-T=1e4-young-windows"),
+        pytest.param(0.5, 1e4, 12.0, 0.0, id="0.5-T=1e4-r=12-small-modes"),
+        pytest.param(0.5, 1.0, 8.0, 1.0, id="0.5-r=8-robin"),
     ])
-    def test_march_matches_exact_duhamel_sum(self, alpha, T, c0):
-        # q inactive (b = 0, c = -c0): u(t_m) is the eigen-expansion of S(t_m) a
-        # plus every past window's exact kernel mass times its projected
-        # midpoint source.  c0 = 1e-6 gives a mode that starts small and then
-        # keeps young windows out of the exponential sums.  At T = 1e4,
-        # c0 = 1e-9 puts lam t^alpha of the ground mode at 1.6e-8 (alpha =
-        # 0.3) and 1e-7 (alpha = 0.5), where the quotient (1 - E)/lam loses
-        # half its digits: masses formed that way put the alpha = 0.3 march
-        # 6.5e-9 sup |u| off.  c0 = 0 leaves the ground mode zero to rounding
-        grid, tg, spec = make_problem(alpha=alpha, n=24, N=256, T=T, c0=c0, c=-c0)
+    def test_march_matches_exact_duhamel_sum(self, alpha, T, r, sigma):
+        # q inactive (b = 0, c = -s at the shift floor s): u(t_m) is the
+        # eigen-expansion of S(t_m) a plus every past window's exact kernel
+        # mass times its projected midpoint source.  The Neumann ground mode
+        # is the floor itself: small at the first nodes, with young windows
+        # where the floor is the young-window edge's (alpha = 0.3, whose
+        # windows join the sums at node 4 or 5), and folded in by the catch-up
+        # once it is neither.  r = 12 puts seven modes below the small-mode
+        # bound at node 2; the Robin ends lift every mode off it
+        grid, tg, _ = make_problem(alpha=alpha, n=24, N=256, T=T, r=r)
+        spec = at_the_floor(alpha, tg, sigma_lo=sigma, sigma_hi=sigma)
         eig = eigendecompose(assemble(spec, grid))
         src = lambda x, t: (1.0 + np.sin(3.0 * x)) * np.cos(4.0 * t / T) + t / T
         p = ProblemSpec(alpha, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x), source=src)
         u = solve_linear_spectral(p, eig).values
-        ref = exact_duhamel(p, eig)
+        ref = exact_duhamel(p, shifted(eig, spec.c))
         assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_neumann_ground_mode_leaves_the_exact_masses_by_node_4(self, alpha, monkeypatch):
+        # without c the march shifts T0 by the floor: the Neumann ground mode
+        # is small, or has young windows (alpha = 0.3), at the first nodes only
+        node, nodes = [0], []
+        advance, masses = _Memory.advance, evolve_linear._kernel_masses
+
+        def spy(self, m, g_hist):
+            node[0] = m
+            return advance(self, m, g_hist)
+
+        monkeypatch.setattr(_Memory, "advance", spy)
+        monkeypatch.setattr(evolve_linear, "_kernel_masses", lambda *args: nodes.append(node[0]) or masses(*args))
+        grid, tg, spec = make_problem(alpha=alpha, n=24, N=512)
+        _, counts = march_one(ProblemSpec(alpha, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x), source=1.0))
+        assert nodes and max(nodes) <= 4
+        assert counts.min() >= 1  # Q = s u: every step sweeps
 
     def test_kernel_mass_bound(self):
         # accumulated per-mode Duhamel weights over [0, T] telescope to
@@ -251,9 +290,10 @@ class TestSpectralSolver:
 def exact_duhamel(p, eig):
     """The march's fields from the eigen-expansion of S(t_m) a plus every past
     window's exact kernel mass times its projected midpoint source (q
-    inactive).  A window's mass is hi phi(lam hi) - lo phi(lam lo) over the
-    powers hi, lo of its ends' ages, with phi from relaxation_deficit, and
-    the ground eigenvalue, zero to rounding, is taken as 0."""
+    inactive), with eig A's eigendecomposition.  A window's mass is
+    hi phi(lam hi) - lo phi(lam lo) over the powers hi, lo of its ends' ages,
+    with phi from relaxation_deficit; an eigenvalue below 0 by rounding is
+    taken as 0."""
     t, alpha = p.tgrid.nodes, p.alpha
     a_coef = eig.project(p.initial_values())
     f_coef = np.array([eig.project(p.source_at(0.5 * (t[k] + t[k + 1]))) for k in range(t.size - 1)])
@@ -277,7 +317,7 @@ class TestArraySource:
     @pytest.mark.parametrize("bad", [[[1.0, 2.0], [1.0]], np.ones((30, 10)), np.ones(41), np.ones((40, 10)),
                                      np.ones((41, 3)), np.ones((41, 10, 1)), "ones"])
     def test_a_bad_source_is_refused_when_built(self, bad):
-        grid, tg, spec = make_problem(n=8, N=40, c0=1.0)
+        grid, tg, spec = make_problem(n=8, N=40)
         with pytest.raises(ValueError, match=r"^source must be None, a number or a callable of \(x, t\); "
                                              r"got (list|ndarray|str)$"):
             ProblemSpec(0.5, spec, grid, tg, 1.0, source=bad)
@@ -294,7 +334,7 @@ class TestArraySource:
     def test_a_number_is_a_constant_source(self, number):
         # a number was refused as an array of the wrong shape; it is the
         # constant kind, as a number b or c is, and solves as its callable
-        grid, tg, spec = make_problem(n=8, N=40, c0=1.0, c=lambda x, t: -0.5 * np.cos(x + t))
+        grid, tg, spec = make_problem(n=8, N=40, c=lambda x, t: -0.5 * np.cos(x + t))
         p = ProblemSpec(0.5, spec, grid, tg, 1.0, source=number)
         assert p.coefficients["source"].kind == "constant"
         same = replace(p, source=lambda x, t: float(number) * np.ones_like(x) * np.ones_like(t))
@@ -319,19 +359,20 @@ class TestBlockedMarch:
 
     @pytest.mark.parametrize("alpha", [0.3, 0.95])
     def test_several_blocks_match_exact_duhamel_sum(self, alpha, fetches):
-        grid, tg, spec = make_problem(alpha=alpha, n=24, N=2 * _RELAX_BLOCK + 5, c0=1e-6, c=-1e-6)
+        grid, tg, _ = make_problem(alpha=alpha, n=24, N=2 * _RELAX_BLOCK + 5)
+        spec = at_the_floor(alpha, tg)
         eig = eigendecompose(assemble(spec, grid))
         src = lambda x, t: (1.0 + np.sin(3.0 * x)) * np.cos(4.0 * t) + t
         p = ProblemSpec(alpha, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x), source=src)
         u = solve_linear_spectral(p, eig).values
         assert fetches == [1, 1 + _RELAX_BLOCK, 1 + 2 * _RELAX_BLOCK]
-        ref = exact_duhamel(p, eig)
+        ref = exact_duhamel(p, shifted(eig, spec.c))
         assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_restriction_inside_a_block_is_exact(self, fetches):
         # node 45 lies inside the second block of nodes; q is active, so the
         # Picard sweeps and the running sums both enter
-        grid, tg, spec = make_problem(alpha=0.4, N=3 * _RELAX_BLOCK, c0=1.0, b=0.3, c=-0.5)
+        grid, tg, spec = make_problem(alpha=0.4, N=3 * _RELAX_BLOCK, b=0.3, c=-0.5)
         p = ProblemSpec(0.4, spec, grid, tg, lambda x: 1 + np.cos(math.pi * x),
                         source=lambda x, t: np.sin(2.0 * x) + t)
         u = solve_linear_spectral(p)
@@ -395,10 +436,9 @@ class TestFetchBudget:
     def problems(alpha, S):
         grid, tg, _ = make_problem(alpha=alpha, n=24, N=100)
         specs = [
-            EllipticSpec(b=lambda x, t: 0.3 * np.cos(2.0 * x + t), c=lambda x, t: -0.5 * np.sin(3.0 * x) * t,
-                         c0=0.5),
-            EllipticSpec(c=-0.3, c0=1.0, sigma_lo=1.5, sigma_hi=0.5),
-            EllipticSpec(b=0.2, c0=0.0),
+            EllipticSpec(b=lambda x, t: 0.3 * np.cos(2.0 * x + t), c=lambda x, t: -0.5 * np.sin(3.0 * x) * t),
+            EllipticSpec(c=-0.3, sigma_lo=1.5, sigma_hi=0.5),
+            EllipticSpec(b=0.2),
         ]
         src = lambda x, t: np.sin(2.0 * x) + np.cos(3.0 * t)
         return [ProblemSpec(alpha, spec, grid, tg, lambda x: 1.0 + 0.5 * np.cos(math.pi * x), source=src)
@@ -432,17 +472,18 @@ class TestModeSpaceSweeps:
         assert counts.sum() < 1293
 
     def test_general_fold_path_matches_exact_duhamel_sum(self, monkeypatch):
-        # c0 = 0 with Neumann ends: the ground mode is small (|lambda| ~ 1e-18)
-        # and keeps its exact masses.  On [0, 300] the next mode's lambda is
-        # 1e-4, so at alpha = 0.3 its windows join the sums only when older
-        # than about 1e-4, and steps of 1e-9 to 0.1 in random order make
-        # several of them come of age at once: that is _Memory._fold's work
+        # c = -s at the shift floor s with Neumann ends: the ground mode is
+        # lambda = s, whose windows join the sums only when older than the
+        # step t_4 - t_3 = 0.01 (see _shift_floor), and on [0, 300] the
+        # next mode's lambda is 1e-4 + s, old enough past about 2e-7.  Steps
+        # of 1e-9 to 0.1 in random order after the first four make several
+        # windows come of age at once: that is _Memory._fold's work
         alpha, L = 0.3, 300.0
         rng = np.random.default_rng(4)
-        tg = TimeGrid(np.concatenate([[0.0], np.cumsum(10.0 ** rng.uniform(-9.0, -1.0, 96))]))
-        grid, spec = Grid1D(0.0, L, 24), EllipticSpec(c0=0.0)
+        steps = np.concatenate([[0.01] * 4, 10.0 ** rng.uniform(-9.0, -1.0, 96)])
+        tg = TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
+        grid, spec = Grid1D(0.0, L, 24), at_the_floor(alpha, tg)
         eig = eigendecompose(assemble(spec, grid))
-        assert eig.lambdas[0] * tg.nodes[-1] ** alpha <= 1e-8
         folded = []
         fold = _Memory._fold
 
@@ -455,14 +496,14 @@ class TestModeSpaceSweeps:
         p = ProblemSpec(alpha, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x / L), source=src)
         u = solve_linear_spectral(p, eig).values
         assert max(folded) > 1
-        ref = exact_duhamel(p, eig)
+        ref = exact_duhamel(p, shifted(eig, spec.c))
         assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_one_window_folds_in_place_at_every_node(self, monkeypatch):
         # on a graded grid with every mode big, each window comes of age at
         # the node after its end: window m - 2 folds in place at every node
         # past the first, and the catch-up of older windows never runs
-        grid, tg, spec = make_problem(alpha=0.5, n=24, N=256, c0=0.5)
+        grid, tg, spec = make_problem(alpha=0.5, n=24, N=256, c=-0.5)
         caught_up, in_place = [], []
         advance = _Memory.advance
 
@@ -483,7 +524,7 @@ class TestModeSpaceSweeps:
     def test_burgers_converges_and_restricts_exactly(self):
         # u u_x needs the derivative of every sweep's state; the predictor
         # reads t[0..m] only, so a restricted solve repeats the longer one
-        grid, tg, spec = make_problem(alpha=0.6, n=24, N=48, c0=1.0, b=0.3, c=-0.5)
+        grid, tg, spec = make_problem(alpha=0.6, n=24, N=48, b=0.3, c=-0.5)
         p = ProblemSpec(0.6, spec, grid, tg, lambda x: 1.0 + 0.5 * np.cos(math.pi * x))
         (u,), (counts,) = _march_semilinear(Batch((p,)), [builtin_burgers(0.8)], [None])
         assert np.all(counts >= 1)
@@ -498,7 +539,7 @@ class TestStepForcing:
     fixes with the swept half, in one product."""
 
     def test_one_projection_per_sweep(self, monkeypatch):
-        grid, tg, spec = make_problem(n=24, N=48, c0=0.5, b=lambda x, t: 0.3 * np.cos(2.0 * x + t),
+        grid, tg, spec = make_problem(n=24, N=48, b=lambda x, t: 0.3 * np.cos(2.0 * x + t),
                                       c=lambda x, t: -0.3 * np.sin(2.0 * x) * np.cos(t))
         p = ProblemSpec(0.5, spec, grid, tg, lambda x: 1.0 + 0.5 * np.cos(math.pi * x),
                         source=lambda x, t: np.sin(3.0 * x) + t)
@@ -523,12 +564,12 @@ class TestStepForcing:
     def overflowing(m_bad, **spec_kw):
         """A problem on n = 24, N = 16 whose source and c jump to 1.5e308 for
         x > 0.5 from the midpoint of step m_bad on: finite at every time it
-        is sampled, but F + (c0 + c) u_{m-1} / 2 overflows at node m_bad,
+        is sampled, but F + (c + s) u_{m-1} / 2 overflows at node m_bad,
         first at the node x = 0.52."""
         grid, tg, _ = make_problem(n=24, N=16)
         t_on = tg.nodes[m_bad - 1]
         huge = lambda x, t, v: np.where((x > 0.5) & (t > t_on), 1.5e308, v)
-        spec = EllipticSpec(c0=0.5, c=lambda x, t: huge(x, t, -0.2 * np.cos(x)), **spec_kw)
+        spec = EllipticSpec(c=lambda x, t: huge(x, t, -0.2 * np.cos(x)), **spec_kw)
         return ProblemSpec(0.5, spec, grid, tg, 1.0, source=lambda x, t: huge(x, t, 1.0))
 
     def test_overflowing_fixed_forcing_solo(self):
@@ -537,7 +578,7 @@ class TestStepForcing:
         assert exc.value.node == 6 and exc.value.problem is None
 
     def test_overflowing_fixed_forcing_in_a_batch(self):
-        grid, tg, spec = make_problem(n=24, N=16, c0=0.5, c=lambda x, t: -0.2 * np.cos(x))
+        grid, tg, spec = make_problem(n=24, N=16, c=lambda x, t: -0.2 * np.cos(x))
         problems = [self.overflowing(5, b=0.3) if j == 2 else ProblemSpec(0.5, spec, grid, tg, 1.0, source=1.0)
                     for j in range(5)]
         message = r"^problem 2: non-finite step forcing at time node 5 \(first at x = 0\.52\)$"
@@ -546,10 +587,11 @@ class TestStepForcing:
         assert exc.value.problem == 2 and exc.value.node == 5
 
     def test_overflowing_fixed_forcing_beside_idle_problems(self):
-        # problems 0 and 1 have no b, c or c0: nothing couples their modes,
-        # so at every step they take u_m directly while 2 and 3 sweep
-        grid, tg, spec = make_problem(n=24, N=16, c0=0.5, c=lambda x, t: -0.2 * np.cos(x))
-        idle = ProblemSpec(0.5, EllipticSpec(), grid, tg, 1.0, source=1.0)
+        # problems 0 and 1 have no b and a constant c = -1, so Q is 0:
+        # nothing couples their modes, and at every step they take u_m
+        # directly while 2 and 3 sweep
+        grid, tg, spec = make_problem(n=24, N=16, c=lambda x, t: -0.2 * np.cos(x))
+        idle = ProblemSpec(0.5, EllipticSpec(c=-1.0), grid, tg, 1.0, source=1.0)
         problems = [idle, idle, self.overflowing(7), ProblemSpec(0.5, spec, grid, tg, 1.0, source=1.0)]
         message = r"^problem 2: non-finite step forcing at time node 7 \(first at x = 0\.52\)$"
         with pytest.raises(SolverError, match=message) as exc:
@@ -626,7 +668,7 @@ class TestTaylorMoments:
         alpha = 0.4
         rng = np.random.default_rng(6)
         tg = TimeGrid(np.concatenate([[0.0], np.cumsum(10.0 ** rng.uniform(-6.0, -1.0, 120))]))
-        grid, spec = Grid1D(0.0, 1.0, 24), EllipticSpec(c0=1e-6, c=-1e-6)
+        grid, spec = Grid1D(0.0, 1.0, 24), at_the_floor(alpha, tg)
         eig = eigendecompose(assemble(spec, grid))
         thawed = []
 
@@ -642,13 +684,13 @@ class TestTaylorMoments:
             mp.setattr("fraccomp.evolve_linear._Memory", Spy)
             u = solve_linear_spectral(p, eig).values
         assert sum(thawed) > 100
-        ref = exact_duhamel(p, eig)
+        ref = exact_duhamel(p, shifted(eig, spec.c))
         assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_huge_horizon_marches(self):
         # the two-moment weights squared t and overflowed at T = 1e300; the
         # age-scaled moments hold ratios of steps only
-        grid, tg, spec = make_problem(alpha=0.5, n=16, N=64, T=1e300, c0=1.0, b=0.3, c=-0.5)
+        grid, tg, spec = make_problem(alpha=0.5, n=16, N=64, T=1e300, b=0.3, c=-0.5)
         p = ProblemSpec(0.5, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x),
                         source=lambda x, t: np.sin(2.0 * x) + 1.0)
         with warnings.catch_warnings():
@@ -658,14 +700,14 @@ class TestTaylorMoments:
 
 
 class TestBlockSampledForcing:
-    """b / 2, (c0 + c) / 2 and the source are sampled a block of step
+    """b / 2, (c + s) / 2 and the source are sampled a block of step
     midpoints per call where the problem's build-time call with the column
     of its sampled times gives (times, nodes), and once per step for the
     whole march where it does not."""
 
     @staticmethod
     def problem(N=3 * _RELAX_BLOCK, **spec_kw):
-        grid, tg, spec = make_problem(alpha=0.4, n=24, N=N, c0=1.0, **spec_kw)
+        grid, tg, spec = make_problem(alpha=0.4, n=24, N=N, **spec_kw)
         return ProblemSpec(0.4, spec, grid, tg, lambda x: 1 + np.cos(math.pi * x),
                            source=lambda x, t: np.sin(2.0 * x) + t)
 
@@ -765,10 +807,10 @@ class TestBlockSampledForcing:
         assert "broadcasts" in kinds and set(kinds) <= {"broadcasts", "x-only"}
 
     def test_constant_q_is_not_sampled(self, monkeypatch):
-        # without b and c, Q is the constant c0: q_parts is never called and
-        # a step with c0 = 0 takes u_m directly
+        # without b and with a constant c, Q is the constant c + s: q_parts
+        # is never called, and with c = -1, Q = 0 and a step takes u_m directly
         monkeypatch.setattr(DiscreteOperator, "q_parts", lambda self, t: pytest.fail("sampled"))
-        grid, tg, spec = make_problem(alpha=0.5, N=40, c0=0.0)
+        grid, tg, spec = make_problem(alpha=0.5, N=40, c=-1.0)
         p = ProblemSpec(0.5, spec, grid, tg, 1.0, source=lambda x, t: np.ones_like(x) * (1.0 + t))
         _, counts = march_one(p)
         assert not counts.any()
@@ -786,15 +828,15 @@ class TestBatch:
         a0 = lambda x: 1.0 + 0.5 * np.cos(math.pi * x)
         specs = [
             # drift, no source
-            (EllipticSpec(b=lambda x, t: 0.3 * np.cos(2.0 * x + t), c=c, c0=0.5), None),
+            (EllipticSpec(b=lambda x, t: 0.3 * np.cos(2.0 * x + t), c=c), None),
             # no drift, a Robin sigma and a source of x only
-            (EllipticSpec(c=c, c0=0.5, sigma_lo=1.5, sigma_hi=1.5),
+            (EllipticSpec(c=c, sigma_lo=1.5, sigma_hi=1.5),
              lambda x, t: 1.0 + np.sin(x)),
-            # c = None with c0 = 0: Q is inactive; a source that takes a scalar t only
-            (EllipticSpec(c0=0.0, sigma_lo=1.0, sigma_hi=0.5),
+            # a constant c = -1 without b: Q is inactive; a source that takes a scalar t only
+            (EllipticSpec(c=-1.0, sigma_lo=1.0, sigma_hi=0.5),
              lambda x, t: np.cos(x) * math.exp(-t)),
             # a constant drift and a broadcasting source
-            (EllipticSpec(b=0.3, c0=1.0), lambda x, t: np.sin(3.0 * x) + t),
+            (EllipticSpec(b=0.3), lambda x, t: np.sin(3.0 * x) + t),
         ]
         return [ProblemSpec(alpha, spec, grid, tg, a0, source=f) for spec, f in specs]
 
@@ -811,7 +853,7 @@ class TestBatch:
         assert np.all(counts[[0, 1, 3]] >= 1)
 
     def test_many_returns_fields_in_input_order(self):
-        grid, _, spec = make_problem(n=20, c0=0.5, c=lambda x, t: -0.2 * np.cos(x))
+        grid, _, spec = make_problem(n=20, c=lambda x, t: -0.2 * np.cos(x))
         src = lambda x, t: 1.0 + np.sin(x) * t
         problems = [ProblemSpec(alpha, spec, grid, TimeGrid.graded(1.0, N, 2.0 / alpha),
                                 lambda x, k=k: 1.0 + 0.1 * k * np.cos(math.pi * x), source=src)
@@ -861,7 +903,7 @@ class TestBatch:
         assert solve_linear_spectral_many([]) == []
 
     def test_solver_error_names_the_problem(self):
-        grid, tg, spec = make_problem(n=24, N=16, c0=0.5, c=lambda x, t: -0.2 * np.cos(x))
+        grid, tg, spec = make_problem(n=24, N=16, c=lambda x, t: -0.2 * np.cos(x))
         # finite when the problem is built: the sweeps of node 1 overflow
         bad = replace(spec, c=lambda x, t: np.where(x < 0.5, 1e300, 0.0) + 0.0 * t)
         problems = [ProblemSpec(0.5, bad if j == 2 else spec, grid, tg, 1.0,
@@ -883,13 +925,13 @@ class TestBatch:
         a0 = lambda x: 0.8 + 0.4 * np.cos(math.pi * x)
         cases = [
             # drift and c, the enzyme sink
-            (EllipticSpec(b=lambda x, t: 0.3 * np.cos(2.0 * x + t), c=c, c0=0.5), builtin_enzyme()),
+            (EllipticSpec(b=lambda x, t: 0.3 * np.cos(2.0 * x + t), c=c), builtin_enzyme()),
             # a Robin sigma, the shifted sink
-            (EllipticSpec(c=c, c0=0.5, sigma_lo=1.5, sigma_hi=1.5), builtin_enzyme().shifted(-0.2)),
-            # Q inactive and a zero term: the sweeps still run
-            (EllipticSpec(c0=0.0, sigma_lo=1.0, sigma_hi=0.5), SemilinearTerm(eval=lambda x, u: 0.0)),
+            (EllipticSpec(c=c, sigma_lo=1.5, sigma_hi=1.5), builtin_enzyme().shifted(-0.2)),
+            # Q inactive (c = -1 without b) and a zero term: the sweeps still run
+            (EllipticSpec(c=-1.0, sigma_lo=1.0, sigma_hi=0.5), SemilinearTerm(eval=lambda x, u: 0.0)),
             # a constant drift, the Burgers product with its own derivative
-            (EllipticSpec(b=0.3, c0=1.0), builtin_burgers(0.8)),
+            (EllipticSpec(b=0.3), builtin_burgers(0.8)),
         ]
         return [ProblemSpec(alpha, spec, grid, tg, a0) for spec, _ in cases], [f for _, f in cases]
 
@@ -929,7 +971,7 @@ class TestBatch:
         assert exc.value.problem == 2 and exc.value.node == solo.value.node
 
     def test_batch_shares_alpha_and_grids(self):
-        grid, tg, spec = make_problem(n=16, N=16, c0=0.5)
+        grid, tg, spec = make_problem(n=16, N=16)
         p = ProblemSpec(0.5, spec, grid, tg, 1.0)
         with pytest.raises(ValueError, match="share"):
             Batch([p, replace(p, alpha=0.3)])
@@ -942,7 +984,7 @@ def test_nan_coefficient_solver_error(solve):
     # nan > 0 is False: the spectral route used to find no active Q and
     # return a finite field; the problem is now refused when it is built,
     # at the first time sampled, the midpoint of step 1, for both routes
-    grid, tg, spec = make_problem(n=24, N=16, c0=0.0, c=lambda x, t: np.where(x < 0.5, np.nan, 0.0))
+    grid, tg, spec = make_problem(n=24, N=16, c=lambda x, t: np.where(x < 0.5, np.nan, 0.0))
     where = f"'c' is not finite at x = 0, t = {0.5 * tg.nodes[1]:.6g}"
     with pytest.raises(NonFiniteError, match=f"^{re.escape(where)}$"):
         solve(ProblemSpec(0.5, spec, grid, tg, 1.0, source=lambda x, t: np.ones_like(x)))
@@ -993,8 +1035,10 @@ class TestExtrapolatedStart:
 
     def test_steepest_grid_does_not_stall(self):
         # alpha = 0.01 grades by 200: the quadratic's weights at node 3 are
-        # ~1e130, and starting from them stalled there after 50 sweeps
-        grid, tg, spec = make_problem(alpha=0.01, n=32, N=32, c0=1.0)
+        # ~1e130, and starting from them stalled there after 50 sweeps.  The
+        # shift floor of this grid is about 40; c = 1 - floor leaves Q = u
+        grid, tg, _ = make_problem(alpha=0.01, n=32, N=32)
+        spec = EllipticSpec(c=1.0 - evolve_linear._shift_floor(0.01, tg.nodes))
         p = ProblemSpec(0.01, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x))
         u, counts = march_one(p)
         assert np.all(np.isfinite(u)) and counts.max() < 10
@@ -1023,15 +1067,15 @@ class TestExtrapolatedStart:
 
 class TestL1Solver:
     def test_constants_preserved(self):
-        grid, tg, spec = make_problem(alpha=0.7, c0=0.0)
+        grid, tg, spec = make_problem(alpha=0.7)
         p = ProblemSpec(0.7, spec, grid, tg, 1.0)
         u = solve_linear_l1(p)
         assert np.max(np.abs(u.values - 1.0)) < 1e-11
 
     def test_single_mode_matches_spectral(self):
         alpha = 0.5
-        grid, tg, spec = make_problem(alpha=alpha, n=32, N=256, c0=1.0, c=-1.0)
-        eig = eigendecompose(assemble(spec, grid))
+        grid, tg, spec = make_problem(alpha=alpha, n=32, N=256, c=-1.0)
+        eig = shifted(eigendecompose(assemble(spec, grid)), spec.c)
         phi1 = eig.modes[:, 1]
         p = ProblemSpec(alpha, spec, grid, tg, phi1)
         ul1 = solve_linear_l1(p)
@@ -1042,7 +1086,7 @@ class TestL1Solver:
     def test_scalar_ode_oracle(self):
         # spatially flat data: d_t^alpha y + y = 1, y(0) = 0, solution 1 - E(-t^a)
         alpha = 0.6
-        grid, tg, spec = make_problem(alpha=alpha, N=512, c0=1.0, c=-1.0, b=None)
+        grid, tg, spec = make_problem(alpha=alpha, N=512, c=-1.0, b=None)
         p = ProblemSpec(alpha, spec, grid, tg, 0.0, source=1.0)
         u = solve_linear_l1(p)
         ref = np.array([1.0 - ml_relaxation(alpha, 1.0, t) for t in tg.nodes])
@@ -1055,7 +1099,7 @@ def test_non_finite_coefficient_solver_error(solve):
     # c = 1/(x - 0.5) is infinite on the node x = 0.5: a ProblemSpec refuses
     # it when it is built, as the command line does, naming the node, so
     # that neither solver meets it
-    grid, tg, spec = make_problem(n=33, N=16, c0=1.0, c=lambda x, t: 1.0 / (x - 0.5))
+    grid, tg, spec = make_problem(n=33, N=16, c=lambda x, t: 1.0 / (x - 0.5))
     where = f"'c' is not finite at x = 0.5, t = {0.5 * tg.nodes[1]:.6g}"
     with pytest.raises(NonFiniteError, match=f"^{re.escape(where)}$"):
         solve(ProblemSpec(0.5, spec, grid, tg, 0.0))
@@ -1069,7 +1113,7 @@ class TestCrossOracle:
             grid, tg, spec = make_problem(
                 alpha=alpha, n=24, N=N,
                 a=lambda x: 1.0 + 0.2 * np.sin(math.pi * x),
-                b=0.3, c=-0.2, c0=1.0,
+                b=0.3, c=-0.2,
             )
             a0 = 1.0 + np.cos(math.pi * grid.nodes)
             src = lambda x, t: np.sin(2 * x) * np.exp(-t) + 0.5

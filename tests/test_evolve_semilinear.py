@@ -60,7 +60,7 @@ class TestSolveSemilinear:
     def test_zero_term_matches_linear(self):
         grid = Grid1D(0.0, 1.0, 24)
         tg = TimeGrid.graded(1.0, 48, 4.0)
-        spec = EllipticSpec(a=1.0, c0=1.0, c=-0.4, b=0.2)
+        spec = EllipticSpec(a=1.0, c=-0.4, b=0.2)
         p = ProblemSpec(0.5, spec, grid, tg, lambda x: 1 + np.cos(math.pi * x))
         eig = eigendecompose(assemble(spec, grid))
         zero = SemilinearTerm(eval=lambda x, u: np.zeros_like(u), bound_M=0.0)
@@ -74,7 +74,7 @@ class TestSolveSemilinear:
         alpha = 0.5
         grid = Grid1D(0.0, 1.0, 12)
         tg = TimeGrid.graded(1.0, 512, 2.0 / alpha)
-        spec = EllipticSpec(a=1.0, c0=0.0)
+        spec = EllipticSpec(a=1.0)
         p = ProblemSpec(alpha, spec, grid, tg, 1.0)
         u = solve_semilinear(p, builtin_enzyme())
         y = scalar_fractional_ode(tg, alpha, 1.0, lambda v: -v / (1.0 + abs(v)),
@@ -85,7 +85,7 @@ class TestSolveSemilinear:
     def test_picard_counts_recorded(self):
         grid = Grid1D(0.0, 1.0, 12)
         tg = TimeGrid.graded(0.5, 32, 4.0)
-        spec = EllipticSpec(a=1.0, c0=1.0, c=-1.0)
+        spec = EllipticSpec(a=1.0, c=-1.0)
         p = ProblemSpec(0.5, spec, grid, tg, 0.5)
         _, (counts,) = _march_semilinear(Batch((p,)), [builtin_enzyme()], [None])
         assert counts.shape == (32,)
@@ -94,7 +94,7 @@ class TestSolveSemilinear:
     def test_box_exit_detected(self):
         grid = Grid1D(0.0, 1.0, 12)
         tg = TimeGrid.uniform(1.0, 16)
-        spec = EllipticSpec(a=1.0, c0=0.0)
+        spec = EllipticSpec(a=1.0)
         growth = SemilinearTerm(eval=lambda x, u: np.ones_like(u), bound_M=1.0, box_m=1.05)
         p = ProblemSpec(0.5, spec, grid, tg, 1.0)
         with pytest.raises(BoxExitError):
@@ -111,7 +111,7 @@ class TestSolveSemilinear:
 
         monkeypatch.setattr(evolve_semilinear, "spectral_march", spy)
         grid = Grid1D(0.0, 1.0, 12)
-        p = ProblemSpec(0.5, EllipticSpec(a=1.0, c0=1.0), grid, TimeGrid.uniform(1.0, 8), 1.0)
+        p = ProblemSpec(0.5, EllipticSpec(a=1.0), grid, TimeGrid.uniform(1.0, 8), 1.0)
         solve_semilinear(p, builtin_enzyme())
         solve_semilinear(p, SemilinearTerm(eval=lambda x, u: -u, box_m=5.0))
         assert guards[0] is None and callable(guards[1])
@@ -119,7 +119,7 @@ class TestSolveSemilinear:
     def test_initial_continuity(self):
         # ||u_a - u_b|| <= C ||a - b|| with C stable under refinement
         grid = Grid1D(0.0, 1.0, 16)
-        spec = EllipticSpec(a=1.0, c0=1.0, c=-1.0)
+        spec = EllipticSpec(a=1.0, c=-1.0)
         f = builtin_enzyme()
         ratios = []
         for N in (32, 64):
@@ -137,7 +137,7 @@ class TestSolveSemilinear:
     def test_contraction_residuals_decrease(self):
         # once tau is small the per-node Picard counts stay small and bounded
         grid = Grid1D(0.0, 1.0, 16)
-        spec = EllipticSpec(a=1.0, c0=1.0, c=-1.0)
+        spec = EllipticSpec(a=1.0, c=-1.0)
         p_coarse = ProblemSpec(0.5, spec, grid, TimeGrid.uniform(1.0, 16), 1.0)
         p_fine = ProblemSpec(0.5, spec, grid, TimeGrid.uniform(1.0, 128), 1.0)
         _, (c1,) = _march_semilinear(Batch((p_coarse,)), [builtin_enzyme()], [None])
