@@ -88,7 +88,6 @@ def parse_config(path=None, overrides=()):
             raise ConfigError(f"{where}expected key = value, got {item!r}")
         key, val = (s.strip() for s in item.split("=", 1))
         if key not in cfg:
-            # c0, the spectral route's splitting shift, was a key once
             why = ": the spectral route derives its splitting shift from c" if key == "c0" else ""
             raise ConfigError(f"{where}unknown key {key!r}{why}")
         cfg[key] = val

@@ -337,6 +337,11 @@ class EigenDecomposition:
     def synthesize(self, coef):
         return self.modes @ coef
 
+    def shifted(self, s):
+        """The pairs of T0 + s: the same modes, lambdas + s.  For a constant
+        c without drift, shifted(-c) holds A's pairs."""
+        return replace(self, lambdas=self.lambdas + s)
+
 
 def eigendecompose(op: DiscreteOperator) -> EigenDecomposition:
     """All eigenpairs of the symmetric part T0 in ascending order, orthonormal

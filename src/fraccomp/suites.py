@@ -150,8 +150,7 @@ SANDWICH = Experiment(
 def _check_decay(p, f):
     alpha, grid, tn = p.alpha, p.grid, p.tgrid.nodes
     eig = eigendecompose(assemble(p.elliptic, grid))
-    # A's eigenpairs: c is constant here, so they are T0's shifted by -c
-    eig_a = replace(eig, lambdas=eig.lambdas - p.elliptic.c)
+    eig_a = eig.shifted(-p.elliptic.c)  # A's pairs: c is constant here
     single = solve_linear_spectral(replace(p, initial=0.7 * eig.modes[:, 0]), eig)
     rep1 = compare.asymptotic_decay_check(single, np.zeros(grid.n_nodes), eig_a, alpha)
     u = solve_semilinear(p, f, eig)

@@ -10,7 +10,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.special import erfcx, gamma
 
 from references import DIGEST_RTOL, criterion5_problems, digest, digest_gap
@@ -394,8 +393,7 @@ class TestCriterion11Sandwich:
 def decay_setup():
     p, f = DECAY.build(0.5, 24, 512)  # lambda_1 T^alpha = 20
     eig = eigendecompose(assemble(p.elliptic, p.grid))
-    # A's eigenpairs for the decay checks: c is constant, so they are T0's shifted by -c
-    return p, f, eig, replace(eig, lambdas=eig.lambdas - p.elliptic.c)
+    return p, f, eig, eig.shifted(-p.elliptic.c)  # and A's pairs: c is constant
 
 
 class TestCriterion12AsymptoticDecay:

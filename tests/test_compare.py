@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
+from fraccomp import evolve_linear
 from fraccomp.compare import (
     BarrierPair,
     HypothesisViolation,
+    _l_map,
+    _shifted,
+    _with_c,
     asymptotic_decay_check,
     barrier_bounds_e3,
     barrier_bounds_e4,
@@ -22,10 +26,13 @@ from fraccomp.compare import (
     monotone_iteration,
     verify_barrier,
 )
-from fraccomp.elliptic import EllipticSpec, Grid1D, assemble, eigendecompose
-from fraccomp.evolve_linear import Field, ProblemSpec, solve_linear_spectral, solve_linear_spectral_many
+from fraccomp.elliptic import (Coefficient, EllipticSpec, Grid1D, NonFiniteError, assemble, eigendecompose,
+                               principal_eigenpair)
+from fraccomp.evolve_linear import (Field, ProblemSpec, SolverError, _L1Steps, _l1_march, solve_linear_l1,
+                                    solve_linear_spectral, solve_linear_spectral_many)
 from fraccomp.evolve_semilinear import (
     SemilinearTerm,
+    builtin_burgers,
     builtin_enzyme,
     scalar_fractional_ode,
     solve_semilinear,
@@ -175,8 +182,6 @@ class TestComparisonPair:
                 coefficient_comparison(p, **kw)
 
     def test_source_checked_on_every_node_with_one_call_or_one_per_node(self):
-        from dataclasses import replace
-
         p = neumann_problem(initial=1.0, N=64)
         t5, calls = p.tgrid.nodes[5], []
 
@@ -206,9 +211,6 @@ class TestComparisonPair:
         # c is decided once per problem: a constant is never evaluated, on
         # the time nodes or per L1 step, and a broadcasting c is called once
         # when its problem is built and once by the check
-        from fraccomp.elliptic import Coefficient
-        from fraccomp.evolve_linear import solve_linear_l1
-
         evaluated, values = [], Coefficient.values
 
         def spy(self, x, t=0.0):
@@ -250,8 +252,6 @@ class TestLinearMonotoneSequence:
     def test_second_iterate_without_c(self):
         # with c = 0 the second iterate solves the b0-shifted problem with
         # source b0 a + F directly
-        from dataclasses import replace
-
         p = neumann_problem(initial=lambda x: 1 + 0.5 * np.cos(math.pi * x),
                             N=96, source=lambda x, t: np.ones_like(x))
         b0 = 0.8
@@ -263,8 +263,6 @@ class TestLinearMonotoneSequence:
         assert np.max(np.abs(seq[1].values - direct.values)) < 2e-3
 
     def test_nonnegative_and_convergent(self):
-        from fraccomp.evolve_linear import solve_linear_l1
-
         p = neumann_problem(initial=lambda x: 1 + np.cos(math.pi * x),
                             alpha=0.5, N=96, T=0.75, c=lambda x, t: -0.3 + 0.2 * np.sin(3 * x))
         seq = linear_monotone_sequence(p, b0_const=0.6, n_max=8)
@@ -286,10 +284,6 @@ class TestLinearMonotoneSequence:
     def test_shared_rows_match_direct_solves(self):
         # the chain builds its L1 weight rows once; every iterate must be the
         # one-off solve of its frozen problem on a fresh table, bit for bit
-        from dataclasses import replace
-
-        from fraccomp.evolve_linear import _L1Steps, _l1_march
-
         p = neumann_problem(initial=lambda x: 1 + np.cos(math.pi * x), N=40,
                             c=lambda x, t: -0.3 + 0.2 * np.sin(3 * x + t))
         b0 = 0.6
@@ -307,8 +301,6 @@ class TestLinearMonotoneSequence:
 
     def test_rejects_source_negative_at_a_single_node(self):
         # F < 0 only at t_3 of 64 steps: the hypothesis is checked on every node
-        from dataclasses import replace
-
         p = neumann_problem(initial=1.0, c=-0.2, N=64)
         t3 = p.tgrid.nodes[3]
         src = lambda x, t: np.where(t == t3, -1.0, 1.0) * np.ones_like(x)
@@ -318,8 +310,6 @@ class TestLinearMonotoneSequence:
 
 class TestVerifyBarrier:
     def test_gradient_term_refused(self):
-        from fraccomp.evolve_semilinear import builtin_burgers
-
         p = neumann_problem(initial=1.0, N=16)
         ones = Field(p.grid, p.tgrid, np.ones((p.tgrid.nodes.size, p.grid.n_nodes)))
         with pytest.raises(HypothesisViolation):
@@ -433,9 +423,6 @@ class TestMonotoneIteration:
     def test_shared_rows_match_per_sweep_rows(self):
         # both chains share one table of L1 steps; each sweep must equal the
         # same sweep on a fresh table that keeps nothing, as a one-off solve's
-        from fraccomp.compare import _l_map, _shifted
-        from fraccomp.evolve_linear import _L1Steps
-
         p = neumann_problem(alpha=0.5, initial=1.0, N=32, n=12)
         nt = p.tgrid.nodes.size
         ones = Field(p.grid, p.tgrid, np.ones((nt, p.grid.n_nodes)))
@@ -458,7 +445,6 @@ class TestMonotoneIteration:
         f = builtin_enzyme()
         u_inf = np.zeros(grid.n_nodes)
         eig = eigendecompose(assemble(spec, grid))
-        from fraccomp.elliptic import principal_eigenpair
         lam1, phi1 = principal_eigenpair(eig)
         lam1 += 1.0  # A = T0 + 1
         a0 = 0.4 + 0.2 * np.cos(math.pi * grid.nodes)
@@ -495,9 +481,6 @@ class TestChainSteps:
                                source=lambda x, t: 0.5 + 0.0 * x)
 
     def test_iterates_match_fresh_tables(self):
-        from fraccomp.compare import _l_map, _shifted, _with_c
-        from fraccomp.evolve_linear import _L1Steps, _l1_march
-
         p, barriers = self.sandwich()
         f = builtin_enzyme()
         res = monotone_iteration(p, f, barriers, M=1.0, k_max=25)
@@ -515,8 +498,6 @@ class TestChainSteps:
             assert np.array_equal(nxt.values, again.values)
 
     def test_one_factorization_per_node(self, monkeypatch):
-        from fraccomp import evolve_linear
-
         calls = []
         factor = evolve_linear.banded_lu
         monkeypatch.setattr(evolve_linear, "banded_lu", lambda ab: calls.append(1) or factor(ab))
@@ -531,11 +512,6 @@ class TestChainSteps:
 
     @pytest.mark.parametrize("k", [1, 7, 24])
     def test_non_finite_forcing_names_its_node(self, k):
-        from dataclasses import replace
-
-        from fraccomp.elliptic import NonFiniteError
-        from fraccomp.evolve_linear import SolverError
-
         message = f"non-finite operator or right-hand side at time node {k} "
         p, barriers = self.sandwich(N=24)
         # f is infinite at u = 3, where both barriers sit on node k only
@@ -611,43 +587,27 @@ class TestBarrierBandE4:
 
 
 class TestDecay:
-    def test_single_mode_exact(self):
-        alpha = 0.5
-        grid = Grid1D(0.0, 1.0, 20)
-        tg = TimeGrid.graded(50.0, 128, 4.0)
-        spec = EllipticSpec(a=1.0, c=-1.0)
+    @staticmethod
+    def check(T, N, n, initial, term=None):
+        """asymptotic_decay_check of the problem A = T0 + 1 (c = -1, Neumann
+        ends, alpha = 0.5) on (0, 1) from initial(x, modes), with A's pairs."""
+        grid, spec = Grid1D(0.0, 1.0, n), EllipticSpec(a=1.0, c=-1.0)
         eig = eigendecompose(assemble(spec, grid))
-        phi1 = eig.modes[:, 0]
-        p = ProblemSpec(alpha, spec, grid, tg, 0.7 * phi1)
-        u = solve_linear_spectral(p, eig)
-        # A = T0 + 1: its pairs are T0's with lambda + 1
-        rep = asymptotic_decay_check(u, np.zeros(grid.n_nodes), replace(eig, lambdas=eig.lambdas + 1.0), alpha)
+        p = ProblemSpec(0.5, spec, grid, TimeGrid.graded(T, N, 4.0), initial(grid.nodes, eig.modes))
+        u = solve_linear_spectral(p, eig) if term is None else solve_semilinear(p, term, eig)
+        return asymptotic_decay_check(u, np.zeros(grid.n_nodes), eig.shifted(1.0), 0.5)
+
+    def test_single_mode_exact(self):
+        rep = self.check(50.0, 128, 20, lambda x, modes: 0.7 * modes[:, 0])
         assert rep.holds
         assert rep.fitted_C == pytest.approx(0.7, rel=1e-8)
         assert rep.fitted_C_tail == pytest.approx(0.7, rel=1e-8)
 
     def test_two_mode_bounded(self):
-        alpha = 0.5
-        grid = Grid1D(0.0, 1.0, 20)
-        tg = TimeGrid.graded(80.0, 160, 4.0)
-        spec = EllipticSpec(a=1.0, c=-1.0)
-        eig = eigendecompose(assemble(spec, grid))
-        a0 = eig.modes[:, 0] + 0.5 * eig.modes[:, 1]
-        p = ProblemSpec(alpha, spec, grid, tg, a0)
-        u = solve_linear_spectral(p, eig)
-        # A = T0 + 1: its pairs are T0's with lambda + 1
-        rep = asymptotic_decay_check(u, np.zeros(grid.n_nodes), replace(eig, lambdas=eig.lambdas + 1.0), alpha)
+        rep = self.check(80.0, 160, 20, lambda x, modes: modes[:, 0] + 0.5 * modes[:, 1])
         assert rep.holds
         assert np.isfinite(rep.fitted_C)
 
     def test_enzyme_decay(self):
-        alpha = 0.5
-        grid = Grid1D(0.0, 1.0, 16)
-        tg = TimeGrid.graded(400.0, 256, 4.0)
-        spec = EllipticSpec(a=1.0, c=-1.0)
-        eig = eigendecompose(assemble(spec, grid))
-        p = ProblemSpec(alpha, spec, grid, tg, lambda x: 0.5 + 0.3 * np.cos(math.pi * x))
-        u = solve_semilinear(p, builtin_enzyme(), eig)
-        # A = T0 + 1: its pairs are T0's with lambda + 1
-        rep = asymptotic_decay_check(u, np.zeros(grid.n_nodes), replace(eig, lambdas=eig.lambdas + 1.0), alpha)
+        rep = self.check(400.0, 256, 16, lambda x, modes: 0.5 + 0.3 * np.cos(math.pi * x), builtin_enzyme())
         assert rep.holds

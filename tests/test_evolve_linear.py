@@ -24,7 +24,6 @@ from fraccomp.evolve_linear import (
     _RELAX_BLOCK,
     _START_MAX,
     Batch,
-    Field,
     ModeStack,
     ProblemSpec,
     SolverError,
@@ -52,11 +51,25 @@ from fraccomp.special_ml import ml_relaxation, relaxation_batch, relaxation_defi
 from fraccomp.suites import run_suite
 
 
-def march_one(p, **kw):
-    """spectral_march on a batch of one: the field values and the sweep counts."""
-    op = assemble(p.elliptic, p.grid)
-    u, counts = spectral_march(Batch((p,)), ModeStack((eigendecompose(op),), (op,)), **kw)
+def march(problems):
+    """spectral_march on the batch of the problems: the field values and the
+    sweep counts."""
+    ops = [assemble(p.elliptic, p.grid) for p in problems]
+    return spectral_march(Batch(problems), ModeStack([eigendecompose(op) for op in ops], ops))
+
+
+def march_one(p):
+    """march on a batch of one."""
+    u, counts = march([p])
     return u[0], counts[0]
+
+
+def assert_matches_solo_marches(problems, u, counts):
+    """Each problem's field and sweep counts in a batch's march are its own march's."""
+    for j, p in enumerate(problems):
+        solo_u, solo_counts = march_one(p)
+        assert np.max(np.abs(u[j] - solo_u)) <= 1e-13 * np.max(np.abs(solo_u))
+        assert np.array_equal(counts[j], solo_counts)
 
 
 def block_lengths(N, modes):
@@ -97,11 +110,6 @@ def at_the_floor(alpha, tg, **spec_kw):
     the time grid tg (evolve_linear._shift_floor): Q is 0, and T0's zero
     mode, the Neumann ground mode, marches at the floor itself."""
     return EllipticSpec(c=-evolve_linear._shift_floor(alpha, tg.nodes), **spec_kw)
-
-
-def shifted(eig, c):
-    """A's eigendecomposition for a constant c: T0's with lambdas - c."""
-    return replace(eig, lambdas=eig.lambdas - c)
 
 
 def homogeneous_solution(a, eig, alpha, t):
@@ -147,7 +155,7 @@ class TestDuhamelStep:
     def test_first_step_constant_mode(self):
         # the eigenvalues of A = T0 + 1 (c = -1), all positive
         grid, tg, spec = make_problem(c=-1.0)
-        lam = shifted(eigendecompose(assemble(spec, grid)), spec.c).lambdas
+        lam = eigendecompose(assemble(spec, grid)).shifted(1.0).lambdas
         tau = 0.25
         masses = _kernel_masses(0.5, lam, np.array([tau ** 0.5, 0.0]))[:, 0]
         ref = (1.0 - np.array([ml_relaxation(0.5, l, tau) for l in lam])) / lam
@@ -155,7 +163,7 @@ class TestDuhamelStep:
 
     def test_exponential_case(self):
         grid, tg, spec = make_problem(c=-1.0)
-        lam1 = shifted(eigendecompose(assemble(spec, grid)), spec.c).lambdas[0]
+        lam1 = eigendecompose(assemble(spec, grid)).shifted(1.0).lambdas[0]
         tau, alpha = 0.5, 0.999999
         mass = tau ** alpha * relaxation_deficit(alpha, lam1 * tau ** alpha)
         assert abs(mass - (1.0 - math.exp(-lam1 * tau)) / lam1) < 1e-5
@@ -178,22 +186,19 @@ class TestSpectralSolver:
             assert np.allclose(u[k], ref, atol=1e-11)
 
     def test_pure_neumann_constant_source(self):
-        # c = -s at the shift floor s: Q = 0 and the ground mode is lambda = s;
-        # d_t^alpha u + s u = 1 spatially constant, exact solution
-        # t^alpha phi(s t^alpha).  Past node 4 the mode's history is in the
-        # exponential sums, held to the bound of the exact Duhamel sums below
+        # d_t^alpha u - c u = 1 for a constant c, spatially constant: exactly
+        # t^alpha phi(-c t^alpha), t^alpha / Gamma(1 + alpha) without c.
+        # Without c the sweeps carry Q = s u with the shift floor s, and its
+        # splitting error (1.0e-8 here) enters; c = -s leaves Q = 0 and only
+        # the exponential sums' error (2.3e-11)
         alpha = 0.5
         grid, tg, _ = make_problem(alpha=alpha)
-        spec = at_the_floor(alpha, tg)
-        p = ProblemSpec(alpha, spec, grid, tg, 0.0, source=lambda x, t: np.ones_like(x))
-        u = solve_linear_spectral(p)
-        tau = tg.nodes ** alpha
-        ref = tau * relaxation_deficit(alpha, -spec.c * tau)
-        assert ref[-1] == pytest.approx(1.0 / gamma(1.0 + alpha), rel=1e-4)
-        got = u.values[:, grid.n_nodes // 2]
-        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(ref)
-        # spatially constant
-        assert np.max(np.std(u.values, axis=1)) < 1e-12
+        tau, floor = tg.nodes ** alpha, at_the_floor(alpha, tg)
+        for spec, ref, bound in ((EllipticSpec(), tau / gamma(1.0 + alpha), 2e-8),
+                                 (floor, tau * relaxation_deficit(alpha, -floor.c * tau), 1e-10)):
+            u = solve_linear_spectral(ProblemSpec(alpha, spec, grid, tg, 0.0, source=lambda x, t: np.ones_like(x)))
+            assert np.max(np.abs(u.values[:, grid.n_nodes // 2] - ref)) <= bound
+            assert np.max(np.std(u.values, axis=1)) < 1e-12  # spatially constant
 
     def test_constants_preserved(self):
         # without c, Q = s u with the shift floor s: the constant is still the fixed point
@@ -245,29 +250,20 @@ class TestSpectralSolver:
         # bound at node 2; the Robin ends lift every mode off it
         grid, tg, _ = make_problem(alpha=alpha, n=24, N=256, T=T, r=r)
         spec = at_the_floor(alpha, tg, sigma_lo=sigma, sigma_hi=sigma)
-        eig = eigendecompose(assemble(spec, grid))
         src = lambda x, t: (1.0 + np.sin(3.0 * x)) * np.cos(4.0 * t / T) + t / T
-        p = ProblemSpec(alpha, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x), source=src)
-        u = solve_linear_spectral(p, eig).values
-        ref = exact_duhamel(p, shifted(eig, spec.c))
-        assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+        assert_exact_duhamel(ProblemSpec(alpha, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x), source=src))
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5])
     def test_neumann_ground_mode_leaves_the_exact_masses_by_node_4(self, alpha, monkeypatch):
         # without c the march shifts T0 by the floor: the Neumann ground mode
         # is small, or has young windows (alpha = 0.3), at the first nodes only
-        node, nodes = [0], []
+        nodes, calls = [], []
         advance, masses = _Memory.advance, evolve_linear._kernel_masses
-
-        def spy(self, m, g_hist):
-            node[0] = m
-            return advance(self, m, g_hist)
-
-        monkeypatch.setattr(_Memory, "advance", spy)
-        monkeypatch.setattr(evolve_linear, "_kernel_masses", lambda *args: nodes.append(node[0]) or masses(*args))
+        monkeypatch.setattr(_Memory, "advance", lambda self, m, g_hist: nodes.append(m) or advance(self, m, g_hist))
+        monkeypatch.setattr(evolve_linear, "_kernel_masses", lambda *args: calls.append(nodes[-1]) or masses(*args))
         grid, tg, spec = make_problem(alpha=alpha, n=24, N=512)
         _, counts = march_one(ProblemSpec(alpha, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x), source=1.0))
-        assert nodes and max(nodes) <= 4
+        assert calls and max(calls) <= 4
         assert counts.min() >= 1  # Q = s u: every step sweeps
 
     def test_kernel_mass_bound(self):
@@ -287,14 +283,17 @@ class TestSpectralSolver:
         assert np.all(total[1:] <= 1.0 / lams[1:] + 1e-15)
 
 
-def exact_duhamel(p, eig):
-    """The march's fields from the eigen-expansion of S(t_m) a plus every past
-    window's exact kernel mass times its projected midpoint source (q
-    inactive), with eig A's eigendecomposition.  A window's mass is
-    hi phi(lam hi) - lo phi(lam lo) over the powers hi, lo of its ends' ages,
-    with phi from relaxation_deficit; an eigenvalue below 0 by rounding is
-    taken as 0."""
+def assert_exact_duhamel(p):
+    """p's spectral march, to 1e-9 of sup |u|, against the eigen-expansion of
+    S(t_m) a plus every past window's exact kernel mass times its projected
+    midpoint source (q inactive: no b, a constant c), over A's pairs, T0's
+    shifted by -c.  A window's mass is hi phi(lam hi) - lo phi(lam lo) over
+    the powers hi, lo of its ends' ages, with phi from relaxation_deficit;
+    an eigenvalue below 0 by rounding is taken as 0."""
     t, alpha = p.tgrid.nodes, p.alpha
+    eig = eigendecompose(assemble(p.elliptic, p.grid))
+    u = solve_linear_spectral(p, eig).values
+    eig = eig.shifted(-p.elliptic.c)
     a_coef = eig.project(p.initial_values())
     f_coef = np.array([eig.project(p.source_at(0.5 * (t[k] + t[k + 1]))) for k in range(t.size - 1)])
     lam = np.maximum(eig.lambdas, 0.0)
@@ -306,7 +305,7 @@ def exact_duhamel(p, eig):
             g = ages * relaxation_deficit(alpha, lam[:, None] * ages)
             coef = coef - (np.diff(g, axis=1) * f_coef[:m].T).sum(axis=1)
         ref[m] = eig.synthesize(coef)
-    return ref
+    assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 class TestArraySource:
@@ -360,14 +359,10 @@ class TestBlockedMarch:
     @pytest.mark.parametrize("alpha", [0.3, 0.95])
     def test_several_blocks_match_exact_duhamel_sum(self, alpha, fetches):
         grid, tg, _ = make_problem(alpha=alpha, n=24, N=2 * _RELAX_BLOCK + 5)
-        spec = at_the_floor(alpha, tg)
-        eig = eigendecompose(assemble(spec, grid))
         src = lambda x, t: (1.0 + np.sin(3.0 * x)) * np.cos(4.0 * t) + t
-        p = ProblemSpec(alpha, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x), source=src)
-        u = solve_linear_spectral(p, eig).values
+        assert_exact_duhamel(ProblemSpec(alpha, at_the_floor(alpha, tg), grid, tg,
+                                         lambda x: 1.0 + np.cos(math.pi * x), source=src))
         assert fetches == [1, 1 + _RELAX_BLOCK, 1 + 2 * _RELAX_BLOCK]
-        ref = exact_duhamel(p, shifted(eig, spec.c))
-        assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_restriction_inside_a_block_is_exact(self, fetches):
         # node 45 lies inside the second block of nodes; q is active, so the
@@ -428,8 +423,7 @@ class TestFetchBudget:
             if budget is not None:
                 mp.setattr(evolve_linear, "_FETCH_POINTS", budget)
             mp.setattr(evolve_linear, "relaxation_batch", spy)
-            ops = [assemble(p.elliptic, p.grid) for p in problems]
-            u, counts = spectral_march(Batch(problems), ModeStack([eigendecompose(op) for op in ops], ops))
+            u, counts = march(problems)
         return u, counts, shapes
 
     @staticmethod
@@ -483,7 +477,6 @@ class TestModeSpaceSweeps:
         steps = np.concatenate([[0.01] * 4, 10.0 ** rng.uniform(-9.0, -1.0, 96)])
         tg = TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
         grid, spec = Grid1D(0.0, L, 24), at_the_floor(alpha, tg)
-        eig = eigendecompose(assemble(spec, grid))
         folded = []
         fold = _Memory._fold
 
@@ -493,11 +486,8 @@ class TestModeSpaceSweeps:
 
         monkeypatch.setattr(_Memory, "_fold", spy)
         src = lambda x, t: (1.0 + np.sin(3.0 * x / L)) * np.cos(4.0 * t) + t
-        p = ProblemSpec(alpha, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x / L), source=src)
-        u = solve_linear_spectral(p, eig).values
+        assert_exact_duhamel(ProblemSpec(alpha, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x / L), source=src))
         assert max(folded) > 1
-        ref = exact_duhamel(p, shifted(eig, spec.c))
-        assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_one_window_folds_in_place_at_every_node(self, monkeypatch):
         # on a graded grid with every mode big, each window comes of age at
@@ -599,8 +589,7 @@ class TestStepForcing:
         assert exc.value.problem == 2 and exc.value.node == 7
         # the same batch without the overflow marches, the idle ones without sweeps
         problems[2] = problems[3]
-        ops = [assemble(p.elliptic, p.grid) for p in problems]
-        u, counts = spectral_march(Batch(problems), ModeStack([eigendecompose(op) for op in ops], ops))
+        u, counts = march(problems)
         assert np.all(np.isfinite(u))
         assert not counts[:2].any() and np.all(counts[2:] >= 1)
 
@@ -669,7 +658,6 @@ class TestTaylorMoments:
         rng = np.random.default_rng(6)
         tg = TimeGrid(np.concatenate([[0.0], np.cumsum(10.0 ** rng.uniform(-6.0, -1.0, 120))]))
         grid, spec = Grid1D(0.0, 1.0, 24), at_the_floor(alpha, tg)
-        eig = eigendecompose(assemble(spec, grid))
         thawed = []
 
         class Spy(_Memory):
@@ -679,13 +667,10 @@ class TestTaylorMoments:
                 return super()._shift(m, rows, base, moments)
 
         src = lambda x, t: (1.0 + np.sin(3.0 * x)) * np.cos(40.0 * t) + t
-        p = ProblemSpec(alpha, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x), source=src)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("fraccomp.evolve_linear._Memory", Spy)
-            u = solve_linear_spectral(p, eig).values
+            assert_exact_duhamel(ProblemSpec(alpha, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x), source=src))
         assert sum(thawed) > 100
-        ref = exact_duhamel(p, shifted(eig, spec.c))
-        assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_huge_horizon_marches(self):
         # the two-moment weights squared t and overflowed at T = 1e300; the
@@ -842,13 +827,9 @@ class TestBatch:
 
     def test_mixed_batch_matches_solo_marches(self):
         problems = self.mixed_batch()
-        ops = [assemble(p.elliptic, p.grid) for p in problems]
-        u, counts = spectral_march(Batch(problems), ModeStack([eigendecompose(op) for op in ops], ops))
+        u, counts = march(problems)
         assert u.shape == (4, 65, problems[0].grid.n_nodes) and counts.shape == (4, 64)
-        for j, p in enumerate(problems):
-            solo_u, solo_counts = march_one(p)
-            assert np.max(np.abs(u[j] - solo_u)) <= 1e-13 * np.max(np.abs(solo_u))
-            assert np.array_equal(counts[j], solo_counts)
+        assert_matches_solo_marches(problems, u, counts)
         assert not counts[2].any()
         assert np.all(counts[[0, 1, 3]] >= 1)
 
@@ -875,15 +856,9 @@ class TestBatch:
         ops = [assemble(p.elliptic, p.grid) for p in problems]
         stack = ModeStack([eigendecompose(op) for op in ops], ops)
         assert 400 <= stack.lambdas.size <= _BATCH_MODES
-        u, counts = spectral_march(Batch(problems), stack)
-        for j, p in enumerate(problems):
-            solo_u, solo_counts = march_one(p)
-            assert np.max(np.abs(u[j] - solo_u)) <= 1e-13 * np.max(np.abs(solo_u))
-            assert np.array_equal(counts[j], solo_counts)
+        assert_matches_solo_marches(problems, *spectral_march(Batch(problems), stack))
 
     def test_positivity_suite_marches_once_per_alpha(self, monkeypatch):
-        import fraccomp.evolve_linear as evolve_linear
-
         seen = []
         march = evolve_linear.spectral_march
 
@@ -913,9 +888,8 @@ class TestBatch:
             solve_linear_spectral_many(problems)
         assert exc.value.problem == 2 and exc.value.node == 1
         # a batch given directly names the position in the batch
-        ops = [assemble(p.elliptic, p.grid) for p in problems[1:]]
         with pytest.raises(SolverError, match=r"^problem 1: non-finite .* at time node 1"):
-            spectral_march(Batch(problems[1:]), ModeStack([eigendecompose(op) for op in ops], ops))
+            march(problems[1:])
 
     @staticmethod
     def semilinear_batch(alpha=0.5):
@@ -1075,7 +1049,7 @@ class TestL1Solver:
     def test_single_mode_matches_spectral(self):
         alpha = 0.5
         grid, tg, spec = make_problem(alpha=alpha, n=32, N=256, c=-1.0)
-        eig = shifted(eigendecompose(assemble(spec, grid)), spec.c)
+        eig = eigendecompose(assemble(spec, grid)).shifted(1.0)
         phi1 = eig.modes[:, 1]
         p = ProblemSpec(alpha, spec, grid, tg, phi1)
         ul1 = solve_linear_l1(p)
