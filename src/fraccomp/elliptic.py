@@ -7,11 +7,11 @@ This makes the stiffness matrix exactly symmetric, so the eigenproblem is a
 weighted symmetric tridiagonal one, second order in h including the boundary.
 
 Drift terms b(x,t) d/dx and zeroth-order terms c(x,t) never enter the
-eigenproblem; they are sampled as vectors and routed through the solvers'
-splitting; the spectral route shifts T0 by an amount of its own choosing
-(see evolve_linear.spectral_march).  The full operator exists only as
-bands: tridiagonal flux plus the offsets +-2 of the one-sided derivative
-rows, so every implicit solve is pentadiagonal.
+eigenproblem: they make up Q(t) = T0 - A(t), defined once as tridiagonal
+bands (DiscreteOperator.q_bands), the drift fitted at the cell faces so that
+A's off-diagonal entries are <= 0 at every Peclet number (fitted_drift).
+The spectral route sweeps Q (see evolve_linear.spectral_march), the L1
+route solves with A's bands, so every implicit solve is tridiagonal.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ __all__ = [
     "EigenDecomposition",
     "DegenerateEigenpairError",
     "assemble",
+    "band_product",
+    "fitted_drift",
     "eigendecompose",
     "principal_eigenpair",
 ]
@@ -213,14 +215,15 @@ class DiscreteOperator:
     flux_off: np.ndarray = field(repr=False)       # T0 off diagonal
     volumes: np.ndarray = field(repr=False)
 
-    def apply_sym(self, v):
-        """Pointwise T0 v = -(a v')' with the Robin closure, along the last
-        axis of v."""
-        v = np.asarray(v, dtype=float)
-        out = self.flux_diag * v
-        out[..., :-1] += self.flux_off * v[..., 1:]
-        out[..., 1:] += self.flux_off * v[..., :-1]
-        return out / self.volumes
+    @cached_property
+    def t0_bands(self):
+        """T0 as read-only LAPACK (1, 1) bands (3, m), like bands."""
+        ab = np.zeros((3, self.grid.n_nodes))
+        ab[0, 1:] = self.flux_off / self.volumes[:-1]
+        ab[1] = self.flux_diag / self.volumes
+        ab[2, :-1] = self.flux_off / self.volumes[1:]
+        ab.setflags(write=False)
+        return ab
 
     def derivative(self, v):
         """d/dx v along the last axis of v, centred inside, one-sided second
@@ -233,56 +236,39 @@ class DiscreteOperator:
         d *= 0.5 / self.grid.h
         return d
 
-    def q_parts(self, t):
-        """(b, c) sampled at time t, or rows of them at a 1-D array of
-        times: b None where absent, c 0 where absent."""
+    def q_bands(self, t=0.0):
+        """Q(t) = T0 - A(t), the fitted drift (see fitted_drift) plus c on
+        the diagonal, as a LAPACK (1, 1) band array (3, m), or one per time
+        of a 1-D array t, (times, 3, m)."""
         x = self.grid.nodes
         coefs = self.spec.coefficients
-        c = coefs["c"].values(x, t)
-        return coefs["b"].values(x, t), 0.0 if c is None else c
-
-    def apply_q(self, v, parts):
-        """b v' + c v with parts = q_parts(t), so a time step samples them
-        once."""
-        b, c = parts
-        out = c * v
+        b, c = coefs["b"].values(x, t), coefs["c"].values(x, t)
+        q = np.zeros(np.shape(t) + (3, x.size))
         if b is not None:
-            out = out + b * self.derivative(v)
-        return out
-
-    def apply_full(self, v, t=0.0):
-        """A v = -(a v')' - b v' - c v; v may hold one row per time of a
-        1-D array t."""
-        return self.apply_sym(v) - self.apply_q(v, self.q_parts(t))
+            q += fitted_drift(self.t0_bands, -self.flux_off, b)
+        if c is not None:
+            q[..., 1, :] += c
+        return q
 
     def bands(self, t=0.0, shift=0.0):
-        """LAPACK (2, 2) band array, shape (5, m), of shift I + A(t): row r
-        holds the diagonal at offset 2 - r."""
-        h = self.grid.h
-        ab = np.zeros((5, self.grid.n_nodes))
-        ab[1, 1:] = self.flux_off / self.volumes[:-1]
-        ab[3, :-1] = self.flux_off / self.volumes[1:]
-        b, c = self.q_parts(t)
-        ab[2] = self.flux_diag / self.volumes - c
-        if b is not None:
-            # minus b times the stencil of derivative(), one band at a time
-            ab[1, 2:] -= b[1:-1] * (0.5 / h)
-            ab[3, :-2] += b[1:-1] * (0.5 / h)
-            ab[2, 0] += b[0] * (1.5 / h)
-            ab[1, 1] -= b[0] * (2.0 / h)
-            ab[0, 2] += b[0] * (0.5 / h)
-            ab[2, -1] -= b[-1] * (1.5 / h)
-            ab[3, -2] += b[-1] * (2.0 / h)
-            ab[4, -3] -= b[-1] * (0.5 / h)
-        ab[2] += shift
+        """LAPACK (1, 1) band array, shape (3, m), of shift I + A(t), with
+        A = T0 - Q (see q_bands): row r holds the diagonal at offset 1 - r;
+        one per time of a 1-D array t, (times, 3, m)."""
+        ab = self.t0_bands - self.q_bands(t)
+        ab[..., 1, :] += shift
         return ab
+
+    def apply_full(self, v, t=0.0):
+        """A v = -(a v')' - b v' - c v, the product with bands(t); v may hold
+        one row per time of a 1-D array t."""
+        return band_product(self.bands(t), v)
 
     def full_matrix(self, t=0.0):
         """Dense matrix of A at time t, expanded from bands(t); an inspection
         view, the solvers work on the bands."""
         ab = self.bands(t)
         m = ab.shape[1]
-        return sum(np.diag(ab[2 - k, max(k, 0) : m + min(k, 0)], k) for k in range(-2, 3))
+        return sum(np.diag(ab[1 - k, max(k, 0) : m + min(k, 0)], k) for k in (-1, 0, 1))
 
     def robin_residual(self, v):
         """Conormal-plus-sigma boundary residuals (left, right) of a field,
@@ -293,6 +279,41 @@ class DiscreteOperator:
         lo = -a[0] * dv[..., 0] + self.spec.sigma_lo * v[..., 0]
         hi = a[1] * dv[..., -1] + self.spec.sigma_hi * v[..., -1]
         return lo, hi
+
+
+@np.errstate(all="ignore")  # e^z overflows where B(z) is 0; the solvers report entries not finite
+def fitted_drift(t0, face, b):
+    """The drift's part of Q = T0 - A, as LAPACK (1, 1) bands (..., 3, m),
+    from T0's bands t0, a_f / h at each face (..., m - 1) and b on the nodes
+    (..., m); the leading axes broadcast, and the bands are linear in t0.
+
+    Each face is fitted exponentially (Scharfetter and Gummel, IEEE Trans.
+    Electron Devices 16 (1969) 64; Il'in, Math. Notes 6 (1969) 596): with
+    P = b_f h / a_f, b_f = b_i / 2 + b_{i+1} / 2 and B(z) = z / (e^z - 1),
+    A's entries at (i, i + 1) and (i + 1, i) are T0's times B(-P) and B(P),
+    <= 0 at every P, and A's drift rows sum to 0.  Q's factors 1 - B(-P)
+    and 1 - B(P) are formed as 1 - B(|P|) less max(P, 0) and plus min(P, 0)
+    (B(-z) = B(z) + z): one exponential per face, and factors that round
+    to at most 1, so that T0 - Q rounds to <= 0 as well."""
+    half = 0.5 * b
+    p = (half[..., :-1] + half[..., 1:]) / face
+    z = np.maximum(np.abs(p), np.finfo(float).tiny)  # B(z) rounds to 1 from here down, B(0) included
+    g = 1.0 - z / np.expm1(z)  # 1 - B(|P|), in [0, 1]
+    q = np.zeros(np.broadcast_shapes(t0.shape, p.shape[:-1] + (3, p.shape[-1] + 1)))
+    np.multiply(t0[..., 0, 1:], g - np.maximum(p, 0.0), out=q[..., 0, 1:])  # 1 - B(-P)
+    np.multiply(t0[..., 2, :-1], g + np.minimum(p, 0.0), out=q[..., 2, :-1])  # 1 - B(P)
+    np.negative(q[..., 0, 1:], out=q[..., 1, :-1])
+    q[..., 1, 1:] -= q[..., 2, :-1]
+    return q
+
+
+def band_product(ab, v):
+    """The product of LAPACK (1, 1) bands ab, (..., 3, m), with v along the
+    last axis, (..., m); the leading axes broadcast."""
+    out = ab[..., 1, :] * v
+    out[..., :-1] += ab[..., 0, 1:] * v[..., 1:]
+    out[..., 1:] += ab[..., 2, :-1] * v[..., :-1]
+    return out
 
 
 def assemble(spec: EllipticSpec, grid: Grid1D) -> DiscreteOperator:
@@ -385,24 +406,25 @@ def principal_eigenpair(eig: EigenDecomposition):
 
 
 # float64 LAPACK dgbtrf and dgbtrs: dgbsv is exactly the one and then the other,
-# so a solve has scipy.linalg.solve_banded's bits without its per-call validation
-# and dispatch, which cost several times the O(m) solve at the L1 steps' sizes
+# so a solve has dgbsv's bits without scipy's per-call validation and dispatch,
+# which cost several times the O(m) solve at the L1 steps' sizes.  (On (1, 1)
+# bands scipy.linalg.solve_banded calls dgtsv, equal only to rounding.)
 _GBTRF, _GBTRS = get_lapack_funcs(("gbtrf", "gbtrs"), (np.empty(0),))
 
 
 def banded_lu(ab):
-    """LU factors of a finite (5, m) band array of DiscreteOperator.bands for
+    """LU factors of a finite (3, m) band array of DiscreteOperator.bands for
     banded_lu_solve: (lu, piv, info), with info > 0 where a pivot is exactly
-    zero, that is where the matrix is singular.  lu is the (7, m) array that
-    scipy.linalg.solve_banded builds (two zero rows on top for the pivoting
-    fill-in), factored in place by dgbtrf."""
-    lu = np.zeros((7, ab.shape[1]), order="F")
-    lu[2:] = ab
-    return _GBTRF(lu, 2, 2, overwrite_ab=True)
+    zero, that is where the matrix is singular.  lu is the (4, m) array that
+    dgbsv takes (a zero row on top for the pivoting fill-in), factored in
+    place by dgbtrf."""
+    lu = np.zeros((4, ab.shape[1]), order="F")
+    lu[1:] = ab
+    return _GBTRF(lu, 1, 1, overwrite_ab=True)
 
 
 def banded_lu_solve(factors, rhs):
     """Solve with the factors of banded_lu, which must not be singular: one
     O(m) dgbtrs, so that a chain of solves with one matrix factors it once."""
     lu, piv, _ = factors
-    return _GBTRS(lu, 2, 2, rhs, piv)[0]
+    return _GBTRS(lu, 1, 1, rhs, piv)[0]

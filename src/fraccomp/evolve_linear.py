@@ -3,30 +3,31 @@
 Two independent routes:
 
 * a spectral exponential integrator: the problem is split as
-  d_t^alpha (u - a) + (T0 + s) u = F + Q u with T0 u = -(a u')',
-  Q u = b u' + (c + s) u and a shift s that the march derives from c and
-  the time grid (see _shifts), and the equivalent fixed-point form
-  u(t) = S(t) a + int K(t-s) (F + Q u)(s) ds is marched node by node.  Per mode the Duhamel integral of piecewise-constant
-  data has a closed form through differences of the relaxation profile, so
-  the only time error is the piecewise-constant treatment of F + Q u
-  (midpoint samples of the coefficients, endpoint-average state);
+  d_t^alpha (u - a) + (T0 + s) u = F + (Q + s) u with T0 u = -(a u')',
+  Q = T0 - A (elliptic.DiscreteOperator.q_bands) and a shift s derived from
+  c and the time grid (see _shifts); the fixed-point form
+  u(t) = S(t) a + int K(t-r) (F + (Q + s) u)(r) dr is marched node by node.
+  Per mode the Duhamel integral of piecewise-constant data has a closed form
+  through differences of the relaxation profile, so the only time error is
+  the piecewise-constant treatment of F + (Q + s) u (midpoint samples of
+  the coefficients, endpoint-average state);
 
 * an implicit L1 finite-difference scheme used as a cross-validation oracle:
-  at each node the memory term is L1-discretised and the full elliptic
-  operator is solved implicitly.  Its matrix is an M-matrix at moderate mesh
-  Peclet numbers, which makes it the order-preserving workhorse for the
-  comparison checks.
+  at each node the memory term is L1-discretised and A is solved
+  implicitly.  With the drift fitted at the cell faces the step matrix has
+  off-diagonal entries <= 0 at every mesh Peclet number, which makes it the
+  order-preserving workhorse for the comparison checks.
 
 On the spectral route u at node m is the fixed point of the step map, found
 by Picard sweeps on its mode coefficients (see spectral_march): a sweep is
-one product giving u and u' on the nodes, the nodal forcing, one weighted
+one product giving u on the nodes, the nodal forcing, one weighted
 projection and the per-mode update.  The projection takes the whole step
 forcing, the half that u_{m-1} fixes with the swept half, so that a swept
 step projects once per sweep and at no other time.  The sweeps start from
-the extrapolation of u and u' by a polynomial in t^alpha through the last
-nodes, up to the quintic through six, so that they mostly stop after one
-sweep; a step that stalls from there starts once more from u_{m-1}.  The
-march returns the number of sweeps per node.
+the extrapolation of u by a polynomial in t^alpha through the last nodes,
+up to the quintic through six, so that they mostly stop after one sweep; a
+step that stalls from there starts once more from u_{m-1}.  The march
+returns the number of sweeps per node.
 The coefficients b, c and the source are sampled at the step midpoints
 a block of steps per call where they take a column of times, once per
 step where they do not, and never where they do not depend on t, as the
@@ -51,7 +52,7 @@ max(_RELAX_BLOCK, _FETCH_POINTS // modes) nodes at a time, so that a
 batch of few modes fetches few, long blocks.
 The L1 route sums every past step exactly.  Its steps come
 from one table (_L1Steps): node m's weight row from fracops.l1_weight_rows
-and the LAPACK LU factors of its pentadiagonal step matrix
+and the LAPACK LU factors of its tridiagonal step matrix
 w_m I + A(t_m) (elliptic.banded_lu), built the first time a march reaches
 the node.  A one-off solve builds each entry as it steps and keeps none;
 compare's monotone iterations, whose sweeps all solve with one frozen
@@ -79,9 +80,11 @@ from .elliptic import (
     Grid1D,
     _require_finite,
     assemble,
+    band_product,
     banded_lu,
     banded_lu_solve,
     eigendecompose,
+    fitted_drift,
 )
 from .fracops import TimeGrid, l1_weight_rows
 from .special_ml import relaxation_batch, relaxation_deficit, relaxation_exponentials
@@ -274,10 +277,10 @@ def _shifts(problems, t, alpha):
     """The splitting shift s of each problem marched on the time nodes t:
     s = max(_shift_floor, -(min c + max c) / 2) over the values of c that
     the problem's build sampled (Coefficient.span, 0 where c is absent), so
-    that Q = b u' + (c + s) u is 0 for every constant c <= -_shift_floor
-    and otherwise the least a constant shift makes it (on choosing the
-    linear part of an exponential integrator, see Hochbruck and Ostermann,
-    Acta Numerica 19 (2010) 209).  With the floor a zero eigenvalue of T0,
+    that Q + s, with Q = T0 - A, is 0 for every constant c <= -_shift_floor
+    without b, and otherwise its c + s is the least a constant shift makes
+    it (on choosing the linear part of an exponential integrator, see
+    Hochbruck and Ostermann, Acta Numerica 19 (2010) 209).  With the floor a zero eigenvalue of T0,
     the Neumann ground mode, costs what any other mode costs from node 4
     on."""
     floor = _shift_floor(alpha, t)
@@ -661,8 +664,6 @@ class _Sampled:
         self.coefs, self.xs, self.shift = coefs, xs, shift
         self.sampled = [s for s, f in enumerate(coefs) if f.kind not in (ABSENT, CONSTANT, X_ONLY)]
         self.rows = np.zeros((block, len(coefs), xs[0].size))
-        # what at returns: a batch of one drops the problem axis (see spectral_march)
-        self.view = self.rows[:, 0] if len(coefs) == 1 else self.rows
         for s, f in enumerate(coefs):
             if s not in self.sampled:
                 self._put(self.rows[:, s], s, 0.0 if f.kind == ABSENT else f.values(xs[s]))
@@ -677,8 +678,10 @@ class _Sampled:
             out *= 0.5
 
     def _flags(self):
+        # what at returns: a batch of one drops the problem axis (see spectral_march)
+        self.view = self.rows[:, 0] if self.rows.shape[1] == 1 else self.rows
         # NaN counts as nonzero
-        self.nonzero = self.rows.any(axis=2)
+        self.nonzero = self.rows.reshape(self.rows.shape[:2] + (-1,)).any(axis=2)
         self.any_nonzero = self.nonzero.any(axis=1).tolist()
 
     def block(self, ts):
@@ -690,6 +693,31 @@ class _Sampled:
     def at(self, k):
         """Row k of the block, and whether it has an entry other than 0."""
         return self.view[k], self.any_nonzero[k]
+
+
+class _SampledQ(_Sampled):
+    """(Q + s) / 2 of a batch's problems under a drift at the step
+    midpoints (see elliptic.DiscreteOperator.q_bands) as (1, 1) bands on
+    the problem axis: b and c sampled as _Sampled says, the drift fitted on
+    half T0's bands for the whole batch and block at once, (c + s) / 2 on
+    the diagonal."""
+
+    def __init__(self, b, c, xs, block, shift, ops):
+        self.b, self.half_c = _Sampled(b, xs, block), _Sampled(c, xs, block, shift)
+        self.sampled = self.b.sampled + self.half_c.sampled
+        self.half_t0 = 0.5 * np.stack([op.t0_bands for op in ops])
+        self.face = -np.stack([op.flux_off for op in ops])  # a_f / h
+        self._form(block)
+
+    def _form(self, n):
+        self.rows = fitted_drift(self.half_t0, self.face, self.b.rows[:n])
+        self.rows[..., 1, :] += self.half_c.rows[:n]
+        self._flags()
+
+    def block(self, ts):
+        self.b.block(ts)
+        self.half_c.block(ts)
+        self._form(ts.size)
 
 
 def _extrapolation_weights(tau):
@@ -806,21 +834,22 @@ def spectral_march(
 ):
     """Shared marching loop of the fixed-point solvers, for S problems at once.
 
-    At node m the step forcing g = F + Q u_rep [+ f(u_rep)], with u_rep the
-    average of u_{m-1} and u_m, is frozen on the window, and the mode
+    At node m the step forcing g = F + (Q + s) u_rep [+ f(u_rep)], u_rep
+    the average of u_{m-1} and u_m, is frozen on the window, and the mode
     coefficients v of u_m are the fixed point of v -> base + w_last * P g,
-    P the weighted projection.  The Picard sweeps run on v: the half of
-    Q u_rep that u_{m-1} fixes (with the u' its last sweep gave) is formed
-    on the nodes once per step, with F, and a sweep is one product giving u
-    and u' on the nodes, the other half plus f, one projection of the whole
-    step forcing and the update.  P is linear, so projecting the fixed half
-    apart would only cost a second product.  They start from the
-    extrapolation of u and u' by a polynomial in tau = (t - t_0)^alpha, up
-    to the quintic through the last six nodes (see _extrapolation_weights),
-    and stop when u_m moves by at most PICARD_TOL on the nodes; the
-    problems still sweeping after PICARD_MAX sweeps start once more from
-    u_{m-1}, and only a second stall is reported.  The memory keeps the
-    forcing of the last sweep, so u_m is exactly its Duhamel image.
+    P the weighted projection.  The half of (Q + s) u_rep that u_{m-1}
+    fixes is formed once per step, with F, where (Q + s) / 2 is a diagonal;
+    its bands under a drift take u_{m-1} + u_m in each sweep, one stencil
+    in place of two.  A Picard sweep on v is one product giving u on the
+    nodes, the forcing's other half plus f, one projection of the whole
+    step forcing (P is linear) and the update.  The sweeps
+    start from the extrapolation of u by a polynomial in tau = (t -
+    t_0)^alpha, up to the quintic through the last six nodes (see
+    _extrapolation_weights), and stop when u_m moves by at most PICARD_TOL
+    on the nodes; the problems still sweeping after PICARD_MAX sweeps
+    start once more from u_{m-1}, and only a second stall is reported.
+    The memory keeps the forcing of the last sweep, so u_m is exactly its
+    Duhamel image.
 
     The problems of the batch share one _Memory of all their modes, and
     each product is one stack of S matrix-vector products.  A problem stops
@@ -830,16 +859,16 @@ def spectral_march(
     and, in a batch of several, the problem (see Batch.label).
 
     The modes are T0's eigenpairs (stack), each problem's eigenvalues
-    shifted by its splitting shift s (see _shifts), and Q u = b u' + (c + s) u.
-    b / 2, (c + s) / 2 and the source are sampled at the step midpoints
-    one block of the memory's fetches at a time, each as its kind says (see
-    _Sampled and elliptic.Coefficient); without b, and with a constant or
-    absent c, Q is the constant c + s and is not sampled.  A problem whose
-    samples of b and c + s are all zero at a step, as for a constant
-    c <= -s without b, takes u_m directly, from P F.
+    shifted by its splitting shift s (see _shifts), and Q = T0 - A
+    (elliptic.DiscreteOperator.q_bands).  (Q + s) / 2, as bands under a
+    drift and else as its diagonal (c + s) / 2, and the source are sampled
+    at the step midpoints one block of the memory's fetches at a time, each
+    as its kind says (see _SampledQ, _Sampled and elliptic.Coefficient).  A
+    problem whose samples of (Q + s) / 2 are all zero at a step, as for a
+    constant c <= -s without b, takes u_m directly, from P F.
 
     nonlinearity(u_nodal, t, rows) -> nodal values is added to the step
-    forcing with the same endpoint-average state treatment as Q u: u_nodal
+    forcing with the same endpoint-average state treatment as (Q + s) u: u_nodal
     holds one row of nodal values for each problem still sweeping, rows
     their positions in the batch, and each row of the result is that
     problem's own term (a batch of one has no problem axis).  Under a
@@ -873,34 +902,29 @@ def spectral_march(
     a_coef = np.stack([e.project(v) for e, v in zip(stack.eigs, a)]).reshape(lead + (n_modes,))
     mids = 0.5 * t[:-1] + 0.5 * t[1:]
     coefs = {key: [p.coefficients[key] for p in problems] for key in ("b", "c", "source")}
-    half_b = src = None
+    src = None
+    # (Q + s) / 2: bands under a drift, else the diagonal (c + s) / 2
     if any(f.kind != ABSENT for f in coefs["b"]):
-        half_b = _Sampled(coefs["b"], xs, block, np.zeros(S))
-    half_c = _Sampled(coefs["c"], xs, block, shifts)
+        half_q = _SampledQ(coefs["b"], coefs["c"], xs, block, shifts, stack.ops)
+    else:
+        half_q = _Sampled(coefs["c"], xs, block, shifts)
     if any(f.kind != ABSENT for f in coefs["source"]):
         src = _Sampled(coefs["source"], xs, block)
-    sampled = [smp for smp in (half_b, half_c, src) if smp is not None and smp.sampled]
+    sampled = [smp for smp in (half_q, src) if smp is not None and smp.sampled]
     no_source = np.zeros(lead + (n_nodes,))
-    # one product gives the nodal values and, under a drift, their derivative
-    synth = np.stack([np.vstack([e.modes, op.derivative(e.modes.T).T]) if half_b is not None else e.modes
-                      for e, op in zip(stack.eigs, stack.ops)])
-    synth = synth.reshape(lead + synth.shape[1:])
+    synth = np.stack([e.modes for e in stack.eigs]).reshape(lead + (n_nodes, n_modes))
     proj = np.stack([(e.modes * e.weights[:, None]).T for e in stack.eigs]).reshape(lead + (n_modes, n_nodes))
     start = _extrapolation_weights((t - t[0]) ** batch.alpha)
 
     u_prev = a.reshape(lead + (n_nodes,))
-    # u' at the last node, under a drift
-    du = None
-    if half_b is not None:
-        du = np.stack([op.derivative(v) for op, v in zip(stack.ops, a)]).reshape(u_prev.shape)
-    # mode coefficients of the frozen step forcings (F + Qu [+ f(u)]); the
+    # mode coefficients of the frozen step forcings (F + (Q + s) u [+ f(u)]); the
     # memory reads them as one row of S x modes per window
     g_hist = np.zeros((N,) + lead + (n_modes,))
     g_rows = g_hist.reshape(N, -1)
     counts = np.zeros((N,) + lead, dtype=int)
-    # u (and u') on the nodes at node k in row k % 6, for the sweeps' start
-    uv_hist = np.zeros(lead + (6, synth.shape[-2]))
-    uv_hist[..., 0, :] = np.matvec(synth, a_coef)
+    # u on the nodes at node k in row k % 6, for the sweeps' start
+    u_hist = np.zeros(lead + (6, n_nodes))
+    u_hist[..., 0, :] = np.matvec(synth, a_coef)
 
     for m in range(1, N + 1):
         history, w_last = memory.advance(m, g_rows)
@@ -912,39 +936,28 @@ def spectral_march(
             for smp in sampled:
                 smp.block(mids[m - 1 : m - 1 + block])
         base = free[k] + history
-        # the part of the step forcing that u_{m-1} fixes: F + Q u_{m-1} / 2
+        # the part of the step forcing that u_{m-1} fixes: F + (Q + s) u_{m-1} / 2 (F under a drift)
         fixed = no_source if src is None else src.at(k)[0]
-        half_c_m, any_active = half_c.at(k)
-        half_b_m = None
-        if half_b is not None:
-            half_b_m, b_active = half_b.at(k)
-            any_active = any_active or b_active
+        half_q_m, any_active = half_q.at(k)
         # in a batch without a nonlinearity, which problems Q couples at this step
         active = None
         if S > 1 and any_active and nonlinearity is None:
-            active = half_c.nonzero[k]
-            if half_b is not None:
-                active = active | half_b.nonzero[k]
-        if any_active:
-            fixed = fixed + half_c_m * u_prev
-            if half_b_m is not None:
-                fixed += half_b_m * du
+            active = half_q.nonzero[k]
+        if any_active and half_q_m.ndim == u_prev.ndim:  # the diagonal; bands wait for the sweeps
+            fixed = fixed + half_q_m * u_prev
 
         if not (any_active or nonlinearity is not None):
             g = np.matvec(proj, fixed)
-            uv = np.matvec(synth, base + w_last * g)
-            u_prev = uv[..., :n_nodes]
+            u_prev = np.matvec(synth, base + w_last * g)
             if not np.isfinite(u_prev).all():
                 raise _non_finite_direct(batch, m, g, fixed, u_prev)
         else:
             if not any_active:  # nothing to sweep for Q
-                half_c_m = half_b_m = None
-            rows = (proj, synth, base, w_last, fixed, half_c_m, half_b_m, start[m] @ uv_hist,
-                    uv_hist[..., (m - 1) % 6, :], u_prev)
-            uv, u_prev, g = _sweeps(batch, m, rows, active, nonlinearity, counts, mids[m - 1])
-        uv_hist[..., m % 6, :] = uv
-        if half_b is not None:
-            du = uv[..., n_nodes:]
+                half_q_m = None
+            rows = (proj, synth, base, w_last, fixed, half_q_m, start[m] @ u_hist, u_hist[..., (m - 1) % 6, :],
+                    u_prev)
+            u_prev, g = _sweeps(batch, m, rows, active, nonlinearity, counts, mids[m - 1])
+        u_hist[..., m % 6, :] = u_prev
         u[m] = u_prev
         if state_guard is not None:
             state_guard(u_prev, m)
@@ -979,49 +992,47 @@ def _take(rows, live):
 def _sweeps(batch, m, rows, active, nonlinearity, counts, mid):
     """The Picard sweeps of node m (see spectral_march), on the rows of the
     march's arrays, one per problem: projector, synthesis, base, w_last,
-    fixed forcing, b / 2 and (c + s) / 2 (None where Q is not swept), u
-    and u' on the nodes at the start and at node m - 1, and u_{m-1}.  Each
-    sweep projects the fixed forcing and the swept one in one product.
-    Returns u and u' on the nodes, u alone and the forcing's mode
-    coefficients, and enters the sweep counts.  A problem leaves the sweeps
-    at the sweep where it converges, moving u_m by at most PICARD_TOL on
-    the nodes; where active marks some problems only,
-    the others take u_m directly from the projection of their fixed forcing.
+    fixed forcing, (Q + s) / 2 (None where Q is not swept; bands take
+    u_{m-1} + u_m, see spectral_march), u on the nodes at the start and at
+    node m - 1, and u_{m-1}.  Each sweep projects the fixed forcing and
+    the swept one in one product.  Returns u on the nodes and the forcing's
+    mode coefficients, and enters the sweep counts.  A problem leaves the
+    sweeps at the sweep where it converges, moving u_m by at most
+    PICARD_TOL on the nodes; where active marks some problems only, the
+    others take u_m directly from the projection of their fixed forcing.
     The problems still sweeping after PICARD_MAX sweeps start once more from
     u_{m-1}, and a stall is reported only when they reach PICARD_MAX sweeps
     again."""
-    S, n_nodes = len(batch.problems), rows[-1].shape[-1]
+    S = len(batch.problems)
     # the problems still sweeping (None: all of them), and the rows of the
     # others, once there are any
-    live = out_uv = out_g = None
+    live = out_u = out_g = None
     if active is not None and not active.all():
         proj, synth, base, w_last, fixed = rows[:5]
         out_g = np.matvec(proj, fixed)
-        out_uv = np.matvec(synth, base + w_last * out_g)
+        out_u = np.matvec(synth, base + w_last * out_g)
         idle = np.flatnonzero(~active)
-        if not np.isfinite(out_uv[idle, :n_nodes]).all():
-            raise _non_finite_direct(batch, m, out_g, fixed, out_uv[idle, :n_nodes], idle)
+        if not np.isfinite(out_u[idle]).all():
+            raise _non_finite_direct(batch, m, out_g, fixed, out_u[idle], idle)
         live = np.flatnonzero(active)
         rows = _take(rows, live)
-    proj, synth, base, w_last, fixed, half_c_m, half_b_m, uv, uv_prev, u_prev = rows
-    u_new = uv[..., :n_nodes]
+    proj, synth, base, w_last, fixed, half_q_m, u_new, u_restart, u_prev = rows
     for it in range(2 * PICARD_MAX):
         if it == PICARD_MAX:  # stalled from the extrapolated start
-            uv = uv_prev
-            u_new = uv[..., :n_nodes]
+            u_new = u_restart
         # the step forcing, fixed + swept
-        if half_c_m is None:
+        if half_q_m is None:
             forcing = fixed
-        else:
-            forcing = half_c_m * u_new
-            if half_b_m is not None:
-                forcing += half_b_m * uv[..., n_nodes:]
+        elif half_q_m.ndim == u_new.ndim:
+            forcing = half_q_m * u_new
+            forcing += fixed
+        else:  # bands: fixed holds F alone, and they take u_{m-1} and u_m at once
+            forcing = band_product(half_q_m, u_prev + u_new)
             forcing += fixed
         if nonlinearity is not None:
             forcing = forcing + nonlinearity(0.5 * (u_prev + u_new), mid, np.arange(S) if live is None else live)
         g = np.matvec(proj, forcing)
-        uv = np.matvec(synth, base + w_last * g)
-        u_next = uv[..., :n_nodes]
+        u_next = np.matvec(synth, base + w_last * g)
         change = np.abs(u_next - u_new)
         # one reduction per sweep: per problem in a batch, whose largest is the residual
         row_max = change.max(axis=-1)
@@ -1029,10 +1040,10 @@ def _sweeps(batch, m, rows, active, nonlinearity, counts, mid):
         if residual <= PICARD_TOL:
             if live is None:
                 counts[m - 1] = it + 1
-                return uv, u_next, g
+                return u_next, g
             counts[m - 1, live] = it + 1
-            out_uv[live], out_g[live] = uv, g
-            return out_uv, out_uv[:, :n_nodes], out_g
+            out_u[live], out_g[live] = u_next, g
+            return out_u, out_g
         if not math.isfinite(residual):
             raise _first_non_finite(batch, "step forcing", m, change, forcing, live)
         u_new = u_next
@@ -1043,13 +1054,13 @@ def _sweeps(batch, m, rows, active, nonlinearity, counts, mid):
             # the converged problems keep this iterate and leave the sweeps
             if live is None:
                 live = np.arange(S)
-                out_uv, out_g = np.empty_like(uv), np.empty_like(g)
+                out_u, out_g = np.empty_like(u_next), np.empty_like(g)
             counts[m - 1, live[done]] = it + 1
-            out_uv[live[done]], out_g[live[done]] = uv[done], g[done]
+            out_u[live[done]], out_g[live[done]] = u_next[done], g[done]
             keep = ~done
             live = live[keep]
-            proj, synth, base, w_last, fixed, half_c_m, half_b_m, uv, uv_prev, u_prev, u_new, row_max = _take(
-                (proj, synth, base, w_last, fixed, half_c_m, half_b_m, uv, uv_prev, u_prev, u_new, row_max), keep)
+            proj, synth, base, w_last, fixed, half_q_m, u_restart, u_prev, u_new, row_max = _take(
+                (proj, synth, base, w_last, fixed, half_q_m, u_restart, u_prev, u_new, row_max), keep)
     # the first problem still sweeping
     residual = float(np.atleast_1d(row_max)[0])
     raise SolverError(
@@ -1076,7 +1087,7 @@ def solve_linear_spectral(
 ) -> Field:
     """March the fixed-point representation; eig, T0's eigendecomposition,
     is computed where it is not given.  With no drift and a constant
-    c <= -_shift_floor Q is 0, and the result is the eigen-expansion
+    c <= -_shift_floor Q + s is 0, and the result is the eigen-expansion
     of A = T0 - c without iteration."""
     return _march_fields(Batch((p,)), [eig])[0]
 
@@ -1139,7 +1150,7 @@ class _L1Steps:
 def _singular(op, t, w, m):
     """SolverError for an implicit step whose w I + A(t) has a zero pivot,
     with the step's shift w against the largest diagonal entry of A."""
-    diag = float(np.max(np.abs(op.bands(t)[2])))
+    diag = float(np.max(np.abs(op.bands(t)[1])))
     why = (f"its shift w = {w:.3g} is below the rounding of A's largest diagonal entry {diag:.3g}"
            if w <= np.finfo(float).eps * diag else
            f"shift w = {w:.3g}, A's largest diagonal entry {diag:.3g}")

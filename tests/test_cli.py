@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import os
-import random
 import re
 import subprocess
 import sys
@@ -18,9 +17,11 @@ from hypothesis import strategies as st
 
 from fraccomp import special_ml, suites
 from fraccomp.cli import main
-from fraccomp.elliptic import EllipticSpec, Grid1D
+from fraccomp.elliptic import EllipticSpec, Grid1D, assemble
 from fraccomp.evolve_linear import PICARD_MAX, ProblemSpec, _sweeps
 from fraccomp.fracops import TimeGrid
+from references import HARD_GRID, hard_configs, seed5_codes, seed5_runs
+from references import load as load_references
 
 
 def run_cli(args):
@@ -401,28 +402,13 @@ class TestSemilinearFuzz:
     spectral route: each run ends with exit 0 or with one solver-failure
     line and exit 3, with no warning and no traceback."""
 
-    GRID = {
-        "alpha": ("0.05", "0.3", "0.5", "0.9", "0.99"),
-        "T": ("1e-6", "0.01", "1", "10", "1e6"),
-        "a": ("1", "1+x^2", "1e-6", "1e6", "2+sin(t)"),
-        "b": ("none", "0.3", "5", "-30"),
-        "c": ("none", "-1", "60", "-60", "sin(t)"),
-        "spare": ("0", "0.5", "1", "100"),  # drawn and dropped, so that seed 11 gives the pinned configs
-        "sigma": ("0", "1", "100"),
-        "n_space": ("3", "8", "16"),
-        "n_time": ("2", "8", "32"),
-        "semilinear": ("enzyme", "burgers"),
-    }
+    GRID = {**HARD_GRID, "semilinear": ("enzyme", "burgers")}
     CODES = [3, 3, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 3, 3, 0, 3, 0, 0, 3, 0, 3, 3, 0, 0, 0, 3]
 
     def test_exit_0_or_3_without_warnings(self, tmp_path):
-        rng = random.Random(11)
         codes = []
-        for _ in range(30):
-            cfg = {key: rng.choice(values) for key, values in self.GRID.items()}
-            del cfg["spare"]
-            sigma = cfg.pop("sigma")
-            cfg.update(sigma_lo=sigma, sigma_hi=sigma, initial="0.5", source="1")
+        for cfg in hard_configs(11, 30, self.GRID):
+            cfg.update(initial="0.5", source="1")
             err = io.StringIO()
             with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
                     contextlib.redirect_stdout(io.StringIO()):
@@ -438,6 +424,39 @@ class TestSemilinearFuzz:
         # 28 (c = -60) exit 0 because the shift 60 cancels c; config 22
         # (b = -30, no c) stalls at node 9: the shift ignores the drift
         assert codes == self.CODES
+
+
+class TestSeedFiveList:
+    """The seed-5 list of hard configs (references.seed5_configs), built by
+    cli.build_problem and solved on both routes."""
+
+    # L1 fields that go below -1e-12 sup|u| from nonnegative data.  All but
+    # two have c = 60, whose growth breaks the L1 step's comparison
+    # condition (w_m above max c less A0's principal eigenvalue); #46 and
+    # #89 (c = sin t, T = 1e6) break it as well
+    L1_SIGN_BREAKS = {12, 14, 20, 21, 31, 39, 46, 52, 79, 83, 89, 91, 98, 99, 100, 103, 110, 111, 123, 129,
+                      140, 145}
+
+    def test_exit_codes_monotone_bands_and_signs(self):
+        runs = seed5_runs()
+        # both routes' exit codes, as references.json pins them
+        assert seed5_codes(runs) == load_references()["seed5"]
+        negative = {"spectral": set(), "l1": set()}
+        drifts = 0
+        for i, (p, *routes) in enumerate(runs):
+            for route, (_, field) in zip(negative, routes):
+                if field is not None and field.values.min() < -1e-12 * np.max(np.abs(field.values)):
+                    negative[route].add(i)
+            if p is not None and p.elliptic.coefficients["b"].kind != "absent":
+                # the fitted drift: no positive off-diagonal entry at any time node
+                ab = assemble(p.elliptic, p.grid).bands(p.tgrid.nodes)
+                assert ab[:, 0, 1:].max() <= 0.0 and ab[:, 2, :-1].max() <= 0.0, i
+                drifts += 1
+        assert drifts == 111
+        # the paper's positivity: u >= 0 from nonnegative data, on every
+        # spectral field and on every L1 field that keeps the step condition
+        assert negative["spectral"] == set()
+        assert negative["l1"] <= self.L1_SIGN_BREAKS
 
 
 class TestStallRestart:

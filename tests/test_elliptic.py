@@ -13,6 +13,7 @@ from fraccomp.elliptic import (
     EllipticSpec,
     Grid1D,
     assemble,
+    band_product,
     banded_lu,
     banded_lu_solve,
     eigendecompose,
@@ -44,7 +45,7 @@ class TestAssemble:
     def test_neumann_row_sums_zero(self):
         g = Grid1D(0.0, 1.0, 3)
         op = assemble(EllipticSpec(a=1.0), g)
-        assert np.allclose(op.apply_sym(np.ones(g.n_nodes)), 0.0, atol=1e-13)
+        assert np.allclose(op.apply_full(np.ones(g.n_nodes)), 0.0, atol=1e-13)
 
     def test_constant_preserved_with_shift(self):
         # c = -1: A = T0 + 1 maps the constant 1 to itself
@@ -74,7 +75,7 @@ class TestAssemble:
         rng = np.random.default_rng(0)
         for _ in range(5):
             v = rng.normal(size=5)
-            assert np.allclose(op.apply_sym(v), (T @ v) / w, atol=1e-12)
+            assert np.allclose(op.apply_full(v), (T @ v) / w, atol=1e-12)
 
     def test_symmetry_exact(self):
         g = Grid1D(-1.0, 2.0, 40)
@@ -85,7 +86,7 @@ class TestAssemble:
         for i in range(m):
             e = np.zeros(m)
             e[i] = 1.0
-            M[:, i] = op.volumes * op.apply_sym(e)
+            M[:, i] = op.volumes * op.apply_full(e)
         assert np.array_equal(M, M.T)
 
     def test_rejects_nonelliptic(self):
@@ -150,6 +151,42 @@ def test_banded_operator(drift, sigma, n):
         assert np.max(np.abs(res)) <= 1e-13 * (shift + norm) * np.max(np.abs(sol))
 
 
+class TestFittedRows:
+    """The rows of A = T0 - Q with the exponentially fitted drift
+    (elliptic.fitted_drift), over the whole range of a, b and the grid."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(1e-6, 1e6), b=st.one_of(st.just(0.0), st.floats(1e-12, 1e2)),
+           sign=st.sampled_from((-1.0, 1.0)), n=st.integers(3, 130),
+           sigma_lo=st.floats(0.0, 1e3), sigma_hi=st.floats(0.0, 1e3))
+    def test_monotone_rows_with_the_constants_in_the_kernel(self, a, b, sign, n, sigma_lo, sigma_hi):
+        g = Grid1D(0.0, 1.0, n)
+        op = assemble(EllipticSpec(a=a, b=sign * b, sigma_lo=sigma_lo, sigma_hi=sigma_hi), g)
+        ab = op.bands()
+        # no off-diagonal entry is positive, at any Peclet number
+        assert ab[0, 1:].max() <= 0.0 and ab[2, :-1].max() <= 0.0
+        # interior rows sum to 0, the end rows to sigma / vol, to the
+        # rounding of T0 - Q
+        sums = band_product(ab, np.ones(g.n_nodes))
+        sums[[0, -1]] -= np.array([sigma_lo, sigma_hi]) / g.volumes[[0, -1]]
+        scale = band_product(np.abs(op.t0_bands) + np.abs(op.q_bands()), np.ones(g.n_nodes))
+        assert np.all(np.abs(sums) <= 16.0 * np.finfo(float).eps * scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.floats(1e-6, 1e6), c=st.floats(-1e3, 1e3), shift=st.floats(0.0, 1e3),
+           n=st.integers(3, 130), sigma=st.floats(0.0, 1e3))
+    def test_rows_without_drift_are_the_flux_rows(self, a, c, shift, n, sigma):
+        # T0's flux rows over the volumes, less c, plus the shift, to the bit
+        g = Grid1D(0.0, 1.0, n)
+        op = assemble(EllipticSpec(a=lambda x: a * (1.0 + 0.5 * np.sin(x)), c=c, sigma_lo=sigma), g)
+        ref = np.zeros((3, g.n_nodes))
+        ref[0, 1:] = op.flux_off / op.volumes[:-1]
+        ref[1] = op.flux_diag / op.volumes - c
+        ref[1] += shift
+        ref[2, :-1] = op.flux_off / op.volumes[1:]
+        assert np.array_equal(op.bands(0.5, shift), ref)
+
+
 def test_operators_act_along_the_last_axis():
     # an array of fields, one row per time of a column of times, gives the
     # bits of one field at a time, also where b and c broadcast in t
@@ -161,16 +198,24 @@ def test_operators_act_along_the_last_axis():
     op = assemble(p.elliptic, g)
     t = p.tgrid.nodes[1:]
     v = np.random.default_rng(3).normal(size=(t.size, g.n_nodes))
-    rows = [(op.apply_sym(v[k]), op.derivative(v[k]), op.apply_full(v[k], t[k]), op.robin_residual(v[k]))
-            for k in range(t.size)]
-    for whole, one in zip((op.apply_sym(v), op.derivative(v), op.apply_full(v, t)), zip(*rows)):
+    rows = [(op.derivative(v[k]), op.apply_full(v[k], t[k]), op.robin_residual(v[k])) for k in range(t.size)]
+    for whole, one in zip((op.derivative(v), op.apply_full(v, t)), zip(*rows)):
         assert np.array_equal(whole, np.array(one))
-    assert np.array_equal(np.array(op.robin_residual(v)).T, np.array([r[3] for r in rows]))
+    assert np.array_equal(np.array(op.robin_residual(v)).T, np.array([r[2] for r in rows]))
+
+
+def solve_pentadiagonal(ab, rhs):
+    """scipy.linalg.solve_banded((2, 2), ...) of the (1, 1) bands ab with
+    zero bands at offsets +-2: its dgbsv.  On (1, 1) bands solve_banded
+    calls dgtsv, whose bits differ (see elliptic.banded_lu)."""
+    return solve_banded((2, 2), np.pad(ab, ((1, 1), (0, 0))), rhs)
 
 
 class TestBandedSolve:
-    """banded_lu and banded_lu_solve call LAPACK gbtrf and gbtrs directly:
-    the same bits as scipy.linalg.solve_banded((2, 2), ...)."""
+    """banded_lu and banded_lu_solve call LAPACK gbtrf and gbtrs directly on
+    (1, 1) bands: the same bits as scipy.linalg.solve_banded's dgbsv of the
+    bands with zero bands at offsets +-2, so that the L1 steps without a
+    drift solve as the pentadiagonal steps before did."""
 
     @pytest.mark.parametrize("n", [3, 33, 129])
     def test_operator_bands_match_solve_banded(self, n):
@@ -181,16 +226,17 @@ class TestBandedSolve:
         rhs = np.random.default_rng(n).normal(size=g.n_nodes)
         for t, shift in ((0.0, 0.0), (0.4, 3.7), (1.0, 250.0)):
             ab = op.bands(t, shift)
-            assert np.array_equal(banded_lu_solve(banded_lu(ab), rhs), solve_banded((2, 2), ab, rhs))
+            assert np.array_equal(banded_lu_solve(banded_lu(ab), rhs), solve_pentadiagonal(ab, rhs))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_dominant_pentadiagonal(self, seed):
+        # dominant (1, 1) bands, against the pentadiagonal solve
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 200))
-        ab = rng.normal(size=(5, m))
-        ab[2] = np.sum(np.abs(ab), axis=0) + rng.uniform(0.1, 1.0, m)
+        ab = rng.normal(size=(3, m))
+        ab[1] = np.sum(np.abs(ab), axis=0) + rng.uniform(0.1, 1.0, m)
         rhs = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3)
-        assert np.array_equal(banded_lu_solve(banded_lu(ab), rhs), solve_banded((2, 2), ab, rhs))
+        assert np.array_equal(banded_lu_solve(banded_lu(ab), rhs), solve_pentadiagonal(ab, rhs))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_factors_reused_for_many_right_hand_sides(self, seed):
@@ -198,18 +244,18 @@ class TestBandedSolve:
         # bits of a solve_banded of each
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 200))
-        ab = rng.normal(size=(5, m))
-        ab[2] += rng.choice([-1.0, 1.0], m) * rng.uniform(0.0, 2.0, m)
+        ab = rng.normal(size=(3, m))
+        ab[1] += rng.choice([-1.0, 1.0], m) * rng.uniform(0.0, 2.0, m)
         factors = banded_lu(ab)
         assert factors[2] == 0
         for _ in range(5):
             rhs = rng.normal(size=m)
-            assert np.array_equal(banded_lu_solve(factors, rhs), solve_banded((2, 2), ab, rhs))
+            assert np.array_equal(banded_lu_solve(factors, rhs), solve_pentadiagonal(ab, rhs))
 
     def test_singular_factors_report_the_zero_pivot(self):
-        ab = np.zeros((5, 6))
-        ab[2] = 1.0
-        ab[2, 3] = 0.0
+        ab = np.zeros((3, 6))
+        ab[1] = 1.0
+        ab[1, 3] = 0.0
         assert banded_lu(ab)[2] == 4  # LAPACK's 1-based index of the zero pivot
 
 
@@ -360,9 +406,13 @@ class TestStationary:
         b0 = 2.0
         op = assemble(EllipticSpec(a=1.0, b=0.3, sigma_lo=1.0, sigma_hi=1.0, c=-b0), g)
         psi = solve_a1(op, np.ones(g.n_nodes), boundary_rhs=(1.0, 1.0))
-        interior = op.apply_sym(psi) - 0.3 * op.derivative(psi) + b0 * psi
+        # the fitted drift by hand: face Peclet number P = b h / a, and
+        # B(z) = z / (e^z - 1) weighing the difference to each neighbour
+        h, bern = g.h, lambda z: z / math.expm1(z)
+        p = 0.3 * h
+        interior = (bern(-p) * (psi[1:-1] - psi[2:]) + bern(p) * (psi[1:-1] - psi[:-2])) / h ** 2 + b0 * psi[1:-1]
         # interior residual (away from the boundary closure rows)
-        assert np.max(np.abs(interior[1:-1] - 1.0)) < 1e-9
+        assert np.max(np.abs(interior - 1.0)) < 1e-9
         lo, hi = op.robin_residual(psi)
         assert lo == pytest.approx(1.0, abs=5e-3)
         assert hi == pytest.approx(1.0, abs=5e-3)

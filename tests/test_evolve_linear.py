@@ -10,7 +10,6 @@ from scipy.special import gamma
 import fraccomp.evolve_linear as evolve_linear
 from fraccomp.elliptic import (
     Coefficient,
-    DiscreteOperator,
     EllipticSpec,
     Grid1D,
     NonFiniteError,
@@ -792,9 +791,11 @@ class TestBlockSampledForcing:
         assert "broadcasts" in kinds and set(kinds) <= {"broadcasts", "x-only"}
 
     def test_constant_q_is_not_sampled(self, monkeypatch):
-        # without b and with a constant c, Q is the constant c + s: q_parts
-        # is never called, and with c = -1, Q = 0 and a step takes u_m directly
-        monkeypatch.setattr(DiscreteOperator, "q_parts", lambda self, t: pytest.fail("sampled"))
+        # without b and with a constant c, Q is the constant c + s: the
+        # sampler of Q's bands and the fitted drift are never called, and
+        # with c = -1, Q = 0 and a step takes u_m directly
+        monkeypatch.setattr(evolve_linear, "_SampledQ", lambda *args: pytest.fail("sampled"))
+        monkeypatch.setattr(evolve_linear, "fitted_drift", lambda *args: pytest.fail("sampled"))
         grid, tg, spec = make_problem(alpha=0.5, N=40, c=-1.0)
         p = ProblemSpec(0.5, spec, grid, tg, 1.0, source=lambda x, t: np.ones_like(x) * (1.0 + t))
         _, counts = march_one(p)
