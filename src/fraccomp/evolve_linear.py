@@ -46,7 +46,7 @@ The spectral route carries it compressed, as one running sum per mode and
 exponential (see _Memory).  Per mode only a live band of the exponentials is
 advanced: the fastest have decayed and are dropped, the slowest share K
 Taylor moments.  A step costs O(modes x band), with a band of 17-43 of the
-rule's 214-339 terms at alpha = 0.3-0.95 on the acceptance grids; the
+rule's 1591-1716 terms at alpha = 0.3-0.95 on the acceptance grids; the
 relaxation values and masses the step needs are fetched a block of
 max(_RELAX_BLOCK, _FETCH_POINTS // modes) nodes at a time, so that a
 batch of few modes fetches few, long blocks.
@@ -264,12 +264,13 @@ def _rule(alpha):
 
 
 def _shift_floor(alpha, t):
-    """The least eigenvalue that has left both exact-mass paths of _Memory
-    by node 4 of the time nodes t (or by the last): lam (t_4 - t_0)^alpha is
-    twice _SMALL, and the young-window edge sigma_lo / lam^(1/alpha) of the
-    rule is t_4 - t_3, the age of window 2 at node 4; at most _FLOOR_MAX."""
+    """The least eigenvalue that leaves _Memory's small-mode path by node 4
+    of the time nodes t (or by the last), lam (t_4 - t_0)^alpha twice
+    _SMALL, and whose rule edge sigma_lo / lam^(1/alpha) is at most the
+    grid's smallest step, the least age of a window at the node after its
+    end; at most _FLOOR_MAX."""
     k = min(4, t.size - 1)
-    floor = max(2.0 * _SMALL / (t[k] - t[0]) ** alpha, (_rule(alpha).sigma_lo / (t[k] - t[k - 1])) ** alpha)
+    floor = max(2.0 * _SMALL / (t[k] - t[0]) ** alpha, (_rule(alpha).sigma_lo / float(np.min(np.diff(t)))) ** alpha)
     return min(floor, _FLOOR_MAX)
 
 
@@ -322,27 +323,31 @@ class _Memory:
     mode i holding term base_i + c; the width grows with the band and the
     rows shift only when the lower edge passes a node of the rule.
 
-    Exact masses remain for
+    One fold rule: at every node m >= 2, window m - 2, which the last step
+    left behind, folds into the sums and the moments of every row.  The
+    rule holds for sigma >= sigma_lo, and the shift floor (_shift_floor)
+    makes sigma_lo / lam^(1/alpha) at most the grid's smallest step, so that
+    the window is old enough for it.  The moments sit above the forcing of
+    window m - 2 in one (K + 1) x modes array, and one product with the
+    node's K x (K + 1) matrix folds the window in and moves them to tau_m.
+
+    Exact masses, formed as in _kernel_masses to rounding for every
+    lam >= 0, remain for
     * the current window, whose mass the Picard sweeps need;
-    * windows younger than sigma_lo / lam^(1/alpha), below the rule's range;
-      they join the sums when they are old enough;
-    * modes with lam t_m^alpha <= _SMALL (small modes), which fold nothing.
-    Each is formed as in _kernel_masses, to rounding for every lam >= 0.
+    * modes with lam t_m^alpha <= _SMALL (small modes; the floor keeps them
+      to the nodes before 4): the history is divided by lam, so a small
+      mode needs the kernel to relative accuracy, which the rule's absolute
+      _SOE_TOL is not.  A small mode folds its windows like every other
+      row, and its history is replaced by the exact masses over all its
+      windows, so that a mode that stops being small needs no catch-up.
     E(-lam t_m^alpha) and the current window's masses are fetched for a
     block of nodes (block, at least _RELAX_BLOCK) by one relaxation_batch
     and one relaxation_deficit call per _FETCH_POINTS // block modes of the
-    batch, together with the block's fold schedule and,
-    per node, the flags the fold reads: whether every row folds window
-    m - 2 and whether an older window is due.
-    At every node m >= 2, window m - 2, which the last step left behind,
-    folds in place on the rows whose schedule reaches it.  Windows older
-    than that which came of age at node m fold first, window by window, in
-    _fold; on the acceptance specs and the verify suites none ever do.  The
-    moments sit above the forcing of window m - 2 in one (K + 1) x modes
-    array, and one product with the node's K x (K + 1) matrix, fetched with
-    the block, folds the window in and moves them to tau_m.  Every choice
-    at node m depends on t[0..m], lam and alpha only, so a march on a
-    restricted grid reproduces the longer march exactly.
+    batch, together with the moments' matrices and the small rows of each
+    node.  Every choice at node m depends on t[0..m], lam and alpha only,
+    and lam on the grid's smallest step (the shift floor), so a march on a
+    restricted grid that keeps that step, as graded grids do, reproduces
+    the longer march exactly.
 
     A batch of problems (see spectral_march) passes the eigenvalues of all
     of them, problem by problem.  Each row is still one mode, but the band
@@ -369,9 +374,8 @@ class _Memory:
         # what the history is divided by, through the weights and ln_a
         self.lam_div = np.where(self.lam > 0.0, self.lam, 1.0)
         with np.errstate(divide="ignore", over="ignore"):
-            # lam <= 0 gets rate 0 and tau inf; such modes stay small
+            # lam <= 0 gets rate 0; such modes stay small
             self.ln_root = np.log(np.maximum(self.lam, 0.0)) / alpha  # ln lam^(1/alpha)
-            self.tau = soe.sigma_lo * np.exp(-self.ln_root)
             # ln (sum_{j < base} w_j r_j^p) / (p! lam), p = 1..K
             self.ln_a = _ORDERS * self.ln_root + self.ln_c[:, n_terms, None] - np.log(self.lam_div)
         modes = self.lam.size
@@ -388,29 +392,23 @@ class _Memory:
         self.mom_g, self.next_g = np.zeros((2, _MOMENTS + 1, modes))
         self.mom, self.next_mom = self.mom_g[:-1], self.next_g[:-1]
         self.frozen_work = np.empty((_MOMENTS, modes))
-        self.folded = np.zeros(modes, dtype=int)  # windows k < folded are in sums
         # the nodes of a block: at least _RELAX_BLOCK, more where the batch
         # has few modes, and at most the march
         self.block = min(max(_RELAX_BLOCK, _FETCH_POINTS // modes), t.size - 1)
         # what _fetch writes per block: the relaxation values and masses,
-        # the fold schedule and its rows at window k - 2, one row per node
-        block = (self.block, modes)
-        self.block_bufs = (np.empty(block), np.empty(block), np.empty(block, dtype=np.int32),
-                           np.empty(block, dtype=bool))
+        # one row per node
+        self.block_bufs = (np.empty((self.block, modes)), np.empty((self.block, modes)))
         self.block_start = self.block_stop = 1
         self._edges()
 
     def _fetch(self, m):
         """Relaxation values and current-window masses of the nodes
-        m .. m + block - 1, and the moments' fold weights and transfer
-        matrices of those nodes."""
+        m .. m + block - 1, the moments' fold weights and transfer matrices
+        of those nodes, and their small rows."""
         t, lam, alpha = self.t, self.lam, self.alpha
         stop = min(m + self.block, t.size)
         B = stop - m
-        # the block's arrays are rewritten in place; the windows folded so
-        # far, a row of the last block's schedule, outlive it
-        self.folded = self.folded.copy()
-        relax, w_cur, fold, fold_last = (buf[:B] for buf in self.block_bufs)
+        relax, w_cur = (buf[:B] for buf in self.block_bufs)
         # scalar powers, as the closed form of S(t) a takes them: numpy's
         # vectorised power can differ from them in the last bit
         t_pow = np.array([(t[k] - t[0]) ** alpha for k in range(m, stop)])
@@ -429,21 +427,10 @@ class _Memory:
             relax[:, i : i + cols] = e[:B]
             w_cur[:, i : i + cols] = relaxation_deficit(alpha, x[B:], e[B:])
         w_cur *= dt_pow[:, None]
-        # the fold schedule: at node k, windows j with age t_k - t_{j+1} >= tau
-        # fold into the sums, up to window k - 2; small rows fold nothing.
-        # A mode with tau below half the block's shortest step reaches window
-        # k - 2 at every node k; only the others are searched
-        k = np.arange(m, stop)[:, None]
-        fold[:] = k - 1
-        slow = np.flatnonzero(self.tau >= 0.5 * np.min(t[m:stop] - t[m - 1 : stop - 1]))
-        if slow.size:
-            fold[:, slow] = np.minimum(
-                np.searchsorted(t[1:], t[m:stop, None] - self.tau[slow], side="right"), k - 1)
-        # lam t^alpha grows with t, so a row small at some node of the block
-        # is small at its first
+        # the small rows of each node; lam t^alpha grows with t, so a row
+        # small at some node of the block is small at its first
         small = np.flatnonzero(lam * t_pow[0] <= _SMALL)
-        if small.size:
-            fold[:, small] *= lam[small] * t_pow[:, None] > _SMALL
+        self.small = [small[lam[small] * p <= _SMALL] for p in t_pow] if small.size else [small] * B
         self.block_start, self.block_stop = m, stop
         # per node, ln r of the band's edges, ln(_BAND_LO / tau_k) and
         # ln(_BAND_HI / dt_k), as differences of logs (_BAND_LO / tau_k
@@ -472,14 +459,6 @@ class _Memory:
         if self.shape is not None:
             relax, w_cur = relax.reshape((-1,) + self.shape), w_cur.reshape((-1,) + self.shape)
         self.relax, self.w_cur = relax, w_cur
-        # the rows that fold window k - 2 at node k; the others (fold < k - 1)
-        # are small or have young windows left over
-        self.fold, self.fold_last = fold, np.equal(fold, k - 1, out=fold_last)
-        self.fold_all = self.fold_last.all(axis=1).tolist()
-        # the catch-up is due at node k >= 2 where a window older than k - 2
-        # came of age: min(fold, k - 2) passes what node k - 1 folded
-        late = np.minimum(fold, k - 2, out=fold.copy())
-        self.late_due = [bool((late[0] > self.folded).any())] + (late[1:] > fold[:-1]).any(axis=1).tolist()
 
     def _band(self):
         """Rebuild the rates and weights of every row's band columns from its
@@ -559,23 +538,6 @@ class _Memory:
         self.ln_a[:, rows] = _ORDERS * self.ln_root[rows] + self.ln_c[:, base] - np.log(self.lam_div[rows])
         self._edges()
 
-    def _fold(self, m, g_hist, late):
-        """Fold the windows folded <= k < late, older than m - 2, that came
-        of age at node m into the sums at t_{m-1} and into the moments at
-        s' = tau_{m-1}, window by window."""
-        t = self.t
-        s = t[m - 1] - t[0]
-        for k in range(int(self.folded[late > self.folded].min()), int(late.max())):
-            sel = (self.folded <= k) & (k < late)
-            r = self.rates[sel]
-            with np.errstate(over="ignore", invalid="ignore"):  # rates past the rule may be inf
-                w = np.exp(-r * (t[m - 1] - t[k + 1])) * -np.expm1(-r * (t[k + 1] - t[k]))
-            self.sums[sel] += w * g_hist[k, sel, None]
-            # (1 - tau_k / s')^q - (1 - tau_{k+1} / s')^q
-            ages = np.cumprod(np.repeat([[(t[m - 1] - t[k]) / s], [(t[m - 1] - t[k + 1]) / s]],
-                                        _MOMENTS, axis=1), axis=1)
-            self.mom += (ages[0] - ages[1])[:, None] * (g_hist[k] * sel)
-
     def _frozen(self, ln_s):
         """sum_{j < base} (w_j / lam) S_j per mode at the node whose p ln tau
         is ln_s: sum_p (-1)^(p+1) (sum_{j < base} w_j r_j^p) tau^p / (p! lam)
@@ -591,11 +553,9 @@ class _Memory:
         block's nodes is in relax after the fetch, which advance does not
         read.  g_hist[k] holds the mode coefficients of the forcing on
         window k, flat (k <= m - 2 are read)."""
-        t, lam, alpha = self.t, self.lam, self.alpha
         if m >= self.block_stop:
             self._fetch(m)
         b = m - self.block_start
-        fold_to = self.fold[b]
 
         # the live band [lo, hi) of each mode at node m.  When the lower edge
         # of a row passes its first column, every row whose edge is within
@@ -617,17 +577,10 @@ class _Memory:
         # nothing below overflows: a rate past the rule may be inf, which
         # expm1 takes to -1, and the moments are scaled by the age tau_m
         if m >= 2:
-            if self.late_due[b]:
-                self._fold(m, g_hist, np.minimum(fold_to, m - 2))
-            # window m - 2, the one the last step left behind, in place
-            g_k = self.mom_g[-1]
-            if self.fold_all[b]:
-                g_k[:] = g_hist[m - 2]
-            else:
-                np.multiply(g_hist[m - 2], self.fold_last[b], out=g_k)
+            # window m - 2, the one the last step left behind, on every row;
             # the last step's decay is read here for the last time
-            self.sums -= np.multiply(self.decay_m1, g_k[:, None], out=self.decay_m1)
-        self.folded = fold_to
+            self.mom_g[-1] = g_hist[m - 2]
+            self.sums -= np.multiply(self.decay_m1, self.mom_g[-1, :, None], out=self.decay_m1)
         if len(moved):
             # a thaw reads the moments at tau_{m-1}, window m - 2 folded in
             self._shift(m, moved, base[moved], self.mom + self.mom_w[b] * self.mom_g[-1])
@@ -639,15 +592,12 @@ class _Memory:
         np.expm1(decay_m1, out=decay_m1)
         self.sums *= decay_m1 + 1.0
 
-        # small modes have folded nothing, so their sums and moments are 0
         history = np.vecdot(self.sums, self.weight) + self._frozen(self.ln_s[b])
-        # small modes, and young windows fold_to <= k <= m - 2 of the others
-        if not self.fold_all[b]:
-            rest = ~self.fold_last[b]
-            q = int(fold_to[rest].min())
-            masses = _kernel_masses(alpha, lam[rest], (t[m] - t[q:m]) ** alpha)
-            young = np.arange(q, m - 1)[None, :] >= fold_to[rest, None]
-            history[rest] += (masses * young * g_hist[q : m - 1, rest].T).sum(axis=1)
+        # small modes take the exact masses of all their windows in place of the sums
+        small = self.small[b]
+        if small.size:
+            masses = _kernel_masses(self.alpha, self.lam[small], (self.t[m] - self.t[:m]) ** self.alpha)
+            history[small] = (masses * g_hist[: m - 1, small].T).sum(axis=1)
         if self.shape is not None:
             history = history.reshape(self.shape)
         return history, self.w_cur[b]

@@ -646,12 +646,13 @@ class TestReferenceNodes:
 
 
 class TestExponentialSum:
-    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.95, 0.999999])
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.95, 0.999999])
     def test_rule_accuracy(self, alpha):
         rule = relaxation_exponentials(alpha)
         assert np.all(rule.weight > 0.0)
         sigma = np.geomspace(rule.sigma_lo, 1e18, 1500)
-        got = np.exp(-sigma[:, None] * np.exp(rule.log_rho)[None, :]) @ rule.weight
+        with np.errstate(over="ignore"):  # the rates reach 6e301: sigma rho is inf, exp(-inf) = 0
+            got = np.exp(-sigma[:, None] * np.exp(rule.log_rho)[None, :]) @ rule.weight
         assert np.max(np.abs(got - relaxation_batch(alpha, sigma ** alpha))) < 1e-10
 
     def test_rejects_alpha_outside_open_interval(self):
