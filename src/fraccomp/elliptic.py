@@ -370,7 +370,9 @@ def eigendecompose(op: DiscreteOperator) -> EigenDecomposition:
     splitting).  They come from one call of LAPACK's divide-and-conquer
     solver for symmetric tridiagonal matrices (stevd), O(n^2) for all of
     them; the driver is named, so that a change of scipy's default cannot
-    move the results."""
+    move the results.  T0 is positive semidefinite (a > 0, sigma >= 0), so
+    an eigenvalue below 0 is rounding (-1.1e-13 for the Neumann ground mode
+    at a = 1, n = 24) and is taken as 0."""
     w = op.volumes
     sw = np.sqrt(w)
     d = op.flux_diag / w
@@ -379,6 +381,7 @@ def eigendecompose(op: DiscreteOperator) -> EigenDecomposition:
         lam, psi = eigh_tridiagonal(d, e, lapack_driver="stevd")
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise RuntimeError("tridiagonal eigensolver failed") from exc
+    np.maximum(lam, 0.0, out=lam)
     modes = psi / sw[:, None]
     # deterministic signs: positive weighted mean, falling back to the largest
     # entry (the first of equal ones) where the mean is zero to rounding

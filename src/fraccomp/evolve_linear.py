@@ -43,11 +43,13 @@ evolve_semilinear.solve_semilinear_many groups the same way).
 
 Both keep the entire memory: there is no semigroup restart in fractional time.
 The spectral route carries it compressed, as one running sum per mode and
-exponential (see _Memory).  Per mode only a live band of the exponentials is
-advanced: the fastest have decayed and are dropped, the slowest share K
-Taylor moments.  A step costs O(modes x band), with a band of 17-43 of the
-rule's 1591-1716 terms at alpha = 0.3-0.95 on the acceptance grids; the
-relaxation values and masses the step needs are fetched a block of
+exponential, for every mode alike (see _Memory): the shift keeps every
+eigenvalue at or above a floor above 0 (see _shift_floor).  Per mode only
+a live band of the exponentials is advanced: the fastest have decayed and
+are dropped, the slowest share K Taylor moments.  A step costs
+O(modes x band), with a band of 17-43 of the rule's 1591-1716 terms at
+alpha = 0.3-0.95 on the acceptance grids; the relaxation values and
+masses the step needs are fetched a block of
 max(_RELAX_BLOCK, _FETCH_POINTS // modes) nodes at a time, so that a
 batch of few modes fetches few, long blocks.
 The L1 route sums every past step exactly.  Its steps come
@@ -108,7 +110,7 @@ _RELAX_BLOCK = 32  # fewest time nodes whose relaxation values the march fetches
 # and two calls for a verify ensemble of 462 modes, and the whole march for
 # a single verify solve; the calls' temporaries grow with their input
 _FETCH_POINTS = 8192
-_SMALL = 1e-8  # lam t^alpha at most this: a small mode, whose masses are exact (see _Memory)
+_SMALL = 1e-8  # half the least lam (t_4 - t_0)^alpha of the shift floor (see _shift_floor)
 # the largest shift floor (see _shift_floor): the floor times a field of
 # moderate size stays far inside the float range, where a horizon near the
 # least float would ask for more than the largest float
@@ -207,20 +209,6 @@ class Field:
         return Field(self.grid, sub, self.values[: k_last + 1].copy())
 
 
-def _kernel_masses(alpha, lambdas, dt_pow):
-    """Per-mode integrals of the Duhamel kernel over consecutive windows.
-
-    dt_pow holds (t_eval - t_j)^alpha for the window nodes t_j (descending in
-    value); returns the matrix of int_{t_k}^{t_{k+1}} K ds >= 0, one row per
-    mode, as differences of s phi(lam s) over s = dt_pow (see
-    special_ml.relaxation_deficit), to rounding for every lam >= 0; a
-    negative lam, a Neumann ground eigenvalue below zero by rounding where
-    the shift floor is smaller still, is 0."""
-    lam = np.maximum(np.asarray(lambdas, dtype=float), 0.0)
-    g = dt_pow * relaxation_deficit(alpha, lam[:, None] * dt_pow)
-    return np.maximum(g[:, :-1] - g[:, 1:], 0.0)
-
-
 def _non_finite(what, m, grid, values, problem=None):
     """SolverError for a time step whose data are not finite, naming the
     time node and the first space node at fault."""
@@ -264,11 +252,17 @@ def _rule(alpha):
 
 
 def _shift_floor(alpha, t):
-    """The least eigenvalue that leaves _Memory's small-mode path by node 4
-    of the time nodes t (or by the last), lam (t_4 - t_0)^alpha twice
-    _SMALL, and whose rule edge sigma_lo / lam^(1/alpha) is at most the
-    grid's smallest step, the least age of a window at the node after its
-    end; at most _FLOOR_MAX."""
+    """The least eigenvalue that _Memory marches on the time nodes t: the
+    larger of two terms, at most _FLOOR_MAX.
+    * lam (t_4 - t_0)^alpha (t_4 the last node of a shorter grid) is twice
+      _SMALL.  The history is divided by lam, so the rule's absolute error
+      over lam must stay small; without this term the Neumann ground mode
+      of a problem without c marches at the second alone, and the
+      criterion-5 and spectral-long fields moved by up to 7.7e-8 of sup,
+      the verify rows' worst values by up to 0.99 relative.
+    * the rule edge sigma_lo / lam^(1/alpha) is at most the grid's smallest
+      step, the least age of a window at the node after its end, so that
+      every window folds into the rule (see _Memory)."""
     k = min(4, t.size - 1)
     floor = max(2.0 * _SMALL / (t[k] - t[0]) ** alpha, (_rule(alpha).sigma_lo / float(np.min(np.diff(t)))) ** alpha)
     return min(floor, _FLOOR_MAX)
@@ -281,9 +275,10 @@ def _shifts(problems, t, alpha):
     that Q + s, with Q = T0 - A, is 0 for every constant c <= -_shift_floor
     without b, and otherwise its c + s is the least a constant shift makes
     it (on choosing the linear part of an exponential integrator, see
-    Hochbruck and Ostermann, Acta Numerica 19 (2010) 209).  With the floor a zero eigenvalue of T0,
-    the Neumann ground mode, costs what any other mode costs from node 4
-    on."""
+    Hochbruck and Ostermann, Acta Numerica 19 (2010) 209).  T0's
+    eigenvalues are at least 0 (elliptic.eigendecompose), so every shifted
+    one is at least the floor, and the Neumann ground mode is a mode of
+    the memory like any other."""
     floor = _shift_floor(alpha, t)
     return np.array([max(floor, -(0.5 * lo + 0.5 * hi)) for lo, hi in (p.coefficients["c"].span for p in problems)])
 
@@ -299,9 +294,10 @@ class _Memory:
     rate, S_j = sum_k exp(-r_j (t_m - t_{k+1})) (1 - exp(-r_j dt_k)) g_k,
     which moves to the next node in O(rates):
     S(m) = exp(-r dt_{m-1}) [S(m-1) + (1 - exp(-r dt_{m-2})) g_{m-2}].
-    The history is sum_j (w_j / lam) S_j: the division by lam (by 1 where
-    lam <= 0) is folded into the band's weights and the frozen sum's logs,
-    so that a step divides nothing.
+    The history is sum_j (w_j / lam) S_j: the division by lam is folded
+    into the band's weights and the frozen sum's logs, so that a step
+    divides nothing.  Every lam is at least the shift floor, above 0, whose
+    first term keeps the rule's error over lam small (see _shift_floor).
 
     Only a live band of rates is advanced per mode:
     * above it, r_j dt_{m-1} > _BAND_HI: every window is at least dt_{m-1}
@@ -331,23 +327,16 @@ class _Memory:
     window m - 2 in one (K + 1) x modes array, and one product with the
     node's K x (K + 1) matrix folds the window in and moves them to tau_m.
 
-    Exact masses, formed as in _kernel_masses to rounding for every
-    lam >= 0, remain for
-    * the current window, whose mass the Picard sweeps need;
-    * modes with lam t_m^alpha <= _SMALL (small modes; the floor keeps them
-      to the nodes before 4): the history is divided by lam, so a small
-      mode needs the kernel to relative accuracy, which the rule's absolute
-      _SOE_TOL is not.  A small mode folds its windows like every other
-      row, and its history is replaced by the exact masses over all its
-      windows, so that a mode that stops being small needs no catch-up.
+    The current window's mass, which the Picard sweeps need, is exact,
+    dt^alpha phi(lam dt^alpha) with phi from special_ml.relaxation_deficit.
     E(-lam t_m^alpha) and the current window's masses are fetched for a
     block of nodes (block, at least _RELAX_BLOCK) by one relaxation_batch
     and one relaxation_deficit call per _FETCH_POINTS // block modes of the
-    batch, together with the moments' matrices and the small rows of each
-    node.  Every choice at node m depends on t[0..m], lam and alpha only,
-    and lam on the grid's smallest step (the shift floor), so a march on a
-    restricted grid that keeps that step, as graded grids do, reproduces
-    the longer march exactly.
+    batch, together with the moments' matrices of each node.  Every choice
+    at node m depends on t[0..m], lam and alpha only, and lam on the grid's
+    smallest step (the shift floor), so a march on a restricted grid that
+    keeps that step, as graded grids do, reproduces the longer march
+    exactly.
 
     A batch of problems (see spectral_march) passes the eigenvalues of all
     of them, problem by problem.  Each row is still one mode, but the band
@@ -371,13 +360,9 @@ class _Memory:
         self.weight_pad = np.concatenate([soe.weight, np.zeros(n_terms + _BAND_SLACK)])
         self.log_rho_at = np.append(soe.log_rho, np.inf)  # +inf past the rule
         self.ln_c = _prefix_logs(alpha)
-        # what the history is divided by, through the weights and ln_a
-        self.lam_div = np.where(self.lam > 0.0, self.lam, 1.0)
-        with np.errstate(divide="ignore", over="ignore"):
-            # lam <= 0 gets rate 0; such modes stay small
-            self.ln_root = np.log(np.maximum(self.lam, 0.0)) / alpha  # ln lam^(1/alpha)
-            # ln (sum_{j < base} w_j r_j^p) / (p! lam), p = 1..K
-            self.ln_a = _ORDERS * self.ln_root + self.ln_c[:, n_terms, None] - np.log(self.lam_div)
+        self.ln_root = np.log(self.lam) / alpha  # ln lam^(1/alpha)
+        # ln (sum_{j < base} w_j r_j^p) / (p! lam), p = 1..K
+        self.ln_a = _ORDERS * self.ln_root + self.ln_c[:, n_terms, None] - np.log(self.lam)
         modes = self.lam.size
         self.base = np.full(modes, n_terms)  # term held in column 0 of each row
         self.sums = np.zeros((modes, 0))  # S_j at the previous node, band columns
@@ -403,8 +388,8 @@ class _Memory:
 
     def _fetch(self, m):
         """Relaxation values and current-window masses of the nodes
-        m .. m + block - 1, the moments' fold weights and transfer matrices
-        of those nodes, and their small rows."""
+        m .. m + block - 1, and the moments' fold weights and transfer
+        matrices of those nodes."""
         t, lam, alpha = self.t, self.lam, self.alpha
         stop = min(m + self.block, t.size)
         B = stop - m
@@ -419,18 +404,13 @@ class _Memory:
         # relaxation_deficit call per _FETCH_POINTS // block modes of the
         # batch, whichever problems they belong to.  Both are pointwise, so
         # the values do not depend on the split
-        lam0 = np.maximum(lam, 0.0)
         cols = _FETCH_POINTS // self.block
         for i in range(0, lam.size, cols):
-            x = lam0[i : i + cols] * col
+            x = lam[i : i + cols] * col
             e = relaxation_batch(alpha, x)
             relax[:, i : i + cols] = e[:B]
             w_cur[:, i : i + cols] = relaxation_deficit(alpha, x[B:], e[B:])
         w_cur *= dt_pow[:, None]
-        # the small rows of each node; lam t^alpha grows with t, so a row
-        # small at some node of the block is small at its first
-        small = np.flatnonzero(lam * t_pow[0] <= _SMALL)
-        self.small = [small[lam[small] * p <= _SMALL] for p in t_pow] if small.size else [small] * B
         self.block_start, self.block_stop = m, stop
         # per node, ln r of the band's edges, ln(_BAND_LO / tau_k) and
         # ln(_BAND_HI / dt_k), as differences of logs (_BAND_LO / tau_k
@@ -470,19 +450,18 @@ class _Memory:
         with np.errstate(over="ignore"):
             np.exp(rates, out=rates)
         weight = self.weight_win[self.base]
-        weight /= self.lam_div[:, None]
+        weight /= self.lam[:, None]
         self.rates, self.weight = rates, weight
 
     def _edges(self):
         """ln r of the highest frozen term and of the lowest term above the
         stored band, over all rows: no band edge moves at a node m with
         ln(_BAND_LO / t_m) above the first and ln(_BAND_HI / dt_{m-1}) below
-        the second.  Rows with lam <= 0 hold no terms and give nan."""
+        the second."""
         end = np.minimum(self.base + self.sums.shape[1], self.log_rho.size)
-        with np.errstate(invalid="ignore"):
-            # log_rho_pad[-1] = -inf stands for the term below term 0
-            self.ln_top = np.fmax.reduce(self.ln_root + self.log_rho_pad[self.base - 1])
-            self.ln_next = np.fmin.reduce(self.ln_root + self.log_rho_at[end])
+        # log_rho_pad[-1] = -inf stands for the term below term 0
+        self.ln_top = np.max(self.ln_root + self.log_rho_pad[self.base - 1])
+        self.ln_next = np.min(self.ln_root + self.log_rho_at[end])
 
     def _widen(self, m, width):
         """Widen the band storage; the new columns hold terms above the band
@@ -535,7 +514,7 @@ class _Memory:
             thawed = acc * x
         np.copyto(kept[:, :n_thawed], thawed, where=thaw)
         self.sums[rows] = kept
-        self.ln_a[:, rows] = _ORDERS * self.ln_root[rows] + self.ln_c[:, base] - np.log(self.lam_div[rows])
+        self.ln_a[:, rows] = _ORDERS * self.ln_root[rows] + self.ln_c[:, base] - np.log(self.lam[rows])
         self._edges()
 
     def _frozen(self, ln_s):
@@ -593,11 +572,6 @@ class _Memory:
         self.sums *= decay_m1 + 1.0
 
         history = np.vecdot(self.sums, self.weight) + self._frozen(self.ln_s[b])
-        # small modes take the exact masses of all their windows in place of the sums
-        small = self.small[b]
-        if small.size:
-            masses = _kernel_masses(self.alpha, self.lam[small], (self.t[m] - self.t[:m]) ** self.alpha)
-            history[small] = (masses * g_hist[: m - 1, small].T).sum(axis=1)
         if self.shape is not None:
             history = history.reshape(self.shape)
         return history, self.w_cur[b]

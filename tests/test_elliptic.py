@@ -279,6 +279,11 @@ class TestEigen:
         assert lam == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(phi, phi[0], rtol=1e-10)
 
+    def test_no_eigenvalue_below_zero(self):
+        # T0 is positive semidefinite: stevd's Neumann ground eigenvalue,
+        # -1.6e-14 here by rounding, is taken as 0
+        assert eigendecompose(assemble(EllipticSpec(a=1.0), Grid1D(0.0, 1.0, 8))).lambdas.min() >= 0.0
+
     def test_robin_lambda1_oracle(self):
         ref = robin_lambda1(1.0)
         assert math.sqrt(ref) == pytest.approx(1.30654, abs=1e-5)

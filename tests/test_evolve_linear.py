@@ -28,7 +28,6 @@ from fraccomp.evolve_linear import (
     SolverError,
     _Memory,
     _extrapolation_weights,
-    _kernel_masses,
     solve_linear_l1,
     solve_linear_spectral,
     solve_linear_spectral_many,
@@ -115,8 +114,7 @@ def homogeneous_solution(a, eig, alpha, t):
     """S(t) a: the relaxation-damped eigen-expansion of the initial value,
     the march's oracle without a forcing."""
     coef = eig.project(np.asarray(a, dtype=float))
-    # the discrete Neumann ground eigenvalue is zero only to rounding
-    damped = coef * relaxation_batch(alpha, np.maximum(eig.lambdas, 0.0) * t ** alpha)
+    damped = coef * relaxation_batch(alpha, eig.lambdas * t ** alpha)
     return eig.synthesize(damped)
 
 
@@ -147,6 +145,14 @@ class TestHomogeneous:
         assert np.max(np.abs(got - ref)) < 1e-4
 
 
+def window_masses(alpha, lam, ages):
+    """The kernel masses of the windows between the ages^(1/alpha), one row
+    per mode: hi phi(lam hi) - lo phi(lam lo) over the powers hi, lo of each
+    window's ages, with phi from relaxation_deficit."""
+    g = ages * relaxation_deficit(alpha, lam[:, None] * ages)
+    return g[:, :-1] - g[:, 1:]
+
+
 class TestDuhamelStep:
     """The Duhamel mass of a step from rest, s^alpha phi(lam s^alpha) with
     the step's age s and phi from special_ml.relaxation_deficit."""
@@ -156,7 +162,7 @@ class TestDuhamelStep:
         grid, tg, spec = make_problem(c=-1.0)
         lam = eigendecompose(assemble(spec, grid)).shifted(1.0).lambdas
         tau = 0.25
-        masses = _kernel_masses(0.5, lam, np.array([tau ** 0.5, 0.0]))[:, 0]
+        masses = window_masses(0.5, lam, np.array([tau ** 0.5, 0.0]))[:, 0]
         ref = (1.0 - np.array([ml_relaxation(0.5, l, tau) for l in lam])) / lam
         assert np.allclose(masses, ref, rtol=1e-12, atol=0.0)
 
@@ -230,40 +236,31 @@ class TestSpectralSolver:
         u2 = solve_linear_spectral(p2)
         assert np.max(np.abs(half.values - u2.values)) < 1e-12
 
-    @pytest.mark.parametrize("alpha, T, r, sigma", [
-        pytest.param(0.3, 1.0, None, 0.0, id="0.3"),
-        pytest.param(0.5, 1.0, None, 0.0, id="0.5"),
-        pytest.param(0.95, 1.0, None, 0.0, id="0.95"),
-        pytest.param(0.3, 1e4, None, 0.0, id="0.3-T=1e4-sigma-to-1e-30"),
-        pytest.param(0.5, 1e4, 12.0, 0.0, id="0.5-T=1e4-r=12-small-modes"),
-        pytest.param(0.5, 1.0, 8.0, 1.0, id="0.5-r=8-robin"),
+    @pytest.mark.parametrize("alpha, T, r, sigma, n, a", [
+        pytest.param(0.3, 1.0, None, 0.0, 24, 1.0, id="0.3"),
+        pytest.param(0.5, 1.0, None, 0.0, 24, 1.0, id="0.5"),
+        pytest.param(0.95, 1.0, None, 0.0, 24, 1.0, id="0.95"),
+        pytest.param(0.3, 1e4, None, 0.0, 24, 1.0, id="0.3-T=1e4-sigma-to-1e-30"),
+        pytest.param(0.5, 1e4, 12.0, 0.0, 24, 1.0, id="0.5-T=1e4-r=12-small-modes"),
+        pytest.param(0.5, 1.0, 8.0, 1.0, 24, 1.0, id="0.5-r=8-robin"),
+        pytest.param(0.9, 1e4, None, 0.0, 8, 1e6, id="0.9-T=1e4-a=1e6-ground-below-minus-floor"),
     ])
-    def test_march_matches_exact_duhamel_sum(self, alpha, T, r, sigma):
+    def test_march_matches_exact_duhamel_sum(self, alpha, T, r, sigma, n, a):
         # q inactive (b = 0, c = -s at the shift floor s): u(t_m) is the
         # eigen-expansion of S(t_m) a plus every past window's exact kernel
         # mass times its projected midpoint source.  The Neumann ground mode
-        # is the floor itself, small at the first nodes.  At T = 1e4 its
-        # windows' ages reach sigma = lam^(1/alpha) dt = 2.1e-30 on the rule,
-        # far below the 1e-20 where the rule used to end.  r = 12 puts seven
-        # modes below the small-mode bound at node 2; the Robin ends lift
-        # every mode off it
-        grid, tg, _ = make_problem(alpha=alpha, n=24, N=256, T=T, r=r)
-        spec = at_the_floor(alpha, tg, sigma_lo=sigma, sigma_hi=sigma)
+        # is the floor itself, the least eigenvalue the memory divides its
+        # history by.  At T = 1e4 its windows' ages reach sigma =
+        # lam^(1/alpha) dt = 2.1e-30 on the rule, far below the 1e-20 where
+        # the rule used to end.  r = 12 puts seven modes below
+        # lam t_2^alpha = 1e-8 at node 2; the Robin ends lift every mode off
+        # it.  At a = 1e6, n = 8 stevd puts T0's ground eigenvalue at
+        # -4.6e-8, below minus the floor 2.1e-8: shifted, it is only above 0
+        # because eigendecompose takes it as 0
+        grid, tg, _ = make_problem(alpha=alpha, n=n, N=256, T=T, r=r)
+        spec = at_the_floor(alpha, tg, a=a, sigma_lo=sigma, sigma_hi=sigma)
         src = lambda x, t: (1.0 + np.sin(3.0 * x)) * np.cos(4.0 * t / T) + t / T
         assert_exact_duhamel(ProblemSpec(alpha, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x), source=src))
-
-    @pytest.mark.parametrize("alpha", [0.3, 0.5])
-    def test_neumann_ground_mode_leaves_the_exact_masses_by_node_4(self, alpha, monkeypatch):
-        # without c the march shifts T0 by the floor: the Neumann ground mode
-        # is small at the first nodes only
-        nodes, calls = [], []
-        advance, masses = _Memory.advance, evolve_linear._kernel_masses
-        monkeypatch.setattr(_Memory, "advance", lambda self, m, g_hist: nodes.append(m) or advance(self, m, g_hist))
-        monkeypatch.setattr(evolve_linear, "_kernel_masses", lambda *args: calls.append(nodes[-1]) or masses(*args))
-        grid, tg, spec = make_problem(alpha=alpha, n=24, N=512)
-        _, counts = march_one(ProblemSpec(alpha, spec, grid, tg, lambda x: 1.0 + np.cos(math.pi * x), source=1.0))
-        assert calls and max(calls) <= 4
-        assert counts.min() >= 1  # Q = s u: every step sweeps
 
     def test_kernel_mass_bound(self):
         # accumulated per-mode Duhamel weights over [0, T] telescope to
@@ -273,7 +270,7 @@ class TestSpectralSolver:
         tg = TimeGrid.graded(T, 37, 3.0)
         lams = np.array([0.0, 1e-12, 0.5, 3.0, 40.0])
         dt_pow = (T - tg.nodes) ** alpha
-        total = _kernel_masses(alpha, lams, dt_pow).sum(axis=1)
+        total = window_masses(alpha, lams, dt_pow).sum(axis=1)
         closed = T ** alpha * relaxation_deficit(alpha, lams * T ** alpha)
         assert np.allclose(total, closed, rtol=1e-13, atol=0.0)
         assert total[0] == pytest.approx(T ** alpha / gamma(alpha + 1.0), rel=1e-13)
@@ -287,22 +284,19 @@ def assert_exact_duhamel(p):
     S(t_m) a plus every past window's exact kernel mass times its projected
     midpoint source (q inactive: no b, a constant c), over A's pairs, T0's
     shifted by -c.  A window's mass is hi phi(lam hi) - lo phi(lam lo) over
-    the powers hi, lo of its ends' ages, with phi from relaxation_deficit;
-    an eigenvalue below 0 by rounding is taken as 0."""
+    the powers hi, lo of its ends' ages (window_masses)."""
     t, alpha = p.tgrid.nodes, p.alpha
     eig = eigendecompose(assemble(p.elliptic, p.grid))
     u = solve_linear_spectral(p, eig).values
     eig = eig.shifted(-p.elliptic.c)
     a_coef = eig.project(p.initial_values())
     f_coef = np.array([eig.project(p.source_at(0.5 * (t[k] + t[k + 1]))) for k in range(t.size - 1)])
-    lam = np.maximum(eig.lambdas, 0.0)
     ref = np.empty((t.size, p.grid.n_nodes))
     for m in range(t.size):
-        coef = a_coef * np.array([ml_relaxation(alpha, l, t[m]) for l in lam])
+        coef = a_coef * np.array([ml_relaxation(alpha, l, t[m]) for l in eig.lambdas])
         if m:
-            ages = (t[m] - t[: m + 1]) ** alpha
-            g = ages * relaxation_deficit(alpha, lam[:, None] * ages)
-            coef = coef - (np.diff(g, axis=1) * f_coef[:m].T).sum(axis=1)
+            masses = window_masses(alpha, eig.lambdas, (t[m] - t[: m + 1]) ** alpha)
+            coef = coef + (masses * f_coef[:m].T).sum(axis=1)
         ref[m] = eig.synthesize(coef)
     assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
 
